@@ -8,7 +8,7 @@ Lie supergroups -- all over explicit computable subfields of R.
 from .exactnum import (Field, FieldMismatchError, Poly, QQ, QQ_I, Scalar,
                        is_squarefree, parse_scalar, real_root_signs)
 from .glinalg import (GradedSpace, Matrix, Subspace, generalized_eigenspaces,
-                      image, joint_eigenspaces, kernel, solve)
+                      image, joint_eigenspaces, kernel)
 from .lsa import (LieSuperalgebra, center, centroid, check_axioms, derivations,
                   differential_constants, grassmann_extend, is_nilpotent,
                   is_solvable, quotient, series, subalgebra_on, supercommutant)

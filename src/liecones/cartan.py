@@ -10,7 +10,6 @@ inner automorphism group is never materialized.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -191,11 +190,7 @@ def _spectrum_purely_imaginary_semisimple(g: LieSuperalgebra, v: Vector) -> obje
     """True/False/UNDETERMINED for one element: ad(v) semisimple with
     spectrum in iR, certified by Sturm counts on rational data."""
     M = g.ad(v)
-    try:
-        for c in itertools.chain(*[r for r in M.rows]):
-            if not c.is_rational():
-                return UNDETERMINED
-    except Exception:   # pragma: no cover
+    if not all(c.is_rational() for r in M.rows for c in r):
         return UNDETERMINED
     if not is_squarefree(M.minpoly()):
         return False

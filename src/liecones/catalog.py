@@ -188,19 +188,19 @@ def _algebra_from_matrices(name: str, even: list[Matrix], odd: list[Matrix],
     basis = list(even) + list(odd)
     k = len(basis)
     cols = [_flatten_real(B) for B in basis]
-    Msys = Matrix.from_cols(QQ, cols)
     parities = [0] * len(even) + [1] * len(odd)
+    pairs = [(a, b) for a in range(k) for b in range(k)]
+    targets = [_flatten_real(superbracket(basis[a], basis[b], parities[a], parities[b]))
+               for a, b in pairs]
+    # one elimination of the basis system for all k^2 right-hand sides
+    X = Matrix.from_cols(QQ, cols).solve_matrix(Matrix.from_cols(QQ, targets))
+    if X is None:
+        raise CatalogError(f"{name}: a bracket left the span of the basis")
     br: dict[tuple[int, int], SparseVec] = {}
-    for a in range(k):
-        for b in range(k):
-            Xab = superbracket(basis[a], basis[b], parities[a], parities[b])
-            target = tuple(QQ.rat(x) for x in _flatten_real(Xab))
-            sol = Msys.solve(target)
-            if sol is None:
-                raise CatalogError(f"{name}: bracket left the span (pair {a},{b})")
-            out = {t: sol[t] for t in range(k) if sol[t]}
-            if out:
-                br[(a, b)] = out
+    for col, pair in enumerate(pairs):
+        out = {t: X.rows[t][col] for t in range(k) if X.rows[t][col]}
+        if out:
+            br[pair] = out
     names = tuple(f"e{t}" for t in range(len(even))) + tuple(f"f{t}" for t in range(len(odd)))
     space = GradedSpace(len(even), len(odd), names)
     return LieSuperalgebra(name, space, QQ, br), basis

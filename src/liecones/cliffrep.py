@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactnum import Field, QQ, QQ_I, Scalar, rational_sqrt_decomp
-from .glinalg import GradedSpace, Matrix, Vector, vec_is_zero
+from .glinalg import GradedSpace, LinalgError, Matrix, Vector, eliminate, vec_is_zero
 from .lsa import LieSuperalgebra, bracket_span, center
 from .cones import OddSquareForm, is_positive_definite
 
@@ -249,7 +249,7 @@ def verify_rep(rep: MatrixRep, adjoint_sample: Sequence[Vector] = (),
         adv = g.ad(v)
         try:
             E = adv.exp_nilpotent()
-        except Exception:
+        except LinalgError:
             group_results.append({"status": "SKIPPED", "why": "ad not nilpotent"})
             continue
         rv = rep.rho(tuple(x.promote(fld) for x in v))
@@ -259,7 +259,7 @@ def verify_rep(rep: MatrixRep, adjoint_sample: Sequence[Vector] = (),
             try:
                 B = rv.exp_nilpotent()
                 conj = (B, B.inverse())
-            except Exception:
+            except LinalgError:
                 group_results.append({"status": "SKIPPED", "why": "rho not exactly exponentiable"})
                 continue
         ok = True
@@ -357,19 +357,13 @@ def _intertwiner_space(rep1: MatrixRep, rep2: MatrixRep, parity: int) -> list[Ma
                     t = pos_index.get((p, j))
                     if t is not None and A.rows[i][p]:
                         row[t] = row.get(t, fld.zero) - A.rows[i][p]
-                row = {t: v for t, v in row.items() if v}
-                if row:
-                    rows.append([row.get(t, fld.zero) for t in range(len(positions))])
-    sols = Matrix(fld, rows).kernel_basis() if rows else \
-        [tuple(fld.one if t == s else fld.zero for t in range(len(positions)))
-         for s in range(len(positions))]
+                rows.append(row)
     out = []
-    for sol in sols:
+    for sol in eliminate(rows).null_basis(len(positions), fld.one):
         M = [[fld.zero] * n1 for _ in range(n2)]
-        for t, val in enumerate(sol):
-            if val:
-                i, j = positions[t]
-                M[i][j] = val
+        for t, val in sol.items():
+            i, j = positions[t]
+            M[i][j] = val
         out.append(Matrix(fld, M))
     return out
 
@@ -481,35 +475,14 @@ def heisenberg_clifford_shape(g: LieSuperalgebra) -> HCShape:
 
 def _congruence_diagonalize(S: Matrix) -> tuple[Matrix, list[Scalar]]:
     """P with P S P^T diagonal, for a positive-definite symmetric S."""
-    n = S.nrows
-    fld = S.field
-    P = Matrix.identity(fld, n)
-    A = S
-    rows_p = [list(r) for r in P.rows]
-    a = [list(r) for r in A.rows]
-    for k in range(n):
-        piv = a[k][k]
-        if not piv or piv.sign() <= 0:
-            raise CliffrepError("congruence pivoting needs a PD matrix")
-        for i in range(k + 1, n):
-            fct = a[i][k] / piv
-            if fct:
-                a[i] = [x - fct * y for x, y in zip(a[i], a[k])]
-                for j in range(n):
-                    a[j][i] = a[i][j] if j > i else a[j][i]
-                rows_p[i] = [x - fct * y for x, y in zip(rows_p[i], rows_p[k])]
-        # re-symmetrize column k
-        for i in range(k + 1, n):
-            a[k][i] = fld.zero
-            a[i][k] = fld.zero
-    Pm = Matrix(fld, rows_p)
-    D = Pm * S * Pm.transpose()
-    diag = [D.rows[t][t] for t in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and D.rows[i][j]:
-                raise CliffrepError("congruence diagonalization failed")  # pragma: no cover
-    return Pm, diag
+    diag, P = S.ldl()
+    if len(diag) < S.nrows or any(d.sign() <= 0 for d in diag):
+        raise CliffrepError("congruence pivoting needs a PD matrix")
+    D = P * S * P.transpose()
+    if any(D.rows[i][j] != (diag[i] if i == j else S.field.zero) for i in range(S.nrows)
+           for j in range(S.nrows)):
+        raise CliffrepError("congruence diagonalization failed")  # pragma: no cover
+    return P, diag
 
 
 @dataclass

@@ -95,82 +95,37 @@ def leading_principal_minors(S: Matrix) -> list[Scalar]:
     return out
 
 
+def _pd_prefix_score(S: Matrix) -> int:
+    """Length of the maximal all-positive prefix of leading minors, read off
+    the LDL pivots (the k-th minor is the product of the first k)."""
+    score = 0
+    for p in S.ldl()[0]:
+        if not p.is_real() or p.sign() <= 0:
+            break
+        score += 1
+    return score
+
+
 def is_positive_definite(S: Matrix) -> bool:
-    """Sylvester criterion for a symmetric real matrix; exact."""
+    """Sylvester criterion for a symmetric real matrix: all LDL pivots > 0."""
     if S.nrows != S.ncols:
         raise ConesError("definiteness of a non-square matrix")
-    if S.nrows == 0:
-        return True
-    for m in leading_principal_minors(S):
-        if m.sign() <= 0:
-            return False
-    return True
+    return _pd_prefix_score(S) == S.nrows
 
 
 def is_positive_semidefinite(S: Matrix) -> bool:
-    """Exact PSD test by symmetric elimination with diagonal pivoting."""
-    n = S.nrows
-    if n != S.ncols:
+    """Exact PSD test: a full natural-order LDL with no negative pivot."""
+    if S.nrows != S.ncols:
         raise ConesError("definiteness of a non-square matrix")
-    rows = [list(r) for r in S.rows]
-    active = list(range(n))
-    while active:
-        pivot = None
-        for i in active:
-            s = rows[i][i].sign()
-            if s < 0:
-                return False
-            if s > 0 and pivot is None:
-                pivot = i
-        if pivot is None:
-            # all active diagonal entries are zero: PSD forces the block to vanish
-            for i in active:
-                for j in active:
-                    if rows[i][j]:
-                        return False
-            return True
-        p = rows[pivot][pivot]
-        active.remove(pivot)
-        for i in active:
-            f = rows[i][pivot] / p
-            if f:
-                for j in active:
-                    rows[i][j] = rows[i][j] - f * rows[pivot][j]
-            rows[i][pivot] = S.field.zero
-    return True
+    pivots, _ = S.ldl()
+    return len(pivots) == S.nrows and all(p.sign() >= 0 for p in pivots)
 
 
 def hermitian_is_positive_definite(S: Matrix) -> bool:
     """Sylvester test for a Hermitian matrix over a complex tower."""
     if S != S.conj_transpose():
         raise ConesError("matrix is not Hermitian")
-    if S.nrows == 0:
-        return True
-    for m in leading_principal_minors(S):
-        if not m.is_real() or m.real_part().sign() <= 0:
-            return False
-    return True
-
-
-def _pd_prefix_score(S: Matrix) -> int:
-    """Length of the maximal all-positive prefix of leading minors."""
-    rows = [list(r) for r in S.rows]
-    n = S.nrows
-    score = 0
-    minor = S.field.one
-    for pc in range(n):
-        # elimination without row swaps; pivot product = leading minor
-        piv = rows[pc][pc]
-        minor = minor * piv
-        if not minor or minor.sign() <= 0:
-            return score
-        score += 1
-        inv = piv.inverse()
-        for i in range(pc + 1, n):
-            if rows[i][pc]:
-                fct = rows[i][pc] * inv
-                rows[i] = [x - fct * y for x, y in zip(rows[i], rows[pc])]
-    return score
+    return _pd_prefix_score(S) == S.nrows
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +156,7 @@ class ConeCertificate:
 def certify_pointed(g: LieSuperalgebra, lam: Sequence) -> ConeCertificate:
     """Build a POINTED_CERTIFIED certificate, re-verifying via Sylvester."""
     form = OddSquareForm.of(g, lam)
-    if not is_positive_definite(form.matrix):
+    if any(m.sign() <= 0 for m in leading_principal_minors(form.matrix)):
         raise ConesError("claimed PD functional fails the Sylvester test")
     return ConeCertificate(POINTED_CERTIFIED, lam=form.lam,
                            details={"odd_dim": g.space.odd_dim})
@@ -394,10 +349,10 @@ def convex_hull_contains_zero(vectors: Sequence[Vector]) -> tuple[Fraction, ...]
     sol = _simplex_phase1(A, b)
     if sol is None:
         return None
-    # exact re-verification
-    assert all(c >= 0 for c in sol) and sum(sol) == 1
-    for i in range(n):
-        assert sum(cols[j][i] * sol[j] for j in range(len(vectors))) == 0
+    # exact re-verification, kept under python -O
+    if any(c < 0 for c in sol) or sum(sol) != 1 or any(
+            sum(cols[j][i] * sol[j] for j in range(len(vectors))) for i in range(n)):
+        raise InvariantViolation("LP certificate fails its exact re-check")
     return tuple(sol)
 
 

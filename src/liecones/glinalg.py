@@ -1,8 +1,11 @@
 """Exact graded linear algebra: matrices, canonical subspaces, eigensplitting.
 
-All data is over one scalar tower (see exactnum).  Subspaces are kept in
-reduced row-echelon form, which makes equality decidable and serialization
-stable.  Eigenvalue extraction factors characteristic polynomials over Q
+All data is over one scalar tower (see exactnum).  Every elimination runs
+through one of two routines: eliminate(), a sparse-row Gauss-Jordan pass
+behind rref, rank, kernels, solves, inverses, determinants and canonical
+subspaces; and Matrix.ldl(), a natural-order symmetric/Hermitian pass whose
+pivots decide definiteness.  Subspaces are kept in reduced row-echelon form,
+which makes equality decidable and serialization stable.  Eigenvalue extraction factors characteristic polynomials over Q
 (via sympy) and splits quadratics inside the declared tower; anything that
 does not split is reported as SPLITTING_FAILURE, never approximated.
 """
@@ -18,6 +21,7 @@ import sympy
 from .exactnum import ExactnumError, Field, Poly, Scalar, sqrt_in_field
 
 Vector = tuple[Scalar, ...]
+SparseVec = dict[int, Scalar]
 
 
 class LinalgError(ValueError):
@@ -41,6 +45,91 @@ def zero_vector(fld: Field, n: int) -> Vector:
 
 def unit_vector(fld: Field, n: int, j: int) -> Vector:
     return tuple(fld.one if k == j else fld.zero for k in range(n))
+
+
+def densify(v: SparseVec, n: int, fld: Field) -> Vector:
+    out = [fld.zero] * n
+    for k, x in v.items():
+        out[k] = x
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# the elimination kernel
+# ---------------------------------------------------------------------------
+
+def _sub_multiple(r: SparseVec, f: Scalar, p: SparseVec, skip: int) -> None:
+    """r -= f * p in place, ignoring column skip of p."""
+    for c, v in p.items():
+        if c == skip:
+            continue
+        t = r.get(c)
+        t = -(f * v) if t is None else t - f * v
+        if t:
+            r[c] = t
+        elif c in r:
+            del r[c]
+
+
+@dataclass
+class Elimination:
+    """Outcome of one Gauss-Jordan pass over sparse rows.
+
+    rows maps each pivot column to its reduced row (pivot entry one, zero in
+    every other pivot column).  leads holds, per input row, the lead column
+    and unnormalised lead value it had once reduced by the earlier rows (the
+    pivots of an LU factorisation in input order), or None if it vanished.
+    A lead column at or past the pivot limit marks an inconsistent row.
+    """
+    rows: dict[int, SparseVec]
+    leads: list[tuple[int, Scalar] | None]
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(sorted(self.rows))
+
+    def null_basis(self, ncols: int, one: Scalar) -> list[SparseVec]:
+        """Canonical null-space basis: one vector per free column < ncols."""
+        basis = []
+        for j in range(ncols):
+            if j in self.rows:
+                continue
+            v: SparseVec = {j: one}
+            for pc, row in self.rows.items():
+                x = row.get(j)
+                if x:
+                    v[pc] = -x
+            basis.append(v)
+        return basis
+
+
+def eliminate(rows: Iterable[SparseVec], n: int | None = None) -> Elimination:
+    """Reduced row echelon form of sparse rows ({col: Scalar}) by Gauss-Jordan.
+
+    Pivots are taken only in columns < n (every column when n is None), so
+    columns from n on ride along as augmented right-hand sides.
+    """
+    piv: dict[int, SparseVec] = {}
+    leads: list[tuple[int, Scalar] | None] = []
+    for raw in rows:
+        r = {c: x for c, x in raw.items() if x}
+        for j in [c for c in r if c in piv]:
+            _sub_multiple(r, r.pop(j), piv[j], j)
+        free = [c for c in r if n is None or c < n]
+        if not free:
+            leads.append((min(r), r[min(r)]) if r else None)
+            continue
+        j = min(free)
+        lead = r[j]
+        leads.append((j, lead))
+        inv = lead.inverse()
+        row = {c: x * inv for c, x in r.items()}
+        for p in piv.values():
+            f = p.pop(j, None)
+            if f:
+                _sub_multiple(p, f, row, j)
+        piv[j] = row
+    return Elimination(piv, leads)
 
 
 class Matrix:
@@ -156,73 +245,51 @@ class Matrix:
             k >>= 1
         return acc
 
-    # elimination ----------------------------------------------------------
+    # elimination: every routine below is one eliminate() or ldl() pass -------
+    def _sparse_rows(self) -> list[SparseVec]:
+        return [{c: x for c, x in enumerate(r) if x} for r in self.rows]
+
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        rows = [list(r) for r in self.rows]
-        pivots: list[int] = []
-        pr = 0
-        for pc in range(self.ncols):
-            pivot_row = None
-            for i in range(pr, len(rows)):
-                if rows[i][pc]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-            inv = rows[pr][pc].inverse()
-            rows[pr] = [x * inv for x in rows[pr]]
-            for i in range(len(rows)):
-                if i != pr and rows[i][pc]:
-                    f = rows[i][pc]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == len(rows):
-                break
-        return Matrix(self.field, rows), tuple(pivots)
+        e = eliminate(self._sparse_rows())
+        rows = [densify(e.rows[pc], self.ncols, self.field) for pc in e.pivots]
+        rows += [zero_vector(self.field, self.ncols)] * (self.nrows - len(rows))
+        return Matrix(self.field, rows), e.pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(eliminate(self._sparse_rows()).rows)
 
     def kernel_basis(self) -> list[Vector]:
         """Canonical basis of the null space (one vector per free column)."""
-        R, pivots = self.rref()
-        pivset = set(pivots)
-        basis = []
-        one, zero = self.field.one, self.field.zero
-        for j in range(self.ncols):
-            if j in pivset:
-                continue
-            v = [zero] * self.ncols
-            v[j] = one
-            for r, pc in enumerate(pivots):
-                v[pc] = -R.rows[r][j]
-            basis.append(tuple(v))
-        return basis
+        e = eliminate(self._sparse_rows())
+        return [densify(v, self.ncols, self.field)
+                for v in e.null_basis(self.ncols, self.field.one)]
 
     def solve(self, b: Vector) -> Vector | None:
         """One exact solution of M x = b, or None."""
         if len(b) != self.nrows:
             raise LinalgError("dimension mismatch in solve")
-        aug = Matrix(self.field, [list(r) + [b[i]] for i, r in enumerate(self.rows)])
-        R, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [self.field.zero] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = R.rows[r][self.ncols]
-        return tuple(x)
+        X = self.solve_matrix(Matrix(self.field, [[x] for x in b]))
+        return None if X is None else X.col(0)
 
     def solve_matrix(self, B: "Matrix") -> "Matrix | None":
-        """X with self @ X = B, or None."""
-        cols = []
-        for j in range(B.ncols):
-            x = self.solve(B.col(j))
-            if x is None:
-                return None
-            cols.append(x)
-        return Matrix.from_cols(self.field, cols)
+        """X with self @ X = B, or None: one elimination of [self | B]."""
+        if B.nrows != self.nrows:
+            raise LinalgError("dimension mismatch in solve")
+        if B.field is not self.field:
+            B = B.promote(self.field)
+        n = self.ncols
+        rows = self._sparse_rows()
+        for row, b in zip(rows, B.rows):
+            row.update((n + t, x) for t, x in enumerate(b) if x)
+        e = eliminate(rows, n)
+        if any(lead is not None and lead[0] >= n for lead in e.leads):
+            return None
+        X = [[self.field.zero] * B.ncols for _ in range(n)]
+        for pc, row in e.rows.items():
+            for c, x in row.items():
+                if c >= n:
+                    X[pc][c - n] = x
+        return Matrix(self.field, X)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -233,29 +300,48 @@ class Matrix:
         return X
 
     def det(self) -> Scalar:
+        """Signed product of the lead values that eliminate() records."""
         if self.nrows != self.ncols:
             raise LinalgError("determinant of non-square matrix")
-        rows = [list(r) for r in self.rows]
-        n = self.nrows
-        det = self.field.one
-        for pc in range(n):
-            pivot_row = None
-            for i in range(pc, n):
-                if rows[i][pc]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return self.field.zero
-            if pivot_row != pc:
-                rows[pc], rows[pivot_row] = rows[pivot_row], rows[pc]
-                det = -det
-            det = det * rows[pc][pc]
-            inv = rows[pc][pc].inverse()
-            for i in range(pc + 1, n):
-                if rows[i][pc]:
-                    f = rows[i][pc] * inv
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[pc])]
+        leads = eliminate(self._sparse_rows()).leads
+        if any(lead is None for lead in leads):
+            return self.field.zero
+        cols = [c for c, _ in leads]
+        swaps = sum(1 for a in range(len(cols)) for b in range(a) if cols[b] > cols[a])
+        det = -self.field.one if swaps % 2 else self.field.one
+        for _, x in leads:
+            det = det * x
         return det
+
+    def ldl(self) -> tuple[list[Scalar], "Matrix"]:
+        """Natural-order symmetric (Hermitian) elimination of a square matrix.
+
+        Returns the pivots and the unit lower triangular P with
+        P S P* = diag(pivots).  The k-th leading principal minor is the
+        product of the first k pivots.  Stops early, with fewer pivots than
+        rows, at a zero pivot whose row is not zero: no such P exists then.
+        """
+        n = self.nrows
+        if n != self.ncols:
+            raise LinalgError("ldl of non-square matrix")
+        a = [list(r) for r in self.rows]
+        P = [list(r) for r in Matrix.identity(self.field, n).rows]
+        pivots: list[Scalar] = []
+        for k in range(n):
+            d = a[k][k]
+            if d:
+                inv = d.inverse()
+                for i in range(k + 1, n):
+                    f = a[i][k] * inv
+                    if f:
+                        for j in range(k + 1, n):
+                            a[i][j] = a[i][j] - f * a[k][j]
+                        for j in range(k + 1):
+                            P[i][j] = P[i][j] - f * P[k][j]
+            elif any(a[k][k + 1:]):
+                break
+            pivots.append(d)
+        return pivots, Matrix(self.field, P)
 
     def charpoly(self) -> Poly:
         """Characteristic polynomial det(xI - M), monic, via Faddeev-LeVerrier."""
@@ -353,23 +439,19 @@ def ungraded(n: int) -> GradedSpace:
 class Subspace:
     """Subspace of a graded coordinate space, stored as canonical RREF rows."""
 
-    __slots__ = ("field", "ambient", "rows", "pivots", "generators")
+    __slots__ = ("field", "ambient", "rows", "pivots")
 
     def __init__(self, fld: Field, ambient: GradedSpace, vectors: Iterable[Sequence]):
-        gens = tuple(tuple(fld.coerce(x) for x in v) for v in vectors)
-        for v in gens:
+        gens = []
+        for v in vectors:
             if len(v) != ambient.dim:
                 raise LinalgError("vector length does not match ambient dimension")
+            gens.append({k: fld.coerce(x) for k, x in enumerate(v) if x})
         self.field = fld
         self.ambient = ambient
-        self.generators = gens
-        if gens:
-            R, piv = Matrix(fld, gens).rref()
-            self.rows = tuple(R.rows[k] for k in range(len(piv)))
-            self.pivots = piv
-        else:
-            self.rows = ()
-            self.pivots = ()
+        e = eliminate(gens)
+        self.pivots = e.pivots
+        self.rows = tuple(densify(e.rows[pc], ambient.dim, fld) for pc in self.pivots)
 
     @property
     def dim(self) -> int:
@@ -436,12 +518,6 @@ class Subspace:
     def is_graded(self) -> bool:
         return self.even_part().dim + self.odd_part().dim == self.dim
 
-    def homogeneous_basis(self) -> tuple[Vector, ...]:
-        """Even rows followed by odd rows; requires a graded subspace."""
-        if not self.is_graded():
-            raise LinalgError("subspace is not graded")
-        return self.even_part().rows + self.odd_part().rows
-
     def complement_coordinates(self) -> tuple[int, ...]:
         """Non-pivot coordinates; the matching unit vectors complete the basis."""
         pivset = set(self.pivots)
@@ -470,10 +546,6 @@ def kernel(M: Matrix, ambient: GradedSpace | None = None) -> Subspace:
 def image(M: Matrix, ambient: GradedSpace | None = None) -> Subspace:
     return Subspace(M.field, ambient or ungraded(M.nrows),
                     [M.col(j) for j in range(M.ncols)])
-
-
-def solve(M: Matrix, b: Vector) -> Vector | None:
-    return M.solve(b)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .exactnum import Field, Scalar
+from .exactnum import Field
 from .glinalg import (
-    GradedSpace, LinalgError, Matrix, Subspace, Vector, coordinate_subspace,
+    GradedSpace, Matrix, SparseVec, Subspace, Vector, coordinate_subspace, eliminate,
     full_subspace, unit_vector, vec_add, vec_is_zero, vec_scale, zero_vector,
 )
 
@@ -30,13 +29,6 @@ class NotAnIdealError(LsaError):
     def __init__(self, witness):
         self.witness = witness
         super().__init__(f"subspace is not a graded ideal; witness pair {witness}")
-
-
-SparseVec = dict[int, Scalar]
-
-
-def _sparsify(v: Vector) -> SparseVec:
-    return {k: x for k, x in enumerate(v) if x}
 
 
 class LieSuperalgebra:
@@ -176,7 +168,10 @@ class LieSuperalgebra:
             i, j = int(ent["left"]), int(ent["right"])
             if not (0 <= i < space.dim and 0 <= j < space.dim):
                 raise LsaError(f"bracket index ({i},{j}) out of range")
-            br[(i, j)] = {int(o["k"]): fld.coerce(o["c"]) for o in ent["out"]}
+            out = {int(o["k"]): fld.coerce(o["c"]) for o in ent["out"]}
+            if not all(0 <= k < space.dim for k in out):
+                raise LsaError(f"bracket ({i},{j}) output index out of range")
+            br[(i, j)] = out
         g = LieSuperalgebra(doc.get("name", "g"), space, fld, br)
         g._fill_mirrors()
         return g
@@ -332,58 +327,6 @@ def nilpotency_class(g: LieSuperalgebra) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sparse nullspace used by the endomorphism solvers
-# ---------------------------------------------------------------------------
-
-def sparse_nullspace(rows: Iterable[SparseVec], ncols: int, fld: Field) -> list[SparseVec]:
-    """Nullspace basis of a sparse row system; rows are {col: coeff} dicts."""
-    pivrows: dict[int, SparseVec] = {}
-    for raw in rows:
-        r = {c: v for c, v in raw.items() if v}
-        while r:
-            j = min(r)
-            p = pivrows.get(j)
-            if p is None:
-                inv = r[j].inverse()
-                pivrows[j] = {c: v * inv for c, v in r.items()}
-                break
-            f = r.pop(j)
-            for c, v in p.items():
-                if c == j:
-                    continue
-                nv = r.get(c)
-                nv = -(f * v) if nv is None else nv - f * v
-                if nv:
-                    r[c] = nv
-                elif c in r:
-                    del r[c]
-    for j in sorted(pivrows, reverse=True):
-        row = pivrows[j]
-        for j2 in [c for c in list(row) if c != j and c in pivrows]:
-            f = row.pop(j2)
-            for c, v in pivrows[j2].items():
-                if c == j2:
-                    continue
-                nv = row.get(c)
-                nv = -(f * v) if nv is None else nv - f * v
-                if nv:
-                    row[c] = nv
-                elif c in row:
-                    del row[c]
-    basis = []
-    for fcol in range(ncols):
-        if fcol in pivrows:
-            continue
-        v: SparseVec = {fcol: fld.one}
-        for j, row in pivrows.items():
-            coef = row.get(fcol)
-            if coef:
-                v[j] = -coef
-        basis.append(v)
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # derivations, centroid, differential constants
 # ---------------------------------------------------------------------------
 
@@ -399,10 +342,6 @@ class EndoFamily:
         return len(self.even) + len(self.odd)
 
 
-DerivationAlgebra = EndoFamily
-Centroid = EndoFamily
-
-
 def _allowed_entries(g: LieSuperalgebra, s: int) -> list[tuple[int, int]]:
     """Entry positions (p, q) of a parity-s block map (column q -> row p)."""
     return [(p, q) for p in range(g.dim) for q in range(g.dim)
@@ -415,7 +354,7 @@ def _solve_endomorphisms(g: LieSuperalgebra, s: int,
     entries = _allowed_entries(g, s)
     pos = {e: u for u, e in enumerate(entries)}
     rows = equations(pos, s)
-    basis = sparse_nullspace(rows, len(entries), g.field)
+    basis = eliminate(rows).null_basis(len(entries), g.field.one)
     mats = []
     z = g.field.zero
     for sol in basis:
@@ -427,7 +366,7 @@ def _solve_endomorphisms(g: LieSuperalgebra, s: int,
     return mats
 
 
-def derivations(g: LieSuperalgebra) -> DerivationAlgebra:
+def derivations(g: LieSuperalgebra) -> EndoFamily:
     """Basis of Der(g), split by parity, by exact linear solve."""
     n = g.dim
 
@@ -470,7 +409,7 @@ def derivations(g: LieSuperalgebra) -> DerivationAlgebra:
     return EndoFamily(g, _solve_endomorphisms(g, 0, eqs), _solve_endomorphisms(g, 1, eqs))
 
 
-def centroid(g: LieSuperalgebra) -> Centroid:
+def centroid(g: LieSuperalgebra) -> EndoFamily:
     """Supercommutant of the multiplication algebra inside End(g)."""
     n = g.dim
     ads = [g.ad(g.basis_vector(i)) for i in range(n)]
@@ -534,7 +473,7 @@ def differential_constants(g: LieSuperalgebra) -> EndoFamily:
                                if comms[t].rows[p][q]}
                         if row:
                             rows.append(row)
-        sols = sparse_nullspace(rows, len(cbasis), g.field)
+        sols = eliminate(rows).null_basis(len(cbasis), g.field.one)
         for sol in sols:
             acc = Matrix.zero(g.field, g.dim, g.dim)
             for t, val in sol.items():
@@ -644,7 +583,7 @@ class SubalgebraResult:
     subspace: Subspace
 
     def restrict(self, v: Vector) -> Vector | None:
-        return self.inclusion.solve(v)
+        return self.subspace.coords_of(v)
 
 
 def subalgebra_on(g: LieSuperalgebra, s: Subspace, name: str | None = None) -> SubalgebraResult:
@@ -653,8 +592,11 @@ def subalgebra_on(g: LieSuperalgebra, s: Subspace, name: str | None = None) -> S
         raise LsaError("subspace is not graded")
     if not is_subalgebra(g, s):
         raise LsaError("subspace is not closed under the bracket")
-    basis = s.homogeneous_basis()
-    e_dim = s.even_part().dim
+    # The canonical rows of a graded subspace are a homogeneous basis (even
+    # rows, supported on the leading even coordinates, come first), so
+    # coords_of reads off the bracket coordinates without a solve.
+    basis = s.rows
+    e_dim = sum(1 for pc in s.pivots if g.parity(pc) == 0)
     incl = Matrix.from_cols(g.field, basis)
     space = GradedSpace(e_dim, len(basis) - e_dim,
                         tuple(f"s{t}" for t in range(len(basis))))
@@ -662,7 +604,7 @@ def subalgebra_on(g: LieSuperalgebra, s: Subspace, name: str | None = None) -> S
     for a in range(len(basis)):
         for b in range(len(basis)):
             v = g.bracket(basis[a], basis[b])
-            coords = incl.solve(v)
+            coords = s.coords_of(v)
             if coords is None:
                 raise LsaError("bracket left the subspace")  # pragma: no cover
             out = {k: x for k, x in enumerate(coords) if x}

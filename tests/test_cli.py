@@ -236,3 +236,24 @@ def test_validate_reports_violations_exit_zero(tmp_path, capsys):
     assert rep["status"] == "OK"
     assert rep["results"]["antisymmetry_ok"] is False
     assert ["antisymmetry", 0, 1] in rep["results"]["violations"]
+
+
+def test_bracket_output_index_out_of_range_exits_1(tmp_path, capsys):
+    doc = {"name": "bad", "field": "Q", "even": 2, "odd": 0,
+           "brackets": [{"left": 0, "right": 1, "out": [{"k": 7, "c": "1"}]}]}
+    path = tmp_path / "bad_out.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["validate", "--algebra", str(path)], capsys)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["status"] == "ERROR" and "out of range" in rep["results"]["error"]
+
+
+def test_optimized_python_prints_same_bytes():
+    """Witness re-checks are explicit code, so python -O changes no output."""
+    for cmd in (["star-reduced", "--catalog", "sq(1,1)", "--cap", "400"],
+                ["clifford", "--catalog", "cl(1|3,+++)", "--gamma", "1"]):
+        outs = [subprocess.run([sys.executable, *flags, "-m", "liecones.cli", *cmd],
+                               capture_output=True, text=True, check=True).stdout
+                for flags in ([], ["-O"])]
+        assert outs[0] == outs[1], cmd

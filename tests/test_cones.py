@@ -139,6 +139,19 @@ def test_convex_hull_examples():
         convex_hull_contains_zero([])
 
 
+@pytest.mark.parametrize("wrong", [
+    [Fraction(1), Fraction(0)],                  # weights sum to 1, combination is not 0
+    [Fraction(3, 2), Fraction(-1, 2)],           # a negative weight
+    [Fraction(1, 4), Fraction(1, 4)],            # combination is 0, weights sum to 1/2
+])
+def test_convex_hull_recheck_rejects_bad_certificate(monkeypatch, wrong):
+    from liecones import cones
+    monkeypatch.setattr(cones, "_simplex_phase1", lambda A, b: list(wrong))
+    one, zero = QQ.one, QQ.zero
+    with pytest.raises(cones.InvariantViolation):
+        convex_hull_contains_zero([(one, zero), (-one, zero)])
+
+
 def test_su1111_h_vectors_hull(corpus):
     # the four H_{a,b} admit the exact zero combination with weights 1/4
     from liecones.catalog import root_vectors_su

@@ -5,7 +5,7 @@ import pytest
 from liecones.exactnum import Field, QQ, QQ_I
 from liecones.glinalg import (
     GradedSpace, Matrix, Subspace, generalized_eigenspaces, image,
-    joint_eigenspaces, kernel, roots_in_field, solve, ungraded,
+    joint_eigenspaces, kernel, roots_in_field, ungraded,
 )
 from liecones.exactnum import Poly
 
@@ -21,11 +21,11 @@ def test_kernel_image_examples():
     assert kernel(z).dim == 2                      # kernel of zero 2x2 map
     ident = Matrix.identity(QQ, 3)
     assert image(ident).dim == 3                   # image of identity
-    assert solve(M(QQ, [[1, 1], [0, 1]]), (QQ.rat(2), QQ.rat(1))) == (QQ.one, QQ.one)
+    assert M(QQ, [[1, 1], [0, 1]]).solve((QQ.rat(2), QQ.rat(1))) == (QQ.one, QQ.one)
 
 
 def test_solve_none_when_inconsistent():
-    assert solve(M(QQ, [[1, 0], [1, 0]]), (QQ.one, QQ.rat(2))) is None
+    assert M(QQ, [[1, 0], [1, 0]]).solve((QQ.one, QQ.rat(2))) is None
 
 
 def test_rank_nullity():
@@ -195,3 +195,156 @@ def test_charpoly_cayley_hamilton_random(rows):
         acc = acc + power.scale(c)
         power = power * A
     assert acc.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the elimination kernel
+# ---------------------------------------------------------------------------
+
+import itertools
+
+import sympy
+
+from liecones.cones import is_positive_semidefinite, leading_principal_minors
+
+QI2 = Field(True, 2)
+
+rational_entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+def rational_matrices(max_rows=5, max_cols=6):
+    return st.integers(1, max_rows).flatmap(lambda m: st.integers(1, max_cols).flatmap(
+        lambda n: st.lists(st.lists(rational_entries, min_size=n, max_size=n),
+                           min_size=m, max_size=m)))
+
+
+def fracs(rows):
+    return [[x.as_fraction() for x in r] for r in rows]
+
+
+def sympy_fracs(S):
+    return [[Fraction(int(x.p), int(x.q)) for x in S.row(i)] for i in range(S.rows)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices())
+def test_kernel_matches_sympy_random(rows):
+    A = M(QQ, rows)
+    S = sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows])
+    R, piv = A.rref()
+    SR, spiv = S.rref()
+    assert piv == tuple(spiv)
+    assert fracs(R.rows) == sympy_fracs(SR)
+    assert A.rank() == S.rank()
+    kern = [list(v) for v in A.kernel_basis()]
+    assert [[x.as_fraction() for x in v] for v in kern] == \
+        [[Fraction(int(x.p), int(x.q)) for x in v] for v in S.nullspace()]
+    k = min(A.nrows, A.ncols)                    # det of the leading square block
+    d = S[:k, :k].det()
+    assert M(QQ, [r[:k] for r in rows[:k]]).det().as_fraction() == Fraction(int(d.p), int(d.q))
+
+
+def sympy_particular_solution(S, b):
+    """sympy's solution of S x = b with every free parameter 0, or None."""
+    try:
+        sol, params = S.gauss_jordan_solve(sympy.Matrix([sympy.Rational(v) for v in b]))
+    except ValueError:                           # inconsistent system
+        return None
+    return [Fraction(int(v.p), int(v.q)) for v in sol.subs({p: 0 for p in params})]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices(), st.data())
+def test_solve_matches_sympy_random(rows, data):
+    A = M(QQ, rows)
+    S = sympy.Matrix([[sympy.Rational(x) for x in r] for r in rows])
+    rhs = [data.draw(st.lists(rational_entries, min_size=A.nrows, max_size=A.nrows))
+           for _ in range(2)]
+    rhs.append([sum(r, Fraction(0)) for r in rows])      # A (1, ..., 1): consistent
+    for b in rhs:
+        x = A.solve(tuple(QQ.rat(v) for v in b))
+        want = sympy_particular_solution(S, b)
+        assert (None if x is None else [v.as_fraction() for v in x]) == want
+    B = Matrix.from_cols(QQ, rhs)
+    cols = [A.solve(B.col(j)) for j in range(B.ncols)]
+    want = None if None in cols else Matrix.from_cols(QQ, cols)
+    assert A.solve_matrix(B) == want
+
+
+tower_entries = st.tuples(*[st.sampled_from([0, 0, 0, 1, -1, 2])] * 4).map(
+    lambda t: QI2.new(*t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(tower_entries, min_size=n, max_size=n),
+                       min_size=m, max_size=m))))
+def test_kernel_identities_over_tower_random(rows):
+    A = M(QI2, rows)
+    R, piv = A.rref()
+    assert R.rref() == (R, piv)
+    kern = A.kernel_basis()
+    assert len(piv) + len(kern) == A.ncols
+    for k in kern:
+        assert not any(A.apply(k))
+    x0 = tuple(QI2.new(1, j, 0, 1) for j in range(A.ncols))
+    b = A.apply(x0)
+    x = A.solve(b)
+    assert x is not None and A.apply(x) == b
+    if A.nrows == A.ncols:
+        n = A.nrows
+        # det(-A) = charpoly(0), by Faddeev-LeVerrier: no elimination involved
+        assert A.scale(QI2.rat(-1)).det() == A.charpoly()(QI2.zero)
+        if A.det():
+            assert A * A.inverse() == Matrix.identity(QI2, n)
+
+
+def symmetric(fld, n, vals):
+    a = [[fld.zero] * n for _ in range(n)]
+    it = iter(vals)
+    for i in range(n):
+        for j in range(i, n):
+            v = next(it)
+            a[i][j] = v
+            a[j][i] = v.conjugate_i()
+    for i in range(n):
+        a[i][i] = a[i][i].real_part()
+    return Matrix(fld, a)
+
+
+hermitian_matrices = st.sampled_from([QQ, QQ_I]).flatmap(
+    lambda fld: st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(rational_entries, rational_entries).map(
+            lambda t, f=fld: f.new(t[0], t[1]) if f.has_i else f.rat(t[0])),
+        min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2).map(
+            lambda vals, f=fld, n=n: symmetric(f, n, vals))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(hermitian_matrices)
+def test_ldl_matches_sylvester_minors_random(S):
+    n = S.nrows
+    pivots, P = S.ldl()
+    minors = leading_principal_minors(S)
+    prod = S.field.one
+    for k, p in enumerate(pivots):
+        prod = prod * p
+        assert prod == minors[k]
+    if len(pivots) < n:
+        assert not minors[len(pivots)]           # stopped at a zero pivot
+        return
+    assert all(P.rows[i][i] == S.field.one and not any(P.rows[i][i + 1:])
+               for i in range(n))
+    D = P * S * P.conj_transpose()
+    assert D == Matrix(S.field, [[pivots[i] if i == j else S.field.zero
+                                  for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(hermitian_matrices.filter(lambda S: not S.field.has_i))
+def test_psd_matches_all_principal_minors_random(S):
+    idx = range(S.nrows)
+    every_minor_nonneg = all(
+        Matrix(QQ, [[S.rows[i][j] for j in sub] for i in sub]).det().sign() >= 0
+        for k in range(1, S.nrows + 1) for sub in itertools.combinations(idx, k))
+    assert is_positive_semidefinite(S) == every_minor_nonneg

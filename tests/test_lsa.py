@@ -182,27 +182,3 @@ def test_subalgebra_extraction(algebra):
 def test_all_catalog_pass_axioms(corpus):
     for key, entry in corpus.items():
         assert check_axioms(entry.algebra).all_ok, key
-
-
-def test_sparse_nullspace_matches_dense():
-    import random
-    from liecones.lsa import sparse_nullspace
-    from liecones.glinalg import Matrix, Subspace, ungraded
-    rng = random.Random(7)
-    for _ in range(25):
-        m, n = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(n)] for _ in range(m)]
-        M = Matrix(QQ, rows)
-        dense = M.kernel_basis()
-        sparse_rows = [{j: QQ.rat(x) for j, x in enumerate(r) if x} for r in rows]
-        sparse = sparse_nullspace(sparse_rows, n, QQ)
-        sp_vecs = []
-        for sol in sparse:
-            v = [QQ.zero] * n
-            for j, val in sol.items():
-                v[j] = val
-            sp_vecs.append(tuple(v))
-        amb = ungraded(n)
-        assert Subspace(QQ, amb, dense) == Subspace(QQ, amb, sp_vecs)
-        for v in sp_vecs:
-            assert all(not x for x in M.apply(v))
