@@ -19,7 +19,7 @@ from .glinalg import (
     GradedSpace, Matrix, Subspace, Vector, joint_eigenspaces, kernel,
     unit_vector, vec_add, vec_scale, zero_vector,
 )
-from .lsa import LieSuperalgebra, LsaError, bracket_span, is_subalgebra, series, subalgebra_on
+from .lsa import LieSuperalgebra, bracket_span, is_nilpotent, is_subalgebra, subalgebra_on
 
 
 class CartanError(ValueError):
@@ -43,9 +43,9 @@ UNDETERMINED = "UNDETERMINED"
 
 def fitting_null(g: LieSuperalgebra, w0: Subspace) -> Subspace:
     """Joint generalized 0-eigenspace of ad(W) over a basis of the even w0."""
-    if w0.rows and not g.even_subspace().contains_subspace(w0):
+    if w0.rows and not g.even_subspace.contains_subspace(w0):
         raise CartanError("fitting_null needs an even subspace")
-    cur = g.full_space()
+    cur = g.full_space
     n = g.dim
     for w in w0.rows:
         K = kernel(g.ad(w).power(n), g.space)
@@ -58,7 +58,7 @@ def fitting_null(g: LieSuperalgebra, w0: Subspace) -> Subspace:
 def normalizer(g: LieSuperalgebra, h: Subspace) -> Subspace:
     """N_g(h) = {X : [X, h] <= h}, computed exactly."""
     if h.dim == 0:
-        return g.full_space()
+        return g.full_space
     rows = []
     comp = h.complement_coordinates()
     for b in h.rows:
@@ -72,28 +72,18 @@ def normalizer(g: LieSuperalgebra, h: Subspace) -> Subspace:
         for rr in zip(*red_cols):
             rows.append(list(rr))
     if not rows:
-        return g.full_space()
+        return g.full_space
     return Subspace(g.field, g.space, Matrix(g.field, rows).kernel_basis())
-
-
-def _restrict_to_even(g: LieSuperalgebra, M: Matrix) -> Matrix:
-    e = g.space.even_dim
-    return Matrix(g.field, [r[:e] for r in M.rows[:e]])
-
-
-def _is_nilpotent_subalgebra(g: LieSuperalgebra, h: Subspace) -> bool:
-    sub = subalgebra_on(g, h)
-    return series(sub.algebra, "lower_central")[-1].dim == 0
 
 
 def is_cartan_subalgebra_even(g: LieSuperalgebra, h0: Subspace) -> bool:
     """h0 <= g0 nilpotent and self-normalizing inside g0."""
-    even = g.even_subspace()
+    even = g.even_subspace
     if not even.contains_subspace(h0) or h0.dim == 0:
         return False
     if not is_subalgebra(g, h0):
         return False
-    if not _is_nilpotent_subalgebra(g, h0):
+    if not is_nilpotent(subalgebra_on(g, h0).algebra):
         return False
     norm_even = normalizer(g, h0).intersect(even)
     return norm_even == h0
@@ -140,7 +130,7 @@ def iter_cartan_even(g: LieSuperalgebra, bound: int = 3, cap: int = 4000,
     f = g.field
     for ints in candidate_vectors(e, bound, cap):
         y = tuple(f.rat(c) for c in ints) + tuple(f.zero for _ in range(g.dim - e))
-        ad_even = _restrict_to_even(g, g.ad(y))
+        ad_even = g.even_part.algebra.ad(y[:e])
         nil = kernel(ad_even.power(e), GradedSpace(e, 0))
         h0 = Subspace(f, g.space,
                       [tuple(r) + tuple(f.zero for _ in range(g.dim - e))
@@ -172,12 +162,11 @@ def cartan_subsuperalgebra(g: LieSuperalgebra, h0: Subspace) -> CartanData:
     if not is_cartan_subalgebra_even(g, h0):
         raise NotCartan("h0 is not a Cartan subalgebra of the even part")
     h = fitting_null(g, h0)
-    sub = subalgebra_on(g, h)
-    if series(sub.algebra, "lower_central")[-1].dim != 0:
+    if not is_nilpotent(subalgebra_on(g, h).algebra):
         raise NotCartan("N_g(h0) is not nilpotent")
     if normalizer(g, h) != h:
         raise NotCartan("N_g(h0) is not self-normalizing")
-    if h.intersect(g.even_subspace()) != h0:
+    if h.intersect(g.even_subspace) != h0:
         raise NotCartan("N_g(h0) does not restrict to h0")
     return CartanData(h0, h, is_compactly_embedded(g, h0))
 
@@ -216,7 +205,7 @@ def is_compactly_embedded(g: LieSuperalgebra, k0: Subspace,
     """
     if k0.dim == 0:
         return True
-    if not g.even_subspace().contains_subspace(k0):
+    if not g.even_subspace.contains_subspace(k0):
         raise CartanError("k0 must be an even subspace")
     if not is_subalgebra(g, k0):
         raise CartanError("k0 must be a subalgebra")
@@ -348,7 +337,7 @@ def _verify_root_datum(g: LieSuperalgebra, datum: RootDatum) -> None:
             if not carrier.contains(_conjugate_vector(v)):
                 raise CartanError("conjugation symmetry fails")
     # Prop 2.4(iv): g0 = h0 (+) [h0, g0]
-    even = g.even_subspace()
+    even = g.even_subspace
     h0 = datum.cartan.h0
     comm = bracket_span(g, h0, even).intersect(even)
     if h0.intersect(comm).dim != 0 or h0.sum_with(comm) != even:
@@ -381,7 +370,7 @@ def fixed_point_projection(g: LieSuperalgebra, k0: Subspace) -> Matrix:
     ker_total: Subspace | None = None
     im_rows: list[Vector] = []
     for b in k0.rows:
-        ad_even = _restrict_to_even(g, g.ad(b))
+        ad_even = g.even_part.algebra.ad(b[:e])
         kb = kernel(ad_even, even_amb)
         ker_total = kb if ker_total is None else ker_total.intersect(kb)
         im_rows.extend(ad_even.col(j) for j in range(e))

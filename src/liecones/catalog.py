@@ -11,7 +11,7 @@ defining forms directly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -412,10 +412,8 @@ def build_abelian(e: int, o: int) -> CatalogEntry:
 
 def build_su2() -> CatalogEntry:
     entry = build_su(2, 0, 0, 0)
-    entry = CatalogEntry("su(2)", entry.algebra, entry.realization, entry.block_sizes,
-                         props={"nilpotent": False, "centroid_dim": 1})
-    entry.algebra.name = "su(2)"
-    return entry
+    return CatalogEntry("su(2)", replace(entry.algebra, name="su(2)"), entry.realization,
+                        entry.block_sizes, props={"nilpotent": False, "centroid_dim": 1})
 
 
 def build_sl2C_real() -> CatalogEntry:
@@ -611,10 +609,8 @@ def _build_osp_checked(p: int, q: int, two_n: int) -> CatalogEntry:
 
 def _build_osp12() -> CatalogEntry:
     entry = build_osp(1, 0, 1)
-    entry = CatalogEntry("osp(1|2)", entry.algebra, entry.realization,
-                         entry.block_sizes, entry.props)
-    entry.algebra.name = "osp(1|2)"
-    return entry
+    return CatalogEntry("osp(1|2)", replace(entry.algebra, name="osp(1|2)"),
+                        entry.realization, entry.block_sizes, entry.props)
 
 
 _CACHE: dict[str, CatalogEntry] = {}

@@ -428,7 +428,7 @@ class HCShape:
 
 def heisenberg_clifford_shape(g: LieSuperalgebra) -> HCShape:
     """Verify [g,g] = central line, [g0,g1] = 0, nondegenerate forms."""
-    derived = bracket_span(g, g.full_space(), g.full_space())
+    derived = bracket_span(g, g.full_space, g.full_space)
     if derived.dim != 1:
         raise CliffrepError("derived algebra is not a line")
     zvec = derived.rows[0]

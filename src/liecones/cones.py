@@ -363,7 +363,7 @@ def convex_hull_contains_zero(vectors: Sequence[Vector]) -> tuple[Fraction, ...]
 def _mu_fixed_by_cartan(g: LieSuperalgebra, h0: Subspace, mu: Vector) -> bool:
     e = g.space.even_dim
     for b in h0.rows:
-        ad_even = Matrix(g.field, [r[:e] for r in g.ad(b).rows[:e]])
+        ad_even = g.even_part.algebra.ad(b[:e])
         for j in range(e):
             if functional_value(mu, ad_even.col(j)):
                 return False
@@ -412,12 +412,12 @@ def nilpotent_vanishing_ideal(g: LieSuperalgebra) -> Subspace:
     """Ideal generated by [g1, [g1, g1]]; forced kernel of every unitary rep."""
     if not is_nilpotent(g):
         raise ConesError("nilpotent_vanishing_ideal needs a nilpotent algebra")
-    odd = g.odd_subspace()
+    odd = g.odd_subspace
     layer2 = bracket_span(g, odd, odd)
     layer3 = bracket_span(g, odd, layer2)
     ideal = layer3
     while True:
-        bigger = ideal.sum_with(bracket_span(g, g.full_space(), ideal))
+        bigger = ideal.sum_with(bracket_span(g, g.full_space, ideal))
         if bigger == ideal:
             return ideal
         ideal = bigger
@@ -434,8 +434,8 @@ def abelian_even_ideals_contained_in_center(g: LieSuperalgebra) -> list[dict]:
     candidates = [("center", zc)]
     for kind in ("derived", "lower_central"):
         for t, s in enumerate(series(g, kind)):
-            candidates.append((f"{kind}[{t}]", s.intersect(g.even_subspace())))
-    odd = g.odd_subspace()
+            candidates.append((f"{kind}[{t}]", s.intersect(g.even_subspace)))
+    odd = g.odd_subspace
     candidates.append(("[g1,g1]", bracket_span(g, odd, odd)))
     out = []
     seen = set()
@@ -443,7 +443,7 @@ def abelian_even_ideals_contained_in_center(g: LieSuperalgebra) -> list[dict]:
         if s.rows in seen or s.dim == 0:
             continue
         seen.add(s.rows)
-        if not g.even_subspace().contains_subspace(s):
+        if not g.even_subspace.contains_subspace(s):
             continue
         ok, _ = is_ideal(g, s)
         if not ok:
@@ -566,8 +566,8 @@ def star_reduced_report(g: LieSuperalgebra, bound: int = 3, cap: int = 2000,
         except _cartan.CartanError as exc:
             notes.append(f"fixed-point projection unavailable: {exc}")
 
-    odd = g.odd_subspace()
-    if bracket_span(g, odd, odd) == g.even_subspace():
+    odd = g.odd_subspace
+    if bracket_span(g, odd, odd) == g.even_subspace:
         if k0 is None:
             notes.append("g0 = [g1,g1] but no compactly embedded Cartan was found "
                          "within the scan budget; existence undetermined")

@@ -190,15 +190,14 @@ class Matrix:
         if self.ncols != other.nrows:
             raise LinalgError("dimension mismatch in matrix product")
         z = self.field.zero
-        ocols = other.ncols
+        orows = [[(j, b) for j, b in enumerate(orow) if b] for orow in other.rows]
         out = []
         for r in self.rows:
-            row = [z] * ocols
-            for k, a in enumerate(r):
-                if not a:
-                    continue
-                orow = other.rows[k]
-                row = [row[j] + a * orow[j] for j in range(ocols)]
+            row = [z] * other.ncols
+            for a, orow in zip(r, orows):
+                if a:
+                    for j, b in orow:
+                        row[j] = row[j] + a * b
             out.append(row)
         return Matrix(self.field, out)
 
@@ -464,9 +463,6 @@ class Subspace:
     def __hash__(self):
         return hash((self.field.tag, self.ambient, self.rows))
 
-    def basis(self) -> tuple[Vector, ...]:
-        return self.rows
-
     def reduce(self, v: Vector) -> Vector:
         """Residual of v after eliminating against the canonical rows."""
         v = list(v)
@@ -516,7 +512,10 @@ class Subspace:
                                                    self.ambient.odd_indices()))
 
     def is_graded(self) -> bool:
-        return self.even_part().dim + self.odd_part().dim == self.dim
+        """Canonical rows are unique, so the subspace is graded exactly when
+        each of them is purely even or purely odd."""
+        e = self.ambient.even_dim
+        return all(not any(r[:e]) or not any(r[e:]) for r in self.rows)
 
     def complement_coordinates(self) -> tuple[int, ...]:
         """Non-pivot coordinates; the matching unit vectors complete the basis."""

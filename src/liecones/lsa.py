@@ -6,18 +6,25 @@ stored for all ordered pairs; graded antisymmetry is checked, not implied.
 When loading user files, an omitted mirror pair (j, i) is filled in by
 antisymmetry, while explicitly supplied pairs are kept verbatim so that
 inconsistent input is caught by check_axioms.
+
+A LieSuperalgebra is an immutable value: name, space, field and the
+read-only brackets are fixed at construction.  It owns its derived
+structure (the full, even and odd coordinate subspaces, the centre, both
+series and the even part as a subalgebra), each computed once, on first use.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .exactnum import Field
+from .exactnum import Field, Scalar
 from .glinalg import (
-    GradedSpace, Matrix, SparseVec, Subspace, Vector, coordinate_subspace, eliminate,
-    full_subspace, unit_vector, vec_add, vec_is_zero, vec_scale, zero_vector,
+    GradedSpace, Matrix, SparseVec, Subspace, Vector, coordinate_subspace, densify,
+    eliminate, full_subspace, unit_vector,
 )
 
 
@@ -31,43 +38,49 @@ class NotAnIdealError(LsaError):
         super().__init__(f"subspace is not a graded ideal; witness pair {witness}")
 
 
-class LieSuperalgebra:
-    """Finite-dimensional Lie superalgebra over one scalar tower."""
+def _nonzero(brackets: Mapping) -> dict[tuple[int, int], SparseVec]:
+    return {pair: {k: s for k, s in out.items() if s}
+            for pair, out in brackets.items() if any(out.values())}
 
-    def __init__(self, name: str, space: GradedSpace, fld: Field,
-                 brackets: dict[tuple[int, int], SparseVec]):
-        self.name = name
-        self.space = space
-        self.field = fld
-        self.brackets = {
-            pair: {k: s for k, s in out.items() if s}
-            for pair, out in brackets.items() if any(out.values())
-        }
+
+def _fill_mirrors(space: GradedSpace, fld: Field,
+                  brackets: Mapping) -> dict[tuple[int, int], SparseVec]:
+    """The nonzero brackets, then each omitted mirror pair (j, i) filled in by
+    graded antisymmetry; check_axioms reports violations in this order."""
+    out = _nonzero(brackets)
+    for (i, j), v in list(out.items()):
+        if (j, i) in out or i == j:
+            continue
+        sign = -fld.one if (space.parity(i) * space.parity(j)) == 0 else fld.one
+        out[(j, i)] = {k: sign * c for k, c in v.items()}
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class LieSuperalgebra:
+    """Finite-dimensional Lie superalgebra over one scalar tower; immutable."""
+    name: str
+    space: GradedSpace
+    field: Field
+    brackets: Mapping[tuple[int, int], Mapping[int, Scalar]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "brackets", MappingProxyType(
+            {pair: MappingProxyType(out) for pair, out in _nonzero(self.brackets).items()}))
 
     # -- construction ------------------------------------------------------
     @staticmethod
     def from_table(name: str, fld: Field, even: Sequence[str], odd: Sequence[str],
-                   table: dict[tuple[str, str], dict[str, object]],
-                   fill_antisymmetric: bool = True) -> "LieSuperalgebra":
-        """Build from a {(left, right): {out: coeff}} table of basis names."""
+                   table: dict[tuple[str, str], dict[str, object]]) -> "LieSuperalgebra":
+        """Build from a {(left, right): {out: coeff}} table of basis names;
+        omitted mirror pairs are filled in by graded antisymmetry."""
         names = list(even) + list(odd)
         index = {nm: i for i, nm in enumerate(names)}
         space = GradedSpace(len(even), len(odd), tuple(names))
         br: dict[tuple[int, int], SparseVec] = {}
         for (l, r), out in table.items():
             br[(index[l], index[r])] = {index[k]: fld.coerce(c) for k, c in out.items()}
-        g = LieSuperalgebra(name, space, fld, br)
-        if fill_antisymmetric:
-            g._fill_mirrors()
-        return g
-
-    def _fill_mirrors(self) -> None:
-        for (i, j), out in list(self.brackets.items()):
-            if (j, i) in self.brackets or (i == j):
-                continue
-            sign = -self.field.one if (self.space.parity(i) * self.space.parity(j)) == 0 \
-                else self.field.one
-            self.brackets[(j, i)] = {k: sign * c for k, c in out.items()}
+        return LieSuperalgebra(name, space, fld, _fill_mirrors(space, fld, br))
 
     @property
     def dim(self) -> int:
@@ -81,11 +94,7 @@ class LieSuperalgebra:
         return self.brackets.get((i, j), {})
 
     def bracket_basis(self, i: int, j: int) -> Vector:
-        out = zero_vector(self.field, self.dim)
-        out = list(out)
-        for k, s in self.c(i, j).items():
-            out[k] = s
-        return tuple(out)
+        return densify(self.c(i, j), self.dim, self.field)
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
         acc: SparseVec = {}
@@ -103,10 +112,7 @@ class LieSuperalgebra:
                         acc[k] = t
                     elif k in acc:
                         del acc[k]
-        out = [self.field.zero] * self.dim
-        for k, s in acc.items():
-            out[k] = s
-        return tuple(out)
+        return densify(acc, self.dim, self.field)
 
     def ad(self, v: Vector) -> Matrix:
         cols = [self.bracket(v, unit_vector(self.field, self.dim, j))
@@ -116,29 +122,39 @@ class LieSuperalgebra:
     def basis_vector(self, i: int) -> Vector:
         return unit_vector(self.field, self.dim, i)
 
-    def vector_parity(self, v: Vector) -> int | None:
-        """0/1 for homogeneous nonzero v, None for mixed or zero."""
-        has_even = any(v[i] for i in self.space.even_indices())
-        has_odd = any(v[i] for i in self.space.odd_indices())
-        if has_even and has_odd:
-            return None
-        if has_even:
-            return 0
-        if has_odd:
-            return 1
-        return None
-
     def subspace(self, vectors: Iterable[Sequence]) -> Subspace:
         return Subspace(self.field, self.space, vectors)
 
+    # -- derived structure, each computed once on first use -----------------
+    @cached_property
     def full_space(self) -> Subspace:
         return full_subspace(self.field, self.space)
 
+    @cached_property
     def even_subspace(self) -> Subspace:
         return coordinate_subspace(self.field, self.space, self.space.even_indices())
 
+    @cached_property
     def odd_subspace(self) -> Subspace:
         return coordinate_subspace(self.field, self.space, self.space.odd_indices())
+
+    @cached_property
+    def even_part(self) -> "SubalgebraResult":
+        """g0 on its own basis, the leading even coordinates of g; raises
+        LsaError when an even bracket leaves g0."""
+        return subalgebra_on(self, self.even_subspace, name=f"{self.name}|0")
+
+    @cached_property
+    def _center(self) -> Subspace:
+        return _joint_ad_kernel(self, self.full_space)
+
+    @cached_property
+    def _lower_central(self) -> tuple[Subspace, ...]:
+        return _series(self, derived=False)
+
+    @cached_property
+    def _derived(self) -> tuple[Subspace, ...]:
+        return _series(self, derived=True)
 
     def complexify(self) -> "LieSuperalgebra":
         fld = self.field.complexified()
@@ -172,9 +188,7 @@ class LieSuperalgebra:
             if not all(0 <= k < space.dim for k in out):
                 raise LsaError(f"bracket ({i},{j}) output index out of range")
             br[(i, j)] = out
-        g = LieSuperalgebra(doc.get("name", "g"), space, fld, br)
-        g._fill_mirrors()
-        return g
+        return LieSuperalgebra(doc.get("name", "g"), space, fld, _fill_mirrors(space, fld, br))
 
     @staticmethod
     def load(path: str) -> "LieSuperalgebra":
@@ -231,22 +245,31 @@ def check_axioms(g: LieSuperalgebra, max_violations: int = 25) -> AxiomReport:
                     if len(violations) < max_violations:
                         violations.append(("antisymmetry", i, j))
                     break
+    # Graded Jacobi over the nonzero structure constants only: with
+    # T[a, b, c] = [e_a, [e_b, e_c]], J(i, j, k) is a signed sum of T at the
+    # three rotations of (i, j, k), so only rotations of keys of T can fail.
+    by_right: dict[int, list] = {}
+    for (a, m), out in g.brackets.items():
+        by_right.setdefault(m, []).append((a, out))
+    T: dict[tuple[int, int, int], SparseVec] = {}
+    for (b, c), bc in g.brackets.items():
+        for m, x in bc.items():
+            for a, am in by_right.get(m, ()):
+                acc = T.setdefault((a, b, c), {})
+                for k, y in am.items():
+                    acc[k] = acc[k] + x * y if k in acc else x * y
     jacobi_ok = True
-    basis = [g.basis_vector(i) for i in range(n)]
-    brk = [[g.bracket_basis(i, j) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        pi = g.parity(i)
-        for j in range(n):
-            pj = g.parity(j)
-            for k in range(n):
-                pk = g.parity(k)
-                t1 = vec_scale(f.rat((-1) ** (pi * pk)), g.bracket(basis[i], brk[j][k]))
-                t2 = vec_scale(f.rat((-1) ** (pj * pi)), g.bracket(basis[j], brk[k][i]))
-                t3 = vec_scale(f.rat((-1) ** (pk * pj)), g.bracket(basis[k], brk[i][j]))
-                if not vec_is_zero(vec_add(vec_add(t1, t2), t3)):
-                    jacobi_ok = False
-                    if len(violations) < max_violations:
-                        violations.append(("jacobi", i, j, k))
+    for i, j, k in sorted({t for a, b, c in T for t in ((a, b, c), (b, c, a), (c, a, b))}):
+        pi, pj, pk = g.parity(i), g.parity(j), g.parity(k)
+        total: SparseVec = {}
+        for e, key in ((pi * pk, (i, j, k)), (pj * pi, (j, k, i)), (pk * pj, (k, i, j))):
+            sign = -f.one if e else f.one
+            for m, x in T.get(key, {}).items():
+                total[m] = total[m] + sign * x if m in total else sign * x
+        if any(total.values()):
+            jacobi_ok = False
+            if len(violations) < max_violations:
+                violations.append(("jacobi", i, j, k))
     return AxiomReport(parity_ok, antisymmetry_ok, jacobi_ok, violations)
 
 
@@ -268,12 +291,12 @@ def _joint_ad_kernel(g: LieSuperalgebra, h: Subspace) -> Subspace:
     for b in h.rows:
         rows.extend(g.ad(b).rows)
     if not rows:
-        return g.full_space()
+        return g.full_space
     return Subspace(g.field, g.space, Matrix(g.field, rows).kernel_basis())
 
 
 def center(g: LieSuperalgebra) -> Subspace:
-    return _joint_ad_kernel(g, g.full_space())
+    return g._center
 
 
 def bracket_span(g: LieSuperalgebra, s1: Subspace, s2: Subspace) -> Subspace:
@@ -293,21 +316,26 @@ def is_ideal(g: LieSuperalgebra, s: Subspace) -> tuple[bool, tuple | None]:
     return True, None
 
 
-def series(g: LieSuperalgebra, kind: str) -> list[Subspace]:
+def series(g: LieSuperalgebra, kind: str) -> tuple[Subspace, ...]:
     """Descending derived or lower_central chain, up to stabilization."""
-    if kind not in ("derived", "lower_central"):
-        raise LsaError(f"unknown series kind {kind!r}")
-    chain = [g.full_space()]
+    if kind == "derived":
+        return g._derived
+    if kind == "lower_central":
+        return g._lower_central
+    raise LsaError(f"unknown series kind {kind!r}")
+
+
+def _series(g: LieSuperalgebra, derived: bool) -> tuple[Subspace, ...]:
+    chain = [g.full_space]
     while True:
         cur = chain[-1]
-        nxt = bracket_span(g, cur, cur) if kind == "derived" else \
-            bracket_span(g, g.full_space(), cur)
+        nxt = bracket_span(g, cur if derived else g.full_space, cur)
         if nxt == cur:
             break
         chain.append(nxt)
         if nxt.dim == 0:
             break
-    return chain
+    return tuple(chain)
 
 
 def is_nilpotent(g: LieSuperalgebra) -> bool:

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 from .exactnum import Field, Scalar
 from .glinalg import Matrix, Subspace, Vector, unit_vector, vec_add, vec_is_zero, vec_scale, zero_vector
 from .lsa import (
-    LieSuperalgebra, QuotientResult, SubalgebraResult, bracket_span, center,
+    LieSuperalgebra, QuotientResult, bracket_span, center,
     is_ideal, is_nilpotent, is_subalgebra, quotient, series, subalgebra_on,
 )
 from .cones import OddSquareForm, functional_value, is_positive_semidefinite
@@ -70,22 +70,6 @@ def in_admissible_cone(g: LieSuperalgebra, lam: Sequence) -> tuple[bool, OddSqua
     lam = coerce_functional(g, lam)
     form = OddSquareForm.of(g, lam)
     return is_positive_semidefinite(form.matrix), form
-
-
-# ---------------------------------------------------------------------------
-# the even algebra viewed on its own
-# ---------------------------------------------------------------------------
-
-def _even_algebra(g: LieSuperalgebra) -> SubalgebraResult:
-    # even coordinates come first, so the inclusion is the coordinate embedding
-    return subalgebra_on(g, g.even_subspace(), name=f"{g.name}|0")
-
-
-def _even_ad(g: LieSuperalgebra, w_even: Vector) -> Matrix:
-    e = g.space.even_dim
-    w = tuple(w_even) + tuple(g.field.zero for _ in range(g.dim - e))
-    M = g.ad(w)
-    return Matrix(g.field, [r[:e] for r in M.rows[:e]])
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +126,12 @@ def _engel_refine(g: LieSuperalgebra, bottom: Subspace, top: Subspace) -> list[S
     e = g.space.even_dim
     chain = [bottom]
     cur = bottom
-    even_idx = list(range(e))
+    g0 = g.even_part.algebra
     while cur != top:
         rows = []
         comp = cur.complement_coordinates()
-        for gi in even_idx:
-            ad_even = _even_ad(g, unit_vector(g.field, e, gi))
+        for gi in range(e):
+            ad_even = g0.ad(g0.basis_vector(gi))
             red_cols = []
             for tb in top.rows:
                 w = ad_even.apply(tuple(tb[:e]))
@@ -223,8 +207,8 @@ def polarizing_flag(g: LieSuperalgebra, lam: Sequence) -> PolarizingSystem:
     admissible, _ = in_admissible_cone(g, lam)
     if not admissible:
         raise NotAdmissible("odd Gram matrix is not positive semidefinite")
-    odd = g.odd_subspace()
-    even = g.even_subspace()
+    odd = g.odd_subspace
+    even = g.even_subspace
     k_ideal = bracket_span(g, odd, odd)
     zero = g.subspace([])
     chain = _engel_refine(g, zero, k_ideal)
@@ -248,7 +232,7 @@ def polarizing_system_from_m0(g: LieSuperalgebra, lam: Sequence, m0: Subspace,
     if not admissible:
         raise NotAdmissible("odd Gram matrix is not positive semidefinite")
     e = g.space.even_dim
-    odd = g.odd_subspace()
+    odd = g.odd_subspace
     k_ideal = bracket_span(g, odd, odd)
     omega = even_skew_form(g, lam)
     even_rank = omega.rank()
@@ -335,7 +319,7 @@ class OrbitPath:
 
 
 def _apply_exp(g: LieSuperalgebra, lam: Vector, w_even: Vector) -> Vector:
-    E = _even_ad(g, w_even).exp_nilpotent()
+    E = g.even_part.algebra.ad(w_even).exp_nilpotent()
     return tuple(functional_value(lam, E.col(j)) for j in range(len(lam)))
 
 
@@ -348,8 +332,8 @@ def coadjoint_orbit_member(g: LieSuperalgebra, lam: Sequence, lam2: Sequence,
         raise OrbitError("coadjoint machinery needs a nilpotent algebra")
     e = g.space.even_dim
     f = g.field
-    even = _even_algebra(g)
-    chain = series(even.algebra, "lower_central")      # inside the even algebra
+    g0 = g.even_part.algebra
+    chain = series(g0, "lower_central")
     if chain[-1].dim != 0:
         raise OrbitError("even part is not nilpotent")  # pragma: no cover
     layers = chain[:-1]                                 # c_1 > c_2 > ... > c_s
@@ -368,7 +352,7 @@ def coadjoint_orbit_member(g: LieSuperalgebra, lam: Sequence, lam2: Sequence,
         targets = []
         cols = []
         for w in h_rows:
-            adw = _even_ad(g, w)
+            adw = g0.ad(w)
             cols.append([functional_value(cur, adw.apply(tuple(y[:e])))
                          for y in layer.rows])
         for y in layer.rows:
@@ -395,7 +379,7 @@ def coadjoint_orbit_member(g: LieSuperalgebra, lam: Sequence, lam2: Sequence,
         # shrink the allowed directions: preserve the matched layer
         rows = []
         for y in layer.rows:
-            rows.append([functional_value(cur, _even_ad(g, w0).apply(tuple(y[:e])))
+            rows.append([functional_value(cur, g0.ad(w0).apply(tuple(y[:e])))
                          for w0 in h_rows])
         new_h = []
         for sol0 in Matrix(f, rows).kernel_basis() if rows else []:
@@ -439,8 +423,7 @@ def grid_box(g: LieSuperalgebra, low: int, high: int) -> list[Vector]:
 
 def central_box(g: LieSuperalgebra, low: int, high: int) -> list[Vector]:
     """Functionals supported on the dual of the center of the even part."""
-    even = _even_algebra(g)
-    zc = center(even.algebra)
+    zc = center(g.even_part.algebra)
     e = g.space.even_dim
     f = g.field
     out = []
@@ -485,9 +468,7 @@ def classify_orbits(g: LieSuperalgebra, box: Sequence[Sequence]) -> list[OrbitDe
         raise OrbitError("orbit classification needs a nilpotent algebra")
     cands = [coerce_functional(g, lam) for lam in box]
     admissible = [i for i, lam in enumerate(cands) if in_admissible_cone(g, lam)[0]]
-    even = _even_algebra(g)
-    zc = center(even.algebra)
-    e = g.space.even_dim
+    zc = center(g.even_part.algebra)
 
     def invariants(lam):
         cc = tuple(str(functional_value(lam, z)) for z in zc.rows)
@@ -561,7 +542,7 @@ def kirillov_heisenberg_check(g: LieSuperalgebra) -> dict:
         report["status"] = "PRECONDITIONS_VIOLATED"
         return report
     report["status"] = "OK"
-    if g.even_subspace() == zc:
+    if g.even_subspace == zc:
         report["branch"] = "clifford"
         return report
     e = g.space.even_dim

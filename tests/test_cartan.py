@@ -25,7 +25,7 @@ def test_candidate_vectors_deterministic():
 def test_fitting_null_examples(algebra):
     h1 = algebra("h(1)")
     w = h1.subspace([h1.basis_vector(2)])       # span{Z}
-    assert fitting_null(h1, w) == h1.full_space()
+    assert fitting_null(h1, w) == h1.full_space
 
     sl2 = algebra("sl(2,R)")
     w = sl2.subspace([sl2.basis_vector(0)])     # span{H}
@@ -39,7 +39,7 @@ def test_fitting_null_examples(algebra):
 
 def test_cartan_even_examples(algebra):
     ab = algebra("abelian(2|1)")
-    assert cartan_subalgebra_even(ab) == ab.even_subspace()
+    assert cartan_subalgebra_even(ab) == ab.even_subspace
     sl2 = algebra("sl(2,R)")
     h0 = cartan_subalgebra_even(sl2)
     assert h0.dim == 1
@@ -54,7 +54,7 @@ def test_cartan_bijection_roundtrip(corpus):
         g = corpus[key].algebra
         h0 = cartan_subalgebra_even(g)
         cd = cartan_subsuperalgebra(g, h0)
-        assert cd.h.intersect(g.even_subspace()) == h0, key
+        assert cd.h.intersect(g.even_subspace) == h0, key
         assert normalizer(g, cd.h) == cd.h, key
 
 
@@ -66,16 +66,16 @@ def test_cartan_subsuperalgebra_rejects_noncartan(algebra):
 
 def test_heisenberg_is_its_own_cartan(algebra):
     h1 = algebra("h(1)")
-    cd = cartan_subsuperalgebra(h1, h1.full_space())
-    assert cd.h == h1.full_space()
+    cd = cartan_subsuperalgebra(h1, h1.full_space)
+    assert cd.h == h1.full_space
 
 
 def test_clifford_cartan_is_everything(algebra):
     cl = algebra("cl(1|2,++)")
     h0 = cartan_subalgebra_even(cl)
-    assert h0 == cl.even_subspace()              # g0 = R Z
+    assert h0 == cl.even_subspace              # g0 = R Z
     cd = cartan_subsuperalgebra(cl, h0)
-    assert cd.h == cl.full_space()
+    assert cd.h == cl.full_space
     assert cd.compactly_embedded is True
 
 

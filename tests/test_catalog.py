@@ -169,7 +169,7 @@ def test_osp11_even_part_structure(corpus):
     # even part so(1,1) (+) sp(2,R): 1-dim abelian center factor + 3-dim simple
     from liecones.lsa import center as lsa_center, series, subalgebra_on
     g = corpus["osp(1,1|2)"].algebra
-    even = subalgebra_on(g, g.even_subspace()).algebra
+    even = subalgebra_on(g, g.even_subspace).algebra
     assert even.dim == 4
     zc = lsa_center(even)
     assert zc.dim == 1                                  # the so(1,1) factor

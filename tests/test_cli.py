@@ -257,3 +257,15 @@ def test_optimized_python_prints_same_bytes():
                                capture_output=True, text=True, check=True).stdout
                 for flags in ([], ["-O"])]
         assert outs[0] == outs[1], cmd
+
+
+def test_cartan_rejects_even_bracket_leaving_even_part(tmp_path, capsys):
+    # [X, Y] = f with f odd: the even part is not a subalgebra, so no verdict
+    doc = {"name": "par", "field": "Q", "even": 2, "odd": 1, "basis": ["X", "Y", "f"],
+           "brackets": [{"left": 0, "right": 1, "out": [{"k": 2, "c": "1"}]}]}
+    path = tmp_path / "parity.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["cartan", "--algebra", str(path)], capsys)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["status"] == "ERROR" and "not closed under the bracket" in rep["results"]["error"]

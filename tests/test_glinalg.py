@@ -348,3 +348,24 @@ def test_psd_matches_all_principal_minors_random(S):
         Matrix(QQ, [[S.rows[i][j] for j in sub] for i in sub]).det().sign() >= 0
         for k in range(1, S.nrows + 1) for sub in itertools.combinations(idx, k))
     assert is_positive_semidefinite(S) == every_minor_nonneg
+
+
+def rational_rows(m, n):
+    return st.lists(st.lists(rational_entries, min_size=n, max_size=n), min_size=m, max_size=m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 4), st.data())
+def test_product_matches_sympy_random(m, k, n, data):
+    a, b = data.draw(rational_rows(m, k)), data.draw(rational_rows(k, n))
+    want = sympy.Matrix([[sympy.Rational(x) for x in r] for r in a]) * \
+        sympy.Matrix([[sympy.Rational(x) for x in r] for r in b])
+    assert fracs((M(QQ, a) * M(QQ, b)).rows) == sympy_fracs(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]),
+                                            min_size=4, max_size=4), max_size=4))
+def test_is_graded_matches_graded_parts_random(even_dim, vecs):
+    S = Subspace(QQ, GradedSpace(even_dim, 4 - even_dim), vecs)
+    assert S.is_graded() == (S.even_part().dim + S.odd_part().dim == S.dim)

@@ -1,9 +1,13 @@
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecones.exactnum import QQ
-from liecones.glinalg import GradedSpace, Subspace
+from liecones.glinalg import GradedSpace, Matrix, Subspace
 from liecones.lsa import (
     LieSuperalgebra, NotAnIdealError, bracket_span, center, centroid,
     check_axioms, derivations, differential_constants, grassmann_extend,
@@ -22,8 +26,7 @@ def test_check_axioms_flags_bad_antisymmetry():
     # [X,Y] = Z and [Y,X] = Z with even parities violates antisymmetry
     g = LieSuperalgebra.from_table(
         "bad", QQ, ["X", "Y", "Z"], [],
-        {("X", "Y"): {"Z": 1}, ("Y", "X"): {"Z": 1}},
-        fill_antisymmetric=False)
+        {("X", "Y"): {"Z": 1}, ("Y", "X"): {"Z": 1}})
     rep = check_axioms(g)
     assert not rep.antisymmetry_ok
     assert any(v[0] == "antisymmetry" and set(v[1:]) == {0, 1} for v in rep.violations)
@@ -64,9 +67,9 @@ def test_center_examples(algebra):
 
 def test_supercommutant_full_is_center(algebra):
     g = algebra("gl(1|1)")
-    assert supercommutant(g, g.full_space()) == center(g)
+    assert supercommutant(g, g.full_space) == center(g)
     # supercommutant of the center is everything
-    assert supercommutant(g, center(g)) == g.full_space()
+    assert supercommutant(g, center(g)) == g.full_space
 
 
 def test_series_examples(algebra):
@@ -160,7 +163,7 @@ def test_quotient_examples(algebra):
     h1 = algebra("h(1)")
     q = quotient(h1, center(h1))
     assert q.algebra.dim == 2 and not q.algebra.brackets
-    qq = quotient(h1, h1.full_space())
+    qq = quotient(h1, h1.full_space)
     assert qq.algebra.dim == 0
     # non-ideal raises with a witness
     not_ideal = h1.subspace([h1.basis_vector(0)])   # span{X}
@@ -182,3 +185,66 @@ def test_subalgebra_extraction(algebra):
 def test_all_catalog_pass_axioms(corpus):
     for key, entry in corpus.items():
         assert check_axioms(entry.algebra).all_ok, key
+
+
+def test_algebra_is_immutable(algebra):
+    g = algebra("h(1)")
+    pair = next(iter(g.brackets))
+    with pytest.raises(TypeError):
+        g.brackets[pair] = {}
+    with pytest.raises(TypeError):
+        g.brackets[pair][0] = QQ.one
+    for attr in ("name", "space", "field", "brackets"):
+        with pytest.raises(AttributeError):
+            setattr(g, attr, getattr(g, attr))
+
+
+def test_derived_structure_computed_once(algebra):
+    g = algebra("hc(2|2,++)")
+    for kind in ("lower_central", "derived"):
+        assert series(g, kind) is series(g, kind)
+    assert center(g) is center(g)
+    assert g.even_part is g.even_part and g.full_space is g.full_space
+
+
+def test_even_part_ad_is_even_block_of_ad(corpus):
+    for key, entry in corpus.items():
+        g = entry.algebra
+        e = g.space.even_dim
+        w = tuple(g.field.rat(t + 1) for t in range(e)) + (g.field.zero,) * g.space.odd_dim
+        for v in [g.basis_vector(i) for i in range(e)] + [w]:
+            block = Matrix(g.field, [r[:e] for r in g.ad(v).rows[:e]])
+            assert g.even_part.algebra.ad(v[:e]) == block, key
+
+
+def brute_force_jacobi(g):
+    """Every (i, j, k) whose graded Jacobi sum is nonzero, by dense triples."""
+    f, e, p = g.field, [g.basis_vector(i) for i in range(g.dim)], g.parity
+    bad = []
+    for i, j, k in itertools.product(range(g.dim), repeat=3):
+        total = [f.zero] * g.dim
+        for s, a, b, c in ((p(i) * p(k), i, j, k), (p(j) * p(i), j, k, i),
+                           (p(k) * p(j), k, i, j)):
+            t = g.bracket(e[a], g.bracket(e[b], e[c]))
+            total = [x + f.rat((-1) ** s) * y for x, y in zip(total, t)]
+        if any(total):
+            bad.append(("jacobi", i, j, k))
+    return bad
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["h(1)", "gl(1|1)", "osp(1|2)", "cl(1|2,+-)", "n3super",
+                        "hc(2|2,++)", "sl(2,R)"]),
+       st.data(), st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+def test_sparse_jacobi_matches_brute_force(key, data, delta):
+    g = catalog.build(key).algebra
+    i, j, k = (data.draw(st.integers(0, g.dim - 1)) for _ in range(3))
+    br = {pair: dict(out) for pair, out in g.brackets.items()}
+    out = br.setdefault((i, j), {})
+    out[k] = out.get(k, g.field.zero) + g.field.coerce(delta)
+    h = LieSuperalgebra(g.name, g.space, g.field, br)
+    full = check_axioms(h, max_violations=10 ** 6)
+    want = brute_force_jacobi(h)
+    assert [v for v in full.violations if v[0] == "jacobi"] == want
+    assert full.jacobi_ok == (not want)
+    assert check_axioms(h).violations == full.violations[:25]

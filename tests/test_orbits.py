@@ -42,7 +42,7 @@ def test_polarizing_flag_h1(algebra):
 def test_polarizing_flag_abelian(algebra):
     ab = algebra("abelian(2|1)")
     ps = polarizing_flag(ab, (1, 1))
-    assert ps.m0 == ab.even_subspace()
+    assert ps.m0 == ab.even_subspace
 
 
 def test_polarizing_flag_hc(algebra):
