@@ -11,13 +11,12 @@ inner automorphism group is never materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .exactnum import Field, Poly, Scalar, is_squarefree, real_root_signs
+from .exactnum import Scalar, is_squarefree, real_root_signs
 from .glinalg import (
     GradedSpace, Matrix, Subspace, Vector, joint_eigenspaces, kernel,
-    unit_vector, vec_add, vec_scale, zero_vector,
+    vec_add, vec_scale, zero_vector,
 )
 from .lsa import LieSuperalgebra, bracket_span, is_nilpotent, is_subalgebra, subalgebra_on
 

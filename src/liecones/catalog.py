@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .exactnum import Field, QQ, QQ_I, Scalar
 from .glinalg import GradedSpace, Matrix, Vector
-from .lsa import LieSuperalgebra, LsaError, SparseVec
+from .lsa import LieSuperalgebra, SparseVec
 
 
 class CatalogError(ValueError):

@@ -70,7 +70,12 @@ def _report(command: str, inputs: dict, status: str, results: dict,
     }
 
 
-def _load_algebra(args) -> tuple[LieSuperalgebra, dict]:
+def _load_algebra(args, check: bool = True) -> tuple[LieSuperalgebra, dict]:
+    """The algebra named by --catalog or --algebra.
+
+    A file algebra that fails check_axioms is an input error (exit 1, no
+    verdict) unless check is False; catalog entries are tested by the suite.
+    """
     if getattr(args, "catalog", None):
         key = args.catalog
         try:
@@ -83,6 +88,11 @@ def _load_algebra(args) -> tuple[LieSuperalgebra, dict]:
             g = LieSuperalgebra.load(args.algebra)
         except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
             raise InputError(f"cannot load algebra file: {exc}") from exc
+        if check:
+            rep = check_axioms(g)
+            if not rep.all_ok:
+                raise InputError("algebra file violates the axioms: "
+                                 + json.dumps([list(v) for v in rep.violations]))
         return g, {"algebra_file": args.algebra, "name": g.name}
     raise InputError("need --algebra FILE or --catalog KEY")
 
@@ -108,7 +118,7 @@ def _subspace_json(s) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> dict:
-    g, inputs = _load_algebra(args)
+    g, inputs = _load_algebra(args, check=False)
     rep = check_axioms(g)
     results = {
         "dims": {"even": g.space.even_dim, "odd": g.space.odd_dim},

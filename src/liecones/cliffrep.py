@@ -16,9 +16,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactnum import Field, QQ, QQ_I, Scalar, rational_sqrt_decomp
-from .glinalg import GradedSpace, LinalgError, Matrix, Vector, eliminate, vec_is_zero
+from .glinalg import LinalgError, Matrix, Vector, eliminate, vec_is_zero
 from .lsa import LieSuperalgebra, bracket_span, center
-from .cones import OddSquareForm, is_positive_definite
+from .cones import is_positive_definite
 
 
 class CliffrepError(ValueError):

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .exactnum import Field, Poly, Scalar
-from .glinalg import Matrix, Subspace, Vector, unit_vector, vec_add, vec_is_zero, vec_scale, zero_vector
+from .exactnum import Poly, Scalar
+from .glinalg import Matrix, Subspace, Vector, vec_add, vec_is_zero, vec_scale
 from .lsa import LieSuperalgebra, bracket_span, center, is_ideal, is_nilpotent, series
 from . import cartan as _cartan
 

@@ -5,9 +5,11 @@ through one of two routines: eliminate(), a sparse-row Gauss-Jordan pass
 behind rref, rank, kernels, solves, inverses, determinants and canonical
 subspaces; and Matrix.ldl(), a natural-order symmetric/Hermitian pass whose
 pivots decide definiteness.  Subspaces are kept in reduced row-echelon form,
-which makes equality decidable and serialization stable.  Eigenvalue extraction factors characteristic polynomials over Q
-(via sympy) and splits quadratics inside the declared tower; anything that
-does not split is reported as SPLITTING_FAILURE, never approximated.
+which makes equality decidable and serialization stable.  Characteristic
+polynomials come from a Hessenberg reduction, O(n^3) field operations.
+Eigenvalue extraction factors them over Q (via sympy, imported on the first
+factorisation only) and splits quadratics inside the declared tower; anything
+that does not split is reported as SPLITTING_FAILURE, never approximated.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import sympy
 
 from .exactnum import ExactnumError, Field, Poly, Scalar, sqrt_in_field
 
@@ -343,21 +343,54 @@ class Matrix:
         return pivots, Matrix(self.field, P)
 
     def charpoly(self) -> Poly:
-        """Characteristic polynomial det(xI - M), monic, via Faddeev-LeVerrier."""
+        """Characteristic polynomial det(xI - M), monic.
+
+        M is reduced to upper Hessenberg form H by similarity transforms
+        (swapping in the first nonzero subdiagonal pivot of each column), then
+        p_m = (x - h_mm) p_{m-1} - sum_i h_im (h_{i+1,i} ... h_{m,m-1}) p_{i-1}
+        gives det(xI - H) (Cohen, Alg. 2.2.9): O(n^3) field operations.
+        """
         if self.nrows != self.ncols:
             raise LinalgError("charpoly of non-square matrix")
         n = self.nrows
         f = self.field
-        cs = [f.zero] * (n + 1)
-        cs[n] = f.one
-        Mk = Matrix.identity(f, n)
-        for k in range(1, n + 1):
-            Mk = self * Mk
-            ck = Mk.trace() * f.rat(Fraction(-1, k))
-            cs[n - k] = ck
-            if k < n:
-                Mk = Mk + Matrix.identity(f, n).scale(ck)
-        return Poly(f, cs)
+        a = [list(r) for r in self.rows]
+        for m in range(1, n - 1):
+            piv = next((i for i in range(m, n) if a[i][m - 1]), None)
+            if piv is None:
+                continue
+            if piv != m:
+                a[piv], a[m] = a[m], a[piv]
+                for r in a:
+                    r[piv], r[m] = r[m], r[piv]
+            inv = a[m][m - 1].inverse()
+            for i in range(m + 1, n):
+                u = a[i][m - 1] * inv
+                if not u:
+                    continue
+                ai, am = a[i], a[m]
+                for j in range(m - 1, n):
+                    if am[j]:
+                        ai[j] = ai[j] - u * am[j]
+                for r in a:
+                    if r[i]:
+                        r[m] = r[m] + u * r[i]
+        ps = [[f.one]]                 # ps[m] = det(xI - H[:m, :m]), low degree first
+        for m in range(n):
+            p = [-a[m][m] * c for c in ps[m]] + [f.zero]
+            for d, c in enumerate(ps[m]):
+                p[d + 1] = p[d + 1] + c
+            t = f.one
+            for i in range(m - 1, -1, -1):
+                t = t * a[i + 1][i]
+                if not t:
+                    break
+                if a[i][m]:
+                    s = a[i][m] * t
+                    for d, c in enumerate(ps[i]):
+                        p[d] = p[d] - s * c
+            ps.append(p)
+        return Poly(f, ps[n])
 
     def minpoly(self) -> Poly:
         """Monic minimal polynomial, found by the first linear dependence of powers."""
@@ -563,27 +596,20 @@ class EigenSplit:
         return self.status == "OK"
 
 
-def _poly_to_sympy(p: Poly):
-    x = sympy.Symbol("x")
-    return sympy.Poly([sympy.Rational(c.as_fraction()) for c in reversed(p.coeffs)],
-                      x, domain="QQ")
-
-def _sympy_factors_to_polys(fld: Field, fac) -> list[tuple[Poly, int]]:
-    out = []
-    for f, mult in fac:
-        coeffs = [Fraction(str(c)) for c in reversed(f.all_coeffs())]
-        out.append((Poly(fld, coeffs), mult))
-    return out
-
-
 def rational_factors(p: Poly) -> list[tuple[Poly, int]]:
-    """Irreducible factorization over Q of a rational-coefficient polynomial."""
+    """Irreducible factorization over Q of a rational-coefficient polynomial.
+
+    sympy is imported here, so a process that never factors never loads it.
+    """
     for c in p.coeffs:
         if not c.is_rational():
             raise LinalgError("rational_factors needs rational coefficients")
-    sp = _poly_to_sympy(p)
+    import sympy
+    sp = sympy.Poly([sympy.Rational(c.as_fraction()) for c in reversed(p.coeffs)],
+                    sympy.Symbol("x"), domain="QQ")
     _, fac = sp.factor_list()
-    return _sympy_factors_to_polys(p.field, fac)
+    return [(Poly(p.field, [Fraction(str(c)) for c in reversed(f.all_coeffs())]), mult)
+            for f, mult in fac]
 
 
 def _roots_of_low_degree(f: Poly) -> list[Scalar] | None:
@@ -659,12 +685,19 @@ def generalized_eigenspaces(M: Matrix, ambient: GradedSpace | None = None) -> Ei
                           failure=f"characteristic factor does not split: {leftover}")
     pairs = []
     n = M.ncols
-    I = Matrix.identity(M.field, n)
     total = 0
     for lam in sorted(roots, key=str):
         mult = roots[lam]
-        A = (M - I.scale(lam)).power(mult)
-        space = kernel(A, amb)
+        # dim ker N^k never exceeds mult, so the first k reaching it gives
+        # ker N^mult; semisimple N (every root decomposition) stops at k = 1
+        N = Matrix(M.field, [[x - lam if i == j else x for j, x in enumerate(r)]
+                             for i, r in enumerate(M.rows)])
+        A, space = N, kernel(N, amb)
+        for _ in range(1, mult):
+            if space.dim == mult:
+                break
+            A = A * N
+            space = kernel(A, amb)
         pairs.append((lam, space))
         total += space.dim
     if total != n:

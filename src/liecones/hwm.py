@@ -10,11 +10,10 @@ with no finite certificate and are reported as untested.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .exactnum import Scalar
-from .glinalg import Vector, vec_is_zero
 from .cartan import Root, RootDatum
 from .cliffrep import MatrixRep
 

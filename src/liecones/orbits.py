@@ -12,11 +12,9 @@ the linearized stages cannot conclude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-from .exactnum import Field, Scalar
 from .glinalg import Matrix, Subspace, Vector, unit_vector, vec_add, vec_is_zero, vec_scale, zero_vector
 from .lsa import (
     LieSuperalgebra, QuotientResult, bracket_span, center,

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -260,7 +261,7 @@ def test_optimized_python_prints_same_bytes():
 
 
 def test_cartan_rejects_even_bracket_leaving_even_part(tmp_path, capsys):
-    # [X, Y] = f with f odd: the even part is not a subalgebra, so no verdict
+    # [X, Y] = f with f odd violates parity, so no verdict
     doc = {"name": "par", "field": "Q", "even": 2, "odd": 1, "basis": ["X", "Y", "f"],
            "brackets": [{"left": 0, "right": 1, "out": [{"k": 2, "c": "1"}]}]}
     path = tmp_path / "parity.json"
@@ -268,4 +269,52 @@ def test_cartan_rejects_even_bracket_leaving_even_part(tmp_path, capsys):
     code, out = run_cli(["cartan", "--algebra", str(path)], capsys)
     assert code == 1
     rep = json.loads(out)
-    assert rep["status"] == "ERROR" and "not closed under the bracket" in rep["results"]["error"]
+    assert rep["status"] == "ERROR" and '["parity", 0, 1, 2]' in rep["results"]["error"]
+
+
+# [f, f] = f with f odd: parity fails in a bracket of odd arguments
+PARITY_DOC = {"name": "par", "field": "Q", "even": 1, "odd": 1, "basis": ["X", "f"],
+              "brackets": [{"left": 1, "right": 1, "out": [{"k": 1, "c": "1"}]}]}
+PARITY_VIOLATIONS = [["parity", 1, 1, 1], ["jacobi", 1, 1, 1]]
+# [X, Y] = X, [Y, Z] = Y, [X, Z] = Z: antisymmetric, Jacobi fails
+JACOBI_DOC = {"name": "jac", "field": "Q", "even": 3, "odd": 0, "basis": ["X", "Y", "Z"],
+              "brackets": [{"left": 0, "right": 1, "out": [{"k": 0, "c": "1"}]},
+                           {"left": 1, "right": 2, "out": [{"k": 1, "c": "1"}]},
+                           {"left": 0, "right": 2, "out": [{"k": 2, "c": "1"}]}]}
+JACOBI_VIOLATIONS = [["jacobi", *p] for p in itertools.permutations(range(3))]
+
+
+@pytest.mark.parametrize("doc, violations, command", [
+    (PARITY_DOC, PARITY_VIOLATIONS, "cartan"),          # exit 2 (NotCartan) before
+    (JACOBI_DOC, JACOBI_VIOLATIONS, "star-reduced"),    # exit 0 with CONE_OK before
+])
+def test_invalid_algebra_file_gets_no_verdict(tmp_path, capsys, doc, violations, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli([command, "--algebra", str(path)], capsys)
+    rep = json.loads(out)
+    assert code == 1 and rep["status"] == "ERROR"
+    assert rep["results"] == {"error": "algebra file violates the axioms: "
+                                       + json.dumps(violations)}
+    code, out = run_cli(["validate", "--algebra", str(path)], capsys)
+    assert code == 0 and json.loads(out)["results"]["violations"] == violations
+
+
+def test_sympy_loaded_only_by_factoring():
+    """sympy is imported on the first polynomial factorisation, not before."""
+    script = (
+        "import contextlib, io, sys\n"
+        "import liecones.cli\n"
+        "seen = ['sympy' in sys.modules]\n"
+        "for cmd in (['catalog', 'list'], ['validate', '--catalog', 'h(1)'],\n"
+        "            ['analyze', '--catalog', 'gl(1|1)'], ['cartan', '--catalog', 'sl(2,R)'],\n"
+        "            ['orbit-classify', '--catalog', 'h(1)'],\n"
+        "            ['clifford', '--d', '2', '--normalization', '1,1'],\n"
+        "            ['roots', '--catalog', 'osp(1|2)']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        liecones.cli.main(cmd)\n"
+        "    seen.append('sympy' in sys.modules)\n"
+        "print(seen)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == str([False] * 7 + [True])

@@ -293,7 +293,7 @@ def test_kernel_identities_over_tower_random(rows):
     assert x is not None and A.apply(x) == b
     if A.nrows == A.ncols:
         n = A.nrows
-        # det(-A) = charpoly(0), by Faddeev-LeVerrier: no elimination involved
+        # det(-A) = charpoly(0), by the Hessenberg recurrence: no eliminate() pass
         assert A.scale(QI2.rat(-1)).det() == A.charpoly()(QI2.zero)
         if A.det():
             assert A * A.inverse() == Matrix.identity(QI2, n)
@@ -369,3 +369,91 @@ def test_product_matches_sympy_random(m, k, n, data):
 def test_is_graded_matches_graded_parts_random(even_dim, vecs):
     S = Subspace(QQ, GradedSpace(even_dim, 4 - even_dim), vecs)
     assert S.is_graded() == (S.even_part().dim + S.odd_part().dim == S.dim)
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the spectral kernels
+# ---------------------------------------------------------------------------
+
+def faddeev_leverrier(A):
+    """Reference charpoly coefficients (low degree first) by n dense products."""
+    f, n = A.field, A.nrows
+    cs = [f.zero] * n + [f.one]
+    Mk = Matrix.identity(f, n)
+    for k in range(1, n + 1):
+        Mk = A * Mk
+        cs[n - k] = Mk.trace() * f.rat(Fraction(-1, k))
+        Mk = Mk + Matrix.identity(f, n).scale(cs[n - k])
+    return tuple(cs)
+
+
+def sparse_tower_matrices(fld):
+    """Square matrices of size 0..8, mostly zeros, so the Hessenberg pivot
+    search has to swap rows or skip whole columns."""
+    parts = [st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 2)])]
+    parts += [st.sampled_from([0, 0, 0, 1, -1]) if on else st.just(0)
+              for on in (fld.has_i, fld.d is not None, fld.has_i and fld.d is not None)]
+    entry = st.tuples(*parts).map(lambda t: fld.new(*t))
+    return st.integers(0, 8).flatmap(lambda n: st.lists(
+        st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)).map(
+        lambda rows: Matrix(fld, rows))
+
+
+SWAP = [[1, 2, 0, 3], [0, 1, 0, 0], [4, 0, 2, 1], [0, 5, 0, 0]]    # h_10 = 0, h_20 != 0
+SKIP = [[1, 0, 2, 0], [0, 3, 0, 1], [0, 0, 0, 2], [0, 0, 1, 0]]    # first column done
+
+
+@pytest.mark.parametrize("fld", [QQ, QQ_I, Q2, QI2], ids=lambda f: f.tag)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_charpoly_matches_faddeev_leverrier_random(fld, data):
+    for A in (data.draw(sparse_tower_matrices(fld)), M(fld, SWAP), M(fld, SKIP)):
+        cp = A.charpoly()
+        assert cp.coeffs == faddeev_leverrier(A)
+        if fld is QQ:
+            want = sympy.Matrix(A.nrows, A.ncols, [sympy.Rational(x.as_fraction())
+                                                    for r in A.rows for x in r])
+            assert [c.as_fraction() for c in reversed(cp.coeffs)] == \
+                [Fraction(int(c.p), int(c.q)) for c in want.charpoly().all_coeffs()]
+
+
+def unimodular(fld, n, data):
+    """A random integer matrix of determinant +-1: permuted L U, unit diagonals."""
+    ints = st.integers(-2, 2)
+    L = [[data.draw(ints) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    U = [[data.draw(ints) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    perm = data.draw(st.permutations(range(n)))
+    return M(fld, [L[p] for p in perm]) * M(fld, U)
+
+
+EIGENVALUES = {QQ: [0, 1, -1, 2], QQ_I: [0, 1, QQ_I.i, QQ_I.new(1, -1)],
+               Q2: [0, 1, Q2.sqrt, -Q2.sqrt], QI2: [1, QI2.i, QI2.sqrt, QI2.new(1, 1)]}
+
+
+@pytest.mark.parametrize("fld", [QQ, QQ_I, Q2, QI2], ids=lambda f: f.tag)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_generalized_eigenspaces_match_kernel_of_power_random(fld, data):
+    blocks = data.draw(st.lists(st.tuples(st.sampled_from(EIGENVALUES[fld]),
+                                          st.integers(1, 3)), min_size=1, max_size=3))
+    n = sum(size for _, size in blocks)
+    J = [[fld.zero] * n for _ in range(n)]
+    mult: dict = {}
+    at = 0
+    for lam, size in blocks:
+        lam = fld.coerce(lam)
+        mult[lam] = mult.get(lam, 0) + size
+        for i in range(at, at + size):
+            J[i][i] = lam
+            if i + 1 < at + size:
+                J[i][i + 1] = fld.one
+        at += size
+    P = unimodular(fld, n, data)
+    A = P * M(fld, J) * P.inverse()
+    es = generalized_eigenspaces(A)
+    assert es.ok
+    assert {lam for lam, _ in es.pairs} == set(mult)
+    I = Matrix.identity(fld, n)
+    for lam, space in es.pairs:
+        assert space == kernel((A - I.scale(lam)).power(mult[lam]))
+        assert space.dim == mult[lam]
