@@ -3,10 +3,15 @@
 Invariant-cone certificates, Cartan subsuperalgebras and root data,
 Clifford modules, and the coadjoint-orbit classification for nilpotent
 Lie supergroups -- all over explicit computable subfields of R.
+
+The package raises three exception classes: InputError (arguments outside a
+function's domain), Undetermined (a bounded search or splitting step cannot
+decide) and InvariantViolation (a re-check of computed data failed).
 """
 
-from .exactnum import (Field, FieldMismatchError, Poly, QQ, QQ_I, Scalar,
-                       is_squarefree, parse_scalar, real_root_signs)
+from .exactnum import (Field, FieldMismatchError, InputError, InvariantViolation, Poly,
+                       QQ, QQ_I, Scalar, Undetermined, is_squarefree, parse_scalar,
+                       real_root_signs)
 from .glinalg import (GradedSpace, Matrix, Subspace, generalized_eigenspaces,
                       image, joint_eigenspaces, kernel)
 from .lsa import (LieSuperalgebra, center, centroid, check_axioms, derivations,

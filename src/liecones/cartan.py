@@ -13,24 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .exactnum import Scalar, is_squarefree, real_root_signs
+from .exactnum import (InputError, InvariantViolation, Scalar, Undetermined, is_squarefree,
+                       real_root_signs)
 from .glinalg import (
     GradedSpace, Matrix, Subspace, Vector, joint_eigenspaces, kernel,
     vec_add, vec_scale, zero_vector,
 )
 from .lsa import LieSuperalgebra, bracket_span, is_nilpotent, is_subalgebra, subalgebra_on
-
-
-class CartanError(ValueError):
-    pass
-
-
-class SearchExhausted(CartanError):
-    pass
-
-
-class NotCartan(CartanError):
-    pass
 
 
 UNDETERMINED = "UNDETERMINED"
@@ -43,14 +32,14 @@ UNDETERMINED = "UNDETERMINED"
 def fitting_null(g: LieSuperalgebra, w0: Subspace) -> Subspace:
     """Joint generalized 0-eigenspace of ad(W) over a basis of the even w0."""
     if w0.rows and not g.even_subspace.contains_subspace(w0):
-        raise CartanError("fitting_null needs an even subspace")
+        raise InputError("fitting_null needs an even subspace")
     cur = g.full_space
     n = g.dim
     for w in w0.rows:
         K = kernel(g.ad(w).power(n), g.space)
         cur = cur.intersect(K)
     if not is_subalgebra(g, cur):
-        raise CartanError("Fitting null component is not a subalgebra")  # pragma: no cover
+        raise InvariantViolation("Fitting null component is not a subalgebra")  # pragma: no cover
     return cur
 
 
@@ -145,7 +134,7 @@ def cartan_subalgebra_even(g: LieSuperalgebra, bound: int = 3, cap: int = 4000) 
     """First verified Cartan subalgebra of g0 from the deterministic scan."""
     for _, h0 in iter_cartan_even(g, bound, cap):
         return h0
-    raise SearchExhausted(
+    raise Undetermined(
         f"no Cartan subalgebra of {g.name} found within bound {bound} / cap {cap}")
 
 
@@ -159,14 +148,14 @@ class CartanData:
 def cartan_subsuperalgebra(g: LieSuperalgebra, h0: Subspace) -> CartanData:
     """N_g(h0) for a verified even Cartan h0 (Cartan bijection direction)."""
     if not is_cartan_subalgebra_even(g, h0):
-        raise NotCartan("h0 is not a Cartan subalgebra of the even part")
+        raise InputError("h0 is not a Cartan subalgebra of the even part")
     h = fitting_null(g, h0)
     if not is_nilpotent(subalgebra_on(g, h).algebra):
-        raise NotCartan("N_g(h0) is not nilpotent")
+        raise InvariantViolation("N_g(h0) is not nilpotent")
     if normalizer(g, h) != h:
-        raise NotCartan("N_g(h0) is not self-normalizing")
+        raise InvariantViolation("N_g(h0) is not self-normalizing")
     if h.intersect(g.even_subspace) != h0:
-        raise NotCartan("N_g(h0) does not restrict to h0")
+        raise InvariantViolation("N_g(h0) does not restrict to h0")
     return CartanData(h0, h, is_compactly_embedded(g, h0))
 
 
@@ -205,9 +194,9 @@ def is_compactly_embedded(g: LieSuperalgebra, k0: Subspace,
     if k0.dim == 0:
         return True
     if not g.even_subspace.contains_subspace(k0):
-        raise CartanError("k0 must be an even subspace")
+        raise InputError("k0 must be an even subspace")
     if not is_subalgebra(g, k0):
-        raise CartanError("k0 must be a subalgebra")
+        raise InputError("k0 must be a subalgebra")
     for b in k0.rows:
         verdict = _spectrum_purely_imaginary_semisimple(g, b)
         if verdict is not True:
@@ -276,10 +265,6 @@ class RootDatum:
         return [r.values for r in self.roots]
 
 
-class RootDecompositionUndetermined(CartanError):
-    pass
-
-
 def _conjugate_vector(v: Vector) -> Vector:
     return tuple(x.conjugate_i() for x in v)
 
@@ -291,7 +276,7 @@ def root_decomposition(g: LieSuperalgebra, cartan: CartanData) -> RootDatum:
     i*alpha(H); requires cartan.compactly_embedded is True.
     """
     if cartan.compactly_embedded is not True:
-        raise CartanError("root decomposition needs a compactly embedded Cartan")
+        raise InputError("root decomposition needs a compactly embedded Cartan")
     gc = g.complexify()
     fld = gc.field
     mats = []
@@ -300,7 +285,7 @@ def root_decomposition(g: LieSuperalgebra, cartan: CartanData) -> RootDatum:
         mats.append(gc.ad(bb))
     status, joint = joint_eigenspaces(mats, gc.space)
     if status != "OK":
-        raise RootDecompositionUndetermined("SPLITTING_FAILURE in the root engine")
+        raise Undetermined("SPLITTING_FAILURE in the root engine")
     i_unit = fld.i
     roots: list[Root] = []
     for evs, space in joint:
@@ -308,7 +293,7 @@ def root_decomposition(g: LieSuperalgebra, cartan: CartanData) -> RootDatum:
         for mu in evs:
             alpha = mu * (-i_unit)       # mu = i * alpha
             if not alpha.is_real():
-                raise RootDecompositionUndetermined(
+                raise Undetermined(
                     "eigenvalue not purely imaginary; Cartan not compact")
             vals.append(alpha)
         roots.append(Root(tuple(vals), space.even_part(), space.odd_part()))
@@ -321,26 +306,26 @@ def root_decomposition(g: LieSuperalgebra, cartan: CartanData) -> RootDatum:
 def _verify_root_datum(g: LieSuperalgebra, datum: RootDatum) -> None:
     total = sum(r.even_space.dim + r.odd_space.dim for r in datum.roots)
     if total != g.dim:
-        raise CartanError("root spaces do not sum to the full dimension")
+        raise InvariantViolation("root spaces do not sum to the full dimension")
     table = {tuple(str(v) for v in r.values): r for r in datum.roots}
     for r in datum.roots:
         key = tuple(str(v) for v in r.negated())
         if key not in table:
-            raise CartanError("root system is not symmetric")
+            raise InvariantViolation("root system is not symmetric")
         opp = table[key]
         if (r.even_space.dim, r.odd_space.dim) != (opp.even_space.dim, opp.odd_space.dim):
-            raise CartanError("opposite root spaces have different dimensions")
+            raise InvariantViolation("opposite root spaces have different dimensions")
         # conjugation symmetry tau(g^alpha) = g^{-alpha}
         carrier = opp.even_space.sum_with(opp.odd_space)
         for v in r.even_space.rows + r.odd_space.rows:
             if not carrier.contains(_conjugate_vector(v)):
-                raise CartanError("conjugation symmetry fails")
+                raise InvariantViolation("conjugation symmetry fails")
     # Prop 2.4(iv): g0 = h0 (+) [h0, g0]
     even = g.even_subspace
     h0 = datum.cartan.h0
     comm = bracket_span(g, h0, even).intersect(even)
     if h0.intersect(comm).dim != 0 or h0.sum_with(comm) != even:
-        raise CartanError("g0 = h0 (+) [h0, g0] fails")
+        raise InvariantViolation("g0 = h0 (+) [h0, g0] fails")
 
 
 def check_root_symmetry(values: Iterable[tuple[Scalar, ...]]) -> bool:
@@ -365,7 +350,7 @@ def fixed_point_projection(g: LieSuperalgebra, k0: Subspace) -> Matrix:
     if k0.dim == 0:
         return Matrix.identity(f, e)
     if is_compactly_embedded(g, k0) is not True:
-        raise CartanError("fixed_point_projection needs a compactly embedded k0")
+        raise InputError("fixed_point_projection needs a compactly embedded k0")
     ker_total: Subspace | None = None
     im_rows: list[Vector] = []
     for b in k0.rows:
@@ -375,7 +360,7 @@ def fixed_point_projection(g: LieSuperalgebra, k0: Subspace) -> Matrix:
         im_rows.extend(ad_even.col(j) for j in range(e))
     im = Subspace(f, even_amb, im_rows)
     if ker_total.dim + im.dim != e or ker_total.intersect(im).dim != 0:
-        raise CartanError("kernel and image sum is not direct")
+        raise InvariantViolation("kernel and image sum is not direct")
     basis = list(ker_total.rows) + list(im.rows)
     B = Matrix.from_cols(f, basis)
     # P sends the kernel basis to itself and the image basis to zero

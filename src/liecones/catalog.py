@@ -15,13 +15,9 @@ from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exactnum import Field, QQ, QQ_I, Scalar
+from .exactnum import Field, InputError, InvariantViolation, QQ, QQ_I, Scalar
 from .glinalg import GradedSpace, Matrix, Vector
 from .lsa import LieSuperalgebra, SparseVec
-
-
-class CatalogError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +87,7 @@ def _flatten_real(M: Matrix) -> list[Fraction]:
     for r in M.rows:
         for x in r:
             if x.c or x.e:
-                raise CatalogError("matrix entry outside Q(i)")
+                raise InputError("matrix entry outside Q(i)")
             out.extend((x.a, x.b))
     return out
 
@@ -127,7 +123,7 @@ def _solve_real_form(m: int, n: int, parity: int,
         for con in scalar_constraints:
             v = con(B)
             if v.c or v.e:
-                raise CatalogError("scalar constraint outside Q(i)")
+                raise InvariantViolation("scalar constraint outside Q(i)")
             col.extend((v.a, v.b))
         cols.append(col)
     Msys = Matrix.from_cols(QQ, cols)
@@ -153,7 +149,7 @@ class CatalogEntry:
     def matrix_of(self, v: Vector) -> Matrix:
         """Realization matrix of a (possibly complexified) coordinate vector."""
         if self.realization is None:
-            raise CatalogError(f"{self.key} has no matrix realization")
+            raise InputError(f"{self.key} has no matrix realization")
         N = self.realization[0].nrows
         acc = czeros(N, N)
         for k, z in enumerate(v):
@@ -164,7 +160,7 @@ class CatalogEntry:
     def coords_of(self, M: Matrix, fld: Field | None = None) -> Vector | None:
         """Coordinates of a matrix over the catalog basis (complex allowed)."""
         if self.realization is None:
-            raise CatalogError(f"{self.key} has no matrix realization")
+            raise InputError(f"{self.key} has no matrix realization")
         gens = []
         for R in self.realization:
             gens.append(R)
@@ -195,7 +191,7 @@ def _algebra_from_matrices(name: str, even: list[Matrix], odd: list[Matrix],
     # one elimination of the basis system for all k^2 right-hand sides
     X = Matrix.from_cols(QQ, cols).solve_matrix(Matrix.from_cols(QQ, targets))
     if X is None:
-        raise CatalogError(f"{name}: a bracket left the span of the basis")
+        raise InvariantViolation(f"{name}: a bracket left the span of the basis")
     br: dict[tuple[int, int], SparseVec] = {}
     for col, pair in enumerate(pairs):
         out = {t: X.rows[t][col] for t in range(k) if X.rows[t][col]}
@@ -232,7 +228,7 @@ def build_su(p: int, q: int, r: int, s: int) -> CatalogEntry:
     """su(p,q|r,s) as the fixed points of its defining involution in sl(m|n,C)."""
     m, n = p + q, r + s
     if m <= 0 or min(p, q, r, s) < 0:
-        raise CatalogError("invalid su parameters")
+        raise InputError("invalid su parameters")
     theta = su_conjugation(p, q, r, s)
 
     def fix(X: Matrix) -> Matrix:
@@ -315,7 +311,7 @@ def build_osp(p: int, q: int, n: int) -> CatalogEntry:
     """osp(p,q|2n): even part so(p,q) (+) sp(2n,R)."""
     m = p + q
     if m <= 0 or n <= 0:
-        raise CatalogError("invalid osp parameters")
+        raise InputError("invalid osp parameters")
     omega = _osp_linear(m, n)
     tau = osp_conjugation(p, q, n)
 
@@ -338,7 +334,7 @@ def build_osp(p: int, q: int, n: int) -> CatalogEntry:
 
 def _parse_signs(signs: str) -> list[int]:
     if not re.fullmatch(r"[+-]*", signs):
-        raise CatalogError(f"bad signature string {signs!r}")
+        raise InputError(f"bad signature string {signs!r}")
     return [1 if ch == "+" else -1 for ch in signs]
 
 
@@ -363,7 +359,7 @@ def build_heisenberg_clifford(pairs: int, signs: str, key: str | None = None) ->
 def build_clifford(d: int, signs: str) -> CatalogEntry:
     entry = build_heisenberg_clifford(0, signs, key=f"cl(1|{d},{signs})")
     if d != len(_parse_signs(signs)):
-        raise CatalogError("clifford signature length mismatch")
+        raise InputError("clifford signature length mismatch")
     return entry
 
 
@@ -448,7 +444,7 @@ def root_vectors_su(entry: CatalogEntry, p: int, q: int, r: int, s: int,
     """
     m, n = p + q, r + s
     if not (1 <= a <= n and 1 <= b <= m):
-        raise CatalogError("root vector index out of range")
+        raise InputError("root vector index out of range")
     N = m + n
     X = unit_mat(N, m + a - 1, b - 1)
     theta = su_conjugation(p, q, r, s)
@@ -460,13 +456,13 @@ def root_vectors_su(entry: CatalogEntry, p: int, q: int, r: int, s: int,
     expected = unit_mat(N, b - 1, b - 1).scale(sigma) + \
         unit_mat(N, m + a - 1, m + a - 1).scale(sigma)
     if H != expected:
-        raise CatalogError("H_{a,b} disagrees with the case formula")
+        raise InvariantViolation("H_{a,b} disagrees with the case formula")
     Hc = entry.coords_of(H)
     if Hc is None or any(not z.is_real() for z in Hc):
-        raise CatalogError("H_{a,b} is not a real-form element")
+        raise InputError("H_{a,b} is not a real-form element")
     Xc = entry.coords_of(X)
     if Xc is None:
-        raise CatalogError("X_{a,b} has no catalog coordinates")
+        raise InputError("X_{a,b} has no catalog coordinates")
     return RootVectorData(X, tauX, H, Hc, Xc)
 
 
@@ -480,7 +476,7 @@ def root_vectors_osp(entry: CatalogEntry, p: int, q: int, n: int,
     m = p + q
     N = m + 2 * n
     if not (1 <= b <= n and 1 <= a <= m):
-        raise CatalogError("root vector index out of range")
+        raise InputError("root vector index out of range")
     i_u = QQ_I.i
 
     def EB(r_, c_):
@@ -496,33 +492,33 @@ def root_vectors_osp(entry: CatalogEntry, p: int, q: int, n: int,
         mid = (q % 2 == 1) and (a - p) == (q + 1) // 2
     if variant == "middle":
         if not mid:
-            raise CatalogError("middle variant needs the odd-block middle index")
+            raise InputError("middle variant needs the odd-block middle index")
         B = EB(a, b) + EB(a, b + n).scale(i_u)
     elif variant in ("plus", "minus"):
         if mid:
-            raise CatalogError("generic variant needs a non-middle index")
+            raise InputError("generic variant needs a non-middle index")
         sgn = QQ_I.one if variant == "plus" else -QQ_I.one
         B = EB(a, b) + EB(a, b + n).scale(i_u * sgn) \
             + EB(mate, b).scale(i_u) + EB(mate, b + n).scale(-sgn)
     else:
-        raise CatalogError(f"unknown variant {variant!r}")
+        raise InputError(f"unknown variant {variant!r}")
     C = (jn(n) * B.transpose()).scale(-QQ_I.one)
     X = assemble(czeros(m, m), B, C, czeros(2 * n, 2 * n))
     omega = _osp_linear(m, n)
     if omega(X) != X:
-        raise CatalogError("root vector fails the osp condition")
+        raise InvariantViolation("root vector fails the osp condition")
     tau = osp_conjugation(p, q, n)
     tauX = tau(X)
     H = superbracket(X, tauX, 1, 1)
     A_blk, B_blk, C_blk, D_blk = blocks(H, m)
     if not (B_blk.is_zero() and C_blk.is_zero()):
-        raise CatalogError("H_{a,b} is not block diagonal")
+        raise InvariantViolation("H_{a,b} is not block diagonal")
     Hc = entry.coords_of(H)
     if Hc is None or any(not z.is_real() for z in Hc):
-        raise CatalogError("H_{a,b} is not a real-form element")
+        raise InputError("H_{a,b} is not a real-form element")
     Xc = entry.coords_of(X)
     if Xc is None:
-        raise CatalogError("X_{a,b} has no catalog coordinates")
+        raise InputError("X_{a,b} has no catalog coordinates")
     return RootVectorData(X, tauX, H, Hc, Xc)
 
 
@@ -558,7 +554,7 @@ _TABLE1 = {
 
 def table1_metadata(key: str) -> dict:
     if key not in _TABLE1:
-        raise CatalogError(f"unknown Table 1 key {key!r}")
+        raise InputError(f"unknown Table 1 key {key!r}")
     out = dict(_TABLE1[key])
     out["real_form"] = key
     return out
@@ -595,15 +591,15 @@ _KEY_RES = [
 
 def _build_hc_checked(even2p: int, d: int, signs: str) -> CatalogEntry:
     if even2p % 2:
-        raise CatalogError("even symplectic dimension must be even")
+        raise InputError("even symplectic dimension must be even")
     if len(signs) != d:
-        raise CatalogError("signature length must equal the odd dimension")
+        raise InputError("signature length must equal the odd dimension")
     return build_heisenberg_clifford(even2p // 2, signs)
 
 
 def _build_osp_checked(p: int, q: int, two_n: int) -> CatalogEntry:
     if two_n % 2:
-        raise CatalogError("osp needs an even symplectic dimension")
+        raise InputError("osp needs an even symplectic dimension")
     return build_osp(p, q, two_n // 2)
 
 
@@ -627,7 +623,7 @@ def build(key: str) -> CatalogEntry:
             entry = fn(mm.groups())
             _CACHE[key] = entry
             return entry
-    raise CatalogError(f"unknown catalog key {key!r}")
+    raise InputError(f"unknown catalog key {key!r}")
 
 
 def list_keys() -> list[str]:

@@ -1,9 +1,14 @@
 """Batch command-line front end with stable JSON reports.
 
-Exit codes: 0 = computed (whatever the mathematical verdict), 1 = input
-error, 2 = internal invariant violation.  Reports are deterministic for
-fixed inputs and budgets and carry machine-checkable witnesses; verdicts
-are re-verified before being emitted.
+Exit codes follow the library's three error classes (liecones.exactnum):
+0 = computed, whatever the mathematical verdict; a command whose search or
+splitting step raises Undetermined reports status UNDETERMINED.  1 = the
+input was malformed or outside a function's domain (InputError), reported
+as status ERROR with no verdict.  2 = a re-check of computed data failed
+(InvariantViolation) or another exception escaped.  The code that raises
+decides; this module translates no error.  Reports are deterministic for
+fixed inputs and budgets and carry machine-checkable witnesses; verdicts are
+re-verified before being emitted.
 """
 
 from __future__ import annotations
@@ -11,13 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .exactnum import ExactnumError, Field, FieldMismatchError, parse_scalar
-from .glinalg import LinalgError, Matrix
-from .lsa import (LieSuperalgebra, LsaError, center, centroid, check_axioms,
-                  derivations, is_nilpotent, is_solvable, series)
+from .exactnum import QQ, Field, InputError, InvariantViolation, Undetermined, parse_scalar
+from .glinalg import Matrix
+from .lsa import (LieSuperalgebra, center, centroid, check_axioms, derivations,
+                  is_nilpotent, is_solvable, json_entry, read_json, series)
 from . import catalog as cat
 from . import cartan as car
 from . import cones
@@ -43,10 +47,6 @@ REPORT_SCHEMA = {
     },
     "additionalProperties": False,
 }
-
-
-class InputError(ValueError):
-    pass
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -77,32 +77,26 @@ def _load_algebra(args, check: bool = True) -> tuple[LieSuperalgebra, dict]:
     verdict) unless check is False; catalog entries are tested by the suite.
     """
     if getattr(args, "catalog", None):
-        key = args.catalog
-        try:
-            entry = cat.build(key)
-        except cat.CatalogError as exc:
-            raise InputError(str(exc)) from exc
-        return entry.algebra, {"catalog": key}
+        return cat.build(args.catalog).algebra, {"catalog": args.catalog}
     if getattr(args, "algebra", None):
-        try:
-            g = LieSuperalgebra.load(args.algebra)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise InputError(f"cannot load algebra file: {exc}") from exc
+        g = LieSuperalgebra.load(args.algebra)
         if check:
-            rep = check_axioms(g)
-            if not rep.all_ok:
-                raise InputError("algebra file violates the axioms: "
-                                 + json.dumps([list(v) for v in rep.violations]))
+            _require_axioms(g)
         return g, {"algebra_file": args.algebra, "name": g.name}
     raise InputError("need --algebra FILE or --catalog KEY")
 
 
+def _require_axioms(g: LieSuperalgebra) -> None:
+    """InputError listing the violations when g fails check_axioms."""
+    rep = check_axioms(g)
+    if not rep.all_ok:
+        raise InputError("algebra file violates the axioms: "
+                         + json.dumps([list(v) for v in rep.violations]))
+
+
 def _parse_functional(g: LieSuperalgebra, text: str) -> tuple:
     parts = [p for p in text.split(",") if p.strip()]
-    try:
-        vals = tuple(parse_scalar(p, g.field) for p in parts)
-    except ExactnumError as exc:
-        raise InputError(f"bad scalar in functional: {exc}") from exc
+    vals = tuple(parse_scalar(p, g.field) for p in parts)
     if len(vals) != g.space.even_dim:
         raise InputError(
             f"functional needs {g.space.even_dim} coordinates, got {len(vals)}")
@@ -152,7 +146,7 @@ def cmd_cartan(args) -> dict:
     budgets = {"scan_bound": args.budget, "scan_cap": args.cap}
     try:
         h0 = car.cartan_subalgebra_even(g, bound=args.budget, cap=args.cap)
-    except car.SearchExhausted as exc:
+    except Undetermined as exc:
         return _report("cartan", inputs, "UNDETERMINED",
                        {"error": str(exc)}, budgets)
     cd = car.cartan_subsuperalgebra(g, h0)
@@ -175,7 +169,7 @@ def cmd_roots(args) -> dict:
     cd = car.cartan_subsuperalgebra(g, h0)
     try:
         datum = car.root_decomposition(g, cd)
-    except car.RootDecompositionUndetermined as exc:
+    except Undetermined as exc:
         return _report("roots", inputs, "UNDETERMINED", {"error": str(exc)}, budgets)
     roots = [{"alpha": [str(v) for v in r.values],
               "even_dim": r.even_space.dim,
@@ -222,8 +216,6 @@ def cmd_polarize(args) -> dict:
     except orb.NotAdmissible as exc:
         return _report("polarize", inputs, "UNDETERMINED",
                        {"not_admissible": str(exc)})
-    except orb.OrbitError as exc:
-        raise InputError(str(exc)) from exc
     return _report("polarize", inputs, "OK", ps.as_json())
 
 
@@ -234,18 +226,16 @@ def _load_box(g: LieSuperalgebra, args) -> list:
         return orb.central_box(g, low, high)
     if spec == "grid":
         return orb.grid_box(g, low, high)
-    try:
-        with open(spec) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot load box file: {exc}") from exc
+    doc = read_json(spec, "box")
     if isinstance(doc, dict) and doc.get("type") in ("grid", "central"):
-        lo, hi = int(doc.get("low", low)), int(doc.get("high", high))
+        lo, hi = json_entry(doc, "low", int, low), json_entry(doc, "high", int, high)
         return orb.grid_box(g, lo, hi) if doc["type"] == "grid" \
             else orb.central_box(g, lo, hi)
     if isinstance(doc, dict) and "functionals" in doc:
-        return [tuple(parse_scalar(str(x), g.field) for x in row)
-                for row in doc["functionals"]]
+        rows = json_entry(doc, "functionals", list)
+        if not all(isinstance(row, list) for row in rows):
+            raise InputError("'functionals' must be an array of coordinate arrays")
+        return [tuple(parse_scalar(str(x), g.field) for x in row) for row in rows]
     raise InputError("box file must give type grid/central or functionals")
 
 
@@ -256,10 +246,8 @@ def cmd_orbit_classify(args) -> dict:
                      "size": len(box)}
     try:
         descriptors = orb.classify_orbits(g, box)
-    except orb.OrbitUndecided as exc:
+    except Undetermined as exc:
         return _report("orbit-classify", inputs, "UNDETERMINED", {"error": str(exc)})
-    except orb.OrbitError as exc:
-        raise InputError(str(exc)) from exc
     results = {
         "orbit_count": len(descriptors),
         "admissible_count": sum(len(o.members) for o in descriptors),
@@ -272,16 +260,9 @@ def cmd_clifford(args) -> dict:
     inputs: dict = {}
     if args.catalog or args.algebra:
         g, inputs = _load_algebra(args)
-        gamma_text = args.gamma or "1"
-        try:
-            gam = parse_scalar(gamma_text, g.field)
-        except ExactnumError as exc:
-            raise InputError(str(exc)) from exc
+        gam = parse_scalar(args.gamma or "1", g.field)
         inputs["gamma"] = str(gam)
-        try:
-            res = cr.classify_heisenberg_clifford(g, gam)
-        except cr.CliffrepError as exc:
-            raise InputError(str(exc)) from exc
+        res = cr.classify_heisenberg_clifford(g, gam)
         results = {
             "classification": res.status,
             "module_count": len(res.modules),
@@ -293,14 +274,12 @@ def cmd_clifford(args) -> dict:
         return _report("clifford", inputs, "OK", results)
     if args.d is None:
         raise InputError("need --d N --normalization ... or --catalog KEY")
-    norms = [Fraction(p) for p in (args.normalization or "").split(",") if p]
+    norms = [parse_scalar(p, QQ).as_fraction()
+             for p in (args.normalization or "").split(",") if p]
     if len(norms) != args.d:
         raise InputError("normalization list must have d entries")
     inputs = {"d": args.d, "normalization": [str(n) for n in norms]}
-    try:
-        rep = cr.clifford_module(args.d, norms)
-    except cr.CliffrepError as exc:
-        raise InputError(str(exc)) from exc
+    rep = cr.clifford_module(args.d, norms)
     results = {"module": rep.as_json(), "verification": cr.verify_rep(rep)["all_ok"],
                "dimension": rep.dim}
     return _report("clifford", inputs, "OK", results)
@@ -312,22 +291,23 @@ def rep_to_json_full(rep: cr.MatrixRep) -> dict:
     return doc
 
 
-def rep_from_json(doc: dict) -> cr.MatrixRep:
-    g = LieSuperalgebra.from_json(doc["algebra"])
-    fld = Field.parse(doc["field"])
-    mats = tuple(Matrix(fld, [[parse_scalar(x, fld) for x in row] for row in M])
-                 for M in doc["operators"])
-    return cr.MatrixRep(g, int(doc["even_dim"]), int(doc["odd_dim"]), mats,
-                        label=doc.get("label", ""))
+def rep_from_json(doc) -> cr.MatrixRep:
+    """Inverse of rep_to_json_full; any other shape raises InputError."""
+    g = LieSuperalgebra.from_json(json_entry(doc, "algebra", dict))
+    fld = Field.parse(json_entry(doc, "field", str))
+    mats = []
+    for M in json_entry(doc, "operators", list):
+        if not (isinstance(M, list) and all(
+                isinstance(row, list) and all(isinstance(x, str) for x in row) for row in M)):
+            raise InputError("each operator must be an array of rows of scalar strings")
+        mats.append(Matrix(fld, [[parse_scalar(x, fld) for x in row] for row in M]))
+    return cr.MatrixRep(g, json_entry(doc, "even_dim", int), json_entry(doc, "odd_dim", int),
+                        tuple(mats), label=json_entry(doc, "label", str, ""))
 
 
 def cmd_verify_rep(args) -> dict:
-    try:
-        with open(args.rep) as fh:
-            doc = json.load(fh)
-        rep = rep_from_json(doc)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        raise InputError(f"cannot load representation file: {exc}") from exc
+    rep = rep_from_json(read_json(args.rep, "representation"))
+    _require_axioms(rep.algebra)
     samples = []
     if args.adjoint_sample:
         for part in args.adjoint_sample.split(";"):
@@ -350,17 +330,14 @@ def cmd_hwm(args) -> dict:
     cd = car.cartan_subsuperalgebra(g, h0)
     try:
         datum = car.root_decomposition(g, cd)
-    except car.RootDecompositionUndetermined as exc:
+    except Undetermined as exc:
         return _report("hwm", inputs, "UNDETERMINED", {"error": str(exc)}, budgets)
     fld = g.field
     x0_parts = [p for p in args.x0.split(",") if p.strip()]
     if len(x0_parts) != h0.dim:
         raise InputError(f"--x0 needs {h0.dim} coordinates over the Cartan basis")
-    try:
-        x0 = tuple(parse_scalar(p, fld) for p in x0_parts)
-        positives = hw.positive_system(datum, x0)
-    except (ExactnumError, hw.HwmError) as exc:
-        raise InputError(str(exc)) from exc
+    x0 = tuple(parse_scalar(p, fld) for p in x0_parts)
+    positives = hw.positive_system(datum, x0)
     if args.weight:
         wparts = [p for p in args.weight.split(",") if p.strip()]
         if len(wparts) != h0.dim:
@@ -385,10 +362,7 @@ def cmd_catalog(args) -> dict:
     if args.action == "get":
         if not args.key:
             raise InputError("catalog get needs a key")
-        try:
-            entry = cat.build(args.key)
-        except cat.CatalogError as exc:
-            raise InputError(str(exc)) from exc
+        entry = cat.build(args.key)
         results = {"algebra": entry.algebra.to_json(),
                    "props": {k: (list(v) if isinstance(v, tuple) else v)
                              for k, v in sorted(entry.props.items())}}
@@ -396,10 +370,7 @@ def cmd_catalog(args) -> dict:
     if args.action == "table1":
         if not args.key:
             raise InputError("catalog table1 needs a key")
-        try:
-            meta = cat.table1_metadata(args.key)
-        except cat.CatalogError as exc:
-            raise InputError(str(exc)) from exc
+        meta = cat.table1_metadata(args.key)
         return _report("catalog", {"action": "table1", "key": args.key}, "OK", meta)
     raise InputError(f"unknown catalog action {args.action!r}")
 
@@ -504,11 +475,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit(_report(args.command, {}, "ERROR", {"error": str(exc)}),
               getattr(args, "out", None))
         return 1
-    except (ExactnumError, FieldMismatchError, LsaError, LinalgError) as exc:
-        _emit(_report(args.command, {}, "ERROR", {"error": str(exc)}),
-              getattr(args, "out", None))
-        return 1
-    except cones.InvariantViolation as exc:
+    except InvariantViolation as exc:
         _emit(_report(args.command, {}, "ERROR",
                       {"error": f"internal invariant violation: {exc}"}),
               getattr(args, "out", None))

@@ -15,14 +15,11 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import Field, QQ, QQ_I, Scalar, rational_sqrt_decomp
-from .glinalg import LinalgError, Matrix, Vector, eliminate, vec_is_zero
+from .exactnum import (Field, InputError, InvariantViolation, QQ, QQ_I, Scalar, Undetermined,
+                       rational_sqrt_decomp)
+from .glinalg import Matrix, Vector, eliminate, vec_is_zero
 from .lsa import LieSuperalgebra, bracket_span, center
 from .cones import is_positive_definite
-
-
-class CliffrepError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +38,15 @@ class MatrixRep:
     odd_dim: int
     mats: tuple[Matrix, ...]
     label: str = ""
+
+    def __post_init__(self):
+        if self.even_dim < 0 or self.odd_dim < 0:
+            raise InputError("module block dimensions must be >= 0")
+        if len(self.mats) != self.algebra.dim:
+            raise InputError(f"one operator per algebra basis element required: "
+                             f"{len(self.mats)} for dimension {self.algebra.dim}")
+        if any((M.nrows, M.ncols) != (self.dim, self.dim) for M in self.mats):
+            raise InputError(f"every operator must be {self.dim} x {self.dim}")
 
     @property
     def dim(self) -> int:
@@ -106,7 +112,7 @@ def gamma_matrices(d: int, fld: Field | None = None) -> tuple[list[Matrix], int]
     """d mutually anticommuting Hermitian involutions on C^(2^ceil(d/2)),
     block-off-diagonal for the popcount grading; returns (gammas, half_dim)."""
     if d < 1:
-        raise CliffrepError("need d >= 1")
+        raise InputError("need d >= 1")
     fld = fld or QQ_I
     m = (d + 1) // 2
     sx, sy, sz = _sigma(fld)
@@ -143,7 +149,7 @@ def _sqrt_scaling(values: Sequence[Fraction]) -> tuple[Field, list[Scalar]]:
     parts = [rational_sqrt_decomp(v) for v in values]
     cs = sorted({s for _, s in parts if s != 1})
     if len(cs) > 1:
-        raise CliffrepError(
+        raise InputError(
             f"normalizations need several square roots {cs}; rescale the basis first")
     fld = Field(True, cs[0]) if cs else QQ_I
     out = []
@@ -168,10 +174,10 @@ def clifford_module(d: int, normalization: Sequence) -> MatrixRep:
     center acts by i * Id (central character lambda(Z) = 1).
     """
     if d < 1 or len(normalization) != d:
-        raise CliffrepError("normalization length must be d >= 1")
+        raise InputError("normalization length must be d >= 1")
     norms = [Fraction(n) for n in normalization]
     if any(n <= 0 for n in norms):
-        raise CliffrepError("normalization must be positive (definite form)")
+        raise InputError("normalization must be positive (definite form)")
     fld, scales = _sqrt_scaling([n / 2 for n in norms])
     gammas, half = gamma_matrices(d, fld)
     alg = clifford_algebra(norms)
@@ -203,8 +209,6 @@ def verify_rep(rep: MatrixRep, adjoint_sample: Sequence[Vector] = (),
     fld = rep.field
     failures: list[dict] = []
     n = g.dim
-    if len(rep.mats) != n:
-        raise CliffrepError("one operator per algebra basis element required")
 
     grading_ok = True
     for k in range(n):
@@ -249,7 +253,7 @@ def verify_rep(rep: MatrixRep, adjoint_sample: Sequence[Vector] = (),
         adv = g.ad(v)
         try:
             E = adv.exp_nilpotent()
-        except LinalgError:
+        except InputError:
             group_results.append({"status": "SKIPPED", "why": "ad not nilpotent"})
             continue
         rv = rep.rho(tuple(x.promote(fld) for x in v))
@@ -259,7 +263,7 @@ def verify_rep(rep: MatrixRep, adjoint_sample: Sequence[Vector] = (),
             try:
                 B = rv.exp_nilpotent()
                 conj = (B, B.inverse())
-            except LinalgError:
+            except InputError:
                 group_results.append({"status": "SKIPPED", "why": "rho not exactly exponentiable"})
                 continue
         ok = True
@@ -323,7 +327,7 @@ def parity_change(rep: MatrixRep) -> MatrixRep:
 def _intertwiner_space(rep1: MatrixRep, rep2: MatrixRep, parity: int) -> list[Matrix]:
     """Basis of {T homogeneous of given parity : T rho1(x) = rho2(x) T}."""
     if rep1.algebra is not rep2.algebra:
-        raise CliffrepError("equivalence needs modules of one algebra")
+        raise InputError("equivalence needs modules of one algebra")
     fld = rep1.field
     if rep2.field is not fld:
         if rep2.field.extends(fld):
@@ -331,7 +335,7 @@ def _intertwiner_space(rep1: MatrixRep, rep2: MatrixRep, parity: int) -> list[Ma
         elif fld.extends(rep2.field):
             pass
         else:
-            raise CliffrepError("incompatible scalar towers")
+            raise InputError("incompatible scalar towers")
     n1, n2 = rep1.dim, rep2.dim
     e1, e2 = rep1.even_dim, rep2.even_dim
     positions = []
@@ -388,7 +392,7 @@ def _contains_invertible(mats: list[Matrix], budget: int = 20000) -> bool:
     for combo in itertools.product(grid, repeat=k):
         count += 1
         if count > budget:
-            raise CliffrepError("invertibility search budget exhausted")
+            raise Undetermined("invertibility search budget exhausted")
         if sum(combo) == 0 or max(combo) == 0:
             continue
         acc = Matrix.zero(fld, n, n)
@@ -430,17 +434,17 @@ def heisenberg_clifford_shape(g: LieSuperalgebra) -> HCShape:
     """Verify [g,g] = central line, [g0,g1] = 0, nondegenerate forms."""
     derived = bracket_span(g, g.full_space, g.full_space)
     if derived.dim != 1:
-        raise CliffrepError("derived algebra is not a line")
+        raise InputError("derived algebra is not a line")
     zvec = derived.rows[0]
     if any(zvec[i] for i in g.space.odd_indices()):
-        raise CliffrepError("central direction is not even")
+        raise InputError("central direction is not even")
     if not center(g).contains(zvec):
-        raise CliffrepError("derived line is not central")
+        raise InputError("derived line is not central")
     e = g.space.even_dim
     for i in range(e):
         for j in g.space.odd_indices():
             if not vec_is_zero(g.bracket_basis(i, j)):
-                raise CliffrepError("[g0, g1] must vanish")
+                raise InputError("[g0, g1] must vanish")
     zs = g.subspace([zvec])
     comp = [c for c in range(e) if c not in set(zs.pivots)]
     f = g.field
@@ -451,12 +455,12 @@ def heisenberg_clifford_shape(g: LieSuperalgebra) -> HCShape:
             v = g.bracket_basis(i, j)
             coords = zs.coords_of(v)
             if coords is None:
-                raise CliffrepError("even bracket leaves the central line")
+                raise InputError("even bracket leaves the central line")
             row.append(coords[0])
         om_rows.append(row)
     omega = Matrix(f, om_rows)
     if omega.rank() != len(comp):
-        raise CliffrepError("even symplectic form is degenerate")
+        raise InputError("even symplectic form is degenerate")
     gram_rows = []
     for a in g.space.odd_indices():
         row = []
@@ -464,12 +468,12 @@ def heisenberg_clifford_shape(g: LieSuperalgebra) -> HCShape:
             v = g.bracket_basis(a, b)
             coords = zs.coords_of(v)
             if coords is None:
-                raise CliffrepError("odd bracket leaves the central line")
+                raise InputError("odd bracket leaves the central line")
             row.append(coords[0])
         gram_rows.append(row)
     gram = Matrix(f, gram_rows)
     if g.space.odd_dim and gram.rank() != g.space.odd_dim:
-        raise CliffrepError("odd symmetric form is degenerate")
+        raise InputError("odd symmetric form is degenerate")
     return HCShape(zvec, omega, gram, comp)
 
 
@@ -477,11 +481,11 @@ def _congruence_diagonalize(S: Matrix) -> tuple[Matrix, list[Scalar]]:
     """P with P S P^T diagonal, for a positive-definite symmetric S."""
     diag, P = S.ldl()
     if len(diag) < S.nrows or any(d.sign() <= 0 for d in diag):
-        raise CliffrepError("congruence pivoting needs a PD matrix")
+        raise InputError("congruence pivoting needs a PD matrix")
     D = P * S * P.transpose()
     if any(D.rows[i][j] != (diag[i] if i == j else S.field.zero) for i in range(S.nrows)
            for j in range(S.nrows)):
-        raise CliffrepError("congruence diagonalization failed")  # pragma: no cover
+        raise InvariantViolation("congruence diagonalization failed")  # pragma: no cover
     return P, diag
 
 
@@ -521,7 +525,7 @@ def classify_heisenberg_clifford(g: LieSuperalgebra, gamma) -> HCClassification:
     for r in M.rows:
         for x in r:
             if not x.is_rational():
-                raise CliffrepError("central character must give a rational Gram matrix")
+                raise InputError("central character must give a rational Gram matrix")
     P, diag = _congruence_diagonalize(M)
     norms = [x.as_fraction() for x in diag]
     fld, scales = _sqrt_scaling([n / 2 for n in norms])

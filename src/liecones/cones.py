@@ -14,18 +14,10 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import Poly, Scalar
+from .exactnum import InputError, InvariantViolation, Poly, Scalar, Undetermined
 from .glinalg import Matrix, Subspace, Vector, vec_add, vec_is_zero, vec_scale
 from .lsa import LieSuperalgebra, bracket_span, center, is_ideal, is_nilpotent, series
 from . import cartan as _cartan
-
-
-class ConesError(ValueError):
-    pass
-
-
-class InvariantViolation(RuntimeError):
-    """A certified obstruction and a certified cone certificate met."""
 
 
 POINTED_CERTIFIED = "POINTED_CERTIFIED"
@@ -43,7 +35,7 @@ CONE_OK = "CONE_OK"
 def odd_square(g: LieSuperalgebra, x: Vector) -> Vector:
     """[X, X] for a purely odd X."""
     if any(x[i] for i in g.space.even_indices()) or vec_is_zero(x):
-        raise ConesError("odd_square needs a nonzero purely odd vector")
+        raise InputError("odd_square needs a nonzero purely odd vector")
     return g.bracket(x, x)
 
 
@@ -67,7 +59,7 @@ class OddSquareForm:
         f = g.field
         lam = tuple(f.coerce(x) for x in lam)
         if len(lam) != g.space.even_dim:
-            raise ConesError("functional length must equal the even dimension")
+            raise InputError("functional length must equal the even dimension")
         odd = list(g.space.odd_indices())
         rows = []
         for a in odd:
@@ -78,7 +70,7 @@ class OddSquareForm:
             rows.append(row)
         M = Matrix(f, rows)
         if M != M.transpose():
-            raise ConesError("odd Gram matrix is not symmetric")  # pragma: no cover
+            raise InvariantViolation("odd Gram matrix is not symmetric")  # pragma: no cover
         return OddSquareForm(g, lam, M)
 
 
@@ -109,14 +101,14 @@ def _pd_prefix_score(S: Matrix) -> int:
 def is_positive_definite(S: Matrix) -> bool:
     """Sylvester criterion for a symmetric real matrix: all LDL pivots > 0."""
     if S.nrows != S.ncols:
-        raise ConesError("definiteness of a non-square matrix")
+        raise InputError("definiteness of a non-square matrix")
     return _pd_prefix_score(S) == S.nrows
 
 
 def is_positive_semidefinite(S: Matrix) -> bool:
     """Exact PSD test: a full natural-order LDL with no negative pivot."""
     if S.nrows != S.ncols:
-        raise ConesError("definiteness of a non-square matrix")
+        raise InputError("definiteness of a non-square matrix")
     pivots, _ = S.ldl()
     return len(pivots) == S.nrows and all(p.sign() >= 0 for p in pivots)
 
@@ -124,7 +116,7 @@ def is_positive_semidefinite(S: Matrix) -> bool:
 def hermitian_is_positive_definite(S: Matrix) -> bool:
     """Sylvester test for a Hermitian matrix over a complex tower."""
     if S != S.conj_transpose():
-        raise ConesError("matrix is not Hermitian")
+        raise InputError("matrix is not Hermitian")
     return _pd_prefix_score(S) == S.nrows
 
 
@@ -157,16 +149,16 @@ def certify_pointed(g: LieSuperalgebra, lam: Sequence) -> ConeCertificate:
     """Build a POINTED_CERTIFIED certificate, re-verifying via Sylvester."""
     form = OddSquareForm.of(g, lam)
     if any(m.sign() <= 0 for m in leading_principal_minors(form.matrix)):
-        raise ConesError("claimed PD functional fails the Sylvester test")
+        raise InputError("claimed PD functional fails the Sylvester test")
     return ConeCertificate(POINTED_CERTIFIED, lam=form.lam,
                            details={"odd_dim": g.space.odd_dim})
 
 
 def certify_isotropic(g: LieSuperalgebra, x: Vector) -> ConeCertificate:
     if vec_is_zero(x):
-        raise ConesError("isotropic witness must be nonzero")
+        raise InputError("isotropic witness must be nonzero")
     if not vec_is_zero(odd_square(g, x)):
-        raise ConesError("claimed isotropic vector has nonzero square")
+        raise InputError("claimed isotropic vector has nonzero square")
     return ConeCertificate(ISOTROPIC_FOUND, isotropic=x)
 
 
@@ -333,14 +325,14 @@ def convex_hull_contains_zero(vectors: Sequence[Vector]) -> tuple[Fraction, ...]
     Vector coordinates must be rational scalars.
     """
     if not vectors:
-        raise ConesError("empty vector list")
+        raise InputError("empty vector list")
     n = len(vectors[0])
     cols = []
     for v in vectors:
         col = []
         for x in v:
             if not x.is_rational():
-                raise ConesError("hull test needs rational coordinates")
+                raise InputError("hull test needs rational coordinates")
             col.append(x.as_fraction())
         cols.append(col)
     A = [[cols[j][i] for j in range(len(vectors))] for i in range(n)]
@@ -376,9 +368,9 @@ def check_root_space_form(g: LieSuperalgebra, datum, mu: Sequence) -> list[dict]
     f = g.field
     mu = tuple(f.coerce(x) for x in mu)
     if len(mu) != g.space.even_dim:
-        raise ConesError("mu length must equal the even dimension")
+        raise InputError("mu length must equal the even dimension")
     if not _mu_fixed_by_cartan(g, datum.cartan.h0, mu):
-        raise ConesError("mu is not fixed by the even Cartan action")
+        raise InputError("mu is not fixed by the even Cartan action")
     gc = datum.complexified
     muc = tuple(x.promote(gc.field) for x in mu)
     verdicts = []
@@ -411,7 +403,7 @@ def check_root_space_form(g: LieSuperalgebra, datum, mu: Sequence) -> list[dict]
 def nilpotent_vanishing_ideal(g: LieSuperalgebra) -> Subspace:
     """Ideal generated by [g1, [g1, g1]]; forced kernel of every unitary rep."""
     if not is_nilpotent(g):
-        raise ConesError("nilpotent_vanishing_ideal needs a nilpotent algebra")
+        raise InputError("nilpotent_vanishing_ideal needs a nilpotent algebra")
     odd = g.odd_subspace
     layer2 = bracket_span(g, odd, odd)
     layer3 = bracket_span(g, odd, layer2)
@@ -505,7 +497,7 @@ def _root_square_vectors(g: LieSuperalgebra, datum) -> list[Vector]:
             real = []
             for s in h:
                 if not s.is_real():
-                    raise ConesError("root square is not tau-fixed")  # pragma: no cover
+                    raise InvariantViolation("root square is not tau-fixed")  # pragma: no cover
                 real.append(s.demote(g.field))
             out.append(tuple(real))
     return out
@@ -526,12 +518,12 @@ def star_reduced_report(g: LieSuperalgebra, bound: int = 3, cap: int = 2000,
     k0 = _cartan.compact_cartan_even(g, bound=bound)
     datum = None
     if k0 is not None:
-        try:
-            cd = _cartan.cartan_subsuperalgebra(g, k0)
-            if cd.compactly_embedded is True:
+        cd = _cartan.cartan_subsuperalgebra(g, k0)
+        if cd.compactly_embedded is True:
+            try:
                 datum = _cartan.root_decomposition(g, cd)
-        except _cartan.CartanError as exc:
-            notes.append(f"root decomposition unavailable: {exc}")
+            except Undetermined as exc:
+                notes.append(f"root decomposition unavailable: {exc}")
     if datum is not None:
         hs = _root_square_vectors(g, datum)
         if hs:
@@ -545,26 +537,23 @@ def star_reduced_report(g: LieSuperalgebra, bound: int = 3, cap: int = 2000,
                 cert = ConeCertificate(LINE_FOUND, details={"route": "root_square_hull"})
                 return StarReducedReport(OBSTRUCTED, reasons, cert, notes)
     if k0 is not None:
-        try:
-            P = _cartan.fixed_point_projection(g, k0)
-            projected = []
-            for label, sq in _odd_square_samples(g):
-                pv = P.apply(sq[:g.space.even_dim])
-                if not vec_is_zero(pv):
-                    projected.append((label, pv))
-            if projected:
-                combo = convex_hull_contains_zero([v for _, v in projected])
-                if combo is not None:
-                    reasons.append({
-                        "kind": "projected_square_hull",
-                        "coefficients": [str(c) for c in combo],
-                        "generators": [label for label, _ in projected],
-                    })
-                    cert = ConeCertificate(LINE_FOUND,
-                                           details={"route": "projected_square_hull"})
-                    return StarReducedReport(OBSTRUCTED, reasons, cert, notes)
-        except _cartan.CartanError as exc:
-            notes.append(f"fixed-point projection unavailable: {exc}")
+        P = _cartan.fixed_point_projection(g, k0)
+        projected = []
+        for label, sq in _odd_square_samples(g):
+            pv = P.apply(sq[:g.space.even_dim])
+            if not vec_is_zero(pv):
+                projected.append((label, pv))
+        if projected:
+            combo = convex_hull_contains_zero([v for _, v in projected])
+            if combo is not None:
+                reasons.append({
+                    "kind": "projected_square_hull",
+                    "coefficients": [str(c) for c in combo],
+                    "generators": [label for label, _ in projected],
+                })
+                cert = ConeCertificate(LINE_FOUND,
+                                       details={"route": "projected_square_hull"})
+                return StarReducedReport(OBSTRUCTED, reasons, cert, notes)
 
     odd = g.odd_subspace
     if bracket_span(g, odd, odd) == g.even_subspace:

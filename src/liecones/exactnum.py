@@ -4,6 +4,12 @@ Scalars live in Q, Q(i), Q(sqrt d) or Q(i, sqrt d) for a single squarefree
 d > 1, with coordinates over the basis {1, i, sqrt d, i*sqrt d}.  All
 arithmetic is exact; mixing two different towers raises FieldMismatchError
 rather than promoting silently.
+
+The package's three error classes live here, and every module raises one of
+them (or a subclass): InputError when the arguments are outside a function's
+domain, Undetermined when a bounded search or splitting step cannot decide,
+and InvariantViolation when a re-check of data the library computed itself
+fails.  The command line maps them to exit codes 1, 0 with UNDETERMINED, and 2.
 """
 
 from __future__ import annotations
@@ -13,18 +19,26 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 
-class FieldMismatchError(TypeError):
+class InputError(ValueError):
+    """The arguments are outside the function's domain."""
+
+
+class Undetermined(Exception):
+    """A bounded search or splitting step cannot decide."""
+
+
+class InvariantViolation(RuntimeError):
+    """A re-check of data the library computed itself failed."""
+
+
+class FieldMismatchError(InputError):
     """Raised when two scalars from different towers meet in one operation."""
-
-
-class ExactnumError(ValueError):
-    pass
 
 
 def squarefree_decomp(n: int) -> tuple[int, int]:
     """Write n > 0 as r**2 * s with s squarefree; returns (r, s)."""
     if n <= 0:
-        raise ExactnumError("squarefree_decomp needs a positive integer")
+        raise InputError("squarefree_decomp needs a positive integer")
     r, s, p = 1, 1, 2
     while p * p <= n:
         e = 0
@@ -42,7 +56,7 @@ def rational_sqrt_decomp(q: Fraction) -> tuple[Fraction, int]:
     """Write q > 0 as (r**2) * s with s a squarefree integer: sqrt(q) = r*sqrt(s)."""
     q = Fraction(q)
     if q <= 0:
-        raise ExactnumError("rational_sqrt_decomp needs a positive rational")
+        raise InputError("rational_sqrt_decomp needs a positive rational")
     # q = a/b = (a*b)/b^2
     r1, s = squarefree_decomp(q.numerator * q.denominator)
     return Fraction(r1, q.denominator), s
@@ -59,10 +73,10 @@ class Field:
     def __new__(cls, has_i: bool = False, d: int | None = None):
         if d is not None:
             if d <= 1:
-                raise ExactnumError("d must be a squarefree integer > 1")
+                raise InputError("d must be a squarefree integer > 1")
             _, s = squarefree_decomp(d)
             if s != d:
-                raise ExactnumError(f"d = {d} is not squarefree")
+                raise InputError(f"d = {d} is not squarefree")
         key = (bool(has_i), d)
         inst = cls._cache.get(key)
         if inst is None:
@@ -83,10 +97,14 @@ class Field:
 
     @staticmethod
     def parse(tag: str) -> "Field":
-        m = _FIELD_RE.match(tag.strip())
+        m = _FIELD_RE.match(tag.strip()) if isinstance(tag, str) else None
         if not m:
-            raise ExactnumError(f"unknown field tag {tag!r}")
-        return Field(m.group(1) is not None, int(m.group(3)) if m.group(3) else None)
+            raise InputError(f"unknown field tag {tag!r}")
+        try:
+            d = int(m.group(3)) if m.group(3) else None
+        except ValueError as exc:     # more digits than int() converts
+            raise InputError(f"bad field tag: {exc}") from exc
+        return Field(m.group(1) is not None, d)
 
     def extends(self, other: "Field") -> bool:
         """True when every element of `other` embeds into this tower."""
@@ -123,13 +141,13 @@ class Field:
     @property
     def i(self) -> "Scalar":
         if not self.has_i:
-            raise ExactnumError(f"{self.tag} has no imaginary unit")
+            raise InputError(f"{self.tag} has no imaginary unit")
         return Scalar(self, _F0, _F1, _F0, _F0)
 
     @property
     def sqrt(self) -> "Scalar":
         if self.d is None:
-            raise ExactnumError(f"{self.tag} has no adjoined square root")
+            raise InputError(f"{self.tag} has no adjoined square root")
         return Scalar(self, _F0, _F0, _F1, _F0)
 
     def coerce(self, x) -> "Scalar":
@@ -143,7 +161,7 @@ class Field:
             return self.rat(x)
         if isinstance(x, str):
             return parse_scalar(x, self)
-        raise ExactnumError(f"cannot coerce {x!r} into {self.tag}")
+        raise InputError(f"cannot coerce {x!r} into {self.tag}")
 
     def __repr__(self):
         return f"Field({self.tag})"
@@ -168,9 +186,9 @@ class Scalar:
         self.c = c
         self.e = e
         if field.d is None and (c or e):
-            raise ExactnumError(f"{field.tag} has no sqrt component")
+            raise InputError(f"{field.tag} has no sqrt component")
         if not field.has_i and (b or e):
-            raise ExactnumError(f"{field.tag} has no imaginary component")
+            raise InputError(f"{field.tag} has no imaginary component")
 
     # basic protocol -------------------------------------------------------
     def _check(self, other: "Scalar") -> None:
@@ -226,7 +244,7 @@ class Scalar:
         num = z1 * z2 * z3
         norm = self * num
         if norm.b or norm.c or norm.e:
-            raise ExactnumError("norm computation failed")  # pragma: no cover
+            raise InvariantViolation("norm computation failed")  # pragma: no cover
         n = norm.a
         return Scalar(self.field, num.a / n, num.b / n, num.c / n, num.e / n)
 
@@ -260,13 +278,13 @@ class Scalar:
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
-            raise ExactnumError(f"{self} is not rational")
+            raise InputError(f"{self} is not rational")
         return self.a
 
     def sign(self) -> int:
         """Sign of a real scalar a + c*sqrt(d); exact."""
         if not self.is_real():
-            raise ExactnumError(f"sign of non-real scalar {self}")
+            raise InputError(f"sign of non-real scalar {self}")
         a, c = self.a, self.c
         if not c:
             return (a > 0) - (a < 0)
@@ -292,11 +310,11 @@ class Scalar:
         s = Scalar(field, self.a, _F0, _F0, _F0)
         if self.b or self.e:
             if not field.has_i:
-                raise ExactnumError(f"{self} has imaginary parts")
+                raise InputError(f"{self} has imaginary parts")
             s = Scalar(field, s.a, self.b, _F0, self.e if field.d else _F0)
         if self.c or self.e:
             if field.d is None:
-                raise ExactnumError(f"{self} has sqrt parts")
+                raise InputError(f"{self} has sqrt parts")
             s = Scalar(field, s.a, s.b, self.c, self.e)
         return s
 
@@ -338,7 +356,7 @@ def parse_scalar(text: str, field: Field) -> Scalar:
     """Parse the documented grammar: e.g. "3/4", "-1/2*i", "3+1/2*i*sqrt2"."""
     s = text.replace(" ", "")
     if not s:
-        raise ExactnumError("empty scalar literal")
+        raise InputError("empty scalar literal")
     # split into signed terms at top level
     parts: list[str] = []
     cur = ""
@@ -359,14 +377,16 @@ def parse_scalar(text: str, field: Field) -> Scalar:
             p = p.replace("i*", "1*i*", 1)
         m = _TERM_RE.match(p)
         if not m:
-            raise ExactnumError(f"bad scalar term {p!r} in {text!r}")
-        coef = Fraction(m.group("coef"))
+            raise InputError(f"bad scalar term {p!r} in {text!r}")
+        try:    # a zero denominator, or more digits than int() converts
+            coef = Fraction(m.group("coef"))
+            d = None if m.group("d") is None else int(m.group("d"))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad scalar term {p!r} in {text!r}: {exc}") from exc
         has_i = m.group("i") is not None
-        dtxt = m.group("d")
-        if dtxt is not None:
-            d = int(dtxt)
+        if d is not None:
             if field.d != d:
-                raise ExactnumError(f"sqrt{d} not available in {field.tag}")
+                raise InputError(f"sqrt{d} not available in {field.tag}")
             term = field.new(0, 0, 0, coef) if has_i else field.new(0, 0, coef, 0)
         else:
             term = field.new(0, coef, 0, 0) if has_i else field.rat(coef)
@@ -400,7 +420,7 @@ class Poly:
 
     def leading(self) -> Scalar:
         if self.is_zero():
-            raise ExactnumError("zero polynomial has no leading coefficient")
+            raise InputError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
     def __eq__(self, other):
@@ -516,7 +536,7 @@ class Poly:
 def is_squarefree(p: Poly) -> bool:
     """True iff gcd(p, p') is constant; error on the zero polynomial."""
     if p.is_zero():
-        raise ExactnumError("is_squarefree of the zero polynomial")
+        raise InputError("is_squarefree of the zero polynomial")
     if p.degree == 0:
         return True
     return p.gcd(p.derivative()).degree == 0
@@ -547,10 +567,10 @@ def real_root_signs(p: Poly) -> tuple[int, int, int]:
     Requires rational coefficients (field tag Q); multiplicities are ignored.
     """
     if p.is_zero():
-        raise ExactnumError("real_root_signs of the zero polynomial")
+        raise InputError("real_root_signs of the zero polynomial")
     for c in p.coeffs:
         if not c.is_rational():
-            raise ExactnumError("real_root_signs needs rational coefficients")
+            raise InputError("real_root_signs needs rational coefficients")
     q, k = p.shift_out_root_zero()
     count_zero = 1 if k > 0 else 0
     q = q.squarefree_part()

@@ -18,14 +18,10 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactnum import ExactnumError, Field, Poly, Scalar, sqrt_in_field
+from .exactnum import Field, InputError, InvariantViolation, Poly, Scalar, sqrt_in_field
 
 Vector = tuple[Scalar, ...]
 SparseVec = dict[int, Scalar]
-
-
-class LinalgError(ValueError):
-    pass
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -143,7 +139,7 @@ class Matrix:
         self.nrows = len(self.rows)
         self.ncols = len(self.rows[0]) if self.rows else 0
         if any(len(r) != self.ncols for r in self.rows):
-            raise LinalgError("ragged matrix")
+            raise InputError("ragged matrix")
 
     @staticmethod
     def identity(fld: Field, n: int) -> "Matrix":
@@ -188,7 +184,7 @@ class Matrix:
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
-            raise LinalgError("dimension mismatch in matrix product")
+            raise InputError("dimension mismatch in matrix product")
         z = self.field.zero
         orows = [[(j, b) for j, b in enumerate(orow) if b] for orow in other.rows]
         out = []
@@ -203,7 +199,7 @@ class Matrix:
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.ncols:
-            raise LinalgError("dimension mismatch in matrix-vector product")
+            raise InputError("dimension mismatch in matrix-vector product")
         z = self.field.zero
         out = []
         for r in self.rows:
@@ -234,7 +230,7 @@ class Matrix:
 
     def power(self, k: int) -> "Matrix":
         if self.nrows != self.ncols:
-            raise LinalgError("power of non-square matrix")
+            raise InputError("power of non-square matrix")
         acc = Matrix.identity(self.field, self.nrows)
         base = self
         while k:
@@ -266,14 +262,14 @@ class Matrix:
     def solve(self, b: Vector) -> Vector | None:
         """One exact solution of M x = b, or None."""
         if len(b) != self.nrows:
-            raise LinalgError("dimension mismatch in solve")
+            raise InputError("dimension mismatch in solve")
         X = self.solve_matrix(Matrix(self.field, [[x] for x in b]))
         return None if X is None else X.col(0)
 
     def solve_matrix(self, B: "Matrix") -> "Matrix | None":
         """X with self @ X = B, or None: one elimination of [self | B]."""
         if B.nrows != self.nrows:
-            raise LinalgError("dimension mismatch in solve")
+            raise InputError("dimension mismatch in solve")
         if B.field is not self.field:
             B = B.promote(self.field)
         n = self.ncols
@@ -292,16 +288,16 @@ class Matrix:
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
-            raise LinalgError("inverse of non-square matrix")
+            raise InputError("inverse of non-square matrix")
         X = self.solve_matrix(Matrix.identity(self.field, self.nrows))
         if X is None or not (self * X == Matrix.identity(self.field, self.nrows)):
-            raise LinalgError("matrix is singular")
+            raise InputError("matrix is singular")
         return X
 
     def det(self) -> Scalar:
         """Signed product of the lead values that eliminate() records."""
         if self.nrows != self.ncols:
-            raise LinalgError("determinant of non-square matrix")
+            raise InputError("determinant of non-square matrix")
         leads = eliminate(self._sparse_rows()).leads
         if any(lead is None for lead in leads):
             return self.field.zero
@@ -322,7 +318,7 @@ class Matrix:
         """
         n = self.nrows
         if n != self.ncols:
-            raise LinalgError("ldl of non-square matrix")
+            raise InputError("ldl of non-square matrix")
         a = [list(r) for r in self.rows]
         P = [list(r) for r in Matrix.identity(self.field, n).rows]
         pivots: list[Scalar] = []
@@ -351,7 +347,7 @@ class Matrix:
         gives det(xI - H) (Cohen, Alg. 2.2.9): O(n^3) field operations.
         """
         if self.nrows != self.ncols:
-            raise LinalgError("charpoly of non-square matrix")
+            raise InputError("charpoly of non-square matrix")
         n = self.nrows
         f = self.field
         a = [list(r) for r in self.rows]
@@ -395,7 +391,7 @@ class Matrix:
     def minpoly(self) -> Poly:
         """Monic minimal polynomial, found by the first linear dependence of powers."""
         if self.nrows != self.ncols:
-            raise LinalgError("minpoly of non-square matrix")
+            raise InputError("minpoly of non-square matrix")
         f = self.field
         n = self.nrows
         powers = [Matrix.identity(f, n)]
@@ -406,7 +402,7 @@ class Matrix:
                 coeffs = dep[0]
                 return Poly(f, coeffs).monic()
             powers.append(powers[-1] * self)
-        raise LinalgError("minpoly search failed")  # pragma: no cover
+        raise InvariantViolation("minpoly search failed")  # pragma: no cover
 
     def exp_nilpotent(self) -> "Matrix":
         """Exact exp(M) for nilpotent M (polynomial series)."""
@@ -421,7 +417,7 @@ class Matrix:
                 return acc
             fact *= k
             acc = acc + term.scale(f.rat(Fraction(1, fact)))
-        raise LinalgError("matrix is not nilpotent")
+        raise InputError("matrix is not nilpotent")
 
     def promote(self, fld: Field) -> "Matrix":
         return Matrix(fld, [[x.promote(fld) for x in r] for r in self.rows])
@@ -443,12 +439,14 @@ class GradedSpace:
     basis_names: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if self.even_dim < 0 or self.odd_dim < 0:
+            raise InputError("graded dimensions must be >= 0")
         if not self.basis_names:
             names = tuple(f"e{i}" for i in range(self.even_dim)) + \
                     tuple(f"f{i}" for i in range(self.odd_dim))
             object.__setattr__(self, "basis_names", names)
         if len(self.basis_names) != self.even_dim + self.odd_dim:
-            raise LinalgError("basis_names length mismatch")
+            raise InputError("basis_names length mismatch")
 
     @property
     def dim(self) -> int:
@@ -477,7 +475,7 @@ class Subspace:
         gens = []
         for v in vectors:
             if len(v) != ambient.dim:
-                raise LinalgError("vector length does not match ambient dimension")
+                raise InputError("vector length does not match ambient dimension")
             gens.append({k: fld.coerce(x) for k, x in enumerate(v) if x})
         self.field = fld
         self.ambient = ambient
@@ -603,7 +601,7 @@ def rational_factors(p: Poly) -> list[tuple[Poly, int]]:
     """
     for c in p.coeffs:
         if not c.is_rational():
-            raise LinalgError("rational_factors needs rational coefficients")
+            raise InputError("rational_factors needs rational coefficients")
     import sympy
     sp = sympy.Poly([sympy.Rational(c.as_fraction()) for c in reversed(p.coeffs)],
                     sympy.Symbol("x"), domain="QQ")
@@ -636,7 +634,7 @@ def roots_in_field(p: Poly) -> tuple[dict[Scalar, int], Poly | None]:
     outside the tower (None when p splits completely).
     """
     if p.is_zero():
-        raise ExactnumError("roots of the zero polynomial")
+        raise InputError("roots of the zero polynomial")
     fld = p.field
     candidates: set[Scalar] = set()
     if all(c.is_rational() for c in p.coeffs):
@@ -647,7 +645,7 @@ def roots_in_field(p: Poly) -> tuple[dict[Scalar, int], Poly | None]:
         if fld.d is not None:
             norm = norm * Poly(fld, [c.conjugate_sqrt() for c in norm.coeffs])
         if any(not c.is_rational() for c in norm.coeffs):
-            raise LinalgError("norm polynomial is not rational")  # pragma: no cover
+            raise InvariantViolation("norm polynomial is not rational")  # pragma: no cover
     for f, _ in rational_factors(norm):
         if f.degree == 0:
             continue
@@ -676,7 +674,7 @@ def generalized_eigenspaces(M: Matrix, ambient: GradedSpace | None = None) -> Ei
     polynomial has roots outside the declared tower.
     """
     if M.nrows != M.ncols:
-        raise LinalgError("generalized_eigenspaces of non-square matrix")
+        raise InputError("generalized_eigenspaces of non-square matrix")
     amb = ambient or ungraded(M.ncols)
     cp = M.charpoly()
     roots, leftover = roots_in_field(cp)
@@ -726,9 +724,15 @@ def joint_eigenspaces(mats: Sequence[Matrix], ambient: GradedSpace | None = None
     for pairs in splits:
         nxt = []
         for evs, space in current:
+            # the eigenspaces are independent: once the pieces found fill
+            # space, every later intersection is zero
+            filled = 0
             for lam, espace in pairs:
                 inter = space.intersect(espace)
                 if inter.dim:
                     nxt.append((evs + (lam,), inter))
+                    filled += inter.dim
+                    if filled == space.dim:
+                        break
         current = nxt
     return "OK", current

@@ -13,13 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .exactnum import Scalar
+from .exactnum import InputError, InvariantViolation, Scalar
 from .cartan import Root, RootDatum
 from .cliffrep import MatrixRep
-
-
-class HwmError(ValueError):
-    pass
 
 
 UNTESTED_CLAIMS = (
@@ -34,6 +30,10 @@ class CartanModule:
     dim: int
     weight: tuple[Scalar, ...]
     label: str = "V"
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise InputError(f"module dimension must be >= 1, got {self.dim}")
 
 
 def module_from_rep(rep: MatrixRep, h0_dim: int) -> CartanModule:
@@ -51,10 +51,10 @@ def module_from_rep(rep: MatrixRep, h0_dim: int) -> CartanModule:
             for j in range(M.ncols):
                 want = diag if i == j else fld.zero
                 if M.rows[i][j] != want:
-                    raise HwmError("V has multiple t0-weights")
+                    raise InputError("V has multiple t0-weights")
         lam_k = diag * (-fld.i)
         if not lam_k.is_real():
-            raise HwmError("Cartan action is not i * real")
+            raise InputError("Cartan action is not i * real")
         weight.append(lam_k)
     return CartanModule(rep.dim, tuple(weight), label=rep.label or "V")
 
@@ -67,7 +67,7 @@ def positive_system(datum: RootDatum, x0: Sequence) -> list[Root]:
     h0 = datum.cartan.h0
     coords = tuple(x0)
     if len(coords) != h0.dim:
-        raise HwmError("X0 must be given in h0-basis coordinates")
+        raise InputError("X0 must be given in h0-basis coordinates")
     positives = []
     for root in datum.roots:
         if root.is_zero:
@@ -79,7 +79,7 @@ def positive_system(datum: RootDatum, x0: Sequence) -> list[Root]:
             val = term if val is None else val + term
         s = val.sign()
         if s == 0:
-            raise HwmError(f"root {[str(v) for v in root.values]} vanishes on X0")
+            raise InputError(f"root {[str(v) for v in root.values]} vanishes on X0")
         if s > 0:
             positives.append(root)
     return positives
@@ -120,9 +120,9 @@ def build_truncated(datum: RootDatum, positives: Sequence[Root],
     if isinstance(module, MatrixRep):
         module = module_from_rep(module, datum.cartan.h0.dim)
     if depth < 0:
-        raise HwmError("depth must be >= 0")
+        raise InputError("depth must be >= 0")
     if len(module.weight) != datum.cartan.h0.dim:
-        raise HwmError("weight length must match the Cartan dimension")
+        raise InputError("weight length must match the Cartan dimension")
     # generators of g^- : one per basis vector of each negative root space
     table = {tuple(str(v) for v in r.values): r for r in datum.roots}
     gens: list[tuple[tuple[Scalar, ...], int]] = []   # (root values of alpha, parity)
@@ -130,7 +130,7 @@ def build_truncated(datum: RootDatum, positives: Sequence[Root],
         key = tuple(str(v) for v in root.negated())
         neg = table.get(key)
         if neg is None:
-            raise HwmError("negative root space missing")  # pragma: no cover
+            raise InvariantViolation("negative root space missing")  # pragma: no cover
         for _ in range(neg.even_space.dim):
             gens.append((root.values, 0))
         for _ in range(neg.odd_space.dim):

@@ -21,21 +21,40 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .exactnum import Field, Scalar
+from .exactnum import Field, InputError, InvariantViolation, Scalar, parse_scalar
 from .glinalg import (
     GradedSpace, Matrix, SparseVec, Subspace, Vector, coordinate_subspace, densify,
     eliminate, full_subspace, unit_vector,
 )
 
 
-class LsaError(ValueError):
-    pass
+_JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer"}
 
 
-class NotAnIdealError(LsaError):
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"subspace is not a graded ideal; witness pair {witness}")
+def json_entry(doc, key: str, kind: type, default=None):
+    """doc[key] from a parsed JSON document, checked to be of type kind
+    (dict, list, str or int); default when the key is omitted, or InputError
+    when default is None."""
+    if not isinstance(doc, dict):
+        raise InputError(f"expected an object with {key!r}, got {type(doc).__name__}")
+    if key not in doc:
+        if default is None:
+            raise InputError(f"missing key {key!r}")
+        return default
+    val = doc[key]
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
+        raise InputError(f"{key!r} must be {_JSON_TYPE_NAMES[kind]}, "
+                         f"got {type(val).__name__}")
+    return val
+
+
+def read_json(path: str, what: str):
+    """The JSON document in a file; InputError when it cannot be read or parsed."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputError(f"cannot load {what} file: {exc}") from exc
 
 
 def _nonzero(brackets: Mapping) -> dict[tuple[int, int], SparseVec]:
@@ -141,7 +160,7 @@ class LieSuperalgebra:
     @cached_property
     def even_part(self) -> "SubalgebraResult":
         """g0 on its own basis, the leading even coordinates of g; raises
-        LsaError when an even bracket leaves g0."""
+        InputError when an even bracket leaves g0."""
         return subalgebra_on(self, self.even_subspace, name=f"{self.name}|0")
 
     @cached_property
@@ -174,26 +193,31 @@ class LieSuperalgebra:
                 "basis": list(self.space.basis_names), "brackets": entries}
 
     @staticmethod
-    def from_json(doc: dict) -> "LieSuperalgebra":
-        fld = Field.parse(doc["field"])
-        even, odd = int(doc["even"]), int(doc["odd"])
-        names = tuple(doc.get("basis") or ())
-        space = GradedSpace(even, odd, names) if names else GradedSpace(even, odd)
+    def from_json(doc) -> "LieSuperalgebra":
+        """Build from the documented algebra document (see to_json); any
+        other shape raises InputError."""
+        fld = Field.parse(json_entry(doc, "field", str))
+        names = json_entry(doc, "basis", list, [])
+        if not all(isinstance(nm, str) for nm in names):
+            raise InputError("'basis' must list names as strings")
+        space = GradedSpace(json_entry(doc, "even", int), json_entry(doc, "odd", int),
+                            tuple(names))
         br: dict[tuple[int, int], SparseVec] = {}
-        for ent in doc.get("brackets", []):
-            i, j = int(ent["left"]), int(ent["right"])
+        for ent in json_entry(doc, "brackets", list, []):
+            i, j = json_entry(ent, "left", int), json_entry(ent, "right", int)
             if not (0 <= i < space.dim and 0 <= j < space.dim):
-                raise LsaError(f"bracket index ({i},{j}) out of range")
-            out = {int(o["k"]): fld.coerce(o["c"]) for o in ent["out"]}
+                raise InputError(f"bracket index ({i},{j}) out of range")
+            out = {json_entry(o, "k", int): parse_scalar(json_entry(o, "c", str), fld)
+                   for o in json_entry(ent, "out", list)}
             if not all(0 <= k < space.dim for k in out):
-                raise LsaError(f"bracket ({i},{j}) output index out of range")
+                raise InputError(f"bracket ({i},{j}) output index out of range")
             br[(i, j)] = out
-        return LieSuperalgebra(doc.get("name", "g"), space, fld, _fill_mirrors(space, fld, br))
+        return LieSuperalgebra(json_entry(doc, "name", str, "g"), space, fld,
+                               _fill_mirrors(space, fld, br))
 
     @staticmethod
     def load(path: str) -> "LieSuperalgebra":
-        with open(path) as fh:
-            return LieSuperalgebra.from_json(json.load(fh))
+        return LieSuperalgebra.from_json(read_json(path, "algebra"))
 
     def __repr__(self):
         return (f"LieSuperalgebra({self.name}, dim ({self.space.even_dim}"
@@ -280,9 +304,9 @@ def check_axioms(g: LieSuperalgebra, max_violations: int = 25) -> AxiomReport:
 def supercommutant(g: LieSuperalgebra, h: Subspace) -> Subspace:
     """Z_g(h) = {X : [h, X] = 0}; h must be a graded subsuperalgebra."""
     if not h.is_graded():
-        raise LsaError("supercommutant of a non-graded subspace")
+        raise InputError("supercommutant of a non-graded subspace")
     if not is_subalgebra(g, h):
-        raise LsaError("supercommutant of a non-subalgebra")
+        raise InputError("supercommutant of a non-subalgebra")
     return _joint_ad_kernel(g, h)
 
 
@@ -322,7 +346,7 @@ def series(g: LieSuperalgebra, kind: str) -> tuple[Subspace, ...]:
         return g._derived
     if kind == "lower_central":
         return g._lower_central
-    raise LsaError(f"unknown series kind {kind!r}")
+    raise InputError(f"unknown series kind {kind!r}")
 
 
 def _series(g: LieSuperalgebra, derived: bool) -> tuple[Subspace, ...]:
@@ -350,7 +374,7 @@ def nilpotency_class(g: LieSuperalgebra) -> int:
     """Smallest s with c_{s+1} = 0; raises when g is not nilpotent."""
     chain = series(g, "lower_central")
     if chain[-1].dim != 0:
-        raise LsaError(f"{g.name} is not nilpotent")
+        raise InputError(f"{g.name} is not nilpotent")
     return len(chain) - 1
 
 
@@ -525,7 +549,7 @@ def _xi_product(S: tuple[int, ...], T: tuple[int, ...]) -> tuple[int, tuple[int,
 def grassmann_extend(g: LieSuperalgebra, n: int) -> LieSuperalgebra:
     """g tensor Lambda(n): basis e_i (x) xi_S over subsets S of {1..n}."""
     if n < 0:
-        raise LsaError("n must be >= 0")
+        raise InputError("n must be >= 0")
     subsets = []
     for mask in range(1 << n):
         subsets.append(tuple(i + 1 for i in range(n) if mask >> i & 1))
@@ -578,10 +602,10 @@ class QuotientResult:
 def quotient(g: LieSuperalgebra, ideal: Subspace, name: str | None = None) -> QuotientResult:
     """Quotient by a verified graded ideal, on the complement-coordinate basis."""
     if not ideal.is_graded():
-        raise NotAnIdealError("not graded")
+        raise InputError("subspace is not graded")
     ok, witness = is_ideal(g, ideal)
     if not ok:
-        raise NotAnIdealError(witness)
+        raise InputError(f"subspace is not a graded ideal; witness pair {witness}")
     comp = ideal.complement_coordinates()
     even_new = sum(1 for j in comp if g.parity(j) == 0)
     names = tuple(g.space.basis_names[j] + "~" for j in comp)
@@ -617,9 +641,9 @@ class SubalgebraResult:
 def subalgebra_on(g: LieSuperalgebra, s: Subspace, name: str | None = None) -> SubalgebraResult:
     """Realize a graded subsuperalgebra on its own basis."""
     if not s.is_graded():
-        raise LsaError("subspace is not graded")
+        raise InputError("subspace is not graded")
     if not is_subalgebra(g, s):
-        raise LsaError("subspace is not closed under the bracket")
+        raise InputError("subspace is not closed under the bracket")
     # The canonical rows of a graded subspace are a homogeneous basis (even
     # rows, supported on the leading even coordinates, come first), so
     # coords_of reads off the bracket coordinates without a solve.
@@ -634,7 +658,7 @@ def subalgebra_on(g: LieSuperalgebra, s: Subspace, name: str | None = None) -> S
             v = g.bracket(basis[a], basis[b])
             coords = s.coords_of(v)
             if coords is None:
-                raise LsaError("bracket left the subspace")  # pragma: no cover
+                raise InvariantViolation("bracket left the subspace")  # pragma: no cover
             out = {k: x for k, x in enumerate(coords) if x}
             if out:
                 br[(a, b)] = out

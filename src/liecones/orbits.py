@@ -6,7 +6,7 @@ Coadjoint membership is decided by layer-wise elimination along the lower
 central series of the even part; each layer contributes linear equations in
 the remaining group freedom.  The procedure is exact and complete up to
 nilpotency class 3 (single exponentials are surjective and the stabilizer
-conditions stay linear there); deeper algebras raise OrbitUndecided when
+conditions stay linear there); deeper algebras raise Undetermined when
 the linearized stages cannot conclude.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .exactnum import InputError, InvariantViolation, Undetermined
 from .glinalg import Matrix, Subspace, Vector, unit_vector, vec_add, vec_is_zero, vec_scale, zero_vector
 from .lsa import (
     LieSuperalgebra, QuotientResult, bracket_span, center,
@@ -23,20 +24,9 @@ from .lsa import (
 from .cones import OddSquareForm, functional_value, is_positive_semidefinite
 
 
-class OrbitError(ValueError):
-    pass
-
-
-class NotAdmissible(OrbitError):
-    pass
-
-
-class FlagFailure(OrbitError):
-    pass
-
-
-class OrbitUndecided(OrbitError):
-    """Membership beyond the exactly-solved nilpotency classes."""
+class NotAdmissible(InputError):
+    """The functional is outside the admissible cone (odd Gram matrix not
+    positive semidefinite)."""
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +37,7 @@ def coerce_functional(g: LieSuperalgebra, lam: Sequence) -> Vector:
     f = g.field
     lam = tuple(f.coerce(x) for x in lam)
     if len(lam) != g.space.even_dim:
-        raise OrbitError("functional length must equal the even dimension")
+        raise InputError("functional length must equal the even dimension")
     return lam
 
 
@@ -151,7 +141,7 @@ def _engel_refine(g: LieSuperalgebra, bottom: Subspace, top: Subspace) -> list[S
             socle_vecs.append(v)
         socle = Subspace(g.field, g.space, list(cur.rows) + socle_vecs)
         if socle.dim <= cur.dim:
-            raise FlagFailure("Engel socle did not grow; not nilpotent?")
+            raise InvariantViolation("Engel socle did not grow; not nilpotent?")
         pick = None
         for row in reversed(socle.rows):
             if not cur.contains(row):
@@ -160,7 +150,7 @@ def _engel_refine(g: LieSuperalgebra, bottom: Subspace, top: Subspace) -> list[S
         cur = Subspace(g.field, g.space, list(cur.rows) + [pick])
         ok, witness = _is_even_ideal(g, cur)
         if not ok:
-            raise FlagFailure(f"flag member is not an ideal of g0: {witness}")
+            raise InvariantViolation(f"flag member is not an ideal of g0: {witness}")
         chain.append(cur)
     return chain
 
@@ -201,7 +191,7 @@ def polarizing_flag(g: LieSuperalgebra, lam: Sequence) -> PolarizingSystem:
     """Radical-sum polarization through [g1, g1], with the Clifford quotient."""
     lam = coerce_functional(g, lam)
     if not is_nilpotent(g):
-        raise OrbitError("polarizing systems need a nilpotent algebra")
+        raise InputError("polarizing systems need a nilpotent algebra")
     admissible, _ = in_admissible_cone(g, lam)
     if not admissible:
         raise NotAdmissible("odd Gram matrix is not positive semidefinite")
@@ -235,17 +225,17 @@ def polarizing_system_from_m0(g: LieSuperalgebra, lam: Sequence, m0: Subspace,
     omega = even_skew_form(g, lam)
     even_rank = omega.rank()
     if even_rank % 2:
-        raise OrbitError("skew form has odd rank")  # pragma: no cover
+        raise InvariantViolation("skew form has odd rank")  # pragma: no cover
     if m0.dim != e - even_rank // 2:
-        raise FlagFailure("polarization has the wrong dimension")
+        raise InputError("polarization has the wrong dimension")
     if not m0.contains_subspace(k_ideal):
-        raise FlagFailure("[g1,g1] is not inside the polarization")
+        raise InputError("[g1,g1] is not inside the polarization")
     if not is_subalgebra(g, m0):
-        raise FlagFailure("polarization is not a subalgebra")
+        raise InputError("polarization is not a subalgebra")
     for u in m0.rows:
         for v in m0.rows:
             if functional_value(lam, g.bracket(u, v)[:e]):
-                raise FlagFailure("polarization is not isotropic")
+                raise InputError("polarization is not isotropic")
     m = m0.sum_with(odd)
     # j = ker(lambda restricted to m0) (+) rad of the odd Gram form
     ker_rows = []
@@ -271,21 +261,21 @@ def polarizing_system_from_m0(g: LieSuperalgebra, lam: Sequence, m0: Subspace,
     for r in j.rows:
         coords = msub.restrict(r)
         if coords is None:
-            raise FlagFailure("j does not sit inside m")  # pragma: no cover
+            raise InvariantViolation("j does not sit inside m")  # pragma: no cover
         j_in_m_rows.append(coords)
     j_in_m = Subspace(g.field, msub.algebra.space, j_in_m_rows)
     ok, witness = is_ideal(msub.algebra, j_in_m)
     if not ok:
-        raise FlagFailure(f"j is not an ideal of m (witness {witness})")
+        raise InputError(f"j is not an ideal of m (witness {witness})")
     cliff = quotient(msub.algebra, j_in_m, name=f"{g.name}|m/j")
     ca = cliff.algebra
     if ca.space.even_dim > 1:
-        raise FlagFailure("Clifford quotient has a non-line even part")
+        raise InputError("Clifford quotient has a non-line even part")
     if ca.space.even_dim == 1:
         zvec = ca.basis_vector(0)
         for i in range(ca.dim):
             if not vec_is_zero(ca.bracket(zvec, ca.basis_vector(i))):
-                raise FlagFailure("Clifford quotient center is not central")
+                raise InputError("Clifford quotient center is not central")
     return PolarizingSystem(g, lam, m, m0, j, cliff, even_rank, odd_rank, flag_dims)
 
 
@@ -327,13 +317,13 @@ def coadjoint_orbit_member(g: LieSuperalgebra, lam: Sequence, lam2: Sequence,
     lam = coerce_functional(g, lam)
     lam2 = coerce_functional(g, lam2)
     if not is_nilpotent(g):
-        raise OrbitError("coadjoint machinery needs a nilpotent algebra")
+        raise InputError("coadjoint machinery needs a nilpotent algebra")
     e = g.space.even_dim
     f = g.field
     g0 = g.even_part.algebra
     chain = series(g0, "lower_central")
     if chain[-1].dim != 0:
-        raise OrbitError("even part is not nilpotent")  # pragma: no cover
+        raise InvariantViolation("even part is not nilpotent")  # pragma: no cover
     layers = chain[:-1]                                 # c_1 > c_2 > ... > c_s
     s = len(layers)
     nil_class = s
@@ -360,7 +350,7 @@ def coadjoint_orbit_member(g: LieSuperalgebra, lam: Sequence, lam2: Sequence,
         deep_stage = nil_class >= 4 and k <= s - 4
         if sol is None:
             if deep_stage:
-                raise OrbitUndecided(
+                raise Undetermined(
                     "linearized stage failed below class-3 depth; membership undecided")
             return None
         w = zero_vector(f, e)
@@ -372,8 +362,8 @@ def coadjoint_orbit_member(g: LieSuperalgebra, lam: Sequence, lam2: Sequence,
         for y in layer.rows:
             if functional_value(cur, y) != functional_value(lam2, y):
                 if deep_stage:
-                    raise OrbitUndecided("deep stage did not stabilize the layer")
-                raise OrbitError("stage verification failed")  # pragma: no cover
+                    raise Undetermined("deep stage did not stabilize the layer")
+                raise InvariantViolation("stage verification failed")  # pragma: no cover
         # shrink the allowed directions: preserve the matched layer
         rows = []
         for y in layer.rows:
@@ -388,13 +378,13 @@ def coadjoint_orbit_member(g: LieSuperalgebra, lam: Sequence, lam2: Sequence,
             new_h.append(w0)
         h_rows = new_h
     if tuple(cur) != tuple(lam2):
-        raise OrbitError("orbit path verification failed")  # pragma: no cover
+        raise InvariantViolation("orbit path verification failed")  # pragma: no cover
     # exact end-to-end re-verification of the recorded word
     check = lam
     for w in path:
         check = _apply_exp(g, check, w)
     if tuple(check) != tuple(lam2):
-        raise OrbitError("path re-verification failed")  # pragma: no cover
+        raise InvariantViolation("path re-verification failed")  # pragma: no cover
     return OrbitPath(path)
 
 
@@ -463,7 +453,7 @@ def classify_orbits(g: LieSuperalgebra, box: Sequence[Sequence]) -> list[OrbitDe
     """Partition the admissible members of a finite candidate box into
     coadjoint orbits and attach polarizing-system descriptors."""
     if not is_nilpotent(g):
-        raise OrbitError("orbit classification needs a nilpotent algebra")
+        raise InputError("orbit classification needs a nilpotent algebra")
     cands = [coerce_functional(g, lam) for lam in box]
     admissible = [i for i, lam in enumerate(cands) if in_admissible_cone(g, lam)[0]]
     zc = center(g.even_part.algebra)
@@ -504,10 +494,10 @@ def classify_orbits(g: LieSuperalgebra, box: Sequence[Sequence]) -> list[OrbitDe
         cc, rank = inv[members[0]]
         for i in members[1:]:
             if inv[i] != (cc, rank):
-                raise OrbitError("orbit invariants differ inside one orbit")
+                raise InvariantViolation("orbit invariants differ inside one orbit")
             gram_rank = OddSquareForm.of(g, cands[i]).matrix.rank()
             if gram_rank != ps.odd_rank:
-                raise OrbitError("odd rank differs inside one orbit")
+                raise InvariantViolation("odd rank differs inside one orbit")
         out.append(OrbitDescriptor(rep, members, rank, ps.clifford_dim, cc, ps))
     return out
 

@@ -1,8 +1,8 @@
 import pytest
 
-from liecones.exactnum import QQ, QQ_I
+from liecones.exactnum import QQ, QQ_I, InputError
 from liecones.catalog import (
-    CatalogError, blocks, build, cm, list_keys, root_vectors_osp,
+    blocks, build, cm, list_keys, root_vectors_osp,
     root_vectors_su, table1_keys, table1_metadata, unit_mat,
 )
 from liecones.lsa import center, check_axioms, is_nilpotent, nilpotency_class
@@ -36,7 +36,7 @@ def test_catalog_axioms_and_cache(corpus):
 
 
 def test_unknown_key():
-    with pytest.raises(CatalogError):
+    with pytest.raises(InputError):
         build("e8")
 
 
@@ -97,7 +97,7 @@ def test_root_vectors_su_case_formulas(corpus):
 
 def test_root_vectors_su_index_errors(corpus):
     e = corpus["su(1,1|1,1)"]
-    with pytest.raises(CatalogError):
+    with pytest.raises(InputError):
         root_vectors_su(e, 1, 1, 1, 1, 3, 1)
 
 
@@ -114,7 +114,7 @@ def test_root_vectors_osp_middle(corpus):
     assert A2.is_zero() and D2.rows[0][1] == two and D2.rows[1][0] == -two
     # the pair already forces 0 into the convex hull of the H's
     assert (rv1.H + rv2.H).is_zero()
-    with pytest.raises(CatalogError):
+    with pytest.raises(InputError):
         root_vectors_osp(e, 1, 1, 1, 1, 1, "plus")
 
 
@@ -139,7 +139,7 @@ def test_table1_metadata():
     assert table1_metadata("psq(p,q)")["even_quotient"] == "su(p,q)"
     assert table1_metadata("H(p,q)")["even_quotient"] == "so(p,q)"
     assert "osp(p,q|2n)" in table1_keys()
-    with pytest.raises(CatalogError):
+    with pytest.raises(InputError):
         table1_metadata("nope")
 
 

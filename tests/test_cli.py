@@ -318,3 +318,64 @@ def test_sympy_loaded_only_by_factoring():
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == str([False] * 7 + [True])
+
+
+def _rep_doc(drop_operator=False, algebra_bracket=None, operator_entry=None):
+    doc = rep_to_json_full(clifford_module(2, [2, 2]))
+    if drop_operator:
+        doc["operators"] = doc["operators"][:-1]
+    if algebra_bracket:
+        doc["algebra"]["brackets"].append(algebra_bracket)
+    if operator_entry is not None:
+        doc["operators"][0][0][0] = operator_entry
+    return doc
+
+
+MALFORMED_FILES = {
+    "box_low.json": {"type": "grid", "low": "a"},
+    "box_rows.json": {"functionals": [1, 2]},
+    "alg_brackets.json": {"field": "Q", "even": 1, "odd": 0, "brackets": [1]},
+    "alg_list.json": [1, 2],
+    "alg_field.json": {"field": 3, "even": 1, "odd": 1},
+    "alg_even.json": {"field": "Q", "even": 1.5, "odd": 0},
+    "alg_basis.json": {"field": "Q", "even": 2, "odd": 0, "basis": "ab"},
+    "alg_tag.json": {"field": "Q_sqrt(" + "9" * 5000 + ")", "even": 1, "odd": 0},
+    "rep_missing.json": _rep_doc(drop_operator=True),
+    "rep_antisym.json": _rep_doc(algebra_bracket={"left": 0, "right": 0,
+                                                  "out": [{"k": 0, "c": "1"}]}),
+    "rep_entry.json": _rep_doc(operator_entry=1),
+}
+
+
+MALFORMED_RUNS = [
+    (["hwm", "--catalog", "osp(1|2)", "--x0", "1", "--depth", "-1"], "depth must be >= 0"),
+    (["hwm", "--catalog", "osp(1|2)", "--x0", "1", "--depth", "1", "--dim-v", "-3"],
+     "module dimension must be >= 1"),
+    (["clifford", "--d", "3", "--normalization", "1,x,1"], "bad scalar term 'x'"),
+    (["clifford", "--d", "2", "--normalization", "1,i"], "no imaginary component"),
+    (["verify-rep", "--rep", "rep_missing.json"], "one operator per algebra basis element"),
+    (["verify-rep", "--rep", "rep_antisym.json"], "algebra file violates the axioms: "),
+    (["verify-rep", "--rep", "rep_entry.json"], "array of rows of scalar strings"),
+    (["orbit-classify", "--catalog", "h(1)", "--box", "box_low.json"],
+     "'low' must be an integer"),
+    (["orbit-classify", "--catalog", "h(1)", "--box", "box_rows.json"],
+     "array of coordinate arrays"),
+    (["validate", "--algebra", "alg_brackets.json"], "expected an object with 'left'"),
+    (["validate", "--algebra", "alg_list.json"], "expected an object with 'field'"),
+    (["validate", "--algebra", "alg_field.json"], "'field' must be a string"),
+    (["validate", "--algebra", "alg_even.json"], "'even' must be an integer"),
+    (["validate", "--algebra", "alg_basis.json"], "'basis' must be an array"),
+    (["validate", "--algebra", "alg_tag.json"], "bad field tag"),
+]
+
+
+@pytest.mark.parametrize("argv, error", MALFORMED_RUNS,
+                         ids=[" ".join(argv) for argv, _ in MALFORMED_RUNS])
+def test_malformed_input_exits_1_without_verdict(tmp_path, capsys, argv, error):
+    for name, doc in MALFORMED_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    argv = [str(tmp_path / a) if a in MALFORMED_FILES else a for a in argv]
+    code, out = run_cli(argv, capsys)
+    rep = json.loads(out)
+    assert code == 1 and rep["status"] == "ERROR"
+    assert list(rep["results"]) == ["error"] and error in rep["results"]["error"]

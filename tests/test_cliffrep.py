@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from liecones.exactnum import QQ, QQ_I, Field
+from liecones.exactnum import QQ, QQ_I, Field, InputError
 from liecones.glinalg import Matrix
 from liecones.catalog import build
 from liecones.cliffrep import (
-    CliffrepError, MatrixRep, classify_heisenberg_clifford, clifford_module,
+    MatrixRep, classify_heisenberg_clifford, clifford_module,
     equivalent, gamma_matrices, heisenberg_clifford_shape, parity_change,
     verify_rep,
 )
@@ -57,9 +57,9 @@ def test_clifford_module_single_sqrt_tower():
     rep = clifford_module(2, [1, 1])
     assert rep.field is Field(True, 2)
     assert verify_rep(rep)["all_ok"]
-    with pytest.raises(CliffrepError):
+    with pytest.raises(InputError):
         clifford_module(2, [4, 6])       # sqrt(2) and sqrt(3): two towers
-    with pytest.raises(CliffrepError):
+    with pytest.raises(InputError):
         clifford_module(1, [-2])
 
 
@@ -154,9 +154,9 @@ def test_hc_shape_check(algebra):
     shape = heisenberg_clifford_shape(algebra("hc(2|2,++)"))
     assert shape.omega_even.rank() == 2
     assert shape.gram_odd == Matrix.identity(QQ, 2)
-    with pytest.raises(CliffrepError):
+    with pytest.raises(InputError):
         heisenberg_clifford_shape(algebra("sl(2,R)"))
-    with pytest.raises(CliffrepError):
+    with pytest.raises(InputError):
         heisenberg_clifford_shape(algebra("gl(1|1)"))
 
 
@@ -211,3 +211,11 @@ def test_equivalence_relation_with_conjugated_copy():
     assert equivalent(conj, pc, allow_parity=True)                  # transitivity leg
     assert equivalent(rep, pc, allow_parity=True)
     assert not equivalent(conj, pc, allow_parity=False)
+
+
+def test_matrix_rep_checks_operator_count_and_shape():
+    rep = clifford_module(2, [2, 2])
+    with pytest.raises(InputError):
+        MatrixRep(rep.algebra, rep.even_dim, rep.odd_dim, rep.mats[:-1])
+    with pytest.raises(InputError):
+        MatrixRep(rep.algebra, rep.even_dim, rep.odd_dim + 1, rep.mats)

@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from liecones.exactnum import QQ, QQ_I
+from liecones.exactnum import QQ, QQ_I, InputError
 from liecones.glinalg import Matrix, vec_add, vec_is_zero, vec_scale
 from liecones.catalog import build, cm
 from liecones.cartan import cartan_subsuperalgebra, compact_cartan_even, fixed_point_projection, root_decomposition
 from liecones.cones import (
-    ConesError, OddSquareForm, abelian_even_ideals_contained_in_center,
+    OddSquareForm, abelian_even_ideals_contained_in_center,
     certify_pointed, check_root_space_form, convex_hull_contains_zero,
     find_isotropic_odd, find_pd_functional, hermitian_is_positive_definite,
     is_positive_definite, is_positive_semidefinite, leading_principal_minors,
@@ -24,7 +24,7 @@ def test_odd_square_examples(algebra):
     v = vec_add(mixed.basis_vector(1), mixed.basis_vector(2))
     assert vec_is_zero(odd_square(mixed, v))                # Z - Z = 0
     h1 = algebra("h(1)")
-    with pytest.raises(ConesError):
+    with pytest.raises(InputError):
         odd_square(h1, h1.basis_vector(0))                  # not odd
 
 
@@ -61,7 +61,7 @@ def test_hermitian_pd():
     B = Matrix(QQ_I, [[QQ_I.rat(1), QQ_I.rat(2) * QQ_I.i],
                       [-QQ_I.rat(2) * QQ_I.i, QQ_I.rat(1)]])
     assert not hermitian_is_positive_definite(B)
-    with pytest.raises(ConesError):
+    with pytest.raises(InputError):
         hermitian_is_positive_definite(Matrix(QQ_I, [[QQ_I.i]]))
 
 
@@ -82,7 +82,7 @@ def test_find_pd_functional_examples(algebra):
 
 def test_certify_pointed_reverifies(algebra):
     cl = algebra("cl(1|2,+-)")
-    with pytest.raises(ConesError):
+    with pytest.raises(InputError):
         certify_pointed(cl, (QQ.one,))
 
 
@@ -135,7 +135,7 @@ def test_convex_hull_examples():
     assert combo == (Fraction(1, 2), Fraction(1, 2))
     assert convex_hull_contains_zero([(one, zero), (zero, one)]) is None
     assert convex_hull_contains_zero([(zero, zero)]) == (Fraction(1),)
-    with pytest.raises(ConesError):
+    with pytest.raises(InputError):
         convex_hull_contains_zero([])
 
 
@@ -242,7 +242,7 @@ def test_check_root_space_form_rejects_unfixed_mu(corpus):
     h0 = compact_cartan_even(g)
     datum = root_decomposition(g, cartan_subsuperalgebra(g, h0))
     bad = tuple(QQ.one for _ in range(g.space.even_dim))
-    with pytest.raises(ConesError):
+    with pytest.raises(InputError):
         check_root_space_form(g, datum, bad)
 
 
@@ -254,7 +254,7 @@ def test_nilpotent_vanishing_ideal(algebra):
     assert vi.dim == 1
     q = quotient(g, vi)
     assert nilpotency_class(q.algebra) == 2
-    with pytest.raises(ConesError):
+    with pytest.raises(InputError):
         nilpotent_vanishing_ideal(algebra("sl(2,R)"))
 
 
@@ -341,3 +341,23 @@ def test_star_reduced_consistent_with_definiteness(corpus):
     for key, want in expectations.items():
         rep = star_reduced_report(corpus[key].algebra, cap=400)
         assert rep.status == want, (key, rep.status, rep.reasons)
+
+
+def test_star_reduced_notes_undetermined_but_raises_invariant_violation(monkeypatch, algebra):
+    from liecones import cartan
+    from liecones.exactnum import InvariantViolation, Undetermined
+    g = algebra("osp(1|2)")
+
+    def undecided(*args):
+        raise Undetermined("SPLITTING_FAILURE in the root engine")
+
+    monkeypatch.setattr(cartan, "root_decomposition", undecided)
+    assert "root decomposition unavailable: SPLITTING_FAILURE in the root engine" \
+        in star_reduced_report(g).notes
+
+    # a conjugation that moves root vectors off their opposite root spaces
+    monkeypatch.undo()
+    monkeypatch.setattr(cartan, "_conjugate_vector",
+                        lambda v: tuple(x + x.field.one for x in v))
+    with pytest.raises(InvariantViolation, match="conjugation symmetry fails"):
+        star_reduced_report(g)

@@ -457,3 +457,35 @@ def test_generalized_eigenspaces_match_kernel_of_power_random(fld, data):
     for lam, space in es.pairs:
         assert space == kernel((A - I.scale(lam)).power(mult[lam]))
         assert space.dim == mult[lam]
+
+
+@pytest.mark.parametrize("fld", [QQ, QQ_I, Q2, QI2], ids=lambda f: f.tag)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_joint_eigenspaces_match_intersect_everything_random(fld, data):
+    """Commuting P (lam I + c N) P^-1 blocks: the pieces equal those of
+    intersecting every piece with every eigenspace of the next matrix."""
+    blocks = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    n = sum(blocks)
+    P = unimodular(fld, n, data)
+    Pinv = P.inverse()
+    mats = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        J = [[fld.zero] * n for _ in range(n)]
+        at = 0
+        for size in blocks:
+            lam = fld.coerce(data.draw(st.sampled_from(EIGENVALUES[fld])))
+            shift = data.draw(st.booleans())
+            for i in range(at, at + size):
+                J[i][i] = lam
+                if shift and i + 1 < at + size:
+                    J[i][i + 1] = fld.one
+            at += size
+        mats.append(P * M(fld, J) * Pinv)
+    pieces = [((), Subspace(fld, ungraded(n), Matrix.identity(fld, n).rows))]
+    for A in mats:
+        es = generalized_eigenspaces(A)
+        assert es.ok
+        pieces = [(evs + (lam,), inter) for evs, piece in pieces for lam, space in es.pairs
+                  for inter in [piece.intersect(space)] if inter.dim]
+    assert joint_eigenspaces(mats) == ("OK", pieces)

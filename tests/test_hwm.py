@@ -1,12 +1,12 @@
 import pytest
 
-from liecones.exactnum import QQ, QQ_I
+from liecones.exactnum import QQ, QQ_I, InputError
 from liecones.glinalg import Matrix
 from liecones.catalog import build
 from liecones.cartan import (Root, cartan_subsuperalgebra, compact_cartan_even,
                              root_decomposition)
 from liecones.cliffrep import MatrixRep, clifford_module
-from liecones.hwm import (CartanModule, HwmError, build_truncated,
+from liecones.hwm import (CartanModule, build_truncated,
                           module_from_rep, positive_system, weight_in_cone)
 from liecones.lsa import subalgebra_on
 
@@ -26,7 +26,7 @@ def test_positive_system_osp(osp_datum):
     assert vals == ["1", "2"]
     neg = positive_system(datum, (-1,))
     assert sorted(str(r.values[0]) for r in neg) == ["-1", "-2"]
-    with pytest.raises(HwmError):
+    with pytest.raises(InputError):
         positive_system(datum, (0,))
 
 
@@ -140,7 +140,7 @@ def test_module_from_rep_rejects_multiweight():
     rep = clifford_module(1, [2])
     bad = MatrixRep(rep.algebra, rep.even_dim, rep.odd_dim,
                     (Matrix(QQ_I, [[QQ_I.i, 0], [0, -QQ_I.i]]),) + rep.mats[1:])
-    with pytest.raises(HwmError):
+    with pytest.raises(InputError):
         module_from_rep(bad, 1)
 
 
@@ -151,3 +151,9 @@ def test_untested_claims_reported(osp_datum):
     tm = build_truncated(datum, pos, CartanModule(1, (fld.rat(1),)), 1)
     doc = tm.as_json()
     assert "untested_claims" in doc and len(doc["untested_claims"]) == 2
+
+
+def test_cartan_module_rejects_nonpositive_dim():
+    for dim in (0, -3):
+        with pytest.raises(InputError):
+            CartanModule(dim, (QQ.zero,))

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecones.exactnum import QQ
+from liecones.exactnum import QQ, InputError
 from liecones.glinalg import GradedSpace, Matrix, Subspace
 from liecones.lsa import (
-    LieSuperalgebra, NotAnIdealError, bracket_span, center, centroid,
+    LieSuperalgebra, bracket_span, center, centroid,
     check_axioms, derivations, differential_constants, grassmann_extend,
     is_nilpotent, is_solvable, is_subalgebra, nilpotency_class, quotient,
     series, subalgebra_on, supercommutant,
@@ -167,7 +167,7 @@ def test_quotient_examples(algebra):
     assert qq.algebra.dim == 0
     # non-ideal raises with a witness
     not_ideal = h1.subspace([h1.basis_vector(0)])   # span{X}
-    with pytest.raises(NotAnIdealError):
+    with pytest.raises(InputError):
         quotient(h1, not_ideal)
 
 
@@ -248,3 +248,57 @@ def test_sparse_jacobi_matches_brute_force(key, data, delta):
     assert [v for v in full.violations if v[0] == "jacobi"] == want
     assert full.jacobi_ok == (not want)
     assert check_axioms(h).violations == full.violations[:25]
+
+
+# Integers stay small: a huge declared dimension is a well-formed document
+# whose cost is the size of the algebra, not a shape error.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12)
+ALGEBRA_KEYS = ("name", "field", "even", "odd", "basis", "brackets", "left", "right",
+                "out", "k", "c")
+
+
+def json_paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, val in items:
+        yield from json_paths(val, prefix + (key,))
+
+
+def from_json_or_input_error(doc):
+    try:
+        LieSuperalgebra.from_json(doc)
+    except InputError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_values | st.dictionaries(st.sampled_from(ALGEBRA_KEYS), json_values, max_size=6))
+def test_from_json_arbitrary_values_raise_only_input_error(doc):
+    from_json_or_input_error(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(catalog.list_keys()), st.data())
+def test_from_json_mutated_documents_raise_only_input_error(key, data):
+    doc = catalog.build(key).algebra.to_json()
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(json_paths(doc))))
+        if not path:
+            doc = data.draw(json_values)
+            continue
+        parent = doc
+        for step in path[:-1]:
+            parent = parent[step]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(json_values | st.sampled_from(
+                ["Q", "Q_i", "Q_sqrt(2)", "Q_sqrt(" + "9" * 5000 + ")", "1/0", "1/2*i",
+                 "-3*sqrt2", "9" * 5000]))
+    from_json_or_input_error(doc)
