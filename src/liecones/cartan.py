@@ -16,8 +16,7 @@ from typing import Iterable, Iterator
 from .exactnum import (InputError, InvariantViolation, Scalar, Undetermined, is_squarefree,
                        real_root_signs)
 from .glinalg import (
-    GradedSpace, Matrix, Subspace, Vector, joint_eigenspaces, kernel,
-    vec_add, vec_scale, zero_vector,
+    GradedSpace, Matrix, Subspace, Vector, joint_eigenspaces, kernel, lin_comb, zero_vector,
 )
 from .lsa import LieSuperalgebra, bracket_span, is_nilpotent, is_subalgebra, subalgebra_on
 
@@ -207,10 +206,7 @@ def is_compactly_embedded(g: LieSuperalgebra, k0: Subspace,
     # non-abelian: sampled combinations, necessary-only certificate
     count = 0
     for ints in candidate_vectors(k0.dim, sample_bound, sample_cap):
-        v = zero_vector(g.field, g.dim)
-        for coef, row in zip(ints, k0.rows):
-            if coef:
-                v = vec_add(v, vec_scale(g.field.rat(coef), row))
+        v = lin_comb(g.field, g.dim, (g.field.rat(c) for c in ints), k0.rows)
         verdict = _spectrum_purely_imaginary_semisimple(g, v)
         if verdict is not True:
             return verdict
@@ -257,12 +253,6 @@ class RootDatum:
     cartan: CartanData
     complexified: LieSuperalgebra
     roots: list[Root]
-
-    def nonzero_roots(self) -> list[Root]:
-        return [r for r in self.roots if not r.is_zero]
-
-    def root_values(self) -> list[tuple[Scalar, ...]]:
-        return [r.values for r in self.roots]
 
 
 def _conjugate_vector(v: Vector) -> Vector:

@@ -32,10 +32,6 @@ def czeros(r: int, c: int) -> Matrix:
     return Matrix.zero(QQ_I, r, c)
 
 
-def ceye(n: int) -> Matrix:
-    return Matrix.identity(QQ_I, n)
-
-
 def unit_mat(N: int, i: int, j: int, imaginary: bool = False) -> Matrix:
     z, o = QQ_I.zero, (QQ_I.i if imaginary else QQ_I.one)
     return Matrix(QQ_I, [[o if (r, c) == (i, j) else z for c in range(N)] for r in range(N)])
@@ -126,16 +122,8 @@ def _solve_real_form(m: int, n: int, parity: int,
                 raise InvariantViolation("scalar constraint outside Q(i)")
             col.extend((v.a, v.b))
         cols.append(col)
-    Msys = Matrix.from_cols(QQ, cols)
-    sols = Msys.kernel_basis()
-    out = []
-    for sol in sols:
-        acc = czeros(N, N)
-        for t, coeff in enumerate(sol):
-            if coeff:
-                acc = acc + gens[t].scale(coeff.promote(QQ_I))
-        out.append(acc)
-    return out
+    sols = Matrix.from_cols(QQ, cols).kernel_basis()
+    return [Matrix.combination(QQ_I, N, N, zip(sol, gens)) for sol in sols]
 
 
 @dataclass
@@ -151,11 +139,7 @@ class CatalogEntry:
         if self.realization is None:
             raise InputError(f"{self.key} has no matrix realization")
         N = self.realization[0].nrows
-        acc = czeros(N, N)
-        for k, z in enumerate(v):
-            if z:
-                acc = acc + self.realization[k].scale(z.promote(QQ_I))
-        return acc
+        return Matrix.combination(QQ_I, N, N, zip(v, self.realization))
 
     def coords_of(self, M: Matrix, fld: Field | None = None) -> Vector | None:
         """Coordinates of a matrix over the catalog basis (complex allowed)."""

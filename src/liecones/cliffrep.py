@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .exactnum import (Field, InputError, InvariantViolation, QQ, QQ_I, Scalar, Undetermined,
                        rational_sqrt_decomp)
-from .glinalg import Matrix, Vector, eliminate, vec_is_zero
+from .glinalg import Matrix, Vector, eliminate, vec_is_zero, vec_scale
 from .lsa import LieSuperalgebra, bracket_span, center
 from .cones import is_positive_definite
 
@@ -47,6 +47,8 @@ class MatrixRep:
                              f"{len(self.mats)} for dimension {self.algebra.dim}")
         if any((M.nrows, M.ncols) != (self.dim, self.dim) for M in self.mats):
             raise InputError(f"every operator must be {self.dim} x {self.dim}")
+        if any(M.field is not self.field for M in self.mats):
+            raise InputError("every operator must be over one scalar tower")
 
     @property
     def dim(self) -> int:
@@ -57,11 +59,7 @@ class MatrixRep:
         return self.mats[0].field if self.mats else QQ_I
 
     def rho(self, v: Vector) -> Matrix:
-        acc = Matrix.zero(self.field, self.dim, self.dim)
-        for k, c in enumerate(v):
-            if c:
-                acc = acc + self.mats[k].scale(c.promote(self.field))
-        return acc
+        return Matrix.combination(self.field, self.dim, self.dim, zip(v, self.mats))
 
     def block_pattern_ok(self, M: Matrix, parity: int) -> bool:
         e = self.even_dim
@@ -216,12 +214,23 @@ def verify_rep(rep: MatrixRep, adjoint_sample: Sequence[Vector] = (),
             grading_ok = False
             failures.append({"axiom": "grading", "basis": k})
 
+    products: dict[tuple[int, int], Matrix] = {}
+
+    def product(a: int, b: int) -> Matrix:
+        """M_a M_b, computed once for both bracket loops."""
+        if (a, b) not in products:
+            products[(a, b)] = rep.mats[a] * rep.mats[b]
+        return products[(a, b)]
+
+    def bracket(a: int, b: int) -> Vector:
+        return tuple(x.promote(fld) for x in g.bracket_basis(a, b))
+
     minus_i = -fld.i
     anticommutator_ok = True
     for a in g.space.odd_indices():
         for b in g.space.odd_indices():
-            lhs = rep.mats[a] * rep.mats[b] + rep.mats[b] * rep.mats[a]
-            rhs = rep.rho(tuple(x.promote(fld) for x in g.bracket_basis(a, b))).scale(minus_i)
+            lhs = product(a, b) + product(b, a)
+            rhs = rep.rho(vec_scale(minus_i, bracket(a, b)))
             if lhs != rhs:
                 anticommutator_ok = False
                 failures.append({"axiom": "anticommutator", "pair": [a, b]})
@@ -229,8 +238,8 @@ def verify_rep(rep: MatrixRep, adjoint_sample: Sequence[Vector] = (),
     even_commutator_ok = True
     for a in g.space.even_indices():
         for b in range(n):
-            lhs = rep.mats[a] * rep.mats[b] - rep.mats[b] * rep.mats[a]
-            rhs = rep.rho(tuple(x.promote(fld) for x in g.bracket_basis(a, b)))
+            lhs = product(a, b) - product(b, a)
+            rhs = rep.rho(bracket(a, b))
             if lhs != rhs:
                 even_commutator_ok = False
                 failures.append({"axiom": "even_commutator", "pair": [a, b]})
@@ -395,10 +404,7 @@ def _contains_invertible(mats: list[Matrix], budget: int = 20000) -> bool:
             raise Undetermined("invertibility search budget exhausted")
         if sum(combo) == 0 or max(combo) == 0:
             continue
-        acc = Matrix.zero(fld, n, n)
-        for c, M in zip(combo, mats):
-            if c:
-                acc = acc + M.scale(fld.rat(c))
+        acc = Matrix.combination(fld, n, n, ((fld.rat(c), M) for c, M in zip(combo, mats)))
         if acc.det():
             return True
     return False
@@ -535,12 +541,7 @@ def classify_heisenberg_clifford(g: LieSuperalgebra, gamma) -> HCClassification:
     # rho(Z) = i * gamma(Z) * Id; the Gram matrix above already absorbed gamma
     mats = [Matrix.identity(fld, 2 * half).scale(fld.new(0, gam.as_fraction(), 0, 0))]
     for b in range(d):
-        acc = Matrix.zero(fld, 2 * half, 2 * half)
-        for a in range(d):
-            coef = Pinv.rows[b][a]
-            if coef:
-                acc = acc + primed[a].scale(coef.promote(fld))
-        mats.append(acc)
+        mats.append(Matrix.combination(fld, 2 * half, 2 * half, zip(Pinv.rows[b], primed)))
     # the module represents the subalgebra spanned by Z and the odd part
     zs = g.subspace([shape.z_index])
     alg_names_even = ["Z"]

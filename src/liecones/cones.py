@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import InputError, InvariantViolation, Poly, Scalar, Undetermined
+from .exactnum import InputError, InvariantViolation, Poly, Scalar, Undetermined, check_tower
 from .glinalg import Matrix, Subspace, Vector, vec_add, vec_is_zero, vec_scale
 from .lsa import LieSuperalgebra, bracket_span, center, is_ideal, is_nilpotent, series
 from . import cartan as _cartan
@@ -39,11 +39,16 @@ def odd_square(g: LieSuperalgebra, x: Vector) -> Vector:
     return g.bracket(x, x)
 
 
-def functional_value(lam: Vector, v: Vector) -> Scalar:
+def functional_value(lam: Vector, v: Vector) -> Scalar | None:
+    """sum_k lam[k] * v[k] over the nonzero pairs; None for empty input."""
     acc = None
     for a, b in zip(lam, v, strict=True):
-        t = a * b
-        acc = t if acc is None else acc + t
+        if a and b:
+            acc = a * b if acc is None else acc + a * b
+        else:
+            check_tower(a, b)
+    if acc is None and lam:
+        return lam[0].field.zero
     return acc
 
 

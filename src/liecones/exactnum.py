@@ -35,6 +35,12 @@ class FieldMismatchError(InputError):
     """Raised when two scalars from different towers meet in one operation."""
 
 
+def check_tower(x: "Scalar", y: "Scalar") -> None:
+    """FieldMismatchError unless x and y lie in one tower."""
+    if x.field is not y.field:
+        raise FieldMismatchError(f"mixed scalar towers {x.field.tag} and {y.field.tag}")
+
+
 def squarefree_decomp(n: int) -> tuple[int, int]:
     """Write n > 0 as r**2 * s with s squarefree; returns (r, s)."""
     if n <= 0:
@@ -65,8 +71,12 @@ def rational_sqrt_decomp(q: Fraction) -> tuple[Fraction, int]:
 _FIELD_RE = re.compile(r"^Q(_i)?(_sqrt\((\d+)\))?$")
 
 
+MAX_D = 10 ** 12      # squarefreeness by trial division: at most 10**6 steps
+
+
 class Field:
-    """One of the towers Q, Q_i, Q_sqrt(d), Q_i_sqrt(d); d squarefree > 1."""
+    """One of the towers Q, Q_i, Q_sqrt(d), Q_i_sqrt(d); d squarefree,
+    1 < d <= MAX_D."""
 
     _cache: dict[tuple[bool, int | None], "Field"] = {}
 
@@ -74,6 +84,8 @@ class Field:
         if d is not None:
             if d <= 1:
                 raise InputError("d must be a squarefree integer > 1")
+            if d > MAX_D:
+                raise InputError(f"d = {d} is above the tower bound {MAX_D}")
             _, s = squarefree_decomp(d)
             if s != d:
                 raise InputError(f"d = {d} is not squarefree")
@@ -114,14 +126,6 @@ class Field:
 
     def complexified(self) -> "Field":
         return Field(True, self.d)
-
-    def with_sqrt(self, d: int) -> "Field":
-        _, s = squarefree_decomp(d)
-        if s == 1:
-            return self
-        if self.d is not None and self.d != s:
-            raise FieldMismatchError(f"tower {self.tag} already carries sqrt({self.d})")
-        return Field(self.has_i, s)
 
     # scalar constructors -------------------------------------------------
     def new(self, a=0, b=0, c=0, e=0) -> "Scalar":
@@ -191,10 +195,7 @@ class Scalar:
             raise InputError(f"{field.tag} has no imaginary component")
 
     # basic protocol -------------------------------------------------------
-    def _check(self, other: "Scalar") -> None:
-        if self.field is not other.field:
-            raise FieldMismatchError(
-                f"mixed scalar towers {self.field.tag} and {other.field.tag}")
+    _check = check_tower
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
@@ -583,11 +584,6 @@ def real_root_signs(p: Poly) -> tuple[int, int, int]:
     sign_pos_inf = [g.leading().sign() for g in chain]
     v_neg, v_0, v_pos = (_variations(s) for s in (sign_neg_inf, sign_at_zero, sign_pos_inf))
     return (v_neg - v_0, count_zero, v_0 - v_pos)
-
-
-def count_real_roots(p: Poly) -> int:
-    n, z, pos = real_root_signs(p)
-    return n + z + pos
 
 
 def sqrt_in_field(x: Scalar) -> Scalar | None:

@@ -18,20 +18,45 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exactnum import Field, InputError, InvariantViolation, Poly, Scalar, sqrt_in_field
+from .exactnum import (Field, InputError, InvariantViolation, Poly, Scalar, check_tower,
+                       sqrt_in_field)
 
 Vector = tuple[Scalar, ...]
 SparseVec = dict[int, Scalar]
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(u, v, strict=True))
+    """u + v, adding only nonzero pairs; a zero summand leaves the other one."""
+    out = []
+    for x, y in zip(u, v, strict=True):
+        if x and y:
+            out.append(x + y)
+        else:
+            check_tower(x, y)
+            out.append(x or y)
+    return tuple(out)
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
     return tuple(x - y for x, y in zip(u, v, strict=True))
 
 def vec_scale(s: Scalar, v: Vector) -> Vector:
-    return tuple(s * x for x in v)
+    """s * v, multiplying only nonzero pairs; a zero pair gives the zero it holds."""
+    out = []
+    for x in v:
+        if s and x:
+            out.append(s * x)
+        else:
+            check_tower(s, x)
+            out.append(s if x else x)
+    return tuple(out)
+
+def lin_comb(fld: Field, n: int, coefs: Iterable[Scalar], rows: Iterable[Vector]) -> Vector:
+    """sum_k coefs[k] * rows[k] in fld^n, over the nonzero coefficients."""
+    v = zero_vector(fld, n)
+    for coef, row in zip(coefs, rows):
+        if coef:
+            v = vec_add(v, vec_scale(coef, row))
+    return v
 
 def vec_is_zero(v: Vector) -> bool:
     return not any(v)
@@ -151,6 +176,22 @@ class Matrix:
         return Matrix(fld, [[fld.zero] * n for _ in range(m)])
 
     @staticmethod
+    def combination(fld: Field, m: int, n: int,
+                    terms: Iterable[tuple[Scalar, "Matrix"]]) -> "Matrix":
+        """sum c * M over the (c, M) terms as an m x n matrix over fld, over
+        the nonzero coefficients and entries only."""
+        z = fld.zero
+        acc = [[z] * n for _ in range(m)]
+        for c, M in terms:
+            if c:
+                c = c.promote(fld)
+                for row, mrow in zip(acc, M.rows):
+                    for j, x in enumerate(mrow):
+                        if x:
+                            row[j] = row[j] + c * x if row[j] else c * x
+        return Matrix(fld, acc)
+
+    @staticmethod
     def from_cols(fld: Field, cols: Sequence[Sequence]) -> "Matrix":
         if not cols:
             return Matrix(fld, [])
@@ -193,7 +234,7 @@ class Matrix:
             for a, orow in zip(r, orows):
                 if a:
                     for j, b in orow:
-                        row[j] = row[j] + a * b
+                        row[j] = row[j] + a * b if row[j] else a * b
             out.append(row)
         return Matrix(self.field, out)
 
@@ -524,14 +565,8 @@ class Subspace:
         # x = a . rows1 = b . rows2  <=>  (a, -b) in kernel of [rows1^T rows2^T]
         cols = [list(r) for r in self.rows] + [list(r) for r in other.rows]
         M = Matrix.from_cols(self.field, cols)
-        vecs = []
-        for k in M.kernel_basis():
-            a = k[:len(self.rows)]
-            v = zero_vector(self.field, self.ambient.dim)
-            for coef, row in zip(a, self.rows):
-                if coef:
-                    v = vec_add(v, vec_scale(coef, row))
-            vecs.append(v)
+        vecs = [lin_comb(self.field, self.ambient.dim, k[:len(self.rows)], self.rows)
+                for k in M.kernel_basis()]
         return Subspace(self.field, self.ambient, vecs)
 
     def even_part(self) -> "Subspace":

@@ -242,7 +242,6 @@ class AxiomReport:
 
 def check_axioms(g: LieSuperalgebra, max_violations: int = 25) -> AxiomReport:
     """Exhaustive parity / graded-antisymmetry / graded-Jacobi check."""
-    n = g.dim
     f = g.field
     violations = []
     parity_ok = True
@@ -254,21 +253,20 @@ def check_axioms(g: LieSuperalgebra, max_violations: int = 25) -> AxiomReport:
                 if len(violations) < max_violations:
                     violations.append(("parity", i, j, k))
     antisymmetry_ok = True
-    for i in range(n):
-        pi = g.parity(i)
-        for j in range(i, n):
-            sign = f.one if (pi * g.parity(j)) else -f.one
-            lhs = g.c(i, j)
-            rhs = g.c(j, i)
-            keys = set(lhs) | set(rhs)
-            for k in keys:
-                a = lhs.get(k, f.zero)
-                b = rhs.get(k, f.zero)
-                if b != sign * a:
-                    antisymmetry_ok = False
-                    if len(violations) < max_violations:
-                        violations.append(("antisymmetry", i, j))
-                    break
+    # a pair with no bracket in either order is antisymmetric: walk the
+    # pairs i <= j that have one, in the order of the full i <= j scan
+    for i, j in sorted({(min(p), max(p)) for p in g.brackets}):
+        sign = f.one if (g.parity(i) * g.parity(j)) else -f.one
+        lhs = g.c(i, j)
+        rhs = g.c(j, i)
+        for k in set(lhs) | set(rhs):
+            a = lhs.get(k, f.zero)
+            b = rhs.get(k, f.zero)
+            if b != sign * a:
+                antisymmetry_ok = False
+                if len(violations) < max_violations:
+                    violations.append(("antisymmetry", i, j))
+                break
     # Graded Jacobi over the nonzero structure constants only: with
     # T[a, b, c] = [e_a, [e_b, e_c]], J(i, j, k) is a signed sum of T at the
     # three rotations of (i, j, k), so only rotations of keys of T can fail.
@@ -527,10 +525,8 @@ def differential_constants(g: LieSuperalgebra) -> EndoFamily:
                             rows.append(row)
         sols = eliminate(rows).null_basis(len(cbasis), g.field.one)
         for sol in sols:
-            acc = Matrix.zero(g.field, g.dim, g.dim)
-            for t, val in sol.items():
-                acc = acc + cbasis[t].scale(val)
-            out[s].append(acc)
+            out[s].append(Matrix.combination(g.field, g.dim, g.dim,
+                                             ((val, cbasis[t]) for t, val in sol.items())))
     return EndoFamily(g, out[0], out[1])
 
 

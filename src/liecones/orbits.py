@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exactnum import InputError, InvariantViolation, Undetermined
-from .glinalg import Matrix, Subspace, Vector, unit_vector, vec_add, vec_is_zero, vec_scale, zero_vector
+from .glinalg import (Matrix, Subspace, Vector, lin_comb, unit_vector, vec_add, vec_is_zero,
+                      vec_scale, zero_vector)
 from .lsa import (
     LieSuperalgebra, QuotientResult, bracket_span, center,
     is_ideal, is_nilpotent, is_subalgebra, quotient, series, subalgebra_on,
@@ -132,13 +133,7 @@ def _engel_refine(g: LieSuperalgebra, bottom: Subspace, top: Subspace) -> list[S
             sols = Matrix(g.field, rows).kernel_basis()
         else:
             sols = [unit_vector(g.field, top.dim, t) for t in range(top.dim)]
-        socle_vecs = []
-        for sol in sols:
-            v = zero_vector(g.field, g.dim)
-            for coef, tb in zip(sol, top.rows):
-                if coef:
-                    v = vec_add(v, vec_scale(coef, tb))
-            socle_vecs.append(v)
+        socle_vecs = [lin_comb(g.field, g.dim, sol, top.rows) for sol in sols]
         socle = Subspace(g.field, g.space, list(cur.rows) + socle_vecs)
         if socle.dim <= cur.dim:
             raise InvariantViolation("Engel socle did not grow; not nilpotent?")
@@ -176,14 +171,8 @@ def _form_radical(g: LieSuperalgebra, lam: Vector, member: Subspace) -> Subspace
         for v in member.rows:
             row.append(functional_value(lam, g.bracket(v, w)[:e]))
         rows.append(row)
-    M = Matrix(g.field, rows)
-    rad_vecs = []
-    for sol in M.kernel_basis():
-        v = zero_vector(g.field, g.dim)
-        for coef, b in zip(sol, member.rows):
-            if coef:
-                v = vec_add(v, vec_scale(coef, b))
-        rad_vecs.append(v)
+    rad_vecs = [lin_comb(g.field, g.dim, sol, member.rows)
+                for sol in Matrix(g.field, rows).kernel_basis()]
     return Subspace(g.field, g.space, rad_vecs)
 
 
@@ -195,13 +184,20 @@ def polarizing_flag(g: LieSuperalgebra, lam: Sequence) -> PolarizingSystem:
     admissible, _ = in_admissible_cone(g, lam)
     if not admissible:
         raise NotAdmissible("odd Gram matrix is not positive semidefinite")
-    odd = g.odd_subspace
-    even = g.even_subspace
-    k_ideal = bracket_span(g, odd, odd)
-    zero = g.subspace([])
-    chain = _engel_refine(g, zero, k_ideal)
-    chain += _engel_refine(g, k_ideal, even)[1:]
-    m0 = zero
+    return _polarize(g, lam, _engel_flag(g))
+
+
+def _engel_flag(g: LieSuperalgebra) -> list[Subspace]:
+    """Codimension-one ideal chain of g0 through [g1, g1]; depends on g only."""
+    k_ideal = bracket_span(g, g.odd_subspace, g.odd_subspace)
+    chain = _engel_refine(g, g.subspace([]), k_ideal)
+    return chain + _engel_refine(g, k_ideal, g.even_subspace)[1:]
+
+
+def _polarize(g: LieSuperalgebra, lam: Vector, chain: list[Subspace]) -> PolarizingSystem:
+    """Sum of the Omega_lambda radicals of the flag members, for an
+    admissible lam; the flag is _engel_flag(g)."""
+    m0 = chain[0]
     for member in chain[1:]:
         m0 = m0.sum_with(_form_radical(g, lam, member))
     return polarizing_system_from_m0(g, lam, m0,
@@ -238,23 +234,13 @@ def polarizing_system_from_m0(g: LieSuperalgebra, lam: Sequence, m0: Subspace,
                 raise InputError("polarization is not isotropic")
     m = m0.sum_with(odd)
     # j = ker(lambda restricted to m0) (+) rad of the odd Gram form
-    ker_rows = []
     coeff_rows = [[functional_value(lam, b[:e]) for b in m0.rows]]
-    for sol in Matrix(g.field, coeff_rows).kernel_basis():
-        v = zero_vector(g.field, g.dim)
-        for coef, b in zip(sol, m0.rows):
-            if coef:
-                v = vec_add(v, vec_scale(coef, b))
-        ker_rows.append(v)
+    ker_rows = [lin_comb(g.field, g.dim, sol, m0.rows)
+                for sol in Matrix(g.field, coeff_rows).kernel_basis()]
     gram = form.matrix
     odd_rank = gram.rank()
-    odd_rad_rows = []
-    for sol in gram.kernel_basis():
-        v = zero_vector(g.field, g.dim)
-        for coef, idx in zip(sol, g.space.odd_indices()):
-            if coef:
-                v = vec_add(v, vec_scale(coef, g.basis_vector(idx)))
-        odd_rad_rows.append(v)
+    odd_basis = [g.basis_vector(idx) for idx in g.space.odd_indices()]
+    odd_rad_rows = [lin_comb(g.field, g.dim, sol, odd_basis) for sol in gram.kernel_basis()]
     j = Subspace(g.field, g.space, ker_rows + odd_rad_rows)
     msub = subalgebra_on(g, m, name=f"{g.name}|m")
     j_in_m_rows = []
@@ -353,10 +339,7 @@ def coadjoint_orbit_member(g: LieSuperalgebra, lam: Sequence, lam2: Sequence,
                 raise Undetermined(
                     "linearized stage failed below class-3 depth; membership undecided")
             return None
-        w = zero_vector(f, e)
-        for coef, hrow in zip(sol, h_rows):
-            if coef:
-                w = vec_add(w, vec_scale(coef, hrow))
+        w = lin_comb(f, e, sol, h_rows)
         cur = _apply_exp(g, cur, w)
         path.append(w)
         for y in layer.rows:
@@ -369,14 +352,8 @@ def coadjoint_orbit_member(g: LieSuperalgebra, lam: Sequence, lam2: Sequence,
         for y in layer.rows:
             rows.append([functional_value(cur, g0.ad(w0).apply(tuple(y[:e])))
                          for w0 in h_rows])
-        new_h = []
-        for sol0 in Matrix(f, rows).kernel_basis() if rows else []:
-            w0 = zero_vector(f, e)
-            for coef, hrow in zip(sol0, h_rows):
-                if coef:
-                    w0 = vec_add(w0, vec_scale(coef, hrow))
-            new_h.append(w0)
-        h_rows = new_h
+        h_rows = [lin_comb(f, e, sol0, h_rows)
+                  for sol0 in (Matrix(f, rows).kernel_basis() if rows else [])]
     if tuple(cur) != tuple(lam2):
         raise InvariantViolation("orbit path verification failed")  # pragma: no cover
     # exact end-to-end re-verification of the recorded word
@@ -451,7 +428,12 @@ class OrbitDescriptor:
 
 def classify_orbits(g: LieSuperalgebra, box: Sequence[Sequence]) -> list[OrbitDescriptor]:
     """Partition the admissible members of a finite candidate box into
-    coadjoint orbits and attach polarizing-system descriptors."""
+    coadjoint orbits and attach polarizing-system descriptors.
+
+    Members are grouped by the orbit invariants (central character, rank of
+    Omega_lambda); a rank-0 functional is a fixed point, and every other
+    member is tested against the representative of each orbit found so far
+    in its group."""
     if not is_nilpotent(g):
         raise InputError("orbit classification needs a nilpotent algebra")
     cands = [coerce_functional(g, lam) for lam in box]
@@ -464,33 +446,33 @@ def classify_orbits(g: LieSuperalgebra, box: Sequence[Sequence]) -> list[OrbitDe
         return cc, rank
 
     inv = {i: invariants(cands[i]) for i in admissible}
-    parent = {i: i for i in admissible}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     groups: dict[tuple, list[int]] = {}
     for i in admissible:
         groups.setdefault(inv[i], []).append(i)
-    for _, members in sorted(groups.items()):
-        for a_pos in range(len(members)):
-            for b_pos in range(a_pos + 1, len(members)):
-                a, b = members[a_pos], members[b_pos]
-                if find(a) == find(b):
-                    continue
-                if coadjoint_orbit_member(g, cands[a], cands[b]) is not None:
-                    parent[find(b)] = find(a)
-    orbits: dict[int, list[int]] = {}
-    for i in admissible:
-        orbits.setdefault(find(i), []).append(i)
+    orbits: list[list[int]] = []
+    for (_, rank), members in sorted(groups.items()):
+        if rank == 0:
+            # Omega_lambda = 0: lambda o ad X vanishes on g0 for every even X,
+            # so Ad*(G0) fixes lambda and its orbit is {lambda}
+            points: dict[Vector, list[int]] = {}
+            for i in members:
+                points.setdefault(cands[i], []).append(i)
+            orbits.extend(points.values())
+            continue
+        found: list[list[int]] = []
+        for i in members:
+            for orbit in found:
+                if coadjoint_orbit_member(g, cands[orbit[0]], cands[i]) is not None:
+                    orbit.append(i)
+                    break
+            else:
+                found.append([i])
+        orbits.extend(found)
+    chain = _engel_flag(g) if orbits else []
     out = []
-    for root in sorted(orbits):
-        members = sorted(orbits[root])
+    for members in sorted(orbits):
         rep = cands[members[0]]
-        ps = polarizing_flag(g, rep)
+        ps = _polarize(g, rep, chain)
         cc, rank = inv[members[0]]
         for i in members[1:]:
             if inv[i] != (cc, rank):

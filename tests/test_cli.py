@@ -379,3 +379,14 @@ def test_malformed_input_exits_1_without_verdict(tmp_path, capsys, argv, error):
     rep = json.loads(out)
     assert code == 1 and rep["status"] == "ERROR"
     assert list(rep["results"]) == ["error"] and error in rep["results"]["error"]
+
+
+def test_field_tag_above_the_tower_bound_exits_1(tmp_path, capsys):
+    """A 30-digit d is rejected before any squarefree trial division."""
+    path = tmp_path / "bigd.json"
+    path.write_text(json.dumps({"field": "Q_sqrt(100000000000000000000000000057)",
+                                "even": 1, "odd": 0}))
+    code, out = run_cli(["validate", "--algebra", str(path)], capsys)
+    rep = json.loads(out)
+    assert code == 1 and rep["status"] == "ERROR"
+    assert "tower bound" in rep["results"]["error"]

@@ -162,3 +162,13 @@ def test_sqrt_in_field():
     assert sqrt_in_field(QQ_I.rat(-4)) == QQ_I.new(0, 2)
     assert sqrt_in_field(QI2.rat(-2)) == QI2.new(0, 0, 0, 1)
     assert sqrt_in_field(QQ_I.rat(-2)) is None
+
+
+def test_field_tag_domain_bound():
+    """d <= MAX_D keeps the squarefree test to at most 10**6 trial divisions."""
+    from liecones.exactnum import MAX_D, InputError
+    assert MAX_D == 10 ** 12
+    assert Field.parse("Q_i_sqrt(999999999989)").d == 999999999989     # a prime
+    for tag in (f"Q_sqrt({MAX_D + 1})", "Q_sqrt(100000000000000000000000000057)"):
+        with pytest.raises(InputError, match="tower bound"):
+            Field.parse(tag)

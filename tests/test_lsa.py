@@ -302,3 +302,20 @@ def test_from_json_mutated_documents_raise_only_input_error(key, data):
                 ["Q", "Q_i", "Q_sqrt(2)", "Q_sqrt(" + "9" * 5000 + ")", "1/0", "1/2*i",
                  "-3*sqrt2", "9" * 5000]))
     from_json_or_input_error(doc)
+
+
+@pytest.mark.parametrize("key", [None, "su(1,1|1,1)"])
+def test_check_axioms_cost_follows_the_brackets(key):
+    """Counted, not timed: at most two lookups per bracket pair plus one per
+    basis vector, so 3,000 bracket-free dimensions cost no pair scan."""
+    if key is None:
+        g = LieSuperalgebra("z", GradedSpace(3000, 0), QQ, {})
+    else:
+        src = catalog.build(key).algebra
+        g = LieSuperalgebra(src.name, src.space, src.field, src.brackets)
+    calls = []
+    lookup = g.c
+    object.__setattr__(g, "c", lambda i, j: calls.append((i, j)) or lookup(i, j))
+    assert check_axioms(g).all_ok
+    pairs = {(min(p), max(p)) for p in g.brackets}
+    assert len(calls) <= 2 * len(pairs) + g.dim
