@@ -2,21 +2,22 @@
 
 All data is over one scalar tower (see exactnum).  Every elimination runs
 through one of two routines: eliminate(), a sparse-row Gauss-Jordan pass
-behind rref, rank, kernels, solves, inverses, determinants and canonical
-subspaces; and Matrix.ldl(), a natural-order symmetric/Hermitian pass whose
-pivots decide definiteness.  Subspaces are kept in reduced row-echelon form,
-which makes equality decidable and serialization stable.  Characteristic
-polynomials come from a Hessenberg reduction, O(n^3) field operations.
-Eigenvalue extraction factors them over Q (via sympy, imported on the first
-factorisation only) and splits quadratics inside the declared tower; anything
-that does not split is reported as SPLITTING_FAILURE, never approximated.
+behind rref, rank, kernels, solves (also factored once, Matrix.solver),
+inverses, determinants and canonical subspaces; and Matrix.ldl(), a
+natural-order symmetric/Hermitian pass whose pivots decide definiteness.
+Subspaces are kept in reduced row-echelon form, which makes equality
+decidable and serialization stable.  Characteristic polynomials come from a
+Hessenberg reduction, O(n^3) field operations.  Eigenvalue extraction
+factors them over Q (via sympy, imported on the first factorisation only)
+and splits quadratics inside the declared tower; anything that does not
+split is reported as SPLITTING_FAILURE, never approximated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exactnum import (Field, InputError, InvariantViolation, Poly, Scalar, check_tower,
                        sqrt_in_field)
@@ -327,6 +328,31 @@ class Matrix:
                     X[pc][c - n] = x
         return Matrix(self.field, X)
 
+    def solver(self) -> Callable[[Vector], Vector | None]:
+        """solve with its elimination done once: [self | I] is reduced a single
+        time, and each b then costs a product with the recorded row operations
+        and a check against the left kernel (b outside the image gives None)."""
+        n, z = self.ncols, self.field.zero
+        rows = self._sparse_rows()
+        for i, row in enumerate(rows):
+            row[n + i] = self.field.one
+        reduced = eliminate(rows, n).rows
+        left_kernel = self.transpose().kernel_basis()
+
+        def dot(pairs) -> Scalar:
+            return sum((x * y for x, y in pairs if x and y), z)
+
+        def solve(b: Vector) -> Vector | None:
+            if len(b) != self.nrows:
+                raise InputError("dimension mismatch in solve")
+            if any(dot(zip(y, b)) for y in left_kernel):
+                return None
+            x = [z] * n
+            for pc, row in reduced.items():
+                x[pc] = dot((c, b[k - n]) for k, c in row.items() if k >= n)
+            return tuple(x)
+        return solve
+
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise InputError("inverse of non-square matrix")
@@ -510,7 +536,7 @@ def ungraded(n: int) -> GradedSpace:
 class Subspace:
     """Subspace of a graded coordinate space, stored as canonical RREF rows."""
 
-    __slots__ = ("field", "ambient", "rows", "pivots")
+    __slots__ = ("field", "ambient", "rows", "pivots", "_entries")
 
     def __init__(self, fld: Field, ambient: GradedSpace, vectors: Iterable[Sequence]):
         gens = []
@@ -523,6 +549,7 @@ class Subspace:
         e = eliminate(gens)
         self.pivots = e.pivots
         self.rows = tuple(densify(e.rows[pc], ambient.dim, fld) for pc in self.pivots)
+        self._entries = tuple(tuple(e.rows[pc].items()) for pc in self.pivots)
 
     @property
     def dim(self) -> int:
@@ -536,12 +563,20 @@ class Subspace:
         return hash((self.field.tag, self.ambient, self.rows))
 
     def reduce(self, v: Vector) -> Vector:
-        """Residual of v after eliminating against the canonical rows."""
+        """Residual of v after eliminating against the canonical rows, over
+        their nonzero entries; once a row is subtracted, every entry of v must
+        lie in the row's tower (FieldMismatchError), zeros included."""
         v = list(v)
-        for row, pc in zip(self.rows, self.pivots):
-            if v[pc]:
-                f = v[pc]
-                v = [x - f * y for x, y in zip(v, row)]
+        used = None
+        for pc, entries in zip(self.pivots, self._entries):
+            f = v[pc]
+            if f:
+                used = f
+                for k, y in entries:
+                    v[k] = v[k] - f * y
+        if used is not None:
+            for x in v:
+                check_tower(used, x)
         return tuple(v)
 
     def contains(self, v: Vector) -> bool:

@@ -10,7 +10,8 @@ inconsistent input is caught by check_axioms.
 A LieSuperalgebra is an immutable value: name, space, field and the
 read-only brackets are fixed at construction.  It owns its derived
 structure (the full, even and odd coordinate subspaces, the centre, both
-series and the even part as a subalgebra), each computed once, on first use.
+series, the even part as a subalgebra, the ad(e_j) basis, [g1, g1] and the
+Engel flag of g0 through it), each computed once, on first use.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .exactnum import Field, InputError, InvariantViolation, Scalar, parse_scalar
 from .glinalg import (
     GradedSpace, Matrix, SparseVec, Subspace, Vector, coordinate_subspace, densify,
-    eliminate, full_subspace, unit_vector,
+    eliminate, full_subspace, lin_comb, unit_vector, zero_vector,
 )
 
 
@@ -174,6 +175,22 @@ class LieSuperalgebra:
     @cached_property
     def _derived(self) -> tuple[Subspace, ...]:
         return _series(self, derived=True)
+
+    @cached_property
+    def ad_basis(self) -> tuple[Matrix, ...]:
+        """ad(e_j) for each basis vector; ad(v) is their combination by v."""
+        return tuple(self.ad(self.basis_vector(j)) for j in range(self.dim))
+
+    @cached_property
+    def odd_square(self) -> Subspace:
+        """[g1, g1], an ideal of g0."""
+        return bracket_span(self, self.odd_subspace, self.odd_subspace)
+
+    @cached_property
+    def engel_flag(self) -> tuple[Subspace, ...]:
+        """Codimension-one ideal chain of g0 from 0 through [g1, g1] to g0."""
+        chain = _engel_refine(self, self.subspace([]), self.odd_square)
+        return tuple(chain + _engel_refine(self, self.odd_square, self.even_subspace)[1:])
 
     def complexify(self) -> "LieSuperalgebra":
         fld = self.field.complexified()
@@ -330,12 +347,55 @@ def is_subalgebra(g: LieSuperalgebra, s: Subspace) -> bool:
 
 
 def is_ideal(g: LieSuperalgebra, s: Subspace) -> tuple[bool, tuple | None]:
+    """(True, None), or (False, (i, v)) for the first [e_i, v] outside s; a
+    pair whose bracket has no structure constant is zero and not formed."""
+    supports = [[t for t, x in enumerate(v) if x] for v in s.rows]
     for gi in range(g.dim):
-        gv = g.basis_vector(gi)
-        for v in s.rows:
-            if not s.contains(g.bracket(gv, v)):
+        for v, supp in zip(s.rows, supports):
+            if any((gi, t) in g.brackets for t in supp) and \
+                    not s.contains(g.bracket(g.basis_vector(gi), v)):
                 return False, (gi, v)
     return True, None
+
+
+def _engel_refine(g: LieSuperalgebra, bottom: Subspace, top: Subspace) -> list[Subspace]:
+    """Codimension-one ideal chain of g0 from bottom to top.
+
+    At each step the elements of top that g0 maps into the current member
+    form a strictly larger ideal (Engel); the new generator is taken in
+    deterministic reverse basis order.
+    """
+    e = g.space.even_dim
+    chain = [bottom]
+    cur = bottom
+    ads = g.even_part.algebra.ad_basis
+    odd_zeros = zero_vector(g.field, g.dim - e)
+    while cur != top:
+        rows = []
+        comp = cur.complement_coordinates()
+        for ad_even in ads:
+            red_cols = []
+            for tb in top.rows:
+                resid = cur.reduce(ad_even.apply(tb[:e]) + odd_zeros)
+                red_cols.append([resid[c] for c in comp])
+            rows.extend(list(rr) for rr in zip(*red_cols))
+        if rows:
+            sols = Matrix(g.field, rows).kernel_basis()
+        else:
+            sols = [unit_vector(g.field, top.dim, t) for t in range(top.dim)]
+        socle_vecs = [lin_comb(g.field, g.dim, sol, top.rows) for sol in sols]
+        socle = Subspace(g.field, g.space, list(cur.rows) + socle_vecs)
+        if socle.dim <= cur.dim:
+            raise InvariantViolation("Engel socle did not grow; not nilpotent?")
+        pick = next(row for row in reversed(socle.rows) if not cur.contains(row))
+        cur = Subspace(g.field, g.space, list(cur.rows) + [pick])
+        for gi in range(e):
+            for v in cur.rows:
+                if not cur.contains(g.bracket(g.basis_vector(gi), v)):
+                    raise InvariantViolation("flag member is not an ideal of g0: "
+                                             f"{(gi, tuple(str(x) for x in v))}")
+        chain.append(cur)
+    return chain
 
 
 def series(g: LieSuperalgebra, kind: str) -> tuple[Subspace, ...]:
@@ -616,8 +676,8 @@ def quotient(g: LieSuperalgebra, ideal: Subspace, name: str | None = None) -> Qu
                 br[(a_t, b_t)] = out
     # projection: ambient vector -> reduce mod ideal -> complement coordinates
     cols = []
-    for j in range(g.dim):
-        resid = ideal.reduce(g.basis_vector(j))
+    for b in g.full_space.rows:
+        resid = ideal.reduce(b)
         cols.append(tuple(resid[c] for c in comp))
     proj = Matrix.from_cols(g.field, cols)
     qname = name or f"{g.name}/I"

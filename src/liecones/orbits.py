@@ -13,14 +13,16 @@ the linearized stages cannot conclude.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .exactnum import InputError, InvariantViolation, Undetermined
 from .glinalg import (Matrix, Subspace, Vector, lin_comb, unit_vector, vec_add, vec_is_zero,
-                      vec_scale, zero_vector)
+                      vec_scale)
 from .lsa import (
-    LieSuperalgebra, QuotientResult, bracket_span, center,
-    is_ideal, is_nilpotent, is_subalgebra, quotient, series, subalgebra_on,
+    LieSuperalgebra, QuotientResult, bracket_span, center, is_nilpotent, is_subalgebra,
+    quotient, series, subalgebra_on,
 )
 from .cones import OddSquareForm, functional_value, is_positive_semidefinite
 
@@ -42,16 +44,21 @@ def coerce_functional(g: LieSuperalgebra, lam: Sequence) -> Vector:
     return lam
 
 
-def even_skew_form(g: LieSuperalgebra, lam: Vector) -> Matrix:
+def even_skew_form(g: LieSuperalgebra, lam: Sequence) -> Matrix:
     """Omega_lambda(X, Y) = lambda([X, Y]) on the even part."""
+    return Matrix(g.field, _skew_rows(g, coerce_functional(g, lam)))
+
+
+def _skew_rows(g: LieSuperalgebra, lam: Vector) -> list[list]:
+    """The rows lambda o ad(e_i) of Omega_lambda, summed over the nonzero
+    structure constants."""
     e = g.space.even_dim
-    rows = []
-    for i in range(e):
-        row = []
-        for j in range(e):
-            row.append(functional_value(lam, g.bracket_basis(i, j)[:e]))
-        rows.append(row)
-    return Matrix(g.field, rows)
+    rows = [[g.field.zero] * e for _ in range(e)]
+    for (i, j), out in g.brackets.items():
+        if i < e and j < e:
+            rows[i][j] = sum((lam[k] * c for k, c in out.items() if k < e and lam[k]),
+                             g.field.zero)
+    return rows
 
 
 def in_admissible_cone(g: LieSuperalgebra, lam: Sequence) -> tuple[bool, OddSquareForm]:
@@ -105,75 +112,11 @@ class PolarizingSystem:
         }
 
 
-def _engel_refine(g: LieSuperalgebra, bottom: Subspace, top: Subspace) -> list[Subspace]:
-    """Codimension-one ideal chain of g0 from bottom to top.
-
-    At each step the elements of top that g0 maps into the current member
-    form a strictly larger ideal (Engel); the new generator is taken in
-    deterministic reverse basis order.
-    """
-    e = g.space.even_dim
-    chain = [bottom]
-    cur = bottom
-    g0 = g.even_part.algebra
-    while cur != top:
-        rows = []
-        comp = cur.complement_coordinates()
-        for gi in range(e):
-            ad_even = g0.ad(g0.basis_vector(gi))
-            red_cols = []
-            for tb in top.rows:
-                w = ad_even.apply(tuple(tb[:e]))
-                w_full = tuple(w) + tuple(g.field.zero for _ in range(g.dim - e))
-                resid = cur.reduce(w_full)
-                red_cols.append([resid[c] for c in comp])
-            for rr in zip(*red_cols):
-                rows.append(list(rr))
-        if rows:
-            sols = Matrix(g.field, rows).kernel_basis()
-        else:
-            sols = [unit_vector(g.field, top.dim, t) for t in range(top.dim)]
-        socle_vecs = [lin_comb(g.field, g.dim, sol, top.rows) for sol in sols]
-        socle = Subspace(g.field, g.space, list(cur.rows) + socle_vecs)
-        if socle.dim <= cur.dim:
-            raise InvariantViolation("Engel socle did not grow; not nilpotent?")
-        pick = None
-        for row in reversed(socle.rows):
-            if not cur.contains(row):
-                pick = row
-                break
-        cur = Subspace(g.field, g.space, list(cur.rows) + [pick])
-        ok, witness = _is_even_ideal(g, cur)
-        if not ok:
-            raise InvariantViolation(f"flag member is not an ideal of g0: {witness}")
-        chain.append(cur)
-    return chain
-
-
-def _is_even_ideal(g: LieSuperalgebra, s: Subspace) -> tuple[bool, object]:
-    e = g.space.even_dim
-    for gi in range(e):
-        gv = g.basis_vector(gi)
-        for v in s.rows:
-            if not s.contains(g.bracket(gv, v)):
-                return False, (gi, tuple(str(x) for x in v))
-    return True, None
-
-
-def _form_radical(g: LieSuperalgebra, lam: Vector, member: Subspace) -> Subspace:
-    """Radical of Omega_lambda restricted to an even subspace."""
-    if member.dim == 0:
-        return member
-    rows = []
-    e = g.space.even_dim
-    for w in member.rows:
-        row = []
-        for v in member.rows:
-            row.append(functional_value(lam, g.bracket(v, w)[:e]))
-        rows.append(row)
-    rad_vecs = [lin_comb(g.field, g.dim, sol, member.rows)
-                for sol in Matrix(g.field, rows).kernel_basis()]
-    return Subspace(g.field, g.space, rad_vecs)
+def _form_on(omega: Matrix, s: Subspace) -> Matrix:
+    """u^T Omega v over the basis of an even subspace s of g."""
+    images = [omega.apply(v[:omega.ncols]) for v in s.rows]
+    return Matrix(omega.field, [[functional_value(u[:omega.ncols], w) for w in images]
+                                for u in s.rows])
 
 
 def polarizing_flag(g: LieSuperalgebra, lam: Sequence) -> PolarizingSystem:
@@ -181,87 +124,90 @@ def polarizing_flag(g: LieSuperalgebra, lam: Sequence) -> PolarizingSystem:
     lam = coerce_functional(g, lam)
     if not is_nilpotent(g):
         raise InputError("polarizing systems need a nilpotent algebra")
-    admissible, _ = in_admissible_cone(g, lam)
+    admissible, form = in_admissible_cone(g, lam)
     if not admissible:
         raise NotAdmissible("odd Gram matrix is not positive semidefinite")
-    return _polarize(g, lam, _engel_flag(g))
+    omega = even_skew_form(g, lam)
+    return _polarize(g, lam, omega, omega.rank(), form.matrix, [])
 
 
-def _engel_flag(g: LieSuperalgebra) -> list[Subspace]:
-    """Codimension-one ideal chain of g0 through [g1, g1]; depends on g only."""
-    k_ideal = bracket_span(g, g.odd_subspace, g.odd_subspace)
-    chain = _engel_refine(g, g.subspace([]), k_ideal)
-    return chain + _engel_refine(g, k_ideal, g.even_subspace)[1:]
-
-
-def _polarize(g: LieSuperalgebra, lam: Vector, chain: list[Subspace]) -> PolarizingSystem:
-    """Sum of the Omega_lambda radicals of the flag members, for an
-    admissible lam; the flag is _engel_flag(g)."""
-    m0 = chain[0]
-    for member in chain[1:]:
-        m0 = m0.sum_with(_form_radical(g, lam, member))
-    return polarizing_system_from_m0(g, lam, m0,
-                                     flag_dims=tuple(s.dim for s in chain))
+def _polarize(g: LieSuperalgebra, lam: Vector, omega: Matrix, even_rank: int, gram: Matrix,
+              subalgebras: list) -> PolarizingSystem:
+    """Sum of the Omega_lambda radicals of the Engel flag members, for an
+    admissible lam with skew form omega of rank even_rank and odd Gram
+    matrix gram; m0 = g0 when omega = 0, since then every member is its own
+    radical."""
+    chain = g.engel_flag
+    if omega.is_zero():
+        m0 = chain[-1]
+    else:
+        # the radical of Omega_lambda on each member, summed
+        m0 = g.subspace([lin_comb(g.field, g.dim, sol, member.rows) for member in chain[1:]
+                         for sol in _form_on(omega, member).kernel_basis()])
+    return _assemble(g, lam, m0, tuple(s.dim for s in chain), omega, even_rank, gram,
+                     subalgebras)
 
 
 def polarizing_system_from_m0(g: LieSuperalgebra, lam: Sequence, m0: Subspace,
                               flag_dims: tuple[int, ...] = ()) -> PolarizingSystem:
     """Assemble and verify a polarizing system from a given even polarization.
 
-    Checks: subalgebra, Omega_lambda-isotropic, maximal (dimension count),
-    contains [g1, g1]; then builds j and the Clifford quotient.
+    Checks: inside g0, maximal (dimension count), contains [g1, g1],
+    subalgebra, Omega_lambda-isotropic; then builds j and the Clifford
+    quotient, whose construction checks that j is an ideal of m.
     """
     lam = coerce_functional(g, lam)
     admissible, form = in_admissible_cone(g, lam)
     if not admissible:
         raise NotAdmissible("odd Gram matrix is not positive semidefinite")
-    e = g.space.even_dim
-    odd = g.odd_subspace
-    k_ideal = bracket_span(g, odd, odd)
+    if not g.even_subspace.contains_subspace(m0):
+        raise InputError("polarization is not inside g0")
     omega = even_skew_form(g, lam)
-    even_rank = omega.rank()
+    return _assemble(g, lam, m0, flag_dims, omega, omega.rank(), form.matrix, [])
+
+
+def _assemble(g: LieSuperalgebra, lam: Vector, m0: Subspace, flag_dims: tuple[int, ...],
+              omega: Matrix, even_rank: int, gram: Matrix,
+              subalgebras: list) -> PolarizingSystem:
+    """The checks and the Clifford quotient of polarizing_system_from_m0, from
+    lam's skew form, its rank and the odd Gram matrix; subalgebras holds the
+    (m0 rows, realization of m = m0 (+) g1) pairs of the m0 already checked."""
+    e = g.space.even_dim
     if even_rank % 2:
         raise InvariantViolation("skew form has odd rank")  # pragma: no cover
     if m0.dim != e - even_rank // 2:
         raise InputError("polarization has the wrong dimension")
-    if not m0.contains_subspace(k_ideal):
+    if not m0.contains_subspace(g.odd_square):
         raise InputError("[g1,g1] is not inside the polarization")
-    if not is_subalgebra(g, m0):
+    msub = next((ms for rows, ms in subalgebras if rows == m0.rows), None)
+    if msub is None and not is_subalgebra(g, m0):
         raise InputError("polarization is not a subalgebra")
-    for u in m0.rows:
-        for v in m0.rows:
-            if functional_value(lam, g.bracket(u, v)[:e]):
-                raise InputError("polarization is not isotropic")
-    m = m0.sum_with(odd)
+    if not _form_on(omega, m0).is_zero():
+        raise InputError("polarization is not isotropic")
+    if msub is None:
+        msub = subalgebra_on(g, m0.sum_with(g.odd_subspace), name=f"{g.name}|m")
+        subalgebras.append((m0.rows, msub))
+    m = msub.subspace
     # j = ker(lambda restricted to m0) (+) rad of the odd Gram form
     coeff_rows = [[functional_value(lam, b[:e]) for b in m0.rows]]
     ker_rows = [lin_comb(g.field, g.dim, sol, m0.rows)
                 for sol in Matrix(g.field, coeff_rows).kernel_basis()]
-    gram = form.matrix
-    odd_rank = gram.rank()
-    odd_basis = [g.basis_vector(idx) for idx in g.space.odd_indices()]
-    odd_rad_rows = [lin_comb(g.field, g.dim, sol, odd_basis) for sol in gram.kernel_basis()]
+    gram_kernel = gram.kernel_basis()
+    odd_rank = gram.nrows - len(gram_kernel)
+    odd_rad_rows = [lin_comb(g.field, g.dim, sol, g.odd_subspace.rows) for sol in gram_kernel]
     j = Subspace(g.field, g.space, ker_rows + odd_rad_rows)
-    msub = subalgebra_on(g, m, name=f"{g.name}|m")
-    j_in_m_rows = []
-    for r in j.rows:
-        coords = msub.restrict(r)
-        if coords is None:
-            raise InvariantViolation("j does not sit inside m")  # pragma: no cover
-        j_in_m_rows.append(coords)
+    j_in_m_rows = [msub.restrict(r) for r in j.rows]
+    if None in j_in_m_rows:
+        raise InvariantViolation("j does not sit inside m")  # pragma: no cover
     j_in_m = Subspace(g.field, msub.algebra.space, j_in_m_rows)
-    ok, witness = is_ideal(msub.algebra, j_in_m)
-    if not ok:
-        raise InputError(f"j is not an ideal of m (witness {witness})")
+    # quotient checks that j is an ideal of m, with a witness when it is not
     cliff = quotient(msub.algebra, j_in_m, name=f"{g.name}|m/j")
     ca = cliff.algebra
     if ca.space.even_dim > 1:
         raise InputError("Clifford quotient has a non-line even part")
-    if ca.space.even_dim == 1:
-        zvec = ca.basis_vector(0)
-        for i in range(ca.dim):
-            if not vec_is_zero(ca.bracket(zvec, ca.basis_vector(i))):
-                raise InputError("Clifford quotient center is not central")
+    if ca.space.even_dim == 1 and any(any(ca.bracket(ca.basis_vector(0), ca.basis_vector(i)))
+                                      for i in range(ca.dim)):
+        raise InputError("Clifford quotient center is not central")
     return PolarizingSystem(g, lam, m, m0, j, cliff, even_rank, odd_rank, flag_dims)
 
 
@@ -281,25 +227,32 @@ class OrbitPath:
     """Group word exp(W_1) exp(W_2) ... with lambda2 = lambda o Ad(word)."""
     exps: list[Vector]
 
-    @property
-    def single(self) -> Vector | None:
-        nonzero = [w for w in self.exps if not vec_is_zero(w)]
-        if not nonzero:
-            return None
-        return nonzero[0] if len(nonzero) == 1 else None
-
     def as_json(self) -> dict:
         return {"exps": [[str(x) for x in w] for w in self.exps]}
 
 
 def _apply_exp(g: LieSuperalgebra, lam: Vector, w_even: Vector) -> Vector:
-    E = g.even_part.algebra.ad(w_even).exp_nilpotent()
-    return tuple(functional_value(lam, E.col(j)) for j in range(len(lam)))
+    """lam o exp(ad w) as the row-vector series sum_k lam (ad w)^k / k!, which
+    ends at its first zero term since ad w is nilpotent on g0."""
+    f = g.field
+    g0 = g.even_part.algebra
+    A = Matrix.combination(f, g0.dim, g0.dim, zip(w_even, g0.ad_basis))   # ad(w) on g0
+    out = term = lam
+    for k in range(1, len(lam) + 1):
+        term = vec_scale(f.rat(Fraction(1, k)),
+                         tuple(functional_value(term, col) for col in zip(*A.rows)))
+        if vec_is_zero(term):
+            return out
+        out = vec_add(out, term)
+    raise InvariantViolation("ad(w) is not nilpotent on g0")  # pragma: no cover
 
 
 def coadjoint_orbit_member(g: LieSuperalgebra, lam: Sequence, lam2: Sequence,
-                           ) -> OrbitPath | None:
-    """Exact parameters with lam2 = lam o Ad(exp W_1 exp W_2 ...), or None."""
+                           first_stages: dict | None = None) -> OrbitPath | None:
+    """Exact parameters with lam2 = lam o Ad(exp W_1 exp W_2 ...), or None.
+
+    The first stage's system depends on g and lam alone; first_stages, a dict
+    shared by calls on one g, keeps it factored per lam across them."""
     lam = coerce_functional(g, lam)
     lam2 = coerce_functional(g, lam2)
     if not is_nilpotent(g):
@@ -312,7 +265,6 @@ def coadjoint_orbit_member(g: LieSuperalgebra, lam: Sequence, lam2: Sequence,
         raise InvariantViolation("even part is not nilpotent")  # pragma: no cover
     layers = chain[:-1]                                 # c_1 > c_2 > ... > c_s
     s = len(layers)
-    nil_class = s
     # values on the deepest (central) layer are invariants
     deepest = layers[-1]
     for y in deepest.rows:
@@ -321,19 +273,21 @@ def coadjoint_orbit_member(g: LieSuperalgebra, lam: Sequence, lam2: Sequence,
     cur = lam
     path: list[Vector] = []
     h_rows: list[Vector] = [unit_vector(f, e, j) for j in range(e)]
+    first_stages = {} if first_stages is None else first_stages
     for k in range(s - 2, -1, -1):
         layer = layers[k]
-        targets = []
-        cols = []
-        for w in h_rows:
-            adw = g0.ad(w)
-            cols.append([functional_value(cur, adw.apply(tuple(y[:e])))
-                         for y in layer.rows])
-        for y in layer.rows:
-            targets.append(functional_value(lam2, y) - functional_value(cur, y))
-        M = Matrix.from_cols(f, cols)
-        sol = M.solve(tuple(targets))
-        deep_stage = nil_class >= 4 and k <= s - 4
+        first = k == s - 2
+        solve = first_stages.get(lam) if first else None
+        if solve is None:
+            skew = _skew_rows(g, cur)                  # cur o ad(e_i)
+            cols = [[functional_value(wp, y) for y in layer.rows]
+                    for wp in (lin_comb(f, e, w, skew) for w in h_rows)]
+            solve = Matrix.from_cols(f, cols).solver()
+            if first:
+                first_stages[lam] = solve
+        sol = solve(tuple(functional_value(lam2, y) - functional_value(cur, y)
+                          for y in layer.rows))
+        deep_stage = s >= 4 and k <= s - 4
         if sol is None:
             if deep_stage:
                 raise Undetermined(
@@ -347,11 +301,13 @@ def coadjoint_orbit_member(g: LieSuperalgebra, lam: Sequence, lam2: Sequence,
                 if deep_stage:
                     raise Undetermined("deep stage did not stabilize the layer")
                 raise InvariantViolation("stage verification failed")  # pragma: no cover
-        # shrink the allowed directions: preserve the matched layer
-        rows = []
-        for y in layer.rows:
-            rows.append([functional_value(cur, g0.ad(w0).apply(tuple(y[:e])))
-                         for w0 in h_rows])
+        if k == 0:
+            break
+        # shrink the allowed directions to those that preserve the matched
+        # layer; the last stage has no next one to read them
+        skew = _skew_rows(g, cur)
+        wps = [lin_comb(f, e, w0, skew) for w0 in h_rows]
+        rows = [[functional_value(wp, y) for wp in wps] for y in layer.rows]
         h_rows = [lin_comb(f, e, sol0, h_rows)
                   for sol0 in (Matrix(f, rows).kernel_basis() if rows else [])]
     if tuple(cur) != tuple(lam2):
@@ -371,38 +327,15 @@ def coadjoint_orbit_member(g: LieSuperalgebra, lam: Sequence, lam2: Sequence,
 
 def grid_box(g: LieSuperalgebra, low: int, high: int) -> list[Vector]:
     """All integer functionals with coordinates in [low, high], lexicographic."""
-    e = g.space.even_dim
-    f = g.field
-    out = []
-
-    def rec(prefix):
-        if len(prefix) == e:
-            out.append(tuple(f.rat(c) for c in prefix))
-            return
-        for c in range(low, high + 1):
-            rec(prefix + [c])
-
-    rec([])
-    return out
+    return [tuple(g.field.rat(c) for c in p)
+            for p in product(range(low, high + 1), repeat=g.space.even_dim)]
 
 
 def central_box(g: LieSuperalgebra, low: int, high: int) -> list[Vector]:
     """Functionals supported on the dual of the center of the even part."""
     zc = center(g.even_part.algebra)
-    e = g.space.even_dim
-    f = g.field
-    out = []
-
-    def rec(prefix, acc):
-        if len(prefix) == zc.dim:
-            out.append(tuple(acc))
-            return
-        for c in range(low, high + 1):
-            nxt = vec_add(acc, vec_scale(f.rat(c), zc.rows[len(prefix)]))
-            rec(prefix + [c], nxt)
-
-    rec([], zero_vector(f, e))
-    return [tuple(v[:e]) for v in out]
+    return [lin_comb(g.field, g.space.even_dim, [g.field.rat(c) for c in p], zc.rows)
+            for p in product(range(low, high + 1), repeat=zc.dim)]
 
 
 @dataclass
@@ -437,17 +370,26 @@ def classify_orbits(g: LieSuperalgebra, box: Sequence[Sequence]) -> list[OrbitDe
     if not is_nilpotent(g):
         raise InputError("orbit classification needs a nilpotent algebra")
     cands = [coerce_functional(g, lam) for lam in box]
-    admissible = [i for i, lam in enumerate(cands) if in_admissible_cone(g, lam)[0]]
+    grams = {}                      # the odd Gram matrix of each admissible member
+    for i, lam in enumerate(cands):
+        admissible, form = in_admissible_cone(g, lam)
+        if admissible:
+            grams[i] = form.matrix
+    # Omega_lambda and its rank, per admissible member; they depend on
+    # lambda only through its values on [g0, g0]
+    derived = bracket_span(g, g.even_subspace, g.even_subspace)
+    skew: dict[tuple, tuple[Matrix, int]] = {}
+    omegas = {}
+    for i in grams:
+        key = tuple(functional_value(cands[i], y[:g.space.even_dim]) for y in derived.rows)
+        if key not in skew:
+            skew[key] = (omega := even_skew_form(g, cands[i]), omega.rank())
+        omegas[i] = skew[key]
     zc = center(g.even_part.algebra)
-
-    def invariants(lam):
-        cc = tuple(str(functional_value(lam, z)) for z in zc.rows)
-        rank = even_skew_form(g, lam).rank()
-        return cc, rank
-
-    inv = {i: invariants(cands[i]) for i in admissible}
+    inv = {i: (tuple(str(functional_value(cands[i], z)) for z in zc.rows), omegas[i][1])
+           for i in grams}
     groups: dict[tuple, list[int]] = {}
-    for i in admissible:
+    for i in grams:
         groups.setdefault(inv[i], []).append(i)
     orbits: list[list[int]] = []
     for (_, rank), members in sorted(groups.items()):
@@ -460,27 +402,27 @@ def classify_orbits(g: LieSuperalgebra, box: Sequence[Sequence]) -> list[OrbitDe
             orbits.extend(points.values())
             continue
         found: list[list[int]] = []
+        first_stages: dict = {}
         for i in members:
             for orbit in found:
-                if coadjoint_orbit_member(g, cands[orbit[0]], cands[i]) is not None:
+                if coadjoint_orbit_member(g, cands[orbit[0]], cands[i], first_stages) is not None:
                     orbit.append(i)
                     break
             else:
                 found.append([i])
         orbits.extend(found)
-    chain = _engel_flag(g) if orbits else []
     out = []
+    subalgebras: list = []
     for members in sorted(orbits):
-        rep = cands[members[0]]
-        ps = _polarize(g, rep, chain)
-        cc, rank = inv[members[0]]
+        r = members[0]
+        ps = _polarize(g, cands[r], *omegas[r], grams[r], subalgebras)
+        cc, rank = inv[r]
         for i in members[1:]:
             if inv[i] != (cc, rank):
                 raise InvariantViolation("orbit invariants differ inside one orbit")
-            gram_rank = OddSquareForm.of(g, cands[i]).matrix.rank()
-            if gram_rank != ps.odd_rank:
+            if grams[i] != grams[r] and grams[i].rank() != ps.odd_rank:
                 raise InvariantViolation("odd rank differs inside one orbit")
-        out.append(OrbitDescriptor(rep, members, rank, ps.clifford_dim, cc, ps))
+        out.append(OrbitDescriptor(cands[r], members, rank, ps.clifford_dim, cc, ps))
     return out
 
 

@@ -9,23 +9,18 @@ import sys
 import time
 from fractions import Fraction
 
-import pytest
-
 from liecones.exactnum import QQ, QQ_I
 from liecones import catalog as cat
 from liecones.cartan import (cartan_subalgebra_even, cartan_subsuperalgebra,
                              compact_cartan_even, fixed_point_projection,
                              normalizer, root_decomposition)
-from liecones.cliffrep import (classify_heisenberg_clifford, clifford_module,
-                               equivalent, parity_change, verify_rep)
+from liecones.cliffrep import classify_heisenberg_clifford, equivalent, verify_rep
 from liecones.cones import convex_hull_contains_zero, nilpotent_vanishing_ideal
 from liecones.hwm import CartanModule, build_truncated, positive_system, weight_in_cone
 from liecones.lsa import (centroid, check_axioms, derivations, grassmann_extend,
-                          is_nilpotent, nilpotency_class, quotient, series,
-                          subalgebra_on)
+                          nilpotency_class, quotient, series, subalgebra_on)
 from liecones.glinalg import vec_add, vec_is_zero, vec_scale
-from liecones.orbits import (branching_multiplicity, classify_orbits, grid_box,
-                             polarizing_flag)
+from liecones.orbits import branching_multiplicity, classify_orbits, grid_box
 
 
 def _ok(n, msg):

@@ -1,16 +1,15 @@
 import pytest
 
 from liecones.exactnum import QQ, QQ_I, InputError, Undetermined
-from liecones.catalog import build, cm
+from liecones.catalog import cm
 from liecones.cartan import (
-    UNDETERMINED, candidate_vectors,
+    candidate_vectors,
     cartan_subalgebra_even, cartan_subsuperalgebra, check_root_symmetry,
     compact_cartan_even, fitting_null, fixed_point_projection,
-    is_compactly_embedded, is_cartan_subalgebra_even, iter_cartan_even,
+    is_compactly_embedded, is_cartan_subalgebra_even,
     normalizer, root_decomposition,
 )
-from liecones.glinalg import Matrix, Subspace
-from liecones.lsa import center
+from liecones.glinalg import Matrix
 
 
 def test_candidate_vectors_deterministic():

@@ -2,8 +2,8 @@ import pytest
 
 from liecones.exactnum import QQ, QQ_I, InputError
 from liecones.catalog import (
-    blocks, build, cm, list_keys, root_vectors_osp,
-    root_vectors_su, table1_keys, table1_metadata, unit_mat,
+    blocks, build, cm, root_vectors_osp,
+    root_vectors_su, table1_keys, table1_metadata,
 )
 from liecones.lsa import center, check_axioms, is_nilpotent, nilpotency_class
 

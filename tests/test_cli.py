@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from liecones.cli import REPORT_SCHEMA, main, rep_from_json, rep_to_json_full
-from liecones.cliffrep import clifford_module, verify_rep
+from liecones.cliffrep import clifford_module
 
 
 def run_cli(args, capsys):

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from liecones.exactnum import QQ, QQ_I, Field, InputError

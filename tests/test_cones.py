@@ -4,7 +4,7 @@ import pytest
 
 from liecones.exactnum import QQ, QQ_I, InputError
 from liecones.glinalg import Matrix, vec_add, vec_is_zero, vec_scale
-from liecones.catalog import build, cm
+from liecones.catalog import cm
 from liecones.cartan import cartan_subsuperalgebra, compact_cartan_even, fixed_point_projection, root_decomposition
 from liecones.cones import (
     OddSquareForm, abelian_even_ideals_contained_in_center,

@@ -1,6 +1,6 @@
 """Differential tests: each shortcut in the orbit classification, the Clifford
 verifier and the zero-skipping kernels against a plain dense or pairwise
-formula written here."""
+formula written here, or against the standalone call it stands in for."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +10,13 @@ from liecones.catalog import build
 from liecones.cliffrep import MatrixRep, clifford_module, verify_rep
 from liecones.cones import functional_value
 from liecones.exactnum import QQ, QQ_I, Field, FieldMismatchError, InputError
-from liecones.glinalg import Matrix, lin_comb, vec_add, vec_scale
-from liecones.lsa import grassmann_extend
-from liecones.orbits import classify_orbits, coadjoint_orbit_member, in_admissible_cone
+from liecones.glinalg import Matrix, Subspace, lin_comb, ungraded, vec_add, vec_scale
+from liecones.lsa import LieSuperalgebra, grassmann_extend
+from liecones.orbits import (_apply_exp, classify_orbits, coadjoint_orbit_member,
+                             in_admissible_cone, polarizing_flag, polarizing_system_from_m0)
 
 TOWERS = (QQ, QQ_I, Field(False, 2), Field(True, 2))
+small = st.integers(min_value=-3, max_value=3)
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +71,56 @@ def test_classify_orbits_matches_pairwise_union(key, data):
         assert o.members == sorted(o.members)
         assert o.representative == box[o.members[0]]
     assert [o.members[0] for o in orbits] == sorted(o.members[0] for o in orbits)
+
+
+@pytest.mark.parametrize("key", sorted(ORBIT_ALGEBRAS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_classified_polarizations_match_standalone_ones(key, data):
+    """Each orbit is polarized from the Omega_lambda and Gram matrix of the
+    invariants pass; the standalone entry points recompute both."""
+    g = ORBIT_ALGEBRAS[key]
+    for o in classify_orbits(g, data.draw(boxes(g.space.even_dim))):
+        ps = o.polarizing
+        assert ps.as_json() == polarizing_flag(g, o.representative).as_json()
+        assert ps.as_json() == polarizing_system_from_m0(
+            g, o.representative, ps.m0, ps.flag_dims).as_json()
+
+
+@pytest.mark.parametrize("key", sorted(ORBIT_ALGEBRAS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_shared_first_stages_match_fresh_member_tests(key, data):
+    g = ORBIT_ALGEBRAS[key]
+    box = data.draw(boxes(g.space.even_dim))
+    first_stages: dict = {}          # shared by every representative, as in a group
+    for lam in box[:3]:
+        for lam2 in box:
+            shared = coadjoint_orbit_member(g, lam, lam2, first_stages)
+            fresh = coadjoint_orbit_member(g, lam, lam2)
+            assert (shared and shared.as_json()) == (fresh and fresh.as_json())
+
+
+# filiform even parts of class 3 and 4: exp(ad w) has up to four terms
+N4 = LieSuperalgebra.from_table("n4", QQ, ["E1", "E2", "E3", "E4"], [],
+                                {("E1", "E2"): {"E3": 1}, ("E1", "E3"): {"E4": 1}})
+N5 = LieSuperalgebra.from_table("n5", QQ, ["E1", "E2", "E3", "E4", "E5"], [],
+                                {("E1", "E2"): {"E3": 1}, ("E1", "E3"): {"E4": 1},
+                                 ("E1", "E4"): {"E5": 1}})
+EXP_ALGEBRAS = dict(ORBIT_ALGEBRAS, n4=N4, n5=N5)
+
+
+@pytest.mark.parametrize("key", sorted(EXP_ALGEBRAS))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_row_series_exponential_matches_dense_exponential(key, data):
+    g = EXP_ALGEBRAS[key]
+    e = g.space.even_dim
+    lam = tuple(QQ.rat(c) for c in data.draw(st.lists(small, min_size=e, max_size=e)))
+    w = tuple(QQ.rat(c) for c in data.draw(st.lists(small, min_size=e, max_size=e)))
+    E = g.even_part.algebra.ad(w).exp_nilpotent()
+    assert _apply_exp(g, lam, w) == tuple(
+        sum((a * b for a, b in zip(lam, E.col(j))), QQ.zero) for j in range(e))
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +220,6 @@ def test_verify_rep_matches_dense_checks(rep):
 # zero-skipping kernels against dense formulas, over every tower shape
 # ---------------------------------------------------------------------------
 
-small = st.integers(min_value=-3, max_value=3)
-
-
 @st.composite
 def tower_vectors(draw, fld: Field, n: int):
     """Vectors over fld, about half their entries zero."""
@@ -206,6 +255,17 @@ def test_kernels_match_dense_formulas(fld, data):
     rep = MatrixRep(H1, 1, 1, tuple(Matrix(fld, [e[:2], e[2:]]) for e in entries))
     coeffs = data.draw(tower_vectors(fld, 3))
     assert rep.rho(coeffs).rows == tuple(tuple(r) for r in dense_rho(rep, coeffs))
+    S = Subspace(fld, ungraded(4), [data.draw(tower_vectors(fld, 4)) for _ in range(3)])
+    u = data.draw(tower_vectors(fld, 4))
+    dense = u
+    for row, pc in zip(S.rows, S.pivots):
+        if dense[pc]:
+            dense = tuple(x - dense[pc] * y for x, y in zip(dense, row))
+    assert S.reduce(u) == dense
+    M = Matrix(fld, [data.draw(tower_vectors(fld, 3)) for _ in range(3)])
+    b = data.draw(tower_vectors(fld, 3))
+    assert M.solver()(b) == M.solve(b)
+    assert M.solver()(M.apply(b)) == M.solve(M.apply(b))
 
 
 def test_kernels_keep_field_checks_on_zeros():
@@ -225,6 +285,11 @@ def test_kernels_keep_field_checks_on_zeros():
             vec_add((s,), v)
     with pytest.raises(FieldMismatchError):
         Matrix(QQ, [[0, 1]]).scale(QQ_I.zero)
+    # reduce skips zero row entries but still checks every entry of v
+    S = Subspace(QQ_I, ungraded(3), [(QQ_I.one, QQ_I.zero, QQ_I.zero)])
+    assert S.reduce((QQ.zero, QQ.one, QQ.zero)) == (QQ.zero, QQ.one, QQ.zero)
+    with pytest.raises(FieldMismatchError):
+        S.reduce((QQ_I.one, QQ.zero, QQ_I.zero))
     # rho passes over zero entries, so a module must hold one tower throughout
     mats = (Matrix(QQ_I, [[0, 0], [0, 0]]), Matrix(QQ, [[0, 1], [1, 0]]), Matrix(QQ_I, [[0, 0], [0, 0]]))
     with pytest.raises(InputError, match="one scalar tower"):

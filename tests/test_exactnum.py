@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecones.exactnum import (
-    Field, FieldMismatchError, Poly, QQ, QQ_I, Scalar, is_squarefree,
+    Field, FieldMismatchError, Poly, QQ, QQ_I, is_squarefree,
     parse_scalar, rational_sqrt_decomp, real_root_signs, sqrt_in_field,
     squarefree_decomp,
 )

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecones.exactnum import QQ, InputError
-from liecones.glinalg import GradedSpace, Matrix, Subspace
+from liecones.glinalg import GradedSpace, Matrix
 from liecones.lsa import (
-    LieSuperalgebra, bracket_span, center, centroid,
+    LieSuperalgebra, center, centroid,
     check_axioms, derivations, differential_constants, grassmann_extend,
     is_nilpotent, is_solvable, is_subalgebra, nilpotency_class, quotient,
     series, subalgebra_on, supercommutant,

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from liecones.exactnum import QQ, InputError
-from liecones.glinalg import vec_is_zero
+from liecones import lsa, orbits
+from liecones.cones import OddSquareForm
+from liecones.exactnum import QQ, InputError, Undetermined
 from liecones.lsa import LieSuperalgebra, check_axioms
-from liecones.catalog import build
 from liecones.orbits import (
     NotAdmissible, branching_multiplicity, central_box,
     classify_orbits, coadjoint_orbit_member, even_skew_form, grid_box,
@@ -213,3 +213,54 @@ def test_polarizing_system_from_m0_rejects_bad(algebra):
         # right dimension but not isotropic: span{X, Y}
         polarizing_system_from_m0(
             hc, lam, hc.subspace([hc.basis_vector(0), hc.basis_vector(1)]))
+    with pytest.raises(InputError, match="not inside g0"):
+        # isotropy is read off Omega_lambda on g0, so m0 must be even: span{Z, f1}
+        polarizing_system_from_m0(hc, lam, hc.subspace([hc.basis_vector(2), hc.basis_vector(3)]))
+
+
+def test_coadjoint_member_deep_stage_undetermined():
+    # filiform n5 has class 4: a stage below class-3 depth that the linearized
+    # system cannot solve leaves membership undecided
+    n5 = LieSuperalgebra.from_table(
+        "n5", QQ, ["E1", "E2", "E3", "E4", "E5"], [],
+        {("E1", "E2"): {"E3": 1}, ("E1", "E3"): {"E4": 1}, ("E1", "E4"): {"E5": 1}})
+    with pytest.raises(Undetermined):
+        coadjoint_orbit_member(n5, (0, 0, 0, 0, 1), (-1, -1, 0, 0, 1))
+    assert coadjoint_orbit_member(n5, (0, 0, 0, 0, 1), (0, 0, 0, 0, 2)) is None
+
+
+def test_classification_cost_counts(algebra, monkeypatch):
+    """Counts, not timings, of the work classify_orbits does on the 5x5x5 and
+    7x7x7 grids of hc(2|2,++)."""
+    hc = algebra("hc(2|2,++)")
+    g = LieSuperalgebra(hc.name, hc.space, hc.field, hc.brackets)   # no cached structure
+    calls: list[str] = []
+
+    def counted(owner, name, wrap=lambda fn: fn):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, wrap(lambda *a, **k: calls.append(name) or fn(*a, **k)))
+
+    counted(orbits, "in_admissible_cone")
+    counted(OddSquareForm, "of", staticmethod)
+    counted(orbits, "even_skew_form")
+    counted(orbits, "coadjoint_orbit_member")
+    counted(orbits, "subalgebra_on")
+    counted(lsa, "is_ideal")
+    counted(lsa, "_engel_refine")
+    box = grid_box(g, -2, 2)
+    descs = classify_orbits(g, box)
+    admissible = sum(len(o.members) for o in descs)
+    assert (len(box), admissible, len(descs)) == (125, 75, 27)
+    assert calls.count("in_admissible_cone") == calls.count("of") == len(box)
+    assert calls.count("even_skew_form") <= admissible
+    assert calls.count("is_ideal") == len(descs)
+    assert calls.count("subalgebra_on") == len({o.polarizing.m0 for o in descs})
+    assert "_engel_refine" in calls
+    last_flag_step = len(calls) - calls[::-1].index("_engel_refine")
+    assert "is_ideal" not in calls[:last_flag_step]
+    calls.clear()
+    assert [o.as_json() for o in classify_orbits(g, box)] == [o.as_json() for o in descs]
+    assert "_engel_refine" not in calls and calls.count("is_ideal") == len(descs)
+    calls.clear()
+    classify_orbits(g, grid_box(g, -3, 3))
+    assert calls.count("coadjoint_orbit_member") == 144
