@@ -131,11 +131,12 @@ def gamma_matrices(d: int, fld: Field | None = None) -> tuple[list[Matrix], int]
     # reorder the 2^m tensor basis, even-popcount states first
     size = 2 ** m
     order = sorted(range(size), key=lambda idx: (bin(idx).count("1") % 2, idx))
-    perm = Matrix(fld, [[fld.one if order[i] == j else fld.zero for j in range(size)]
-                        for i in range(size)])
-    pinv = perm.transpose()
-    gammas = [perm * G * pinv for G in gammas]
-    return gammas, size // 2
+    return [_permuted(G, order) for G in gammas], size // 2
+
+
+def _permuted(M: Matrix, order: Sequence[int]) -> Matrix:
+    """P M P^T for the permutation matrix P with P[i][order[i]] = 1."""
+    return Matrix(M.field, [[M.rows[oi][oj] for oj in order] for oi in order])
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +322,10 @@ def verify_rep(rep: MatrixRep, adjoint_sample: Sequence[Vector] = (),
 
 def parity_change(rep: MatrixRep) -> MatrixRep:
     """Swap the even and odd module blocks."""
-    fld = rep.field
     n = rep.dim
     e = rep.even_dim
     order = list(range(e, n)) + list(range(e))
-    S = Matrix(fld, [[fld.one if order[i] == j else fld.zero for j in range(n)]
-                     for i in range(n)])
-    Sinv = S.transpose()
-    mats = tuple(S * M * Sinv for M in rep.mats)
+    mats = tuple(_permuted(M, order) for M in rep.mats)
     return MatrixRep(rep.algebra, rep.odd_dim, rep.even_dim, mats,
                      label=f"parity({rep.label})")
 

@@ -95,17 +95,18 @@ class Field:
             inst = super().__new__(cls)
             inst.has_i = bool(has_i)
             inst.d = d
+            inst._tag = "Q" + ("_i" if has_i else "") + ("" if d is None else f"_sqrt({d})")
+            # basis (1, i, sqrt d, i sqrt d), bit 0 = i, bit 1 = sqrt d: e_j * e_k
+            # = sign * factor * e_(j ^ k) with i^2 = -1 and sqrt(d)^2 = d (0 in
+            # a tower without sqrt d, whose coordinates 2 and 3 are always zero)
+            inst._products = tuple(tuple(((-1) ** (j & k & 1) * ((d or 0) if j & k & 2 else 1),
+                                          j ^ k) for k in range(4)) for j in range(4))
             cls._cache[key] = inst
         return inst
 
     @property
     def tag(self) -> str:
-        t = "Q"
-        if self.has_i:
-            t += "_i"
-        if self.d is not None:
-            t += f"_sqrt({self.d})"
-        return t
+        return self._tag
 
     @staticmethod
     def parse(tag: str) -> "Field":
@@ -228,13 +229,19 @@ class Scalar:
         a2, b2, c2, e2 = other.a, other.b, other.c, other.e
         if not (b1 or c1 or e1 or b2 or c2 or e2):
             return Scalar(self.field, a1 * a2, _F0, _F0, _F0)
-        d = Fraction(self.field.d) if self.field.d is not None else _F0
-        # (a1 + b1 i + c1 s + e1 is)(a2 + b2 i + c2 s + e2 is), s^2 = d, i^2 = -1
-        a = a1 * a2 - b1 * b2 + d * (c1 * c2 - e1 * e2)
-        b = a1 * b2 + b1 * a2 + d * (c1 * e2 + e1 * c2)
-        c = a1 * c2 + c1 * a2 - b1 * e2 - e1 * b2
-        e = a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2
-        return Scalar(self.field, a, b, c, e)
+        # one integer product per nonzero coordinate pair, summed per target
+        # coordinate as numerator/denominator and reduced once at the end
+        acc: list[tuple[int, int] | None] = [None] * 4
+        ys = [(k, y.numerator, y.denominator) for k, y in enumerate((a2, b2, c2, e2)) if y]
+        for row, x in zip(self.field._products, (a1, b1, c1, e1)):
+            if x:
+                xn, xd = x.numerator, x.denominator
+                for k, yn, yd in ys:
+                    f, t = row[k]
+                    n, m = f * xn * yn, xd * yd
+                    q = acc[t]
+                    acc[t] = (n, m) if q is None else (q[0] * m + n * q[1], q[1] * m)
+        return Scalar(self.field, *(_F0 if q is None else Fraction(*q) for q in acc))
 
     def inverse(self) -> "Scalar":
         if not self:

@@ -38,7 +38,15 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(out)
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(u, v, strict=True))
+    """u - v, subtracting only nonzero pairs; a zero pair gives x or -y."""
+    out = []
+    for x, y in zip(u, v, strict=True):
+        if x and y:
+            out.append(x - y)
+        else:
+            check_tower(x, y)
+            out.append(-y if y else x)
+    return tuple(out)
 
 def vec_scale(s: Scalar, v: Vector) -> Vector:
     """s * v, multiplying only nonzero pairs; a zero pair gives the zero it holds."""

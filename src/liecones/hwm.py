@@ -145,12 +145,9 @@ def build_truncated(datum: RootDatum, positives: Sequence[Root],
         alpha, parity = gens[idx]
         max_exp = min(count_left, 1) if parity else count_left
         for expo in range(max_exp + 1):
-            if expo == 0:
-                add_weight(drop, count_left, idx + 1)
-            else:
-                ndrop = tuple(d + alpha[t] * alpha[t].field.rat(expo)
-                              for t, d in enumerate(drop))
-                add_weight(ndrop, count_left - expo, idx + 1)
+            if expo:
+                drop = tuple(d + a for d, a in zip(drop, alpha))
+            add_weight(drop, count_left - expo, idx + 1)
 
     zero_drop = tuple(v - v for v in module.weight)
     add_weight(zero_drop, depth, 0)
@@ -179,8 +176,9 @@ def weight_in_cone(tm: TruncatedModule, weight: Sequence[Scalar]) -> bool:
             return False
         alpha = alphas[idx]
         for m in range(budget + 1):
-            nxt = tuple(x - a * a.field.rat(m) for x, a in zip(rem, alpha))
-            if rec(nxt, idx + 1, budget - m):
+            if m:
+                rem = tuple(x - a for x, a in zip(rem, alpha))
+            if rec(rem, idx + 1, budget - m):
                 return True
         return False
 

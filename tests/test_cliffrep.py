@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from liecones.exactnum import QQ, QQ_I, Field, InputError
+from liecones.exactnum import QQ, QQ_I, Field, InputError, Scalar
 from liecones.glinalg import Matrix
 from liecones.catalog import build
 from liecones.cliffrep import (
@@ -217,3 +219,18 @@ def test_matrix_rep_checks_operator_count_and_shape():
         MatrixRep(rep.algebra, rep.even_dim, rep.odd_dim, rep.mats[:-1])
     with pytest.raises(InputError):
         MatrixRep(rep.algebra, rep.even_dim, rep.odd_dim + 1, rep.mats)
+
+
+def test_verify_cost_is_per_nonzero_coordinate(monkeypatch):
+    """Counts, not timings: verifying the d=6 spin module over Q(i, sqrt 3)
+    makes at most two Fraction products per Scalar product (the 16-term
+    formula makes eighteen)."""
+    rep = clifford_module(6, (6, 24, 6, 54, 6, 24))
+    counts = {Fraction: 0, Scalar: 0}
+    for cls in counts:
+        def counted(x, y, cls=cls, mul=cls.__mul__):
+            counts[cls] += 1
+            return mul(x, y)
+        monkeypatch.setattr(cls, "__mul__", counted)
+    assert verify_rep(rep)["all_ok"]
+    assert counts[Scalar] == 454 and counts[Fraction] <= 2 * counts[Scalar]

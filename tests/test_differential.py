@@ -1,16 +1,21 @@
 """Differential tests: each shortcut in the orbit classification, the Clifford
-verifier and the zero-skipping kernels against a plain dense or pairwise
-formula written here, or against the standalone call it stands in for."""
+verifier, the zero-skipping kernels and the sparse tower product against a
+plain dense or pairwise formula written here, or against the standalone call
+it stands in for."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liecones import cliffrep
 from liecones.catalog import build
-from liecones.cliffrep import MatrixRep, clifford_module, verify_rep
+from liecones.cliffrep import MatrixRep, clifford_module, gamma_matrices, parity_change, verify_rep
 from liecones.cones import functional_value
-from liecones.exactnum import QQ, QQ_I, Field, FieldMismatchError, InputError
-from liecones.glinalg import Matrix, Subspace, lin_comb, ungraded, vec_add, vec_scale
+from liecones.exactnum import QQ, QQ_I, Field, FieldMismatchError, InputError, Scalar
+from liecones.glinalg import (Matrix, Subspace, lin_comb, ungraded, vec_add, vec_scale,
+                              vec_sub)
 from liecones.lsa import LieSuperalgebra, grassmann_extend
 from liecones.orbits import (_apply_exp, classify_orbits, coadjoint_orbit_member,
                              in_admissible_cone, polarizing_flag, polarizing_system_from_m0)
@@ -248,6 +253,9 @@ def test_kernels_match_dense_formulas(fld, data):
     assert functional_value(lam, v) == dense_sum
     assert vec_scale(s, v) == tuple(s * x for x in v)
     assert vec_add(lam, v) == tuple(a + b for a, b in zip(lam, v))
+    assert vec_sub(lam, v) == tuple(a - b for a, b in zip(lam, v))
+    assert Matrix(fld, [lam, v]) - Matrix(fld, [v, lam]) == Matrix(
+        fld, [[a - b for a, b in zip(lam, v)], [b - a for a, b in zip(lam, v)]])
     assert lin_comb(fld, n, (s, s * s), (lam, v)) == tuple(
         s * a + s * s * b for a, b in zip(lam, v))
     assert Matrix(fld, [v, lam]).scale(s) == Matrix(fld, [[s * x for x in v], [s * x for x in lam]])
@@ -283,6 +291,11 @@ def test_kernels_keep_field_checks_on_zeros():
             vec_scale(s, v)
         with pytest.raises(FieldMismatchError):
             vec_add((s,), v)
+        with pytest.raises(FieldMismatchError):
+            vec_sub((s,), v)
+        with pytest.raises(FieldMismatchError):
+            Matrix(QQ, [[s]]) - Matrix(QQ_I, [v])
+    assert all(x.field is QQ_I for x in vec_sub((QQ_I.zero, QQ_I.i), (QQ_I.zero, QQ_I.zero)))
     with pytest.raises(FieldMismatchError):
         Matrix(QQ, [[0, 1]]).scale(QQ_I.zero)
     # reduce skips zero row entries but still checks every entry of v
@@ -294,3 +307,74 @@ def test_kernels_keep_field_checks_on_zeros():
     mats = (Matrix(QQ_I, [[0, 0], [0, 0]]), Matrix(QQ, [[0, 1], [1, 0]]), Matrix(QQ_I, [[0, 0], [0, 0]]))
     with pytest.raises(InputError, match="one scalar tower"):
         MatrixRep(H1, 1, 1, mats)
+
+
+# ---------------------------------------------------------------------------
+# the sparse tower product against the 16-term formula
+# ---------------------------------------------------------------------------
+
+nonzero_fractions = st.builds(Fraction, st.integers(min_value=-40, max_value=40).filter(bool),
+                              st.integers(min_value=1, max_value=12))
+
+
+@st.composite
+def sparse_scalars(draw, fld: Field):
+    """Scalars of fld with a drawn set of nonzero coordinates: zero, monomials,
+    binomials and so on up to every coordinate the tower has."""
+    slots = [k for k in range(4) if (fld.has_i or not k & 1) and (fld.d or not k & 2)]
+    coords = [0] * 4
+    for k in draw(st.sets(st.sampled_from(slots))):
+        coords[k] = draw(nonzero_fractions)
+    return fld.new(*coords)
+
+
+def sixteen_term_product(x: Scalar, y: Scalar) -> Scalar:
+    """(a1 + b1 i + c1 s + e1 is)(a2 + b2 i + c2 s + e2 is) with s^2 = d and
+    i^2 = -1, every coordinate pair multiplied."""
+    d = Fraction(x.field.d or 0)
+    a1, b1, c1, e1 = x.a, x.b, x.c, x.e
+    a2, b2, c2, e2 = y.a, y.b, y.c, y.e
+    return x.field.new(a1 * a2 - b1 * b2 + d * (c1 * c2 - e1 * e2),
+                       a1 * b2 + b1 * a2 + d * (c1 * e2 + e1 * c2),
+                       a1 * c2 + c1 * a2 - b1 * e2 - e1 * b2,
+                       a1 * e2 + e1 * a2 + b1 * c2 + c1 * b2)
+
+
+@pytest.mark.parametrize("fld", TOWERS + (Field(True, 6),), ids=lambda f: f.tag)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_tower_product_matches_sixteen_term_formula(fld, data):
+    x, y = data.draw(sparse_scalars(fld)), data.draw(sparse_scalars(fld))
+    xy = x * y
+    assert xy == sixteen_term_product(x, y)
+    assert all(type(c) is Fraction for c in (xy.a, xy.b, xy.c, xy.e))
+    assert y * x == xy and x * fld.zero == fld.zero
+    if x:
+        assert x * x.inverse() == fld.one
+
+
+# ---------------------------------------------------------------------------
+# index-permuted gamma matrices against conjugation by a permutation matrix
+# ---------------------------------------------------------------------------
+
+def permutation_conjugate(M: Matrix, order: list[int]) -> Matrix:
+    """P M P^T for the permutation matrix P with P[i][order[i]] = 1."""
+    fld, n = M.field, len(order)
+    P = Matrix(fld, [[fld.one if order[i] == j else fld.zero for j in range(n)]
+                     for i in range(n)])
+    return P * M * P.transpose()
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_permuted_gammas_match_permutation_conjugation(d, monkeypatch):
+    gammas, half = gamma_matrices(d)
+    monkeypatch.setattr(cliffrep, "_permuted", lambda M, order: M)
+    tensor_order, _ = gamma_matrices(d)
+    order = sorted(range(2 * half), key=lambda idx: (bin(idx).count("1") % 2, idx))
+    assert gammas == [permutation_conjugate(G, order) for G in tensor_order]
+    monkeypatch.undo()
+    rep = clifford_module(d, (2, 4, 8, 16, 2, 4)[:d])
+    swapped = parity_change(rep)
+    order = list(range(rep.even_dim, rep.dim)) + list(range(rep.even_dim))
+    assert (swapped.even_dim, swapped.odd_dim) == (rep.odd_dim, rep.even_dim)
+    assert swapped.mats == tuple(permutation_conjugate(M, order) for M in rep.mats)

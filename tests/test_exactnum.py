@@ -17,6 +17,10 @@ QI2 = Field(True, 2)
 def test_field_tags_roundtrip():
     for f in (QQ, QQ_I, Q2, QI2, Field(True, 5)):
         assert Field.parse(f.tag) is f
+    assert [f.tag for f in (QQ, QQ_I, Q2, QI2)] == ["Q", "Q_i", "Q_sqrt(2)", "Q_i_sqrt(2)"]
+    with pytest.raises(AttributeError):
+        QQ.tag = "Q_i"
+    assert hash(QI2.new(1, 2, 3, 4)) == hash(("Q_i_sqrt(2)",) + tuple(map(Fraction, (1, 2, 3, 4))))
 
 
 def test_field_rejects_non_squarefree():

@@ -48,6 +48,24 @@ def test_unused_import_scan_sees_reads_and_misses():
     assert unused_imports(tree) == ["c (line 3)", "os (line 2)"]
 
 
+def assert_statements(tree: ast.Module) -> list[int]:
+    """Lines of the assert statements in a module; python -O strips them, so
+    a check that must always run raises instead."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(ast.parse(path.read_text())) == []
+
+
+def test_assert_scan_sees_nested_asserts():
+    tree = ast.parse("assert x\n"
+                     "def f(y):\n    if y:\n        assert y > 0, 'positive'\n    return y\n"
+                     "class C:\n    def g(self):\n        return 'assert not here'\n")
+    assert assert_statements(tree) == [1, 4]
+
+
 TAXONOMY = (InputError, Undetermined, InvariantViolation)
 # (enclosing function, exception class) pairs raised outside the taxonomy
 OFF_TAXONOMY_ALLOWED = {("Scalar.inverse", ZeroDivisionError),
