@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exactnum import (Field, InputError, InvariantViolation, QQ, QQ_I, Scalar, Undetermined,
                        rational_sqrt_decomp)
-from .glinalg import Matrix, Vector, eliminate, vec_is_zero, vec_scale
+from .glinalg import Matrix, SparseVec, Vector, eliminate, vec_is_zero, vec_scale
 from .lsa import LieSuperalgebra, bracket_span, center
 from .cones import is_positive_definite
 
@@ -60,15 +60,6 @@ class MatrixRep:
 
     def rho(self, v: Vector) -> Matrix:
         return Matrix.combination(self.field, self.dim, self.dim, zip(v, self.mats))
-
-    def block_pattern_ok(self, M: Matrix, parity: int) -> bool:
-        e = self.even_dim
-        for i in range(self.dim):
-            for j in range(self.dim):
-                same_block = (i < e) == (j < e)
-                if same_block == bool(parity) and M.rows[i][j]:
-                    return False
-        return True
 
     def as_json(self) -> dict:
         return {
@@ -200,6 +191,37 @@ def _is_scalar_matrix(M: Matrix) -> bool:
     return True
 
 
+def _row_comb(terms: Iterable[tuple[Scalar, SparseVec]]) -> SparseVec:
+    """sum c * row over the (c, row) terms, zeros dropped."""
+    acc: SparseVec = {}
+    for c, row in terms:
+        for j, x in row.items():
+            t = c * x
+            acc[j] = acc[j] + t if j in acc else t
+    return {j: x for j, x in acc.items() if x}
+
+
+def _rows_sum(P: list[SparseVec], Q: list[SparseVec], negate: bool) -> list[SparseVec]:
+    """P + Q, or P - Q, over the stored entries, without multiplying by -1;
+    zeros dropped."""
+    out = []
+    for p, q in zip(P, Q):
+        r = dict(p)
+        for j, y in q.items():
+            r[j] = (r[j] - y if negate else r[j] + y) if j in r else (-y if negate else y)
+        out.append({j: x for j, x in r.items() if x})
+    return out
+
+
+def _adjoint(rows: list[SparseVec], negate: bool) -> list[SparseVec]:
+    """The conjugate transpose {(j, i): conj(x)} of square sparse rows, or its negative."""
+    out: list[SparseVec] = [{} for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = -x.conjugate_i() if negate else x.conjugate_i()
+    return out
+
+
 def verify_rep(rep: MatrixRep, adjoint_sample: Sequence[Vector] = (),
                odd_tuples: Sequence[Sequence[Vector]] = ()) -> dict:
     """Exact verification of the unitary-representation axioms on a
@@ -208,20 +230,29 @@ def verify_rep(rep: MatrixRep, adjoint_sample: Sequence[Vector] = (),
     fld = rep.field
     failures: list[dict] = []
     n = g.dim
+    e = rep.even_dim
+    sparse = [M._sparse_rows() for M in rep.mats]     # {col: entry} per row, no zeros
 
     grading_ok = True
     for k in range(n):
-        if not rep.block_pattern_ok(rep.mats[k], g.parity(k)):
+        odd = bool(g.parity(k))
+        if any(((i < e) == (j < e)) == odd for i, row in enumerate(sparse[k]) for j in row):
             grading_ok = False
             failures.append({"axiom": "grading", "basis": k})
 
-    products: dict[tuple[int, int], Matrix] = {}
+    products: dict[tuple[int, int], list[SparseVec]] = {}
 
-    def product(a: int, b: int) -> Matrix:
-        """M_a M_b, computed once for both bracket loops."""
+    def product(a: int, b: int) -> list[SparseVec]:
+        """M_a M_b as sparse rows, computed once for both bracket loops."""
         if (a, b) not in products:
-            products[(a, b)] = rep.mats[a] * rep.mats[b]
+            products[(a, b)] = [_row_comb((x, sparse[b][k]) for k, x in row.items())
+                                for row in sparse[a]]
         return products[(a, b)]
+
+    def rho(v: Vector) -> list[SparseVec]:
+        """rho(v) as sparse rows, over the nonzero coefficients of v."""
+        terms = [(c, rows) for c, rows in zip(v, sparse) if c]
+        return [_row_comb((c, rows[i]) for c, rows in terms) for i in range(rep.dim)]
 
     def bracket(a: int, b: int) -> Vector:
         return tuple(x.promote(fld) for x in g.bracket_basis(a, b))
@@ -230,30 +261,27 @@ def verify_rep(rep: MatrixRep, adjoint_sample: Sequence[Vector] = (),
     anticommutator_ok = True
     for a in g.space.odd_indices():
         for b in g.space.odd_indices():
-            lhs = product(a, b) + product(b, a)
-            rhs = rep.rho(vec_scale(minus_i, bracket(a, b)))
-            if lhs != rhs:
+            rhs = rho(vec_scale(minus_i, bracket(a, b)))
+            if _rows_sum(product(a, b), product(b, a), negate=False) != rhs:
                 anticommutator_ok = False
                 failures.append({"axiom": "anticommutator", "pair": [a, b]})
 
     even_commutator_ok = True
     for a in g.space.even_indices():
         for b in range(n):
-            lhs = product(a, b) - product(b, a)
-            rhs = rep.rho(bracket(a, b))
-            if lhs != rhs:
+            if _rows_sum(product(a, b), product(b, a), negate=True) != rho(bracket(a, b)):
                 even_commutator_ok = False
                 failures.append({"axiom": "even_commutator", "pair": [a, b]})
 
     hermitian_odd_ok = True
     for a in g.space.odd_indices():
-        if rep.mats[a] != rep.mats[a].conj_transpose():
+        if sparse[a] != _adjoint(sparse[a], negate=False):
             hermitian_odd_ok = False
             failures.append({"axiom": "hermitian_odd", "basis": a})
 
     skew_even_ok = True
     for a in g.space.even_indices():
-        if rep.mats[a] != rep.mats[a].conj_transpose().scale(-fld.one):
+        if sparse[a] != _adjoint(sparse[a], negate=True):
             skew_even_ok = False
             failures.append({"axiom": "skew_even", "basis": a})
 

@@ -159,7 +159,8 @@ def weight_in_cone(tm: TruncatedModule, weight: Sequence[Scalar]) -> bool:
     """Literal check that weight = lambda - sum m_i alpha_i with m_i >= 0.
 
     Enumerates bounded nonnegative integer combinations of the positive roots
-    (depth is the exact bound used by the shell)."""
+    (depth is the exact bound used by the shell); the coefficient of the last
+    root is solved for, not enumerated."""
     target = tuple(lw - w for lw, w in zip(tm.module.weight, weight))
     alphas = []
     seen = set()
@@ -168,12 +169,20 @@ def weight_in_cone(tm: TruncatedModule, weight: Sequence[Scalar]) -> bool:
         if key not in seen:
             seen.add(key)
             alphas.append(r.values)
+    last = alphas[-1] if alphas else ()
+    k = next((t for t, a in enumerate(last) if a), None)
+    inv = None if k is None else last[k].inverse()
 
     def rec(rem: tuple[Scalar, ...], idx: int, budget: int) -> bool:
         if all(not x for x in rem):
             return True
         if idx == len(alphas) or budget == 0:
             return False
+        if idx == len(alphas) - 1:
+            # rem = m * last for one integer 0 <= m <= budget, m read off coordinate k
+            m = None if inv is None else rem[k] * inv
+            return (m is not None and m.is_rational() and m.a.denominator == 1
+                    and 0 <= m.a <= budget and rem == tuple(m * a for a in last))
         alpha = alphas[idx]
         for m in range(budget + 1):
             if m:

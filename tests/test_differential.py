@@ -6,7 +6,7 @@ it stands in for."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liecones import cliffrep
@@ -191,30 +191,86 @@ def dense_failures(rep: MatrixRep) -> list[dict]:
     return out
 
 
+HC_KEYS = ("cl(1|1,+)", "cl(1|1,-)", "cl(1|2,++)", "cl(1|3,+++)", "cl(1|4,++++)", "hc(2|2,++)")
+
+
+def sheared(g: LieSuperalgebra, t: int) -> LieSuperalgebra:
+    """g with its first odd basis vector f replaced by f + t f' (f' the last
+    one), so that its odd Gram matrix is not diagonal.  Every bracket of a
+    Heisenberg-Clifford algebra is a multiple of the even Z, whose coordinates
+    the shear leaves alone."""
+    odd = g.space.odd_indices()
+    a, b = odd[0], odd[-1]
+    basis = [g.basis_vector(k) for k in range(g.dim)]
+    basis[a] = vec_add(basis[a], vec_scale(g.field.rat(t), basis[b]))
+    names = g.space.basis_names
+    table = {}
+    for i in range(g.dim):
+        for j in range(i, g.dim):
+            br = g.bracket(basis[i], basis[j])
+            if any(br):
+                table[(names[i], names[j])] = {names[k]: x for k, x in enumerate(br) if x}
+    return LieSuperalgebra.from_table(f"{g.name}~{t}", g.field,
+                                      [names[k] for k in g.space.even_indices()],
+                                      [names[k] for k in g.space.odd_indices()], table)
+
+
+@st.composite
+def classified_modules(draw):
+    """A module that classify_heisenberg_clifford builds for a cl or hc key,
+    sheared when it has two odd vectors: P^-1 then mixes the gamma matrices,
+    and for three or more odd vectors the operators are not monomial."""
+    g = build(draw(st.sampled_from(HC_KEYS))).algebra
+    e = g.space.even_dim
+    sign = g.bracket_basis(e, e)[e - 1].sign()      # [f1, f1] = +-Z, Z the last even vector
+    if g.space.odd_dim >= 2:
+        g = sheared(g, draw(st.sampled_from((1, 2, 3, -1))))
+    # 2 |gamma| is a square, so the pivots need one square root between them
+    gam = sign * draw(st.sampled_from((Fraction(2), Fraction(1, 2), Fraction(8))))
+    res = cliffrep.classify_heisenberg_clifford(g, gam)
+    return draw(st.sampled_from(res.modules))
+
+
 @st.composite
 def perturbed_modules(draw):
-    """A spin module over Q(i) or Q(i, sqrt c), with at most one entry changed."""
-    d = draw(st.integers(min_value=1, max_value=4))
-    c = draw(st.sampled_from((2, 3)))
-    norms = draw(st.lists(st.sampled_from((2, 8, 2 * c, 8 * c)), min_size=d, max_size=d))
-    rep = clifford_module(d, norms)
-    fld = rep.field
+    """A spin module over Q(i) or Q(i, sqrt c), or a classified module, with
+    at most one entry changed or one nonzero entry cancelled to zero."""
     if draw(st.booleans()):
-        k = draw(st.integers(min_value=0, max_value=d))
-        i = draw(st.integers(min_value=0, max_value=rep.dim - 1))
-        j = draw(st.integers(min_value=0, max_value=rep.dim - 1))
-        delta = draw(st.sampled_from([fld.one, fld.i, -fld.one]
-                                     + ([fld.sqrt] if fld.d else [])))
+        d = draw(st.integers(min_value=1, max_value=6))
+        c = draw(st.sampled_from((2, 3)))
+        norms = draw(st.lists(st.sampled_from((2, 8, 2 * c, 8 * c)), min_size=d, max_size=d))
+        rep = clifford_module(d, norms)
+    else:
+        rep = draw(classified_modules())
+    fld = rep.field
+    how = draw(st.sampled_from(("none", "add", "cancel")))
+    if how != "none":
+        k = draw(st.integers(min_value=0, max_value=rep.algebra.dim - 1))
         rows = [list(r) for r in rep.mats[k].rows]
-        rows[i][j] = rows[i][j] + delta
+        if how == "add":
+            i = draw(st.integers(min_value=0, max_value=rep.dim - 1))
+            j = draw(st.integers(min_value=0, max_value=rep.dim - 1))
+            delta = draw(st.sampled_from([fld.one, fld.i, -fld.one]
+                                         + ([fld.sqrt] if fld.d else [])))
+            rows[i][j] = rows[i][j] + delta
+        else:
+            i, j = draw(st.sampled_from([(i, j) for i, r in enumerate(rows)
+                                         for j, x in enumerate(r) if x]))
+            rows[i][j] = rows[i][j] - rows[i][j]
         mats = list(rep.mats)
         mats[k] = Matrix(fld, rows)
         rep = MatrixRep(rep.algebra, rep.even_dim, rep.odd_dim, tuple(mats))
     return rep
 
 
+# not monomial, so some product entries sum several terms; tried on every run
+MIXED_CL3 = cliffrep.classify_heisenberg_clifford(sheared(build("cl(1|3,+++)").algebra, 1),
+                                                  2).modules[0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(perturbed_modules())
+@example(MIXED_CL3)
 def test_verify_rep_matches_dense_checks(rep):
     report = verify_rep(rep)
     assert report["failures"] == dense_failures(rep)

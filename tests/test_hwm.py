@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from liecones.exactnum import QQ, QQ_I, InputError
 from liecones.glinalg import Matrix
@@ -157,3 +161,53 @@ def test_cartan_module_rejects_nonpositive_dim():
     for dim in (0, -3):
         with pytest.raises(InputError):
             CartanModule(dim, (QQ.zero,))
+
+
+def enumerated_in_cone(tm, weight) -> bool:
+    """weight_in_cone with every root's coefficient enumerated, the last one too."""
+    target = tuple(lw - w for lw, w in zip(tm.module.weight, weight))
+    alphas = []
+    for r in tm.positives:
+        if all(r.values != a for a in alphas):
+            alphas.append(r.values)
+
+    def rec(rem, idx, budget):
+        if all(not x for x in rem):
+            return True
+        if idx == len(alphas) or budget == 0:
+            return False
+        for m in range(budget + 1):
+            if m:
+                rem = tuple(x - a for x, a in zip(rem, alphas[idx]))
+            if rec(rem, idx + 1, budget - m):
+                return True
+        return False
+
+    return rec(target, 0, tm.depth)
+
+
+# weight = lambda - q * u for the unit root u of osp(1|2): q above lambda,
+# non-integer, inside the shell, or past its depth
+OFFSETS = st.sampled_from([Fraction(q) for q in range(-2, 11)]
+                          + [Fraction(1, 2), Fraction(3, 2), Fraction(7, 2), Fraction(-1, 3)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.integers(min_value=-3, max_value=6), depth=st.integers(min_value=0, max_value=4),
+       x0=st.sampled_from((1, -1)), reverse=st.booleans(), q=OFFSETS)
+@example(lam=0, depth=2, x0=1, reverse=False, q=Fraction(1, 2))
+@example(lam=0, depth=2, x0=1, reverse=True, q=Fraction(1, 2))
+@example(lam=1, depth=2, x0=1, reverse=False, q=Fraction(6))
+@example(lam=1, depth=2, x0=-1, reverse=True, q=Fraction(6))
+@example(lam=2, depth=3, x0=1, reverse=False, q=Fraction(-1))
+def test_weight_in_cone_matches_enumeration(osp_datum, lam, depth, x0, reverse, q):
+    _, datum = osp_datum
+    pos = positive_system(datum, (x0,))
+    pos = pos[::-1] if reverse else pos
+    fld = pos[0].values[0].field
+    tm = build_truncated(datum, pos, CartanModule(1, (fld.rat(lam),)), depth)
+    weight = (fld.rat(lam) - fld.rat(q * x0),)
+    # the cone of alpha, 2 alpha with at most depth roots: integer q in 0..2 depth
+    inside = q.denominator == 1 and 0 <= q <= 2 * depth
+    assert weight_in_cone(tm, weight) == enumerated_in_cone(tm, weight) == inside
+    assert inside == (weight in tm.weights)
