@@ -6,6 +6,10 @@ Compact embeddedness is certified spectrally: every ad(K) must be semisimple
 roots of charpoly(ad(K)^2) nonpositive, and all complex roots real), plus a
 deterministic sample of integer combinations for non-abelian families.  The
 inner automorphism group is never materialized.
+
+The regular-element scan stops once its answer is proved: at g0 itself when
+g0 is nilpotent, and, in the search for a compact Cartan subalgebra, once the
+centre of g0, which lies in every Cartan subalgebra, fails the spectral test.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from .exactnum import (InputError, InvariantViolation, Scalar, Undetermined, is_
 from .glinalg import (
     GradedSpace, Matrix, Subspace, Vector, joint_eigenspaces, kernel, lin_comb, zero_vector,
 )
-from .lsa import LieSuperalgebra, bracket_span, is_nilpotent, is_subalgebra, subalgebra_on
+from .lsa import (LieSuperalgebra, bracket_span, center, is_nilpotent, is_subalgebra,
+                  subalgebra_on)
 
 
 UNDETERMINED = "UNDETERMINED"
@@ -79,6 +84,8 @@ def is_cartan_subalgebra_even(g: LieSuperalgebra, h0: Subspace) -> bool:
 def candidate_vectors(n: int, bound: int, cap: int) -> Iterator[tuple[int, ...]]:
     """Deterministic integer vectors of increasing 1-norm, coordinates in
     [-bound, bound]; at most cap vectors."""
+    if cap <= 0:
+        return
     count = 0
     for norm in range(1, n * bound + 1):
         for vec in _fixed_norm_vectors(n, bound, norm):
@@ -108,7 +115,9 @@ def iter_cartan_even(g: LieSuperalgebra, bound: int = 3, cap: int = 4000,
     """Verified even Cartan subalgebras found by the regular-element scan.
 
     Yields (regular candidate Y, Cartan subalgebra of g0) pairs in scan order,
-    deduplicated; each yield is verified nilpotent + self-normalizing.
+    deduplicated; each yield is verified nilpotent + self-normalizing.  The
+    scan ends after h0 = g0: g0 is then nilpotent, so each proper subalgebra
+    lies properly in its normalizer and g0 is its only Cartan subalgebra.
     """
     e = g.space.even_dim
     if e == 0:
@@ -127,6 +136,8 @@ def iter_cartan_even(g: LieSuperalgebra, bound: int = 3, cap: int = 4000,
         seen.add(h0.rows)
         if is_cartan_subalgebra_even(g, h0):
             yield y, h0
+            if h0.dim == e:
+                return
 
 
 def cartan_subalgebra_even(g: LieSuperalgebra, bound: int = 3, cap: int = 4000) -> Subspace:
@@ -219,11 +230,20 @@ def is_compactly_embedded(g: LieSuperalgebra, k0: Subspace,
 def compact_cartan_even(g: LieSuperalgebra, bound: int = 3, cap: int = 4000,
                         max_candidates: int = 40) -> Subspace | None:
     """First Cartan subalgebra of g0 from the scan that certifies compactly
-    embedded in g; None when none of the scanned candidates does."""
+    embedded in g; None when none of the scanned candidates does, or, after
+    the first failure, when a basis row of z(g0) fails the spectral test.
+    That is exact: z(g0) normalizes, so lies in, every Cartan h0, and
+    is_compactly_embedded is True only for an abelian h0 whose rows have
+    rational, semisimple ad with imaginary spectrum; those ad's commute, and a
+    rational ad(z), z in h0, is a rational combination of them, so passes."""
+    pad = (g.field.zero,) * g.space.odd_dim
     found = 0
     for _, h0 in iter_cartan_even(g, bound, cap):
         if is_compactly_embedded(g, h0) is True:
             return h0
+        if found == 0 and any(_spectrum_purely_imaginary_semisimple(g, z + pad) is False
+                              for z in center(g.even_part.algebra).rows):
+            return None
         found += 1
         if found >= max_candidates:
             break

@@ -94,6 +94,13 @@ def _require_axioms(g: LieSuperalgebra) -> None:
                          + json.dumps([list(v) for v in rep.violations]))
 
 
+def _scan_budgets(args, **extra) -> dict:
+    """The report's budgets; a negative --budget or --cap is an input error."""
+    if args.budget < 0 or args.cap < 0:
+        raise InputError("--budget and --cap must be >= 0")
+    return {"scan_bound": args.budget, "scan_cap": args.cap, **extra}
+
+
 def _parse_functional(g: LieSuperalgebra, text: str) -> tuple:
     parts = [p for p in text.split(",") if p.strip()]
     vals = tuple(parse_scalar(p, g.field) for p in parts)
@@ -143,7 +150,7 @@ def cmd_analyze(args) -> dict:
 
 def cmd_cartan(args) -> dict:
     g, inputs = _load_algebra(args)
-    budgets = {"scan_bound": args.budget, "scan_cap": args.cap}
+    budgets = _scan_budgets(args)
     try:
         h0 = car.cartan_subalgebra_even(g, bound=args.budget, cap=args.cap)
     except Undetermined as exc:
@@ -161,7 +168,7 @@ def cmd_cartan(args) -> dict:
 
 def cmd_roots(args) -> dict:
     g, inputs = _load_algebra(args)
-    budgets = {"scan_bound": args.budget, "scan_cap": args.cap}
+    budgets = _scan_budgets(args)
     h0 = car.compact_cartan_even(g, bound=args.budget, cap=args.cap)
     if h0 is None:
         return _report("roots", inputs, "UNDETERMINED",
@@ -184,8 +191,7 @@ def cmd_roots(args) -> dict:
 
 def cmd_cone_check(args) -> dict:
     g, inputs = _load_algebra(args)
-    budgets = {"scan_bound": args.budget, "scan_cap": args.cap,
-               "hill_steps": args.hill_steps}
+    budgets = _scan_budgets(args, hill_steps=args.hill_steps)
     pd = cones.find_pd_functional(g, bound=args.budget, cap=args.cap,
                                   hill_steps=args.hill_steps)
     iso = cones.find_isotropic_odd(g)
@@ -197,8 +203,7 @@ def cmd_cone_check(args) -> dict:
 
 def cmd_star_reduced(args) -> dict:
     g, inputs = _load_algebra(args)
-    budgets = {"scan_bound": args.budget, "scan_cap": args.cap,
-               "hill_steps": args.hill_steps}
+    budgets = _scan_budgets(args, hill_steps=args.hill_steps)
     rep = cones.star_reduced_report(g, bound=args.budget, cap=args.cap,
                                     hill_steps=args.hill_steps)
     status = {"OBSTRUCTED": "OBSTRUCTED", "CONE_OK": "OK",
@@ -322,7 +327,7 @@ def cmd_verify_rep(args) -> dict:
 
 def cmd_hwm(args) -> dict:
     g, inputs = _load_algebra(args)
-    budgets = {"scan_bound": args.budget, "scan_cap": args.cap, "depth": args.depth}
+    budgets = _scan_budgets(args, depth=args.depth)
     h0 = car.compact_cartan_even(g, bound=args.budget, cap=args.cap)
     if h0 is None:
         return _report("hwm", inputs, "UNDETERMINED",

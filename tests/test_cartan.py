@@ -1,6 +1,7 @@
 import pytest
 
-from liecones.exactnum import QQ, QQ_I, InputError, Undetermined
+from liecones import cartan
+from liecones.exactnum import QQ, QQ_I, Field, InputError, Undetermined
 from liecones.catalog import cm
 from liecones.cartan import (
     candidate_vectors,
@@ -10,6 +11,7 @@ from liecones.cartan import (
     normalizer, root_decomposition,
 )
 from liecones.glinalg import Matrix
+from liecones.lsa import LieSuperalgebra
 
 
 def test_candidate_vectors_deterministic():
@@ -19,6 +21,15 @@ def test_candidate_vectors_deterministic():
     assert a[0] in ((1, 0), (0, 1))
     assert all(sum(abs(x) for x in v) <= sum(abs(x) for x in w)
                for v, w in zip(a, a[1:]))
+
+
+def test_candidate_vectors_respect_a_zero_or_negative_cap(algebra):
+    assert list(candidate_vectors(3, 2, 1)) == [(1, 0, 0)]
+    for cap in (0, -5):
+        assert list(candidate_vectors(3, 2, cap)) == []
+    assert compact_cartan_even(algebra("su(2)"), cap=0) is None
+    with pytest.raises(Undetermined):
+        cartan_subalgebra_even(algebra("su(2)"), cap=0)
 
 
 def test_fitting_null_examples(algebra):
@@ -218,3 +229,67 @@ def test_root_splitting_depends_on_declared_tower():
     rd = root_decomposition(g3, cd3)
     vals = sorted(str(r.values[0]) for r in rd.roots)
     assert vals == ["-1*sqrt3", "0", "1*sqrt3"]
+
+
+def scan_counts(g, monkeypatch) -> tuple[object, list[str]]:
+    """compact_cartan_even on a fresh copy of g (no cached structure), and the
+    candidates drawn, compact-embeddedness tests, centre computations and
+    spectral tests it made, in order."""
+    calls: list[str] = []
+    draw, certify = cartan.candidate_vectors, cartan.is_compactly_embedded
+    centre, spectral = cartan.center, cartan._spectrum_purely_imaginary_semisimple
+
+    def drawn(*a):
+        for v in draw(*a):
+            calls.append("candidate")
+            yield v
+
+    monkeypatch.setattr(cartan, "candidate_vectors", drawn)
+    monkeypatch.setattr(cartan, "is_compactly_embedded",
+                        lambda *a: calls.append("certify") or certify(*a))
+    monkeypatch.setattr(cartan, "center", lambda *a: calls.append("center") or centre(*a))
+    monkeypatch.setattr(cartan, "_spectrum_purely_imaginary_semisimple",
+                        lambda *a: calls.append("spectral") or spectral(*a))
+    fresh = LieSuperalgebra(g.name, g.space, g.field, g.brackets)
+    return compact_cartan_even(fresh), calls
+
+
+@pytest.mark.parametrize("key", ["h(1)", "hc(2|2,++)", "hc(2|2,+-)", "n3super"])
+def test_nilpotent_even_part_scans_one_candidate(algebra, monkeypatch, key):
+    """g0 is nilpotent, so the first candidate gives its only Cartan
+    subalgebra, g0 itself, which is not compactly embedded."""
+    h0, calls = scan_counts(algebra(key), monkeypatch)
+    assert h0 is None
+    assert calls.count("candidate") == 1 and calls.count("certify") == 1
+
+
+def test_noncompact_centre_stops_after_one_cartan(algebra, monkeypatch):
+    """The centre of osp(1,1|2)_0 is a split so(1,1), which lies in every
+    Cartan subalgebra: one failed certificate and one centre test decide."""
+    h0, calls = scan_counts(algebra("osp(1,1|2)"), monkeypatch)
+    assert h0 is None
+    assert calls.count("certify") == 1 and calls.count("center") == 1
+    assert calls[-1] == "spectral"
+
+
+def test_compact_first_cartan_makes_no_centre_test(algebra, monkeypatch):
+    h0, calls = scan_counts(algebra("su(1,1|1,1)"), monkeypatch)
+    assert h0 is not None and h0.dim == 3
+    assert calls.count("certify") == 1 and "center" not in calls
+    assert calls.count("spectral") == h0.dim
+
+
+def test_undetermined_centre_verdict_does_not_stop_the_scan(monkeypatch):
+    """Only a centre row that certainly fails stops the scan.  Here the
+    centre of g0 = sl(2,R) + R C acts on the odd part with entries +-sqrt2,
+    so its spectral test is UNDETERMINED and the scan goes on (to None all
+    the same: every Cartan subalgebra contains C)."""
+    fld = Field(False, 2)
+    r2 = fld.sqrt
+    g = LieSuperalgebra.from_table(
+        "sl2+rot", fld, ["H", "X", "Y", "C"], ["F1", "F2"],
+        {("H", "X"): {"X": 2}, ("H", "Y"): {"Y": -2}, ("X", "Y"): {"H": 1},
+         ("C", "F1"): {"F2": r2}, ("C", "F2"): {"F1": -r2}})
+    h0, calls = scan_counts(g, monkeypatch)
+    assert h0 is None
+    assert calls.count("center") == 1 and calls.count("certify") > 1

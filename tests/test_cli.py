@@ -366,6 +366,9 @@ MALFORMED_RUNS = [
     (["validate", "--algebra", "alg_even.json"], "'even' must be an integer"),
     (["validate", "--algebra", "alg_basis.json"], "'basis' must be an array"),
     (["validate", "--algebra", "alg_tag.json"], "bad field tag"),
+    (["roots", "--catalog", "su(2)", "--budget", "-1"], "--budget and --cap must be >= 0"),
+    (["hwm", "--catalog", "osp(1|2)", "--x0", "1", "--cap", "-5"],
+     "--budget and --cap must be >= 0"),
 ]
 
 
@@ -379,6 +382,19 @@ def test_malformed_input_exits_1_without_verdict(tmp_path, capsys, argv, error):
     rep = json.loads(out)
     assert code == 1 and rep["status"] == "ERROR"
     assert list(rep["results"]) == ["error"] and error in rep["results"]["error"]
+
+
+def test_zero_budget_and_cap_scan_nothing(capsys):
+    """--budget 0 and --cap 0 are valid budgets: the scan draws no candidate,
+    so the verdict is UNDETERMINED with exit 0."""
+    code, out = run_cli(["roots", "--catalog", "su(2)", "--cap", "0"], capsys)
+    rep = json.loads(out)
+    assert code == 0 and rep["status"] == "UNDETERMINED"
+    assert rep["budgets"] == {"scan_bound": 3, "scan_cap": 0}
+    code, out = run_cli(["cartan", "--catalog", "su(2)", "--budget", "0"], capsys)
+    rep = json.loads(out)
+    assert code == 0 and rep["status"] == "UNDETERMINED"
+    assert "bound 0 / cap 2000" in rep["results"]["error"]
 
 
 def test_field_tag_above_the_tower_bound_exits_1(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Differential tests: each shortcut in the orbit classification, the Clifford
-verifier, the zero-skipping kernels and the sparse tower product against a
-plain dense or pairwise formula written here, or against the standalone call
-it stands in for."""
+verifier, the zero-skipping kernels, the sparse tower product and the even
+Cartan scan against a plain dense, pairwise or exhaustive formula written
+here, or against the standalone call it stands in for."""
 
 from fractions import Fraction
 
@@ -9,13 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liecones import cliffrep
-from liecones.catalog import build
+from liecones import cartan, cliffrep
+from liecones.catalog import build, list_keys
 from liecones.cliffrep import MatrixRep, clifford_module, gamma_matrices, parity_change, verify_rep
 from liecones.cones import functional_value
 from liecones.exactnum import QQ, QQ_I, Field, FieldMismatchError, InputError, Scalar
-from liecones.glinalg import (Matrix, Subspace, lin_comb, ungraded, vec_add, vec_scale,
-                              vec_sub)
+from liecones.glinalg import (GradedSpace, Matrix, Subspace, kernel, lin_comb, ungraded,
+                              vec_add, vec_scale, vec_sub)
 from liecones.lsa import LieSuperalgebra, grassmann_extend
 from liecones.orbits import (_apply_exp, classify_orbits, coadjoint_orbit_member,
                              in_admissible_cone, polarizing_flag, polarizing_system_from_m0)
@@ -434,3 +434,84 @@ def test_permuted_gammas_match_permutation_conjugation(d, monkeypatch):
     order = list(range(rep.even_dim, rep.dim)) + list(range(rep.even_dim))
     assert (swapped.even_dim, swapped.odd_dim) == (rep.odd_dim, rep.even_dim)
     assert swapped.mats == tuple(permutation_conjugate(M, order) for M in rep.mats)
+
+
+# ---------------------------------------------------------------------------
+# the even Cartan scan against the exhaustive scan
+# ---------------------------------------------------------------------------
+
+def exhaustive_cartans(g: LieSuperalgebra, bound: int, cap: int):
+    """Every candidate of the regular-element scan, with no stopping rule."""
+    e, fld = g.space.even_dim, g.field
+    seen = set()
+    for ints in cartan.candidate_vectors(e, bound, cap):
+        y = tuple(fld.rat(c) for c in ints) + (fld.zero,) * g.space.odd_dim
+        nil = kernel(g.even_part.algebra.ad(y[:e]).power(e), GradedSpace(e, 0))
+        h0 = Subspace(fld, g.space, [r + (fld.zero,) * g.space.odd_dim for r in nil.rows])
+        if h0.rows not in seen:
+            seen.add(h0.rows)
+            if cartan.is_cartan_subalgebra_even(g, h0):
+                yield y, h0
+
+
+def exhaustive_compact_cartan(g: LieSuperalgebra, bound: int, cap: int):
+    """The first of at most 40 scanned Cartan subalgebras that certifies
+    compactly embedded, or None."""
+    for found, (_, h0) in enumerate(exhaustive_cartans(g, bound, cap)):
+        if found == 40:
+            break
+        if cartan.is_compactly_embedded(g, h0) is True:
+            return h0
+    return None
+
+
+def direct_sum(g: LieSuperalgebra, h: LieSuperalgebra) -> LieSuperalgebra:
+    """g (+) h with the even coordinates of both first."""
+    ge, go, he = g.space.even_dim, g.space.odd_dim, h.space.even_dim
+    maps = ([i if i < ge else i + he for i in range(g.dim)],
+            [ge + i if i < he else ge + go + i for i in range(h.dim)])
+    br = {}
+    for m, a in zip(maps, (g, h)):
+        for (i, j), out in a.brackets.items():
+            br[(m[i], m[j])] = {m[k]: c for k, c in out.items()}
+    return LieSuperalgebra(f"{g.name}+{h.name}", GradedSpace(ge + he, go + h.space.odd_dim),
+                           g.field, br)
+
+
+def signed_permutation(g: LieSuperalgebra, perm: list[int], sign: list[int]) -> LieSuperalgebra:
+    """g in the basis whose vector a is sign[a] times old vector perm[a]."""
+    inv = {old: new for new, old in enumerate(perm)}
+    br = {(inv[i], inv[j]): {inv[k]: c if sign[inv[i]] * sign[inv[j]] * sign[inv[k]] > 0 else -c
+                             for k, c in out.items()}
+          for (i, j), out in g.brackets.items()}
+    return LieSuperalgebra(g.name, g.space, g.field, br)
+
+
+Q2 = Field(False, 2)
+SCAN_ALGEBRAS = {key: build(key).algebra for key in list_keys()}
+for _g in (direct_sum(build("su(2)").algebra, build("h(1)").algebra),      # compact (+) nilpotent
+           direct_sum(build("sl(2,R)").algebra, build("n3super").algebra),  # split (+) nilpotent
+           direct_sum(build("su(2)").algebra, build("gl(1|1)").algebra),    # non-compact centre
+           direct_sum(build("osp(1|2)").algebra, build("cl(1|2,+-)").algebra),
+           grassmann_extend(build("osp(1|2)").algebra, 1),
+           grassmann_extend(build("cl(1|2,++)").algebra, 1),
+           LieSuperalgebra.from_table(                                     # centre acts by sqrt2
+               "sl(2,R)+rot", Q2, ["H", "X", "Y", "C"], ["F1", "F2"],
+               {("H", "X"): {"X": 2}, ("H", "Y"): {"Y": -2}, ("X", "Y"): {"H": 1},
+                ("C", "F1"): {"F2": Q2.sqrt}, ("C", "F2"): {"F1": -Q2.sqrt}})):
+    SCAN_ALGEBRAS[_g.name] = _g
+
+
+@pytest.mark.parametrize("key", sorted(SCAN_ALGEBRAS))
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_cartan_scan_matches_exhaustive_scan(key, data):
+    g = SCAN_ALGEBRAS[key]
+    e, n = g.space.even_dim, g.dim
+    perm = data.draw(st.permutations(range(e))) + data.draw(st.permutations(range(e, n)))
+    g = signed_permutation(g, perm, data.draw(st.lists(st.sampled_from((1, -1)),
+                                                       min_size=n, max_size=n)))
+    bound = data.draw(st.integers(min_value=1, max_value=3))
+    cap = data.draw(st.integers(min_value=12, max_value=48))
+    assert list(cartan.iter_cartan_even(g, bound, cap)) == list(exhaustive_cartans(g, bound, cap))
+    assert cartan.compact_cartan_even(g, bound, cap) == exhaustive_compact_cartan(g, bound, cap)

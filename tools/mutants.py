@@ -8,7 +8,7 @@ to a temporary directory, checks that the named tests pass there, replaces the
 entry's old snippet (which must occur exactly once in its file) and runs the
 tests again.  The mutant is killed when every one of them fails.  The exit
 status is 0 when every mutant is killed and 1 otherwise.  This takes
-two pytest runs per mutant (about a minute for the catalogue on two cores) and
+two pytest runs per mutant (7 to 11 minutes for the catalogue on two cores) and
 is not part of the tier-1 suite.
 """
 
@@ -37,8 +37,12 @@ class Mutant:
 VERIFY = "tests/test_differential.py::test_verify_rep_matches_dense_checks"
 AXIOMS = "tests/test_cliffrep.py::test_classified_modules_pass_axioms"
 CONE = "tests/test_hwm.py::test_weight_in_cone_matches_enumeration"
+SCAN = "tests/test_differential.py::test_cartan_scan_matches_exhaustive_scan"
 CLIFFREP = "src/liecones/cliffrep.py"
 HWM = "src/liecones/hwm.py"
+CARTAN = "src/liecones/cartan.py"
+GLINALG = "src/liecones/glinalg.py"
+LSA = "src/liecones/lsa.py"
 
 MUTANTS = (
     Mutant("product drops a term", CLIFFREP,
@@ -85,6 +89,55 @@ MUTANTS = (
            "0 <= m.a <= budget",
            "m.a <= budget",
            (CONE,)),
+    Mutant("the Cartan scan stops after its first yield", CARTAN,
+           "if h0.dim == e:",
+           "if True:",
+           (f"{SCAN}[osp(1|2)]", f"{SCAN}[sl(2,R)]",
+            "tests/test_cartan.py::test_root_decomposition_osp12")),
+    Mutant("an UNDETERMINED centre verdict stops the scan", CARTAN,
+           "z + pad) is False",
+           "z + pad) is not True",
+           ("tests/test_cartan.py::test_undetermined_centre_verdict_does_not_stop_the_scan",)),
+    Mutant("candidate_vectors yields one vector at cap 0", CARTAN,
+           "    if cap <= 0:\n        return\n",
+           "",
+           ("tests/test_cartan.py::test_candidate_vectors_respect_a_zero_or_negative_cap",
+            "tests/test_cli.py::test_zero_budget_and_cap_scan_nothing")),
+    Mutant("a negative --cap accepted", "src/liecones/cli.py",
+           "if args.budget < 0 or args.cap < 0:",
+           "if args.budget < 0:",
+           ("tests/test_cli.py::test_malformed_input_exits_1_without_verdict",)),
+    Mutant("elimination without back-substitution", GLINALG,
+           "for p in piv.values():",
+           "for p in ():",
+           ("tests/test_glinalg.py::test_kernel_matches_sympy_random",
+            "tests/test_glinalg.py::test_rref_idempotent_random")),
+    Mutant("Subspace.reduce without its tower check", GLINALG,
+           "            for x in v:\n                check_tower(used, x)\n",
+           "            pass\n",
+           ("tests/test_differential.py::test_kernels_keep_field_checks_on_zeros",)),
+    Mutant("Hessenberg reduction without the pivot swap", GLINALG,
+           "piv = next((i for i in range(m, n) if a[i][m - 1]), None)",
+           "piv = m if a[m][m - 1] else None",
+           ("tests/test_glinalg.py::test_charpoly_matches_faddeev_leverrier_random",)),
+    Mutant("joint_eigenspaces stops at the first piece", GLINALG,
+           "if filled == space.dim:",
+           "if filled:",
+           ("tests/test_glinalg.py::test_joint_eigenspaces_match_intersect_everything_random",)),
+    Mutant("wrong graded-Jacobi sign", LSA,
+           "(pj * pi, (j, k, i))",
+           "(pj * pk, (j, k, i))",
+           ("tests/test_lsa.py::test_sparse_jacobi_matches_brute_force",
+            "tests/test_lsa.py::test_all_catalog_pass_axioms")),
+    Mutant("sparse Jacobi drops a rotation", LSA,
+           "for t in ((a, b, c), (b, c, a), (c, a, b))",
+           "for t in ((a, b, c), (b, c, a))",
+           ("tests/test_lsa.py::test_sparse_jacobi_matches_brute_force",)),
+    Mutant("rank-0 functionals merged into one orbit", "src/liecones/orbits.py",
+           "orbits.extend(points.values())",
+           "orbits.append(members)",
+           ("tests/test_orbits.py::test_classify_h1_grid",
+            "tests/test_differential.py::test_classify_orbits_matches_pairwise_union")),
 )
 
 
