@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exactnum import Field, InputError, InvariantViolation, QQ, QQ_I, Scalar
-from .glinalg import GradedSpace, Matrix, Vector
+from .glinalg import GradedSpace, Matrix, Vector, block_positions
 from .lsa import LieSuperalgebra, SparseVec
 
 
@@ -88,25 +88,14 @@ def _flatten_real(M: Matrix) -> list[Fraction]:
     return out
 
 
-def _block_positions(m: int, n: int, parity: int) -> list[tuple[int, int]]:
-    N = m + n
-    pos = []
-    for i in range(N):
-        for j in range(N):
-            block_par = 0 if ((i < m) == (j < m)) else 1
-            if block_par == parity:
-                pos.append((i, j))
-    return pos
-
-
 def _solve_real_form(m: int, n: int, parity: int,
                      mat_constraints: Sequence[Callable[[Matrix], Matrix]],
                      scalar_constraints: Sequence[Callable[[Matrix], Scalar]] = (),
                      ) -> list[Matrix]:
     """Rational basis of the block-homogeneous solutions of linear constraints."""
-    N = m + n
+    N, space = m + n, GradedSpace(m, n)
     gens: list[Matrix] = []
-    for (i, j) in _block_positions(m, n, parity):
+    for (i, j) in block_positions(space, space, parity):
         gens.append(unit_mat(N, i, j))
         gens.append(unit_mat(N, i, j, imaginary=True))
     if not gens:

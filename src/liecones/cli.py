@@ -166,18 +166,27 @@ def cmd_cartan(args) -> dict:
     return _report("cartan", inputs, "OK", results, budgets)
 
 
-def cmd_roots(args) -> dict:
-    g, inputs = _load_algebra(args)
-    budgets = _scan_budgets(args)
+def _root_datum(command: str, g: LieSuperalgebra, inputs: dict, args, budgets: dict):
+    """(h0, root datum) from the scanned compact Cartan subalgebra h0, or the
+    command's UNDETERMINED report when the scan or the root splitting fails."""
     h0 = car.compact_cartan_even(g, bound=args.budget, cap=args.cap)
     if h0 is None:
-        return _report("roots", inputs, "UNDETERMINED",
+        return _report(command, inputs, "UNDETERMINED",
                        {"note": "no compactly embedded Cartan found in scan"}, budgets)
     cd = car.cartan_subsuperalgebra(g, h0)
     try:
-        datum = car.root_decomposition(g, cd)
+        return h0, car.root_decomposition(g, cd)
     except Undetermined as exc:
-        return _report("roots", inputs, "UNDETERMINED", {"error": str(exc)}, budgets)
+        return _report(command, inputs, "UNDETERMINED", {"error": str(exc)}, budgets)
+
+
+def cmd_roots(args) -> dict:
+    g, inputs = _load_algebra(args)
+    budgets = _scan_budgets(args)
+    found = _root_datum("roots", g, inputs, args, budgets)
+    if isinstance(found, dict):
+        return found
+    h0, datum = found
     roots = [{"alpha": [str(v) for v in r.values],
               "even_dim": r.even_space.dim,
               "odd_dim": r.odd_space.dim} for r in datum.roots]
@@ -328,15 +337,10 @@ def cmd_verify_rep(args) -> dict:
 def cmd_hwm(args) -> dict:
     g, inputs = _load_algebra(args)
     budgets = _scan_budgets(args, depth=args.depth)
-    h0 = car.compact_cartan_even(g, bound=args.budget, cap=args.cap)
-    if h0 is None:
-        return _report("hwm", inputs, "UNDETERMINED",
-                       {"note": "no compactly embedded Cartan found in scan"}, budgets)
-    cd = car.cartan_subsuperalgebra(g, h0)
-    try:
-        datum = car.root_decomposition(g, cd)
-    except Undetermined as exc:
-        return _report("hwm", inputs, "UNDETERMINED", {"error": str(exc)}, budgets)
+    found = _root_datum("hwm", g, inputs, args, budgets)
+    if isinstance(found, dict):
+        return found
+    h0, datum = found
     fld = g.field
     x0_parts = [p for p in args.x0.split(",") if p.strip()]
     if len(x0_parts) != h0.dim:

@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 
 from .exactnum import (Field, InputError, InvariantViolation, QQ, QQ_I, Scalar, Undetermined,
                        rational_sqrt_decomp)
-from .glinalg import Matrix, SparseVec, Vector, eliminate, vec_is_zero, vec_scale
+from .glinalg import (GradedSpace, Matrix, SparseVec, Vector, graded_commutant, vec_is_zero,
+                      vec_scale)
 from .lsa import LieSuperalgebra, bracket_span, center
 from .cones import is_positive_definite
 
@@ -363,47 +364,17 @@ def _intertwiner_space(rep1: MatrixRep, rep2: MatrixRep, parity: int) -> list[Ma
     if rep1.algebra is not rep2.algebra:
         raise InputError("equivalence needs modules of one algebra")
     fld = rep1.field
-    if rep2.field is not fld:
-        if rep2.field.extends(fld):
-            fld = rep2.field
-        elif fld.extends(rep2.field):
-            pass
-        else:
-            raise InputError("incompatible scalar towers")
-    n1, n2 = rep1.dim, rep2.dim
-    e1, e2 = rep1.even_dim, rep2.even_dim
-    positions = []
-    for i in range(n2):
-        for j in range(n1):
-            par = 0 if ((i < e2) == (j < e1)) else 1
-            if par == parity:
-                positions.append((i, j))
-    pos_index = {p: t for t, p in enumerate(positions)}
-    rows = []
-    for k in range(rep1.algebra.dim):
-        A = rep2.mats[k].promote(fld) if rep2.field is not fld else rep2.mats[k]
-        B = rep1.mats[k].promote(fld) if rep1.field is not fld else rep1.mats[k]
-        for i in range(n2):
-            for j in range(n1):
-                # (T B - A T)[i][j] = sum_p T[i][p] B[p][j] - A[i][p] T[p][j]
-                row: dict[int, Scalar] = {}
-                for p in range(n1):
-                    t = pos_index.get((i, p))
-                    if t is not None and B.rows[p][j]:
-                        row[t] = row.get(t, fld.zero) + B.rows[p][j]
-                for p in range(n2):
-                    t = pos_index.get((p, j))
-                    if t is not None and A.rows[i][p]:
-                        row[t] = row.get(t, fld.zero) - A.rows[i][p]
-                rows.append(row)
-    out = []
-    for sol in eliminate(rows).null_basis(len(positions), fld.one):
-        M = [[fld.zero] * n1 for _ in range(n2)]
-        for t, val in sol.items():
-            i, j = positions[t]
-            M[i][j] = val
-        out.append(Matrix(fld, M))
-    return out
+    if rep2.field.extends(fld):
+        fld = rep2.field
+    elif not fld.extends(rep2.field):
+        raise InputError("incompatible scalar towers")
+
+    def over(M: Matrix) -> Matrix:
+        return M if M.field is fld else M.promote(fld)
+
+    return graded_commutant(fld, GradedSpace(rep2.even_dim, rep2.odd_dim),
+                            GradedSpace(rep1.even_dim, rep1.odd_dim), parity,
+                            [(over(A), over(B), 1) for A, B in zip(rep2.mats, rep1.mats)])
 
 
 def _contains_invertible(mats: list[Matrix], budget: int = 20000) -> bool:

@@ -5,8 +5,11 @@ through one of two routines: eliminate(), a sparse-row Gauss-Jordan pass
 behind rref, rank, kernels, solves (also factored once, Matrix.solver),
 inverses, determinants and canonical subspaces; and Matrix.ldl(), a
 natural-order symmetric/Hermitian pass whose pivots decide definiteness.
-Subspaces are kept in reduced row-echelon form, which makes equality
-decidable and serialization stable.  Characteristic polynomials come from a
+Homogeneous maps cut out by linear equations in their entries (the graded
+commutant behind centroids, differential constants and intertwiners) are
+one eliminate() over the entries of one block-position list.  Subspaces
+are kept in reduced row-echelon form, which makes equality decidable and
+serialization stable.  Characteristic polynomials come from a
 Hessenberg reduction, O(n^3) field operations.  Eigenvalue extraction
 factors them over Q (via sympy, imported on the first factorisation only)
 and splits quadratics inside the declared tower; anything that does not
@@ -654,6 +657,62 @@ def kernel(M: Matrix, ambient: GradedSpace | None = None) -> Subspace:
 def image(M: Matrix, ambient: GradedSpace | None = None) -> Subspace:
     return Subspace(M.field, ambient or ungraded(M.nrows),
                     [M.col(j) for j in range(M.ncols)])
+
+
+# ---------------------------------------------------------------------------
+# homogeneous maps cut out by linear equations in their entries
+# ---------------------------------------------------------------------------
+
+def block_positions(out_space: GradedSpace, in_space: GradedSpace,
+                    parity: int) -> list[tuple[int, int]]:
+    """Entries (i, j), row by row, of a parity-`parity` map in_space -> out_space."""
+    return [(i, j) for i in range(out_space.dim) for j in range(in_space.dim)
+            if (out_space.parity(i) + in_space.parity(j)) % 2 == parity]
+
+
+def solve_block_maps(fld: Field, out_space: GradedSpace, in_space: GradedSpace, parity: int,
+                     equations: Callable[[dict[tuple[int, int], int]], Iterable[SparseVec]],
+                     ) -> list[Matrix]:
+    """Canonical basis of the parity-`parity` maps T: in_space -> out_space
+    whose entries solve the sparse rows equations(index) returns, where
+    index numbers the unknown entries (i, j) of block_positions."""
+    positions = block_positions(out_space, in_space, parity)
+    index = {e: u for u, e in enumerate(positions)}
+    out = []
+    for sol in eliminate(equations(index)).null_basis(len(positions), fld.one):
+        T = [[fld.zero] * in_space.dim for _ in range(out_space.dim)]
+        for u, x in sol.items():
+            i, j = positions[u]
+            T[i][j] = x
+        out.append(Matrix(fld, T))
+    return out
+
+
+def graded_commutant(fld: Field, out_space: GradedSpace, in_space: GradedSpace, parity: int,
+                     triples: Iterable[tuple[Matrix, Matrix, int]]) -> list[Matrix]:
+    """Canonical basis of the parity-`parity` maps T: in_space -> out_space
+    with T B = s A T for every (A, B, s) of triples: A acts on out_space and
+    B on in_space, both over fld, and s is 1 or -1.  Each equation is built
+    from the nonzero entries of A and B only."""
+    def equations(index):
+        rows: list[SparseVec] = []
+        for A, B, s in triples:
+            b_rows = B._sparse_rows()
+            a_cols = [{m: r[i] for m, r in enumerate(A.rows) if r[i]} for i in range(A.ncols)]
+            eqs: dict[tuple[int, int], SparseVec] = {}
+            for (i, p), u in index.items():
+                # T[i][p] enters (T B)[i][j] by B[p][j] and (A T)[m][p] by A[m][i]
+                for j, b in b_rows[p].items():
+                    row = eqs.setdefault((i, j), {})
+                    row[u] = row[u] + b if u in row else b
+                for m, a in a_cols[i].items():
+                    row = eqs.setdefault((m, p), {})
+                    t = -a if s == 1 else a
+                    row[u] = row[u] + t if u in row else t
+            rows.extend(eqs.values())
+        return rows
+
+    return solve_block_maps(fld, out_space, in_space, parity, equations)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .exactnum import InputError, InvariantViolation, Scalar
 from .cartan import Root, RootDatum
-from .cliffrep import MatrixRep
+from .cliffrep import MatrixRep, _is_scalar_matrix
 
 
 UNTESTED_CLAIMS = (
@@ -46,13 +46,9 @@ def module_from_rep(rep: MatrixRep, h0_dim: int) -> CartanModule:
     weight = []
     for k in range(h0_dim):
         M = rep.mats[k]
-        diag = M.rows[0][0] if M.nrows else fld.zero
-        for i in range(M.nrows):
-            for j in range(M.ncols):
-                want = diag if i == j else fld.zero
-                if M.rows[i][j] != want:
-                    raise InputError("V has multiple t0-weights")
-        lam_k = diag * (-fld.i)
+        if not _is_scalar_matrix(M):
+            raise InputError("V has multiple t0-weights")
+        lam_k = (M.rows[0][0] if M.nrows else fld.zero) * (-fld.i)
         if not lam_k.is_real():
             raise InputError("Cartan action is not i * real")
         weight.append(lam_k)

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, partial
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .exactnum import Field, InputError, InvariantViolation, Scalar, parse_scalar
 from .glinalg import (
     GradedSpace, Matrix, SparseVec, Subspace, Vector, coordinate_subspace, densify,
-    eliminate, full_subspace, lin_comb, unit_vector, zero_vector,
+    full_subspace, graded_commutant, lin_comb, solve_block_maps, unit_vector, zero_vector,
 )
 
 
@@ -224,8 +224,13 @@ class LieSuperalgebra:
             i, j = json_entry(ent, "left", int), json_entry(ent, "right", int)
             if not (0 <= i < space.dim and 0 <= j < space.dim):
                 raise InputError(f"bracket index ({i},{j}) out of range")
+            if (i, j) in br:
+                raise InputError(f"bracket ({i},{j}) given twice")
+            outs = json_entry(ent, "out", list)
             out = {json_entry(o, "k", int): parse_scalar(json_entry(o, "c", str), fld)
-                   for o in json_entry(ent, "out", list)}
+                   for o in outs}
+            if len(out) != len(outs):
+                raise InputError(f"bracket ({i},{j}) repeats an output index")
             if not all(0 <= k < space.dim for k in out):
                 raise InputError(f"bracket ({i},{j}) output index out of range")
             br[(i, j)] = out
@@ -452,35 +457,11 @@ class EndoFamily:
         return len(self.even) + len(self.odd)
 
 
-def _allowed_entries(g: LieSuperalgebra, s: int) -> list[tuple[int, int]]:
-    """Entry positions (p, q) of a parity-s block map (column q -> row p)."""
-    return [(p, q) for p in range(g.dim) for q in range(g.dim)
-            if (g.parity(p) - g.parity(q)) % 2 == s]
-
-
-def _solve_endomorphisms(g: LieSuperalgebra, s: int,
-                         equations: Callable[[dict[tuple[int, int], int], int], Iterable[SparseVec]],
-                         ) -> list[Matrix]:
-    entries = _allowed_entries(g, s)
-    pos = {e: u for u, e in enumerate(entries)}
-    rows = equations(pos, s)
-    basis = eliminate(rows).null_basis(len(entries), g.field.one)
-    mats = []
-    z = g.field.zero
-    for sol in basis:
-        m = [[z] * g.dim for _ in range(g.dim)]
-        for u, val in sol.items():
-            p, q = entries[u]
-            m[p][q] = val
-        mats.append(Matrix(g.field, m))
-    return mats
-
-
 def derivations(g: LieSuperalgebra) -> EndoFamily:
     """Basis of Der(g), split by parity, by exact linear solve."""
     n = g.dim
 
-    def eqs(pos, s):
+    def eqs(s, pos):
         rows = []
         for i in range(n):
             pi = g.parity(i)
@@ -492,16 +473,10 @@ def derivations(g: LieSuperalgebra) -> EndoFamily:
                         continue
                     row: SparseVec = {}
 
-                    def add(key, val):
+                    def add(key, val):     # eliminate() drops cancelled sums
                         u = pos.get(key)
-                        if u is None or not val:
-                            return
-                        cur = row.get(u)
-                        cur = val if cur is None else cur + val
-                        if cur:
-                            row[u] = cur
-                        elif u in row:
-                            del row[u]
+                        if u is not None and val:
+                            row[u] = row[u] + val if u in row else val
 
                     for k, cv in cij.items():
                         add((m, k), cv)
@@ -516,78 +491,28 @@ def derivations(g: LieSuperalgebra) -> EndoFamily:
                         rows.append(row)
         return rows
 
-    return EndoFamily(g, _solve_endomorphisms(g, 0, eqs), _solve_endomorphisms(g, 1, eqs))
+    return EndoFamily(g, *(solve_block_maps(g.field, g.space, g.space, s, partial(eqs, s))
+                           for s in (0, 1)))
+
+
+def _ad_commutant(g: LieSuperalgebra, extra: Sequence[tuple[Matrix, int]] = ()) -> EndoFamily:
+    """Homogeneous T in End(g) with T M = (-1)^{|T||M|} M T for M = ad(e_i)
+    of parity |e_i| and for each (M, |M|) of extra."""
+    ops = [*zip(g.ad_basis, map(g.parity, range(g.dim))), *extra]
+    return EndoFamily(g, *(graded_commutant(g.field, g.space, g.space, s,
+                                            [(M, M, (-1) ** (s * pm)) for M, pm in ops])
+                           for s in (0, 1)))
 
 
 def centroid(g: LieSuperalgebra) -> EndoFamily:
     """Supercommutant of the multiplication algebra inside End(g)."""
-    n = g.dim
-    ads = [g.ad(g.basis_vector(i)) for i in range(n)]
-
-    def eqs(pos, s):
-        rows = []
-        for i in range(n):
-            sgn = g.field.rat((-1) ** (s * g.parity(i)))
-            L = ads[i]
-            for m in range(n):
-                for q in range(n):
-                    if (g.parity(m) - g.parity(q)) % 2 != (s + g.parity(i)) % 2:
-                        continue
-                    row: SparseVec = {}
-                    for p in range(n):
-                        lv = L.rows[p][q]
-                        if lv:
-                            u = pos.get((m, p))
-                            if u is not None:
-                                cur = row.get(u, None)
-                                cur = lv if cur is None else cur + lv
-                                if cur:
-                                    row[u] = cur
-                                elif u in row:
-                                    del row[u]
-                        lv2 = L.rows[m][p]
-                        if lv2:
-                            u = pos.get((p, q))
-                            if u is not None:
-                                val = -(sgn * lv2)
-                                cur = row.get(u, None)
-                                cur = val if cur is None else cur + val
-                                if cur:
-                                    row[u] = cur
-                                elif u in row:
-                                    del row[u]
-                    if row:
-                        rows.append(row)
-        return rows
-
-    return EndoFamily(g, _solve_endomorphisms(g, 0, eqs), _solve_endomorphisms(g, 1, eqs))
+    return _ad_commutant(g)
 
 
 def differential_constants(g: LieSuperalgebra) -> EndoFamily:
     """Supercommutant of Der(g) inside the centroid."""
-    cen = centroid(g)
     der = derivations(g)
-    out: dict[int, list[Matrix]] = {0: [], 1: []}
-    for s, cbasis in ((0, cen.even), (1, cen.odd)):
-        if not cbasis:
-            continue
-        rows: list[SparseVec] = []
-        for dparity, dmats in ((0, der.even), (1, der.odd)):
-            sgn = g.field.rat((-1) ** (s * dparity))
-            for D in dmats:
-                # [A, D] = A D - (-1)^{s |D|} D A = 0 over A = sum a_t C_t
-                comms = [C * D - (D * C).scale(sgn) for C in cbasis]
-                for p in range(g.dim):
-                    for q in range(g.dim):
-                        row = {t: comms[t].rows[p][q] for t in range(len(cbasis))
-                               if comms[t].rows[p][q]}
-                        if row:
-                            rows.append(row)
-        sols = eliminate(rows).null_basis(len(cbasis), g.field.one)
-        for sol in sols:
-            out[s].append(Matrix.combination(g.field, g.dim, g.dim,
-                                             ((val, cbasis[t]) for t, val in sol.items())))
-    return EndoFamily(g, out[0], out[1])
+    return _ad_commutant(g, [(D, 0) for D in der.even] + [(D, 1) for D in der.odd])
 
 
 # ---------------------------------------------------------------------------

@@ -340,6 +340,11 @@ MALFORMED_FILES = {
     "alg_even.json": {"field": "Q", "even": 1.5, "odd": 0},
     "alg_basis.json": {"field": "Q", "even": 2, "odd": 0, "basis": "ab"},
     "alg_tag.json": {"field": "Q_sqrt(" + "9" * 5000 + ")", "even": 1, "odd": 0},
+    "alg_pair_twice.json": {"field": "Q", "even": 3, "odd": 0, "brackets": [
+        {"left": 0, "right": 1, "out": [{"k": 2, "c": "1"}]},
+        {"left": 0, "right": 1, "out": [{"k": 2, "c": "5"}]}]},
+    "alg_k_twice.json": {"field": "Q", "even": 3, "odd": 0, "brackets": [
+        {"left": 0, "right": 1, "out": [{"k": 2, "c": "1"}, {"k": 2, "c": "5"}]}]},
     "rep_missing.json": _rep_doc(drop_operator=True),
     "rep_antisym.json": _rep_doc(algebra_bracket={"left": 0, "right": 0,
                                                   "out": [{"k": 0, "c": "1"}]}),
@@ -366,6 +371,8 @@ MALFORMED_RUNS = [
     (["validate", "--algebra", "alg_even.json"], "'even' must be an integer"),
     (["validate", "--algebra", "alg_basis.json"], "'basis' must be an array"),
     (["validate", "--algebra", "alg_tag.json"], "bad field tag"),
+    (["validate", "--algebra", "alg_pair_twice.json"], "bracket (0,1) given twice"),
+    (["validate", "--algebra", "alg_k_twice.json"], "bracket (0,1) repeats an output index"),
     (["roots", "--catalog", "su(2)", "--budget", "-1"], "--budget and --cap must be >= 0"),
     (["hwm", "--catalog", "osp(1|2)", "--x0", "1", "--cap", "-5"],
      "--budget and --cap must be >= 0"),

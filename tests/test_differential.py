@@ -1,7 +1,8 @@
 """Differential tests: each shortcut in the orbit classification, the Clifford
-verifier, the zero-skipping kernels, the sparse tower product and the even
-Cartan scan against a plain dense, pairwise or exhaustive formula written
-here, or against the standalone call it stands in for."""
+verifier, the zero-skipping kernels, the sparse tower product, the even
+Cartan scan and the graded-commutant solve against a plain dense, pairwise,
+exhaustive or entry-by-entry formula written here, or against the standalone
+call it stands in for."""
 
 from fractions import Fraction
 
@@ -14,9 +15,10 @@ from liecones.catalog import build, list_keys
 from liecones.cliffrep import MatrixRep, clifford_module, gamma_matrices, parity_change, verify_rep
 from liecones.cones import functional_value
 from liecones.exactnum import QQ, QQ_I, Field, FieldMismatchError, InputError, Scalar
-from liecones.glinalg import (GradedSpace, Matrix, Subspace, kernel, lin_comb, ungraded,
-                              vec_add, vec_scale, vec_sub)
-from liecones.lsa import LieSuperalgebra, grassmann_extend
+from liecones.glinalg import (GradedSpace, Matrix, Subspace, eliminate, kernel, lin_comb,
+                              ungraded, vec_add, vec_scale, vec_sub)
+from liecones.lsa import (LieSuperalgebra, centroid, derivations, differential_constants,
+                          grassmann_extend)
 from liecones.orbits import (_apply_exp, classify_orbits, coadjoint_orbit_member,
                              in_admissible_cone, polarizing_flag, polarizing_system_from_m0)
 
@@ -515,3 +517,168 @@ def test_cartan_scan_matches_exhaustive_scan(key, data):
     cap = data.draw(st.integers(min_value=12, max_value=48))
     assert list(cartan.iter_cartan_even(g, bound, cap)) == list(exhaustive_cartans(g, bound, cap))
     assert cartan.compact_cartan_even(g, bound, cap) == exhaustive_compact_cartan(g, bound, cap)
+
+
+# ---------------------------------------------------------------------------
+# one graded-commutant solve against the three equation builders it replaced
+# ---------------------------------------------------------------------------
+
+def allowed_entries(g: LieSuperalgebra, s: int) -> list[tuple[int, int]]:
+    return [(p, q) for p in range(g.dim) for q in range(g.dim)
+            if (g.parity(p) - g.parity(q)) % 2 == s]
+
+
+def solve_endomorphisms(g: LieSuperalgebra, s: int, equations) -> list[Matrix]:
+    entries = allowed_entries(g, s)
+    pos = {e: u for u, e in enumerate(entries)}
+    basis = eliminate(equations(pos, s)).null_basis(len(entries), g.field.one)
+    mats = []
+    z = g.field.zero
+    for sol in basis:
+        m = [[z] * g.dim for _ in range(g.dim)]
+        for u, val in sol.items():
+            p, q = entries[u]
+            m[p][q] = val
+        mats.append(Matrix(g.field, m))
+    return mats
+
+
+def oracle_derivations(g: LieSuperalgebra) -> tuple[list[Matrix], list[Matrix]]:
+    n = g.dim
+
+    def eqs(pos, s):
+        rows = []
+        for i in range(n):
+            pi = g.parity(i)
+            sgn = g.field.rat((-1) ** (s * pi))
+            for j in range(i, n):
+                for m in range(n):
+                    if (g.parity(m) - (pi + g.parity(j))) % 2 != s:
+                        continue
+                    row: dict = {}
+
+                    def add(key, val):
+                        u = pos.get(key)
+                        if u is not None and val:
+                            row[u] = row[u] + val if u in row else val
+
+                    for k, cv in g.c(i, j).items():
+                        add((m, k), cv)
+                    for p in range(n):
+                        add((p, i), -g.c(p, j).get(m, g.field.zero))
+                        add((p, j), -(sgn * g.c(i, p).get(m, g.field.zero)))
+                    rows.append(row)
+        return rows
+
+    return solve_endomorphisms(g, 0, eqs), solve_endomorphisms(g, 1, eqs)
+
+
+def oracle_centroid(g: LieSuperalgebra) -> tuple[list[Matrix], list[Matrix]]:
+    """(T L)[m][q] = (-1)^{|T||e_i|} (L T)[m][q] for L = ad(e_i), entry by entry."""
+    n = g.dim
+    ads = [g.ad(g.basis_vector(i)) for i in range(n)]
+
+    def eqs(pos, s):
+        rows = []
+        for i in range(n):
+            sgn = g.field.rat((-1) ** (s * g.parity(i)))
+            L = ads[i]
+            for m in range(n):
+                for q in range(n):
+                    row: dict = {}
+                    for p in range(n):
+                        for key, val in (((m, p), L.rows[p][q]), ((p, q), -(sgn * L.rows[m][p]))):
+                            u = pos.get(key)
+                            if u is not None and val:
+                                row[u] = row[u] + val if u in row else val
+                    rows.append(row)
+        return rows
+
+    return solve_endomorphisms(g, 0, eqs), solve_endomorphisms(g, 1, eqs)
+
+
+def oracle_differential_constants(g: LieSuperalgebra) -> tuple[list[Matrix], list[Matrix]]:
+    """The elements of the centroid basis span that supercommute with Der(g)."""
+    der = oracle_derivations(g)
+    out: tuple[list[Matrix], list[Matrix]] = ([], [])
+    for s, cbasis in enumerate(oracle_centroid(g)):
+        if not cbasis:
+            continue
+        rows = []
+        for dparity, dmats in enumerate(der):
+            sgn = g.field.rat((-1) ** (s * dparity))
+            for D in dmats:
+                comms = [C * D - (D * C).scale(sgn) for C in cbasis]
+                for p in range(g.dim):
+                    for q in range(g.dim):
+                        rows.append({t: comms[t].rows[p][q] for t in range(len(cbasis))})
+        for sol in eliminate(rows).null_basis(len(cbasis), g.field.one):
+            out[s].append(Matrix.combination(g.field, g.dim, g.dim,
+                                             ((val, cbasis[t]) for t, val in sol.items())))
+    return out
+
+
+def oracle_intertwiners(rep1: MatrixRep, rep2: MatrixRep, parity: int) -> list[Matrix]:
+    """T with T rho1(x) = rho2(x) T, entry by entry, over the larger tower."""
+    fld = rep2.field if rep2.field.extends(rep1.field) else rep1.field
+    n1, n2 = rep1.dim, rep2.dim
+    e1, e2 = rep1.even_dim, rep2.even_dim
+    positions = [(i, j) for i in range(n2) for j in range(n1)
+                 if (0 if (i < e2) == (j < e1) else 1) == parity]
+    pos_index = {p: t for t, p in enumerate(positions)}
+    rows = []
+    for k in range(rep1.algebra.dim):
+        A, B = rep2.mats[k].promote(fld), rep1.mats[k].promote(fld)
+        for i in range(n2):
+            for j in range(n1):
+                row: dict = {}
+                for p in range(n1):
+                    t = pos_index.get((i, p))
+                    if t is not None and B.rows[p][j]:
+                        row[t] = row.get(t, fld.zero) + B.rows[p][j]
+                for p in range(n2):
+                    t = pos_index.get((p, j))
+                    if t is not None and A.rows[i][p]:
+                        row[t] = row.get(t, fld.zero) - A.rows[i][p]
+                rows.append(row)
+    out = []
+    for sol in eliminate(rows).null_basis(len(positions), fld.one):
+        M = [[fld.zero] * n1 for _ in range(n2)]
+        for t, val in sol.items():
+            i, j = positions[t]
+            M[i][j] = val
+        out.append(Matrix(fld, M))
+    return out
+
+
+def rows_of(mats: list[Matrix]) -> list[tuple]:
+    return [M.rows for M in mats]
+
+
+COMMUTANT_ALGEBRAS = {key: build(key).algebra for key in list_keys()}
+for _g in (grassmann_extend(build("sl(2,R)").algebra, 2), grassmann_extend(build("h(1)").algebra, 2)):
+    COMMUTANT_ALGEBRAS[_g.name] = _g
+
+
+@pytest.mark.parametrize("key", sorted(COMMUTANT_ALGEBRAS))
+def test_endomorphism_solves_match_entrywise_builders(key):
+    g = COMMUTANT_ALGEBRAS[key]
+    cen, dc, der = centroid(g), differential_constants(g), derivations(g)
+    for family, (even, odd) in ((der, oracle_derivations(g)), (cen, oracle_centroid(g)),
+                                (dc, oracle_differential_constants(g))):
+        assert rows_of(family.even) == rows_of(even)
+        assert rows_of(family.odd) == rows_of(odd)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_intertwiners_match_entrywise_builder(d):
+    rep = clifford_module(d, [2, 4, 2, 8, 4][:d])        # Q(i) at d = 1, Q(i, sqrt 2) above
+    plain = clifford_module(d, [2] * d)                 # over Q(i)
+    wide = MatrixRep(plain.algebra, plain.even_dim, plain.odd_dim,
+                     tuple(M.promote(Field(True, 2)) for M in plain.mats))
+    pc = parity_change(rep)
+    for rep1, rep2 in ((rep, pc), (pc, rep), (rep, rep), (plain, wide), (wide, plain)):
+        for parity in (0, 1):
+            got = cliffrep._intertwiner_space(rep1, rep2, parity)
+            assert rows_of(got) == rows_of(oracle_intertwiners(rep1, rep2, parity))
+    assert cliffrep._intertwiner_space(rep, pc, 1)          # the parity change is odd-equivalent

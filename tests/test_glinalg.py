@@ -4,8 +4,8 @@ import pytest
 
 from liecones.exactnum import Field, QQ, QQ_I
 from liecones.glinalg import (
-    GradedSpace, Matrix, Subspace, generalized_eigenspaces, image,
-    joint_eigenspaces, kernel, roots_in_field, ungraded,
+    GradedSpace, Matrix, Subspace, block_positions, generalized_eigenspaces, graded_commutant,
+    image, joint_eigenspaces, kernel, roots_in_field, ungraded,
 )
 from liecones.exactnum import Poly
 
@@ -119,6 +119,23 @@ def test_joint_eigenspaces_order_independent():
     s2 = {tuple(reversed([str(x) for x in evs])): sp for evs, sp in dec2}
     assert s1 == s2
     assert sum(sp.dim for _, sp in dec1) == 3
+
+
+def test_block_positions_and_graded_commutant():
+    mixed, even = GradedSpace(1, 1), GradedSpace(1, 0)
+    assert block_positions(mixed, mixed, 0) == [(0, 0), (1, 1)]
+    assert block_positions(mixed, mixed, 1) == [(0, 1), (1, 0)]
+    assert block_positions(mixed, even, 1) == [(1, 0)]
+    # J is odd on Q^{1|1}; the even T with T J = J T are the scalars, the odd
+    # T with T J = -J T are the multiples of K, and the odd T with T J = J T
+    # the multiples of J
+    J, K = M(QQ, [[0, -1], [1, 0]]), M(QQ, [[0, 1], [1, 0]])
+    assert graded_commutant(QQ, mixed, mixed, 0, [(J, J, 1)]) == [Matrix.identity(QQ, 2)]
+    assert graded_commutant(QQ, mixed, mixed, 1, [(J, J, -1)]) == [K]
+    assert graded_commutant(QQ, mixed, mixed, 1, [(J, J, 1)]) == [J]
+    # odd T: Q^{1|0} -> Q^{1|1} is T e0 = t f0; T (2) = J T reads (0, 2t) = (-t, 0)
+    assert graded_commutant(QQ, mixed, even, 1, [(J, M(QQ, [[2]]), 1)]) == []
+    assert graded_commutant(QQ, mixed, even, 1, []) == [M(QQ, [[0], [1]])]
 
 
 def test_subspace_graded_parts():

@@ -144,7 +144,7 @@ def test_module_from_rep_rejects_multiweight():
     rep = clifford_module(1, [2])
     bad = MatrixRep(rep.algebra, rep.even_dim, rep.odd_dim,
                     (Matrix(QQ_I, [[QQ_I.i, 0], [0, -QQ_I.i]]),) + rep.mats[1:])
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="V has multiple t0-weights"):
         module_from_rep(bad, 1)
 
 

@@ -38,6 +38,9 @@ VERIFY = "tests/test_differential.py::test_verify_rep_matches_dense_checks"
 AXIOMS = "tests/test_cliffrep.py::test_classified_modules_pass_axioms"
 CONE = "tests/test_hwm.py::test_weight_in_cone_matches_enumeration"
 SCAN = "tests/test_differential.py::test_cartan_scan_matches_exhaustive_scan"
+COMMUTANT = "tests/test_differential.py::test_endomorphism_solves_match_entrywise_builders"
+INTERTWINERS = "tests/test_differential.py::test_intertwiners_match_entrywise_builder"
+GCOMM = "tests/test_glinalg.py::test_block_positions_and_graded_commutant"
 CLIFFREP = "src/liecones/cliffrep.py"
 HWM = "src/liecones/hwm.py"
 CARTAN = "src/liecones/cartan.py"
@@ -124,6 +127,23 @@ MUTANTS = (
            "if filled == space.dim:",
            "if filled:",
            ("tests/test_glinalg.py::test_joint_eigenspaces_match_intersect_everything_random",)),
+    Mutant("the commutant drops s on the A T term", GLINALG,
+           "t = -a if s == 1 else a",
+           "t = -a",
+           (GCOMM, COMMUTANT)),
+    Mutant("the commutant drops the T B term", GLINALG,
+           "for j, b in b_rows[p].items():",
+           "for j, b in ():",
+           (GCOMM, COMMUTANT, INTERTWINERS, "tests/test_lsa.py::test_centroid_dims_paper_values",
+            "tests/test_cliffrep.py::test_equivalence_parity_pairs")),
+    Mutant("block positions invert the parity test", GLINALG,
+           "% 2 == parity]",
+           "% 2 != parity]",
+           (GCOMM,)),
+    Mutant("a repeated bracket pair accepted", LSA,
+           "if (i, j) in br:",
+           "if False:",
+           ("tests/test_cli.py::test_malformed_input_exits_1_without_verdict",)),
     Mutant("wrong graded-Jacobi sign", LSA,
            "(pj * pi, (j, k, i))",
            "(pj * pk, (j, k, i))",
