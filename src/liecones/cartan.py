@@ -9,7 +9,8 @@ inner automorphism group is never materialized.
 
 The regular-element scan stops once its answer is proved: at g0 itself when
 g0 is nilpotent, and, in the search for a compact Cartan subalgebra, once the
-centre of g0, which lies in every Cartan subalgebra, fails the spectral test.
+centre of g0, which lies in every Cartan subalgebra, does not pass the
+spectral test.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .glinalg import (
     GradedSpace, Matrix, Subspace, Vector, joint_eigenspaces, kernel, lin_comb, zero_vector,
 )
 from .lsa import (LieSuperalgebra, bracket_span, center, is_nilpotent, is_subalgebra,
-                  subalgebra_on)
+                  subalgebra_on, transporter)
 
 
 UNDETERMINED = "UNDETERMINED"
@@ -49,23 +50,7 @@ def fitting_null(g: LieSuperalgebra, w0: Subspace) -> Subspace:
 
 def normalizer(g: LieSuperalgebra, h: Subspace) -> Subspace:
     """N_g(h) = {X : [X, h] <= h}, computed exactly."""
-    if h.dim == 0:
-        return g.full_space
-    rows = []
-    comp = h.complement_coordinates()
-    for b in h.rows:
-        adb = g.ad(b)
-        # [X, b] = -+ [b, X]; membership of [X, b] in h is the same condition
-        # as membership of [b, X], so use ad(b) columns
-        red_cols = []
-        for j in range(g.dim):
-            resid = h.reduce(adb.col(j))
-            red_cols.append([resid[c] for c in comp])
-        for rr in zip(*red_cols):
-            rows.append(list(rr))
-    if not rows:
-        return g.full_space
-    return Subspace(g.field, g.space, Matrix(g.field, rows).kernel_basis())
+    return transporter(g, h.rows, g.full_space, h)
 
 
 def is_cartan_subalgebra_even(g: LieSuperalgebra, h0: Subspace) -> bool:
@@ -77,8 +62,7 @@ def is_cartan_subalgebra_even(g: LieSuperalgebra, h0: Subspace) -> bool:
         return False
     if not is_nilpotent(subalgebra_on(g, h0).algebra):
         return False
-    norm_even = normalizer(g, h0).intersect(even)
-    return norm_even == h0
+    return transporter(g, h0.rows, even, h0) == h0
 
 
 def candidate_vectors(n: int, bound: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -231,17 +215,22 @@ def compact_cartan_even(g: LieSuperalgebra, bound: int = 3, cap: int = 4000,
                         max_candidates: int = 40) -> Subspace | None:
     """First Cartan subalgebra of g0 from the scan that certifies compactly
     embedded in g; None when none of the scanned candidates does, or, after
-    the first failure, when a basis row of z(g0) fails the spectral test.
-    That is exact: z(g0) normalizes, so lies in, every Cartan h0, and
-    is_compactly_embedded is True only for an abelian h0 whose rows have
-    rational, semisimple ad with imaginary spectrum; those ad's commute, and a
-    rational ad(z), z in h0, is a rational combination of them, so passes."""
+    the first failure, when a basis row of z(g0) does not pass the spectral
+    test (False or UNDETERMINED).  That is exact: z(g0) normalizes, so lies
+    in, every Cartan h0, and is_compactly_embedded is True only for an abelian
+    h0 whose rows b_k have rational, semisimple ad with imaginary spectrum;
+    those ad's commute.  z(g0) = {sum c_k b_k : sum c_k ad(b_k)|g0 = 0} is cut
+    out by rational equations in the pivot coordinates of h0, so each
+    canonical row of the centre has rational c, and its ad, a rational
+    combination of the ad(b_k), is rational, semisimple and has imaginary
+    spectrum: it passes.  A row that does not pass rules out every compact
+    h0, whether its verdict is False or UNDETERMINED."""
     pad = (g.field.zero,) * g.space.odd_dim
     found = 0
     for _, h0 in iter_cartan_even(g, bound, cap):
         if is_compactly_embedded(g, h0) is True:
             return h0
-        if found == 0 and any(_spectrum_purely_imaginary_semisimple(g, z + pad) is False
+        if found == 0 and any(_spectrum_purely_imaginary_semisimple(g, z + pad) is not True
                               for z in center(g.even_part.algebra).rows):
             return None
         found += 1
@@ -356,25 +345,15 @@ def fixed_point_projection(g: LieSuperalgebra, k0: Subspace) -> Matrix:
     images; requires a compactly embedded k0 (the splitting must be direct)."""
     e = g.space.even_dim
     f = g.field
-    even_amb = GradedSpace(e, 0)
     if k0.dim == 0:
         return Matrix.identity(f, e)
     if is_compactly_embedded(g, k0) is not True:
         raise InputError("fixed_point_projection needs a compactly embedded k0")
-    ker_total: Subspace | None = None
-    im_rows: list[Vector] = []
-    for b in k0.rows:
-        ad_even = g.even_part.algebra.ad(b[:e])
-        kb = kernel(ad_even, even_amb)
-        ker_total = kb if ker_total is None else ker_total.intersect(kb)
-        im_rows.extend(ad_even.col(j) for j in range(e))
-    im = Subspace(f, even_amb, im_rows)
-    if ker_total.dim + im.dim != e or ker_total.intersect(im).dim != 0:
+    ker = transporter(g, k0.rows, g.even_subspace, g.subspace([]))
+    im = bracket_span(g, k0, g.even_subspace)
+    if ker.dim + im.dim != e or ker.intersect(im).dim != 0:
         raise InvariantViolation("kernel and image sum is not direct")
-    basis = list(ker_total.rows) + list(im.rows)
-    B = Matrix.from_cols(f, basis)
     # P sends the kernel basis to itself and the image basis to zero
-    target_cols = list(ker_total.rows) + [zero_vector(f, e)] * im.dim
-    T = Matrix.from_cols(f, target_cols)
-    P = T * B.inverse()
-    return P
+    B = Matrix.from_cols(f, [r[:e] for r in ker.rows + im.rows])
+    T = Matrix.from_cols(f, [r[:e] for r in ker.rows] + [zero_vector(f, e)] * im.dim)
+    return T * B.inverse()

@@ -359,12 +359,7 @@ def convex_hull_contains_zero(vectors: Sequence[Vector]) -> tuple[Fraction, ...]
 
 def _mu_fixed_by_cartan(g: LieSuperalgebra, h0: Subspace, mu: Vector) -> bool:
     e = g.space.even_dim
-    for b in h0.rows:
-        ad_even = g.even_part.algebra.ad(b[:e])
-        for j in range(e):
-            if functional_value(mu, ad_even.col(j)):
-                return False
-    return True
+    return not any(functional_value(mu, r[:e]) for r in bracket_span(g, h0, g.even_subspace).rows)
 
 
 def check_root_space_form(g: LieSuperalgebra, datum, mu: Sequence) -> list[dict]:

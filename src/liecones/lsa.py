@@ -12,6 +12,12 @@ read-only brackets are fixed at construction.  It owns its derived
 structure (the full, even and odd coordinate subspaces, the centre, both
 series, the even part as a subalgebra, the ad(e_j) basis, [g1, g1] and the
 Engel flag of g0 through it), each computed once, on first use.
+
+One routine, transporter(g, acting, source, target) = {X in source :
+[a, X] in target for every a of acting}, answers the centre, the
+supercommutant, the normalizer, the self-normalizing test of a Cartan
+subalgebra of g0, the socle step of the Engel flag and the fixed-point
+kernel of a compactly embedded subalgebra.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Iterable, Mapping, Sequence
 from .exactnum import Field, InputError, InvariantViolation, Scalar, parse_scalar
 from .glinalg import (
     GradedSpace, Matrix, SparseVec, Subspace, Vector, coordinate_subspace, densify,
-    full_subspace, graded_commutant, lin_comb, solve_block_maps, unit_vector, zero_vector,
+    full_subspace, graded_commutant, lin_comb, solve_block_maps, unit_vector,
 )
 
 
@@ -166,7 +172,7 @@ class LieSuperalgebra:
 
     @cached_property
     def _center(self) -> Subspace:
-        return _joint_ad_kernel(self, self.full_space)
+        return transporter(self, self.full_space.rows, self.full_space, self.subspace([]))
 
     @cached_property
     def _lower_central(self) -> tuple[Subspace, ...]:
@@ -327,16 +333,23 @@ def supercommutant(g: LieSuperalgebra, h: Subspace) -> Subspace:
         raise InputError("supercommutant of a non-graded subspace")
     if not is_subalgebra(g, h):
         raise InputError("supercommutant of a non-subalgebra")
-    return _joint_ad_kernel(g, h)
+    return transporter(g, h.rows, g.full_space, g.subspace([]))
 
 
-def _joint_ad_kernel(g: LieSuperalgebra, h: Subspace) -> Subspace:
+def transporter(g: LieSuperalgebra, acting: Sequence[Vector], source: Subspace,
+                target: Subspace) -> Subspace:
+    """{X in source : [a, X] in target for every a of acting}: the kernel of
+    the residuals of [a, s] mod target, on target's complement coordinates,
+    over the basis rows s of source, mapped back through those rows."""
+    comp = target.complement_coordinates()
     rows = []
-    for b in h.rows:
-        rows.extend(g.ad(b).rows)
-    if not rows:
-        return g.full_space
-    return Subspace(g.field, g.space, Matrix(g.field, rows).kernel_basis())
+    for a in acting:
+        resid = [target.reduce(g.bracket(a, s)) for s in source.rows]
+        rows.extend([r[c] for r in resid] for c in comp)
+    if not (rows and source.rows):
+        return source
+    return g.subspace(lin_comb(g.field, g.dim, sol, source.rows)
+                      for sol in Matrix(g.field, rows).kernel_basis())
 
 
 def center(g: LieSuperalgebra) -> Subspace:
@@ -370,31 +383,16 @@ def _engel_refine(g: LieSuperalgebra, bottom: Subspace, top: Subspace) -> list[S
     form a strictly larger ideal (Engel); the new generator is taken in
     deterministic reverse basis order.
     """
-    e = g.space.even_dim
     chain = [bottom]
     cur = bottom
-    ads = g.even_part.algebra.ad_basis
-    odd_zeros = zero_vector(g.field, g.dim - e)
+    even = g.even_subspace.rows
     while cur != top:
-        rows = []
-        comp = cur.complement_coordinates()
-        for ad_even in ads:
-            red_cols = []
-            for tb in top.rows:
-                resid = cur.reduce(ad_even.apply(tb[:e]) + odd_zeros)
-                red_cols.append([resid[c] for c in comp])
-            rows.extend(list(rr) for rr in zip(*red_cols))
-        if rows:
-            sols = Matrix(g.field, rows).kernel_basis()
-        else:
-            sols = [unit_vector(g.field, top.dim, t) for t in range(top.dim)]
-        socle_vecs = [lin_comb(g.field, g.dim, sol, top.rows) for sol in sols]
-        socle = Subspace(g.field, g.space, list(cur.rows) + socle_vecs)
+        socle = cur.sum_with(transporter(g, even, top, cur))
         if socle.dim <= cur.dim:
             raise InvariantViolation("Engel socle did not grow; not nilpotent?")
         pick = next(row for row in reversed(socle.rows) if not cur.contains(row))
         cur = Subspace(g.field, g.space, list(cur.rows) + [pick])
-        for gi in range(e):
+        for gi in range(len(even)):
             for v in cur.rows:
                 if not cur.contains(g.bracket(g.basis_vector(gi), v)):
                     raise InvariantViolation("flag member is not an ideal of g0: "

@@ -279,11 +279,13 @@ def test_compact_first_cartan_makes_no_centre_test(algebra, monkeypatch):
     assert calls.count("spectral") == h0.dim
 
 
-def test_undetermined_centre_verdict_does_not_stop_the_scan(monkeypatch):
-    """Only a centre row that certainly fails stops the scan.  Here the
-    centre of g0 = sl(2,R) + R C acts on the odd part with entries +-sqrt2,
-    so its spectral test is UNDETERMINED and the scan goes on (to None all
-    the same: every Cartan subalgebra contains C)."""
+def test_undetermined_centre_verdict_stops_the_scan(monkeypatch):
+    """A centre row that does not pass stops the scan, UNDETERMINED as well as
+    False.  Here the centre of g0 = sl(2,R) + R C acts on the odd part with
+    entries +-sqrt2, so ad(C) is not rational and its spectral test is
+    UNDETERMINED; every Cartan subalgebra contains C, so none certifies (a
+    certified one has rational ad on its rows and on the rational
+    combination C of them)."""
     fld = Field(False, 2)
     r2 = fld.sqrt
     g = LieSuperalgebra.from_table(
@@ -292,4 +294,5 @@ def test_undetermined_centre_verdict_does_not_stop_the_scan(monkeypatch):
          ("C", "F1"): {"F2": r2}, ("C", "F2"): {"F1": -r2}})
     h0, calls = scan_counts(g, monkeypatch)
     assert h0 is None
-    assert calls.count("center") == 1 and calls.count("certify") > 1
+    assert calls.count("center") == 1 and calls.count("certify") == 1
+    assert calls[-1] == "spectral"

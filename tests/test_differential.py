@@ -1,10 +1,12 @@
 """Differential tests: each shortcut in the orbit classification, the Clifford
 verifier, the zero-skipping kernels, the sparse tower product, the even
-Cartan scan and the graded-commutant solve against a plain dense, pairwise,
-exhaustive or entry-by-entry formula written here, or against the standalone
-call it stands in for."""
+Cartan scan, the graded-commutant solve and the transporter solve against a
+plain dense, pairwise, exhaustive or entry-by-entry formula written here, or
+against the standalone call it stands in for."""
 
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,9 +18,10 @@ from liecones.cliffrep import MatrixRep, clifford_module, gamma_matrices, parity
 from liecones.cones import functional_value
 from liecones.exactnum import QQ, QQ_I, Field, FieldMismatchError, InputError, Scalar
 from liecones.glinalg import (GradedSpace, Matrix, Subspace, eliminate, kernel, lin_comb,
-                              ungraded, vec_add, vec_scale, vec_sub)
-from liecones.lsa import (LieSuperalgebra, centroid, derivations, differential_constants,
-                          grassmann_extend)
+                              ungraded, unit_vector, vec_add, vec_scale, vec_sub)
+from liecones.lsa import (LieSuperalgebra, bracket_span, center, centroid, derivations,
+                          differential_constants, grassmann_extend, is_nilpotent,
+                          supercommutant, transporter)
 from liecones.orbits import (_apply_exp, classify_orbits, coadjoint_orbit_member,
                              in_admissible_cone, polarizing_flag, polarizing_system_from_m0)
 
@@ -682,3 +685,105 @@ def test_intertwiners_match_entrywise_builder(d):
             got = cliffrep._intertwiner_space(rep1, rep2, parity)
             assert rows_of(got) == rows_of(oracle_intertwiners(rep1, rep2, parity))
     assert cliffrep._intertwiner_space(rep, pc, 1)          # the parity change is odd-equivalent
+
+
+# ---------------------------------------------------------------------------
+# one transporter solve against the four loops it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_joint_ad_kernel(g: LieSuperalgebra, h: Subspace) -> Subspace:
+    """{X : [b, X] = 0 for every row b of h}: the stacked rows of the ad(b)."""
+    rows = []
+    for b in h.rows:
+        rows.extend(g.ad(b).rows)
+    if not rows:
+        return g.full_space
+    return Subspace(g.field, g.space, Matrix(g.field, rows).kernel_basis())
+
+
+def oracle_normalizer(g: LieSuperalgebra, h: Subspace) -> Subspace:
+    """{X : [b, X] in h for every row b of h}: the columns of each ad(b)
+    reduced mod h, on h's complement coordinates."""
+    if h.dim == 0:
+        return g.full_space
+    rows = []
+    comp = h.complement_coordinates()
+    for b in h.rows:
+        adb = g.ad(b)
+        red_cols = []
+        for j in range(g.dim):
+            resid = h.reduce(adb.col(j))
+            red_cols.append([resid[c] for c in comp])
+        rows.extend(list(rr) for rr in zip(*red_cols))
+    if not rows:
+        return g.full_space
+    return Subspace(g.field, g.space, Matrix(g.field, rows).kernel_basis())
+
+
+def oracle_engel_socle(g: LieSuperalgebra, cur: Subspace, top: Subspace) -> Subspace:
+    """cur plus the X in top with [g0, X] in cur, from the ad_basis of g0."""
+    e = g.space.even_dim
+    odd_zeros = (g.field.zero,) * g.space.odd_dim
+    rows = []
+    comp = cur.complement_coordinates()
+    for ad_even in g.even_part.algebra.ad_basis:
+        red_cols = []
+        for tb in top.rows:
+            resid = cur.reduce(ad_even.apply(tb[:e]) + odd_zeros)
+            red_cols.append([resid[c] for c in comp])
+        rows.extend(list(rr) for rr in zip(*red_cols))
+    if rows:
+        sols = Matrix(g.field, rows).kernel_basis()
+    else:
+        sols = [unit_vector(g.field, top.dim, t) for t in range(top.dim)]
+    return Subspace(g.field, g.space,
+                    list(cur.rows) + [lin_comb(g.field, g.dim, sol, top.rows) for sol in sols])
+
+
+def oracle_fixed_points(g: LieSuperalgebra, k0: Subspace) -> tuple[Subspace, Subspace]:
+    """Joint kernel and summed images of the ad(b)|g0, b a row of k0, in g0's
+    coordinates: one kernel per row, intersected."""
+    e = g.space.even_dim
+    even_amb = GradedSpace(e, 0)
+    ker = None
+    im_rows = []
+    for b in k0.rows:
+        ad_even = g.even_part.algebra.ad(b[:e])
+        kb = kernel(ad_even, even_amb)
+        ker = kb if ker is None else ker.intersect(kb)
+        im_rows.extend(ad_even.col(j) for j in range(e))
+    return ker, Subspace(g.field, even_amb, im_rows)
+
+
+@pytest.mark.parametrize("key", sorted(SCAN_ALGEBRAS))
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_transporter_matches_the_loops_it_replaced(key, shuffled):
+    """Centre, supercommutant and normalizer of scanned Cartan subalgebras h0
+    and of N_g(h0), the self-normalizing test in g0, the Engel socle steps and
+    the fixed-point kernel and image, in the catalog basis or in a signed
+    permutation of it drawn from a generator seeded by the key."""
+    g = SCAN_ALGEBRAS[key]
+    if shuffled:
+        e, n, rng = g.space.even_dim, g.dim, random.Random(key)
+        g = signed_permutation(g, rng.sample(range(e), e) + rng.sample(range(e, n), n - e),
+                               [rng.choice((1, -1)) for _ in range(n)])
+    e = g.space.even_dim
+    full, zero, even = g.full_space, g.subspace([]), g.even_subspace
+    assert center(g).rows == oracle_joint_ad_kernel(g, full).rows
+    for _, h0 in islice(cartan.iter_cartan_even(g, 2, 24), 3):
+        h = cartan.fitting_null(g, h0)
+        assert supercommutant(g, h0).rows == oracle_joint_ad_kernel(g, h0).rows
+        for s in (h0, h):
+            assert cartan.normalizer(g, s).rows == oracle_normalizer(g, s).rows
+        assert transporter(g, h0.rows, even, h0).rows == \
+            oracle_normalizer(g, h0).intersect(even).rows
+        if cartan.is_compactly_embedded(g, h0) is True:
+            ker, im = oracle_fixed_points(g, h0)
+            assert tuple(r[:e] for r in transporter(g, h0.rows, even, zero).rows) == ker.rows
+            assert tuple(r[:e] for r in bracket_span(g, h0, even).rows) == im.rows
+    flag = g.engel_flag if is_nilpotent(g.even_part.algebra) else ()
+    for cur in (zero, *flag):
+        for top in (g.odd_square, even):
+            if cur != top and top.contains_subspace(cur):
+                assert cur.sum_with(transporter(g, even.rows, top, cur)).rows == \
+                    oracle_engel_socle(g, cur, top).rows

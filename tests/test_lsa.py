@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecones.exactnum import QQ, InputError
-from liecones.glinalg import GradedSpace, Matrix
+from liecones.glinalg import GradedSpace, Matrix, vec_add, vec_sub
 from liecones.lsa import (
     LieSuperalgebra, center, centroid,
     check_axioms, derivations, differential_constants, grassmann_extend,
     is_nilpotent, is_solvable, is_subalgebra, nilpotency_class, quotient,
-    series, subalgebra_on, supercommutant,
+    series, subalgebra_on, supercommutant, transporter,
 )
 from liecones import catalog
 
@@ -70,6 +70,22 @@ def test_supercommutant_full_is_center(algebra):
     assert supercommutant(g, g.full_space) == center(g)
     # supercommutant of the center is everything
     assert supercommutant(g, center(g)) == g.full_space
+
+
+def test_transporter_sl2_by_hand(algebra):
+    """{X in source : [a, X] in target for every a of acting} on sl(2,R),
+    where [H, E] = 2E, [H, F] = -2F and [E, F] = H."""
+    g = algebra("sl(2,R)")
+    H, E, F = (g.basis_vector(i) for i in range(3))
+    full, zero, span = g.full_space, g.subspace([]), g.subspace
+    assert transporter(g, full.rows, full, zero) == zero                  # the centre
+    assert transporter(g, [H], full, zero) == span([H])                   # centralizer of H
+    assert transporter(g, [E], full, span([E])) == span([H, E])           # normalizer of E
+    # [H, aH + bE + cF] = 2bE - 2cF lies on E + F exactly when b = -c
+    assert transporter(g, [H], full, span([vec_add(E, F)])) == span([H, vec_sub(E, F)])
+    # [E, aH + cF] = -2aE + cH lies in span{H} exactly when a = 0
+    assert transporter(g, [E], span([H, F]), span([H])) == span([F])
+    assert transporter(g, [], span([E]), zero) == span([E])
 
 
 def test_series_examples(algebra):

@@ -4,12 +4,13 @@ temporary copy of the repository and names the tests that must then fail.
     python3 tools/mutants.py
 
 For each mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml``
-to a temporary directory, checks that the named tests pass there, replaces the
-entry's old snippet (which must occur exactly once in its file) and runs the
-tests again.  The mutant is killed when every one of them fails.  The exit
-status is 0 when every mutant is killed and 1 otherwise.  This takes
-two pytest runs per mutant (7 to 11 minutes for the catalogue on two cores) and
-is not part of the tier-1 suite.
+to a temporary directory, checks that the named tests pass there (pytest exits
+0), replaces the entry's old snippet (which must occur exactly once in its file)
+and runs the tests again.  The mutant is killed when every one of them fails; a
+test whose module then fails to import or collect (pytest exits 2 or 4) counts
+as failed.  The exit status is 0 when every mutant is killed and 1 otherwise.
+This takes two pytest runs per mutant (7 to 11 minutes for the catalogue on two
+cores) and is not part of the tier-1 suite.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ SCAN = "tests/test_differential.py::test_cartan_scan_matches_exhaustive_scan"
 COMMUTANT = "tests/test_differential.py::test_endomorphism_solves_match_entrywise_builders"
 INTERTWINERS = "tests/test_differential.py::test_intertwiners_match_entrywise_builder"
 GCOMM = "tests/test_glinalg.py::test_block_positions_and_graded_commutant"
+TRANSPORTER = "tests/test_differential.py::test_transporter_matches_the_loops_it_replaced"
+TRANSPORTER_SL2 = "tests/test_lsa.py::test_transporter_sl2_by_hand"
 CLIFFREP = "src/liecones/cliffrep.py"
 HWM = "src/liecones/hwm.py"
 CARTAN = "src/liecones/cartan.py"
@@ -97,10 +100,10 @@ MUTANTS = (
            "if True:",
            (f"{SCAN}[osp(1|2)]", f"{SCAN}[sl(2,R)]",
             "tests/test_cartan.py::test_root_decomposition_osp12")),
-    Mutant("an UNDETERMINED centre verdict stops the scan", CARTAN,
-           "z + pad) is False",
+    Mutant("an UNDETERMINED centre verdict stops the scan no longer", CARTAN,
            "z + pad) is not True",
-           ("tests/test_cartan.py::test_undetermined_centre_verdict_does_not_stop_the_scan",)),
+           "z + pad) is False",
+           ("tests/test_cartan.py::test_undetermined_centre_verdict_stops_the_scan",)),
     Mutant("candidate_vectors yields one vector at cap 0", CARTAN,
            "    if cap <= 0:\n        return\n",
            "",
@@ -139,7 +142,19 @@ MUTANTS = (
     Mutant("block positions invert the parity test", GLINALG,
            "% 2 == parity]",
            "% 2 != parity]",
-           (GCOMM,)),
+           (GCOMM, COMMUTANT)),
+    Mutant("the transporter does not reduce [a, s] mod the target", LSA,
+           "target.reduce(g.bracket(a, s))",
+           "g.bracket(a, s)",
+           (TRANSPORTER, TRANSPORTER_SL2)),
+    Mutant("the transporter acts by the first vector only", LSA,
+           "for a in acting:",
+           "for a in acting[:1]:",
+           (TRANSPORTER, TRANSPORTER_SL2)),
+    Mutant("the transporter skips the source rows", LSA,
+           "lin_comb(g.field, g.dim, sol, source.rows)",
+           "lin_comb(g.field, g.dim, sol, g.full_space.rows)",
+           (TRANSPORTER, TRANSPORTER_SL2)),
     Mutant("a repeated bracket pair accepted", LSA,
            "if (i, j) in br:",
            "if False:",
@@ -161,14 +176,24 @@ MUTANTS = (
 )
 
 
-def failed_tests(root: str, tests: tuple[str, ...]) -> set[str]:
-    """Run the tests in root and return the node ids of those that failed."""
+def failed_tests(root: str, tests: tuple[str, ...]) -> tuple[int, set[str]]:
+    """Run the tests in root; return pytest's exit status and the node ids of
+    the tests that failed.  A test whose module fails to import or collect
+    counts as failed; pytest then exits 2 or 4 without running the others, so
+    they run again on their own."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
                            *tests], cwd=root, env=env, capture_output=True, text=True)
-    if proc.returncode not in (0, 1):       # 2-5: interrupted, usage error, nothing collected
+    lines = proc.stdout.splitlines()
+    errors = {line.split()[1] for line in lines if line.startswith("ERROR ")}
+    broken = ({t for t in tests if t.split("::")[0] in errors}
+              if proc.returncode in (2, 4) else set())
+    if broken:
+        rest = tuple(t for t in tests if t not in broken)
+        return proc.returncode, broken | (failed_tests(root, rest)[1] if rest else set())
+    if proc.returncode not in (0, 1):       # interrupted, usage error, nothing collected
         raise RuntimeError(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
-    return {line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")}
+    return proc.returncode, {line.split()[1] for line in lines if line.startswith("FAILED ")}
 
 
 def run(m: Mutant) -> bool:
@@ -181,7 +206,7 @@ def run(m: Mutant) -> bool:
                                 ignore=shutil.ignore_patterns("__pycache__"))
             else:
                 shutil.copy(src, tmp)
-        if failed_tests(tmp, m.tests):
+        if failed_tests(tmp, m.tests)[0] != 0:
             raise RuntimeError(f"{m.name}: the tests fail without the mutation")
         path = os.path.join(tmp, m.path)
         with open(path) as f:
@@ -190,7 +215,7 @@ def run(m: Mutant) -> bool:
             raise RuntimeError(f"{m.name}: the old snippet occurs {text.count(m.old)} times")
         with open(path, "w") as f:
             f.write(text.replace(m.old, m.new))
-        failed = failed_tests(tmp, m.tests)
+        failed = failed_tests(tmp, m.tests)[1]
         return all(any(f.startswith(t) for f in failed) for t in m.tests)
 
 
