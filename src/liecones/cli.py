@@ -347,14 +347,13 @@ def cmd_hwm(args) -> dict:
         raise InputError(f"--x0 needs {h0.dim} coordinates over the Cartan basis")
     x0 = tuple(parse_scalar(p, fld) for p in x0_parts)
     positives = hw.positive_system(datum, x0)
+    vfield = positives[0].values[0].field if positives else fld.complexified()
     if args.weight:
         wparts = [p for p in args.weight.split(",") if p.strip()]
         if len(wparts) != h0.dim:
             raise InputError(f"--weight needs {h0.dim} coordinates")
-        vfield = positives[0].values[0].field if positives else fld.complexified()
         lam = tuple(parse_scalar(p, vfield) for p in wparts)
     else:
-        vfield = positives[0].values[0].field if positives else fld.complexified()
         lam = tuple(vfield.zero for _ in range(h0.dim))
     module = hw.CartanModule(args.dim_v, lam)
     tm = hw.build_truncated(datum, positives, module, args.depth)

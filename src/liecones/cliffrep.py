@@ -6,6 +6,7 @@ Odd operators are scaled gamma matrices built from the exact tensor tower
 rho(X) rho(Y) + rho(Y) rho(X) = -i rho([X, Y]), which forces Hermitian odd
 operators with positive squares.  Scalings stay inside one tower Q(i, sqrt c);
 inputs that would need a second square root are rejected, not approximated.
+The forms of a Heisenberg-Clifford algebra are lsa.bracket_form at Z*.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from typing import Iterable, Sequence
 
 from .exactnum import (Field, InputError, InvariantViolation, QQ, QQ_I, Scalar, Undetermined,
                        rational_sqrt_decomp)
-from .glinalg import (GradedSpace, Matrix, SparseVec, Vector, graded_commutant, vec_is_zero,
-                      vec_scale)
-from .lsa import LieSuperalgebra, bracket_span, center
+from .glinalg import (GradedSpace, Matrix, SparseVec, Vector, graded_commutant, unit_vector,
+                      vec_is_zero, vec_scale)
+from .lsa import LieSuperalgebra, bracket_form, bracket_span, center
 from .cones import is_positive_definite
 
 
@@ -447,33 +448,15 @@ def heisenberg_clifford_shape(g: LieSuperalgebra) -> HCShape:
         for j in g.space.odd_indices():
             if not vec_is_zero(g.bracket_basis(i, j)):
                 raise InputError("[g0, g1] must vanish")
-    zs = g.subspace([zvec])
-    comp = [c for c in range(e) if c not in set(zs.pivots)]
-    f = g.field
-    om_rows = []
-    for i in comp:
-        row = []
-        for j in comp:
-            v = g.bracket_basis(i, j)
-            coords = zs.coords_of(v)
-            if coords is None:
-                raise InputError("even bracket leaves the central line")
-            row.append(coords[0])
-        om_rows.append(row)
-    omega = Matrix(f, om_rows)
+    # [g, g] is the line through zvec: Z* reads a bracket's coefficient on it
+    pivot = derived.pivots[0]
+    comp = [c for c in range(e) if c != pivot]
+    z_star = unit_vector(g.field, e, pivot)
+    basis = [g.basis_vector(c) for c in comp]
+    omega = bracket_form(g, z_star, basis, basis)
     if omega.rank() != len(comp):
         raise InputError("even symplectic form is degenerate")
-    gram_rows = []
-    for a in g.space.odd_indices():
-        row = []
-        for b in g.space.odd_indices():
-            v = g.bracket_basis(a, b)
-            coords = zs.coords_of(v)
-            if coords is None:
-                raise InputError("odd bracket leaves the central line")
-            row.append(coords[0])
-        gram_rows.append(row)
-    gram = Matrix(f, gram_rows)
+    gram = bracket_form(g, z_star, g.odd_subspace.rows, g.odd_subspace.rows)
     if g.space.odd_dim and gram.rank() != g.space.odd_dim:
         raise InputError("odd symmetric form is degenerate")
     return HCShape(zvec, omega, gram, comp)
@@ -539,16 +522,10 @@ def classify_heisenberg_clifford(g: LieSuperalgebra, gamma) -> HCClassification:
     for b in range(d):
         mats.append(Matrix.combination(fld, 2 * half, 2 * half, zip(Pinv.rows[b], primed)))
     # the module represents the subalgebra spanned by Z and the odd part
-    zs = g.subspace([shape.z_index])
-    alg_names_even = ["Z"]
     odd_names = [f"f{t+1}" for t in range(d)]
-    table = {}
-    for a_t, a in enumerate(g.space.odd_indices()):
-        for b_t, b in enumerate(g.space.odd_indices()):
-            coords = zs.coords_of(g.bracket_basis(a, b))
-            if coords and coords[0]:
-                table[(odd_names[a_t], odd_names[b_t])] = {"Z": coords[0]}
-    cl = LieSuperalgebra.from_table(f"{g.name}|cl", g.field, alg_names_even, odd_names, table)
+    table = {(odd_names[a], odd_names[b]): {"Z": x}
+             for a, row in enumerate(shape.gram_odd.rows) for b, x in enumerate(row) if x}
+    cl = LieSuperalgebra.from_table(f"{g.name}|cl", g.field, ["Z"], odd_names, table)
     rep = MatrixRep(cl, half, half, tuple(mats), label=f"hc-module(gamma={gam})")
     if d % 2 == 1:
         return HCClassification("OK", [rep], svn,

@@ -3,9 +3,10 @@ the star-reduced obstruction battery.
 
 The cone itself is never materialized; every verdict is carried by a
 certificate that is re-verified independently of the search that found it:
-a functional lambda with positive-definite odd Gram matrix (pointedness),
-an odd vector X with [X,X] = 0 (forced kernel), or an exact convex
-combination of square images hitting zero (a line in the cone).
+a functional lambda with positive-definite odd Gram matrix lambda([f_a,
+f_b]) (pointedness), an odd vector X with [X,X] = 0 (forced kernel), or an
+exact convex combination of square images hitting zero (a line in the cone).
+The Gram matrix and the root-space forms mu([X, conj Y]) are lsa.bracket_form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Sequence
 
 from .exactnum import InputError, InvariantViolation, Poly, Scalar, Undetermined, check_tower
 from .glinalg import Matrix, Subspace, Vector, vec_add, vec_is_zero, vec_scale
-from .lsa import LieSuperalgebra, bracket_span, center, is_ideal, is_nilpotent, series
+from .lsa import (LieSuperalgebra, bracket_form, bracket_span, center, is_ideal, is_nilpotent,
+                  series)
 from . import cartan as _cartan
 
 
@@ -65,15 +67,7 @@ class OddSquareForm:
         lam = tuple(f.coerce(x) for x in lam)
         if len(lam) != g.space.even_dim:
             raise InputError("functional length must equal the even dimension")
-        odd = list(g.space.odd_indices())
-        rows = []
-        for a in odd:
-            row = []
-            for b in odd:
-                v = g.bracket_basis(a, b)
-                row.append(functional_value(lam, v[:g.space.even_dim]))
-            rows.append(row)
-        M = Matrix(f, rows)
+        M = bracket_form(g, lam, g.odd_subspace.rows, g.odd_subspace.rows)
         if M != M.transpose():
             raise InvariantViolation("odd Gram matrix is not symmetric")  # pragma: no cover
         return OddSquareForm(g, lam, M)
@@ -358,8 +352,7 @@ def convex_hull_contains_zero(vectors: Sequence[Vector]) -> tuple[Fraction, ...]
 # ---------------------------------------------------------------------------
 
 def _mu_fixed_by_cartan(g: LieSuperalgebra, h0: Subspace, mu: Vector) -> bool:
-    e = g.space.even_dim
-    return not any(functional_value(mu, r[:e]) for r in bracket_span(g, h0, g.even_subspace).rows)
+    return bracket_form(g, mu, h0.rows, g.even_subspace.rows).is_zero()
 
 
 def check_root_space_form(g: LieSuperalgebra, datum, mu: Sequence) -> list[dict]:
@@ -378,20 +371,11 @@ def check_root_space_form(g: LieSuperalgebra, datum, mu: Sequence) -> list[dict]
         if root.is_zero or root.odd_space.dim == 0:
             continue
         basis = root.odd_space.rows
-        rows = []
-        for x in basis:
-            row = []
-            for y in basis:
-                ybar = tuple(s.conjugate_i() for s in y)
-                v = gc.bracket(x, ybar)
-                row.append(functional_value(muc, v[:g.space.even_dim]))
-            rows.append(row)
-        G = Matrix(gc.field, rows)
-        ok = hermitian_is_positive_definite(G)
+        G = bracket_form(gc, muc, basis, [tuple(s.conjugate_i() for s in y) for y in basis])
         verdicts.append({
             "root": [str(v) for v in root.values],
             "odd_dim": root.odd_space.dim,
-            "positive_definite": ok,
+            "positive_definite": hermitian_is_positive_definite(G),
         })
     return verdicts
 

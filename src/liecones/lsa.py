@@ -17,7 +17,10 @@ One routine, transporter(g, acting, source, target) = {X in source :
 [a, X] in target for every a of acting}, answers the centre, the
 supercommutant, the normalizer, the self-normalizing test of a Cartan
 subalgebra of g0, the socle step of the Engel flag and the fixed-point
-kernel of a compactly embedded subalgebra.
+kernel of a compactly embedded subalgebra.  Another, bracket_form(g, lam,
+left, right) = [[lam([u, v]) for v in right] for u in left], is the one
+source of the odd Gram matrix, Omega_lambda and the polarization, coadjoint
+stage, root-space and Heisenberg-Clifford forms.
 """
 
 from __future__ import annotations
@@ -358,6 +361,30 @@ def center(g: LieSuperalgebra) -> Subspace:
 
 def bracket_span(g: LieSuperalgebra, s1: Subspace, s2: Subspace) -> Subspace:
     return g.subspace([g.bracket(u, v) for u in s1.rows for v in s2.rows])
+
+
+def bracket_form(g: LieSuperalgebra, lam: Sequence[Scalar], left: Sequence[Vector],
+                 right: Sequence[Vector]) -> Matrix:
+    """[[lam([u, v]) for v in right] for u in left], lam read on the leading
+    len(lam) coordinates of a bracket: each entry sums a b c lam[m] over the
+    nonzero coordinates a of u and b of v and the nonzero constants c of
+    [e_i, e_j] at m."""
+    k, zero = len(lam), g.field.zero
+    supports = [[(j, b) for j, b in enumerate(v) if b] for v in right]
+    rows = []
+    for u in left:
+        su = [(i, a) for i, a in enumerate(u) if a]
+        row = []
+        for sv in supports:
+            acc = zero
+            for i, a in su:
+                for j, b in sv:
+                    for m, c in g.c(i, j).items():
+                        if m < k and lam[m]:
+                            acc = acc + a * b * c * lam[m]
+            row.append(acc)
+        rows.append(row)
+    return Matrix(g.field, rows)
 
 
 def is_subalgebra(g: LieSuperalgebra, s: Subspace) -> bool:

@@ -3,11 +3,12 @@ polarizing systems, coadjoint orbits, induced-representation descriptors,
 and branching multiplicities.
 
 Coadjoint membership is decided by layer-wise elimination along the lower
-central series of the even part; each layer contributes linear equations in
-the remaining group freedom.  The procedure is exact and complete up to
-nilpotency class 3 (single exponentials are surjective and the stabilizer
-conditions stay linear there); deeper algebras raise Undetermined when
-the linearized stages cannot conclude.
+central series of the even part; each layer contributes linear equations
+lambda([w, y]) in the remaining group freedom w (lsa.bracket_form, also the
+source of Omega_lambda and the polarization forms).  The procedure is exact
+and complete up to nilpotency class 3 (single exponentials are surjective and
+the stabilizer conditions stay linear there); deeper algebras raise
+Undetermined when the linearized stages cannot conclude.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .exactnum import InputError, InvariantViolation, Undetermined
 from .glinalg import (Matrix, Subspace, Vector, lin_comb, unit_vector, vec_add, vec_is_zero,
                       vec_scale)
 from .lsa import (
-    LieSuperalgebra, QuotientResult, bracket_span, center, is_nilpotent, is_subalgebra,
-    quotient, series, subalgebra_on,
+    LieSuperalgebra, QuotientResult, bracket_form, bracket_span, center, is_nilpotent,
+    is_subalgebra, quotient, series, subalgebra_on,
 )
 from .cones import OddSquareForm, functional_value, is_positive_semidefinite
 
@@ -46,19 +47,8 @@ def coerce_functional(g: LieSuperalgebra, lam: Sequence) -> Vector:
 
 def even_skew_form(g: LieSuperalgebra, lam: Sequence) -> Matrix:
     """Omega_lambda(X, Y) = lambda([X, Y]) on the even part."""
-    return Matrix(g.field, _skew_rows(g, coerce_functional(g, lam)))
-
-
-def _skew_rows(g: LieSuperalgebra, lam: Vector) -> list[list]:
-    """The rows lambda o ad(e_i) of Omega_lambda, summed over the nonzero
-    structure constants."""
-    e = g.space.even_dim
-    rows = [[g.field.zero] * e for _ in range(e)]
-    for (i, j), out in g.brackets.items():
-        if i < e and j < e:
-            rows[i][j] = sum((lam[k] * c for k, c in out.items() if k < e and lam[k]),
-                             g.field.zero)
-    return rows
+    even = g.even_subspace.rows
+    return bracket_form(g, coerce_functional(g, lam), even, even)
 
 
 def in_admissible_cone(g: LieSuperalgebra, lam: Sequence) -> tuple[bool, OddSquareForm]:
@@ -112,13 +102,6 @@ class PolarizingSystem:
         }
 
 
-def _form_on(omega: Matrix, s: Subspace) -> Matrix:
-    """u^T Omega v over the basis of an even subspace s of g."""
-    images = [omega.apply(v[:omega.ncols]) for v in s.rows]
-    return Matrix(omega.field, [[functional_value(u[:omega.ncols], w) for w in images]
-                                for u in s.rows])
-
-
 def polarizing_flag(g: LieSuperalgebra, lam: Sequence) -> PolarizingSystem:
     """Radical-sum polarization through [g1, g1], with the Clifford quotient."""
     lam = coerce_functional(g, lam)
@@ -127,25 +110,22 @@ def polarizing_flag(g: LieSuperalgebra, lam: Sequence) -> PolarizingSystem:
     admissible, form = in_admissible_cone(g, lam)
     if not admissible:
         raise NotAdmissible("odd Gram matrix is not positive semidefinite")
-    omega = even_skew_form(g, lam)
-    return _polarize(g, lam, omega, omega.rank(), form.matrix, [])
+    return _polarize(g, lam, even_skew_form(g, lam).rank(), form.matrix, [])
 
 
-def _polarize(g: LieSuperalgebra, lam: Vector, omega: Matrix, even_rank: int, gram: Matrix,
+def _polarize(g: LieSuperalgebra, lam: Vector, even_rank: int, gram: Matrix,
               subalgebras: list) -> PolarizingSystem:
     """Sum of the Omega_lambda radicals of the Engel flag members, for an
-    admissible lam with skew form omega of rank even_rank and odd Gram
-    matrix gram; m0 = g0 when omega = 0, since then every member is its own
-    radical."""
+    admissible lam whose skew form has rank even_rank and odd Gram matrix
+    gram; m0 = g0 at rank 0, since then every member is its own radical."""
     chain = g.engel_flag
-    if omega.is_zero():
+    if even_rank == 0:
         m0 = chain[-1]
     else:
         # the radical of Omega_lambda on each member, summed
         m0 = g.subspace([lin_comb(g.field, g.dim, sol, member.rows) for member in chain[1:]
-                         for sol in _form_on(omega, member).kernel_basis()])
-    return _assemble(g, lam, m0, tuple(s.dim for s in chain), omega, even_rank, gram,
-                     subalgebras)
+                         for sol in bracket_form(g, lam, member.rows, member.rows).kernel_basis()])
+    return _assemble(g, lam, m0, tuple(s.dim for s in chain), even_rank, gram, subalgebras)
 
 
 def polarizing_system_from_m0(g: LieSuperalgebra, lam: Sequence, m0: Subspace,
@@ -162,15 +142,13 @@ def polarizing_system_from_m0(g: LieSuperalgebra, lam: Sequence, m0: Subspace,
         raise NotAdmissible("odd Gram matrix is not positive semidefinite")
     if not g.even_subspace.contains_subspace(m0):
         raise InputError("polarization is not inside g0")
-    omega = even_skew_form(g, lam)
-    return _assemble(g, lam, m0, flag_dims, omega, omega.rank(), form.matrix, [])
+    return _assemble(g, lam, m0, flag_dims, even_skew_form(g, lam).rank(), form.matrix, [])
 
 
 def _assemble(g: LieSuperalgebra, lam: Vector, m0: Subspace, flag_dims: tuple[int, ...],
-              omega: Matrix, even_rank: int, gram: Matrix,
-              subalgebras: list) -> PolarizingSystem:
+              even_rank: int, gram: Matrix, subalgebras: list) -> PolarizingSystem:
     """The checks and the Clifford quotient of polarizing_system_from_m0, from
-    lam's skew form, its rank and the odd Gram matrix; subalgebras holds the
+    the rank of lam's skew form and the odd Gram matrix; subalgebras holds the
     (m0 rows, realization of m = m0 (+) g1) pairs of the m0 already checked."""
     e = g.space.even_dim
     if even_rank % 2:
@@ -182,7 +160,7 @@ def _assemble(g: LieSuperalgebra, lam: Vector, m0: Subspace, flag_dims: tuple[in
     msub = next((ms for rows, ms in subalgebras if rows == m0.rows), None)
     if msub is None and not is_subalgebra(g, m0):
         raise InputError("polarization is not a subalgebra")
-    if not _form_on(omega, m0).is_zero():
+    if not bracket_form(g, lam, m0.rows, m0.rows).is_zero():
         raise InputError("polarization is not isotropic")
     if msub is None:
         msub = subalgebra_on(g, m0.sum_with(g.odd_subspace), name=f"{g.name}|m")
@@ -279,10 +257,7 @@ def coadjoint_orbit_member(g: LieSuperalgebra, lam: Sequence, lam2: Sequence,
         first = k == s - 2
         solve = first_stages.get(lam) if first else None
         if solve is None:
-            skew = _skew_rows(g, cur)                  # cur o ad(e_i)
-            cols = [[functional_value(wp, y) for y in layer.rows]
-                    for wp in (lin_comb(f, e, w, skew) for w in h_rows)]
-            solve = Matrix.from_cols(f, cols).solver()
+            solve = bracket_form(g0, cur, h_rows, layer.rows).transpose().solver()
             if first:
                 first_stages[lam] = solve
         sol = solve(tuple(functional_value(lam2, y) - functional_value(cur, y)
@@ -305,11 +280,8 @@ def coadjoint_orbit_member(g: LieSuperalgebra, lam: Sequence, lam2: Sequence,
             break
         # shrink the allowed directions to those that preserve the matched
         # layer; the last stage has no next one to read them
-        skew = _skew_rows(g, cur)
-        wps = [lin_comb(f, e, w0, skew) for w0 in h_rows]
-        rows = [[functional_value(wp, y) for wp in wps] for y in layer.rows]
-        h_rows = [lin_comb(f, e, sol0, h_rows)
-                  for sol0 in (Matrix(f, rows).kernel_basis() if rows else [])]
+        stage = bracket_form(g0, cur, h_rows, layer.rows).transpose()
+        h_rows = [lin_comb(f, e, sol0, h_rows) for sol0 in stage.kernel_basis()]
     if tuple(cur) != tuple(lam2):
         raise InvariantViolation("orbit path verification failed")  # pragma: no cover
     # exact end-to-end re-verification of the recorded word
@@ -375,18 +347,18 @@ def classify_orbits(g: LieSuperalgebra, box: Sequence[Sequence]) -> list[OrbitDe
         admissible, form = in_admissible_cone(g, lam)
         if admissible:
             grams[i] = form.matrix
-    # Omega_lambda and its rank, per admissible member; they depend on
-    # lambda only through its values on [g0, g0]
+    # the rank of Omega_lambda, per admissible member; it depends on lambda
+    # only through its values on [g0, g0]
     derived = bracket_span(g, g.even_subspace, g.even_subspace)
-    skew: dict[tuple, tuple[Matrix, int]] = {}
-    omegas = {}
+    skew: dict[tuple, int] = {}
+    ranks = {}
     for i in grams:
         key = tuple(functional_value(cands[i], y[:g.space.even_dim]) for y in derived.rows)
         if key not in skew:
-            skew[key] = (omega := even_skew_form(g, cands[i]), omega.rank())
-        omegas[i] = skew[key]
+            skew[key] = even_skew_form(g, cands[i]).rank()
+        ranks[i] = skew[key]
     zc = center(g.even_part.algebra)
-    inv = {i: (tuple(str(functional_value(cands[i], z)) for z in zc.rows), omegas[i][1])
+    inv = {i: (tuple(str(functional_value(cands[i], z)) for z in zc.rows), ranks[i])
            for i in grams}
     groups: dict[tuple, list[int]] = {}
     for i in grams:
@@ -394,7 +366,7 @@ def classify_orbits(g: LieSuperalgebra, box: Sequence[Sequence]) -> list[OrbitDe
     orbits: list[list[int]] = []
     for (_, rank), members in sorted(groups.items()):
         if rank == 0:
-            # Omega_lambda = 0: lambda o ad X vanishes on g0 for every even X,
+            # Omega_lambda has rank 0: lambda o ad X vanishes on g0 for every even X,
             # so Ad*(G0) fixes lambda and its orbit is {lambda}
             points: dict[Vector, list[int]] = {}
             for i in members:
@@ -415,7 +387,7 @@ def classify_orbits(g: LieSuperalgebra, box: Sequence[Sequence]) -> list[OrbitDe
     subalgebras: list = []
     for members in sorted(orbits):
         r = members[0]
-        ps = _polarize(g, cands[r], *omegas[r], grams[r], subalgebras)
+        ps = _polarize(g, cands[r], ranks[r], grams[r], subalgebras)
         cc, rank = inv[r]
         for i in members[1:]:
             if inv[i] != (cc, rank):

@@ -120,6 +120,22 @@ def test_polarize_and_orbit_classify(capsys):
     assert doc["results"]["orbit_count"] == 3    # central characters 0, 1, 2
 
 
+def test_algebra_without_even_part(tmp_path, capsys):
+    """g0 = 0: the one functional is empty, its odd Gram matrix is zero, so
+    it is admissible with one point orbit and j = g1."""
+    path = tmp_path / "odd2.json"
+    path.write_text(json.dumps({"field": "Q", "even": 0, "odd": 2, "brackets": []}))
+    code, out = run_cli(["orbit-classify", "--algebra", str(path), "--box", "grid"], capsys)
+    doc = json.loads(out)
+    check_schema(doc)
+    assert code == 0 and doc["results"]["orbit_count"] == 1
+    orbit = doc["results"]["orbits"][0]
+    assert (orbit["even_rank"], orbit["clifford_dim"]) == (0, 1)
+    code, out = run_cli(["polarize", "--algebra", str(path), "--lambda", ""], capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["results"]["j_dim"] == 2
+
+
 def test_orbit_box_file(tmp_path, capsys):
     box = tmp_path / "box.json"
     box.write_text(json.dumps({"functionals": [["0", "0", "1"], ["1", "1", "1"]]}))

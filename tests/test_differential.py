@@ -1,8 +1,9 @@
 """Differential tests: each shortcut in the orbit classification, the Clifford
 verifier, the zero-skipping kernels, the sparse tower product, the even
-Cartan scan, the graded-commutant solve and the transporter solve against a
-plain dense, pairwise, exhaustive or entry-by-entry formula written here, or
-against the standalone call it stands in for."""
+Cartan scan, the graded-commutant solve, the transporter solve and the
+bracket-form routine against a plain dense, pairwise, exhaustive or
+entry-by-entry formula written here, or against the standalone call it
+stands in for."""
 
 import random
 from fractions import Fraction
@@ -12,18 +13,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liecones import cartan, cliffrep
+from liecones import cartan, cliffrep, cones
 from liecones.catalog import build, list_keys
 from liecones.cliffrep import MatrixRep, clifford_module, gamma_matrices, parity_change, verify_rep
-from liecones.cones import functional_value
+from liecones.cones import OddSquareForm, functional_value
 from liecones.exactnum import QQ, QQ_I, Field, FieldMismatchError, InputError, Scalar
 from liecones.glinalg import (GradedSpace, Matrix, Subspace, eliminate, kernel, lin_comb,
                               ungraded, unit_vector, vec_add, vec_scale, vec_sub)
-from liecones.lsa import (LieSuperalgebra, bracket_span, center, centroid, derivations,
-                          differential_constants, grassmann_extend, is_nilpotent,
+from liecones.lsa import (LieSuperalgebra, bracket_form, bracket_span, center, centroid,
+                          derivations, differential_constants, grassmann_extend, is_nilpotent,
                           supercommutant, transporter)
 from liecones.orbits import (_apply_exp, classify_orbits, coadjoint_orbit_member,
-                             in_admissible_cone, polarizing_flag, polarizing_system_from_m0)
+                             even_skew_form, in_admissible_cone, polarizing_flag,
+                             polarizing_system_from_m0)
 
 TOWERS = (QQ, QQ_I, Field(False, 2), Field(True, 2))
 small = st.integers(min_value=-3, max_value=3)
@@ -787,3 +789,167 @@ def test_transporter_matches_the_loops_it_replaced(key, shuffled):
             if cur != top and top.contains_subspace(cur):
                 assert cur.sum_with(transporter(g, even.rows, top, cur)).rows == \
                     oracle_engel_socle(g, cur, top).rows
+
+
+# ---------------------------------------------------------------------------
+# one bracket-form routine against the seven loops it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_odd_gram(g: LieSuperalgebra, lam) -> Matrix:
+    """lam([f_a, f_b]) over the odd basis, one dense bracket per pair."""
+    odd = list(g.space.odd_indices())
+    return Matrix(g.field, [[functional_value(lam, g.bracket_basis(a, b)[:g.space.even_dim])
+                             for b in odd] for a in odd])
+
+
+def oracle_skew(g: LieSuperalgebra, lam) -> Matrix:
+    """Omega_lambda on g0, one row lambda o ad(e_i) per even index, summed
+    over the nonzero structure constants."""
+    e = g.space.even_dim
+    rows = [[g.field.zero] * e for _ in range(e)]
+    for (i, j), out in g.brackets.items():
+        if i < e and j < e:
+            rows[i][j] = sum((lam[k] * c for k, c in out.items() if k < e and lam[k]),
+                             g.field.zero)
+    return Matrix(g.field, rows)
+
+
+def oracle_form_on(omega: Matrix, rows) -> Matrix:
+    """u^T Omega v over even rows of g."""
+    images = [omega.apply(v[:omega.ncols]) for v in rows]
+    return Matrix(omega.field, [[functional_value(u[:omega.ncols], w) for w in images]
+                                for u in rows])
+
+
+def oracle_stages(g: LieSuperalgebra, cur, h_rows, layer_rows) -> tuple[Matrix, Matrix]:
+    """Both coadjoint stage matrices, [layer row y][direction w] = cur([w, y]),
+    from the rows cur o ad(e_i): one built from columns, one from rows."""
+    f, e = g.field, g.space.even_dim
+    skew = oracle_skew(g, cur).rows
+    wps = [lin_comb(f, e, w, skew) for w in h_rows]
+    cols = [[functional_value(wp, y) for y in layer_rows] for wp in wps]
+    rows = [[functional_value(wp, y) for wp in wps] for y in layer_rows]
+    return Matrix.from_cols(f, cols), Matrix(f, rows)
+
+
+def oracle_root_form(gc: LieSuperalgebra, muc, basis) -> Matrix:
+    """mu([X, conj Y]) over a basis, one dense bracket per pair."""
+    rows = []
+    for x in basis:
+        row = []
+        for y in basis:
+            v = gc.bracket(x, tuple(s.conjugate_i() for s in y))
+            row.append(functional_value(muc, v[:gc.space.even_dim]))
+        rows.append(row)
+    return Matrix(gc.field, rows)
+
+
+def oracle_mu_fixed(g: LieSuperalgebra, h0: Subspace, mu) -> bool:
+    e = g.space.even_dim
+    return not any(functional_value(mu, r[:e]) for r in bracket_span(g, h0, g.even_subspace).rows)
+
+
+def oracle_hc_forms(g: LieSuperalgebra) -> tuple[Matrix, Matrix, dict]:
+    """The coordinates on the central line of the even complement brackets
+    and of the odd brackets, and the bracket table of the Clifford part."""
+    zs = bracket_span(g, g.full_space, g.full_space)
+    e = g.space.even_dim
+    comp = [c for c in range(e) if c not in set(zs.pivots)]
+    odd = list(g.space.odd_indices())
+    omega, gram = (Matrix(g.field, [[zs.coords_of(g.bracket_basis(i, j))[0] for j in idx]
+                                    for i in idx]) for idx in (comp, odd))
+    names = [f"f{t+1}" for t in range(len(odd))]
+    table = {}
+    for a_t, a in enumerate(odd):
+        for b_t, b in enumerate(odd):
+            coords = zs.coords_of(g.bracket_basis(a, b))
+            if coords and coords[0]:
+                table[(names[a_t], names[b_t])] = {"Z": coords[0]}
+    return omega, gram, table
+
+
+def random_rows(rng: random.Random, fld: Field, n: int, support, count: int, imag: bool = False):
+    """count vectors of length n, entries -3..3 (zeros included) on support;
+    imag adds an imaginary part in the same range."""
+    def entry():
+        return fld.new(rng.randint(-3, 3), rng.randint(-3, 3) if imag else 0)
+    return [tuple(entry() if c in support else fld.zero for c in range(n)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("key", sorted(SCAN_ALGEBRAS))
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_bracket_form_matches_the_loops_it_replaced(key, shuffled):
+    """The odd Gram matrix, Omega_lambda, its restriction to random even
+    rows, both coadjoint stage matrices, mu([X, conj Y]) on random rows of
+    the complexification, the Cartan-fixed test of mu and the Heisenberg-
+    Clifford forms, at seeded random lambda, in the catalog basis or in a
+    signed permutation of it."""
+    g = SCAN_ALGEBRAS[key]
+    rng = random.Random(f"{key}/{shuffled}")
+    e, n, f = g.space.even_dim, g.dim, g.field
+    if shuffled:
+        g = signed_permutation(g, rng.sample(range(e), e) + rng.sample(range(e, n), n - e),
+                               [rng.choice((1, -1)) for _ in range(n)])
+    even, odd = range(e), range(e, n)
+    for _ in range(3):
+        lam = random_rows(rng, f, e, even, 1)[0]
+        assert OddSquareForm.of(g, lam).matrix.rows == oracle_odd_gram(g, lam).rows
+        assert even_skew_form(g, lam).rows == oracle_skew(g, lam).rows
+        rows = random_rows(rng, f, n, even, rng.randint(0, 3))
+        assert bracket_form(g, lam, rows, rows).rows == \
+            oracle_form_on(oracle_skew(g, lam), rows).rows
+        g0 = g.even_part.algebra
+        h_rows = random_rows(rng, f, e, even, rng.randint(0, 3))
+        layer = random_rows(rng, f, e, even, rng.randint(1, 3))
+        stage = bracket_form(g0, lam, h_rows, layer).transpose()
+        by_cols, by_rows = oracle_stages(g, lam, h_rows, layer)
+        # with no directions left, the row-built oracle is len(layer) x 0
+        assert stage.rows == by_cols.rows == (by_rows.rows if h_rows else ())
+        assert stage.kernel_basis() == by_rows.kernel_basis()
+        gc = g.complexify()
+        muc = tuple(x.promote(gc.field) for x in lam)
+        basis = random_rows(rng, gc.field, n, odd, rng.randint(1, 3), imag=True)
+        assert bracket_form(gc, muc, basis, [tuple(s.conjugate_i() for s in y) for y in basis]
+                            ).rows == oracle_root_form(gc, muc, basis).rows
+    for _, h0 in islice(cartan.iter_cartan_even(g, 2, 24), 2):
+        # the mu vanishing on [h0, g0], and one of them drawn at random
+        image = [r[:e] for r in bracket_span(g, h0, g.even_subspace).rows]
+        fixed = Matrix(f, image or [[f.zero] * e]).kernel_basis()
+        coeffs = random_rows(rng, f, len(fixed), range(len(fixed)), 1)[0]
+        for mu in (random_rows(rng, f, e, even, 1)[0], lin_comb(f, e, coeffs, fixed)):
+            assert cones._mu_fixed_by_cartan(g, h0, mu) == oracle_mu_fixed(g, h0, mu)
+    try:
+        shape = cliffrep.heisenberg_clifford_shape(g)
+    except InputError:
+        return
+    omega, gram, table = oracle_hc_forms(g)
+    assert (shape.omega_even.rows, shape.gram_odd.rows) == (omega.rows, gram.rows)
+    for gamma in (1, -1):
+        res = cliffrep.classify_heisenberg_clifford(g, gamma)
+        if res.modules:
+            cl = LieSuperalgebra.from_table(f"{g.name}|cl", f, ["Z"],
+                                            [f"f{t+1}" for t in range(n - e)], table)
+            assert res.modules[0].algebra.brackets == cl.brackets
+
+
+@pytest.mark.parametrize("key", ["osp(1|2)", "sq(1,1)", "su(1,1|1,1)"])
+def test_root_space_forms_match_the_loop_they_replaced(key):
+    """check_root_space_form on the odd root spaces over Q(i), at seeded
+    random mu = nu o P fixed by the compact Cartan subalgebra."""
+    g, rng = SCAN_ALGEBRAS[key], random.Random(key)
+    e = g.space.even_dim
+    h0 = cartan.compact_cartan_even(g)
+    datum = cartan.root_decomposition(g, cartan.cartan_subsuperalgebra(g, h0))
+    P = cartan.fixed_point_projection(g, h0)
+    gc = datum.complexified
+    for _ in range(3):
+        mu = tuple(P.transpose().apply(random_rows(rng, g.field, e, range(e), 1)[0]))
+        muc = tuple(x.promote(gc.field) for x in mu)
+        roots = [r for r in datum.roots if not r.is_zero and r.odd_space.dim]
+        forms = [oracle_root_form(gc, muc, r.odd_space.rows) for r in roots]
+        assert [v["positive_definite"] for v in cones.check_root_space_form(g, datum, mu)] == \
+            [cones.hermitian_is_positive_definite(G) for G in forms]
+        for r, G in zip(roots, forms):
+            basis = r.odd_space.rows
+            assert bracket_form(gc, muc, basis, [tuple(s.conjugate_i() for s in y)
+                                                 for y in basis]).rows == G.rows

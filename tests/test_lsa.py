@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecones.exactnum import QQ, InputError
-from liecones.glinalg import GradedSpace, Matrix, vec_add, vec_sub
+from liecones.glinalg import GradedSpace, Matrix, vec_add, vec_scale, vec_sub
 from liecones.lsa import (
-    LieSuperalgebra, center, centroid,
+    LieSuperalgebra, bracket_form, center, centroid,
     check_axioms, derivations, differential_constants, grassmann_extend,
     is_nilpotent, is_solvable, is_subalgebra, nilpotency_class, quotient,
     series, subalgebra_on, supercommutant, transporter,
@@ -86,6 +86,25 @@ def test_transporter_sl2_by_hand(algebra):
     # [E, aH + cF] = -2aE + cH lies in span{H} exactly when a = 0
     assert transporter(g, [E], span([H, F]), span([H])) == span([F])
     assert transporter(g, [], span([E]), zero) == span([E])
+
+
+def test_bracket_form_hc22_by_hand(algebra):
+    """lam = Z* on hc(2|2,++), where [X1, Y1] = Z and [f_a, f_a] = Z: Omega on
+    span{X1, Y1} is the standard symplectic form, the odd Gram matrix is I,
+    and lam([X1 + Y1, X1 - Y1]) = -lam([X1, Y1]) + lam([Y1, X1]) = -2."""
+    g = algebra("hc(2|2,++)")
+    X1, Y1, Z = (g.basis_vector(i) for i in range(3))
+    lam = (QQ.zero, QQ.zero, QQ.one)
+    assert bracket_form(g, lam, [X1, Y1], [X1, Y1]) == Matrix(QQ, [[0, 1], [-1, 0]])
+    assert bracket_form(g, lam, g.odd_subspace.rows, g.odd_subspace.rows) == \
+        Matrix.identity(QQ, 2)
+    assert bracket_form(g, lam, [vec_add(X1, Y1)], [vec_sub(X1, Y1)]) == Matrix(QQ, [[-2]])
+    # lam([2 X1, -3 Y1]) = -6 lam(Z)
+    two_x, minus_three_y = vec_scale(QQ.rat(2), X1), vec_scale(QQ.rat(-3), Y1)
+    assert bracket_form(g, lam, [two_x], [minus_three_y]) == Matrix(QQ, [[-6]])
+    assert bracket_form(g, lam, [Z], [X1, Y1, Z]) == Matrix(QQ, [[0, 0, 0]])
+    assert bracket_form(g, (QQ.one, QQ.one), [X1, Y1], [X1, Y1]).is_zero()   # Z unread
+    assert bracket_form(g, lam, [], [X1]) == Matrix(QQ, [])
 
 
 def test_series_examples(algebra):

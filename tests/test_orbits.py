@@ -99,6 +99,8 @@ def test_coadjoint_member_three_step_exact():
     assert check_axioms(n4).all_ok
     lam = (0, 0, 0, 1)
     assert coadjoint_orbit_member(n4, lam, (9, Fraction(9, 2), 3, 1)) is not None
+    # c = 0: only exp(t E3), which the second stage keeps, moves the E1 value
+    assert coadjoint_orbit_member(n4, lam, (5, 0, 0, 1)) is not None
     assert coadjoint_orbit_member(n4, lam, (0, 1, 1, 1)) is None
     assert coadjoint_orbit_member(n4, lam, (0, 0, 0, 2)) is None
 

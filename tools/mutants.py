@@ -9,7 +9,7 @@ to a temporary directory, checks that the named tests pass there (pytest exits
 and runs the tests again.  The mutant is killed when every one of them fails; a
 test whose module then fails to import or collect (pytest exits 2 or 4) counts
 as failed.  The exit status is 0 when every mutant is killed and 1 otherwise.
-This takes two pytest runs per mutant (7 to 11 minutes for the catalogue on two
+This takes two pytest runs per mutant (10 to 16 minutes for the catalogue on two
 cores) and is not part of the tier-1 suite.
 """
 
@@ -44,6 +44,9 @@ INTERTWINERS = "tests/test_differential.py::test_intertwiners_match_entrywise_bu
 GCOMM = "tests/test_glinalg.py::test_block_positions_and_graded_commutant"
 TRANSPORTER = "tests/test_differential.py::test_transporter_matches_the_loops_it_replaced"
 TRANSPORTER_SL2 = "tests/test_lsa.py::test_transporter_sl2_by_hand"
+BRACKET_FORM = "tests/test_differential.py::test_bracket_form_matches_the_loops_it_replaced"
+BRACKET_FORM_HC = "tests/test_lsa.py::test_bracket_form_hc22_by_hand"
+ROOT_FORMS = "tests/test_differential.py::test_root_space_forms_match_the_loop_they_replaced"
 CLIFFREP = "src/liecones/cliffrep.py"
 HWM = "src/liecones/hwm.py"
 CARTAN = "src/liecones/cartan.py"
@@ -168,6 +171,22 @@ MUTANTS = (
            "for t in ((a, b, c), (b, c, a), (c, a, b))",
            "for t in ((a, b, c), (b, c, a))",
            ("tests/test_lsa.py::test_sparse_jacobi_matches_brute_force",)),
+    Mutant("the bracket form pairs v with u", LSA,
+           "for m, c in g.c(i, j).items():",
+           "for m, c in g.c(j, i).items():",
+           (BRACKET_FORM, BRACKET_FORM_HC)),
+    Mutant("the bracket form drops the coefficients of u", LSA,
+           "acc = acc + a * b * c * lam[m]",
+           "acc = acc + b * c * lam[m]",
+           (BRACKET_FORM, BRACKET_FORM_HC)),
+    Mutant("the second coadjoint stage matrix is not transposed", "src/liecones/orbits.py",
+           "stage = bracket_form(g0, cur, h_rows, layer.rows).transpose()",
+           "stage = bracket_form(g0, cur, h_rows, layer.rows)",
+           ("tests/test_orbits.py::test_coadjoint_member_three_step_exact",)),
+    Mutant("the root-space form without the conjugation", "src/liecones/cones.py",
+           "[tuple(s.conjugate_i() for s in y) for y in basis]",
+           "basis",
+           (ROOT_FORMS,)),
     Mutant("rank-0 functionals merged into one orbit", "src/liecones/orbits.py",
            "orbits.extend(points.values())",
            "orbits.append(members)",
