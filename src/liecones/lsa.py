@@ -174,6 +174,11 @@ class LieSuperalgebra:
         return subalgebra_on(self, self.even_subspace, name=f"{self.name}|0")
 
     @cached_property
+    def full_part(self) -> "SubalgebraResult":
+        """g on its own identity rows, named g|m: the orbit method's m when m0 = g0."""
+        return subalgebra_on(self, self.full_space, name=f"{self.name}|m")
+
+    @cached_property
     def _center(self) -> Subspace:
         return transporter(self, self.full_space.rows, self.full_space, self.subspace([]))
 
@@ -482,41 +487,43 @@ class EndoFamily:
         return len(self.even) + len(self.odd)
 
 
+def derivation_equations(g: LieSuperalgebra, s: int, pos: dict) -> list[SparseVec]:
+    """The nonzero rows, over the unknown entries pos of a parity-s map D, of
+    D[e_i, e_j] - [D e_i, e_j] - (-1)^{s|e_i|} [e_i, D e_j] at m, for i <= j,
+    from index lists of the nonzero constants c_pj^m per (j, m) and c_ip^m per (i, m)."""
+    n = g.dim
+    by_right: dict[tuple[int, int], list] = {}      # (j, m) -> [(p, c_pj^m)]
+    by_left: dict[tuple[int, int], list] = {}       # (i, m) -> [(p, c_ip^m)]
+    for (p, q), out in g.brackets.items():
+        for m, c in out.items():
+            by_right.setdefault((q, m), []).append((p, c))
+            by_left.setdefault((p, m), []).append((q, c))
+    rows = []
+    for i in range(n):
+        pi = g.parity(i)
+        sgn = g.field.rat((-1) ** (s * pi))
+        for j in range(i, n):
+            cij = g.c(i, j)
+            for m in range(n):
+                if (g.parity(m) - (pi + g.parity(j))) % 2 != s:
+                    continue
+                row: SparseVec = {}
+                terms = [((m, k), cv) for k, cv in cij.items()]
+                terms += [((p, i), -c) for p, c in by_right.get((j, m), ())]
+                terms += [((p, j), -(sgn * c)) for p, c in by_left.get((i, m), ())]
+                for key, val in terms:          # eliminate() drops cancelled sums
+                    u = pos.get(key)
+                    if u is not None:
+                        row[u] = row[u] + val if u in row else val
+                if row:
+                    rows.append(row)
+    return rows
+
+
 def derivations(g: LieSuperalgebra) -> EndoFamily:
     """Basis of Der(g), split by parity, by exact linear solve."""
-    n = g.dim
-
-    def eqs(s, pos):
-        rows = []
-        for i in range(n):
-            pi = g.parity(i)
-            sgn = g.field.rat((-1) ** (s * pi))
-            for j in range(i, n):
-                cij = g.c(i, j)
-                for m in range(n):
-                    if (g.parity(m) - (pi + g.parity(j))) % 2 != s:
-                        continue
-                    row: SparseVec = {}
-
-                    def add(key, val):     # eliminate() drops cancelled sums
-                        u = pos.get(key)
-                        if u is not None and val:
-                            row[u] = row[u] + val if u in row else val
-
-                    for k, cv in cij.items():
-                        add((m, k), cv)
-                    for p in range(n):
-                        cpj = g.c(p, j).get(m)
-                        if cpj:
-                            add((p, i), -cpj)
-                        cip = g.c(i, p).get(m)
-                        if cip:
-                            add((p, j), -(sgn * cip))
-                    if row:
-                        rows.append(row)
-        return rows
-
-    return EndoFamily(g, *(solve_block_maps(g.field, g.space, g.space, s, partial(eqs, s))
+    return EndoFamily(g, *(solve_block_maps(g.field, g.space, g.space, s,
+                                            partial(derivation_equations, g, s))
                            for s in (0, 1)))
 
 

@@ -8,7 +8,10 @@ lambda([w, y]) in the remaining group freedom w (lsa.bracket_form, also the
 source of Omega_lambda and the polarization forms).  The procedure is exact
 and complete up to nilpotency class 3 (single exponentials are surjective and
 the stabilizer conditions stay linear there); deeper algebras raise
-Undetermined when the linearized stages cannot conclude.
+Undetermined when the linearized stages cannot conclude.  lambda o ad(w) is
+read off g0's structure constants.  Classification keeps the odd Gram verdict,
+rank and radical per value of lambda on [g1, g1], the rank of Omega_lambda per
+value on [g0, g0], and realizes m = g (m0 = g0) once per algebra (full_part).
 """
 
 from __future__ import annotations
@@ -110,14 +113,19 @@ def polarizing_flag(g: LieSuperalgebra, lam: Sequence) -> PolarizingSystem:
     admissible, form = in_admissible_cone(g, lam)
     if not admissible:
         raise NotAdmissible("odd Gram matrix is not positive semidefinite")
-    return _polarize(g, lam, even_skew_form(g, lam).rank(), form.matrix, [])
+    return _polarize(g, lam, even_skew_form(g, lam).rank(), _odd_radical(g, form.matrix), [])
 
 
-def _polarize(g: LieSuperalgebra, lam: Vector, even_rank: int, gram: Matrix,
+def _odd_radical(g: LieSuperalgebra, gram: Matrix) -> list[Vector]:
+    """The radical of an odd Gram matrix, as rows of g."""
+    return [lin_comb(g.field, g.dim, sol, g.odd_subspace.rows) for sol in gram.kernel_basis()]
+
+
+def _polarize(g: LieSuperalgebra, lam: Vector, even_rank: int, odd_rad: list[Vector],
               subalgebras: list) -> PolarizingSystem:
     """Sum of the Omega_lambda radicals of the Engel flag members, for an
-    admissible lam whose skew form has rank even_rank and odd Gram matrix
-    gram; m0 = g0 at rank 0, since then every member is its own radical."""
+    admissible lam with skew form of rank even_rank and odd Gram radical
+    odd_rad; m0 = g0 at rank 0, since then every member is its own radical."""
     chain = g.engel_flag
     if even_rank == 0:
         m0 = chain[-1]
@@ -125,7 +133,7 @@ def _polarize(g: LieSuperalgebra, lam: Vector, even_rank: int, gram: Matrix,
         # the radical of Omega_lambda on each member, summed
         m0 = g.subspace([lin_comb(g.field, g.dim, sol, member.rows) for member in chain[1:]
                          for sol in bracket_form(g, lam, member.rows, member.rows).kernel_basis()])
-    return _assemble(g, lam, m0, tuple(s.dim for s in chain), even_rank, gram, subalgebras)
+    return _assemble(g, lam, m0, tuple(s.dim for s in chain), even_rank, odd_rad, subalgebras)
 
 
 def polarizing_system_from_m0(g: LieSuperalgebra, lam: Sequence, m0: Subspace,
@@ -142,14 +150,16 @@ def polarizing_system_from_m0(g: LieSuperalgebra, lam: Sequence, m0: Subspace,
         raise NotAdmissible("odd Gram matrix is not positive semidefinite")
     if not g.even_subspace.contains_subspace(m0):
         raise InputError("polarization is not inside g0")
-    return _assemble(g, lam, m0, flag_dims, even_skew_form(g, lam).rank(), form.matrix, [])
+    return _assemble(g, lam, m0, flag_dims, even_skew_form(g, lam).rank(),
+                     _odd_radical(g, form.matrix), [])
 
 
 def _assemble(g: LieSuperalgebra, lam: Vector, m0: Subspace, flag_dims: tuple[int, ...],
-              even_rank: int, gram: Matrix, subalgebras: list) -> PolarizingSystem:
+              even_rank: int, odd_rad_rows: list[Vector], subalgebras: list) -> PolarizingSystem:
     """The checks and the Clifford quotient of polarizing_system_from_m0, from
-    the rank of lam's skew form and the odd Gram matrix; subalgebras holds the
-    (m0 rows, realization of m = m0 (+) g1) pairs of the m0 already checked."""
+    the rank of lam's skew form and the radical of its odd Gram matrix;
+    subalgebras holds the (m0 rows, realization of m = m0 (+) g1) pairs of the
+    m0 below g0 already checked, and g.full_part realizes m = g."""
     e = g.space.even_dim
     if even_rank % 2:
         raise InvariantViolation("skew form has odd rank")  # pragma: no cover
@@ -157,7 +167,8 @@ def _assemble(g: LieSuperalgebra, lam: Vector, m0: Subspace, flag_dims: tuple[in
         raise InputError("polarization has the wrong dimension")
     if not m0.contains_subspace(g.odd_square):
         raise InputError("[g1,g1] is not inside the polarization")
-    msub = next((ms for rows, ms in subalgebras if rows == m0.rows), None)
+    whole = m0.dim == e                 # m0 = g0, so m = g
+    msub = g.full_part if whole else next((ms for r, ms in subalgebras if r == m0.rows), None)
     if msub is None and not is_subalgebra(g, m0):
         raise InputError("polarization is not a subalgebra")
     if not bracket_form(g, lam, m0.rows, m0.rows).is_zero():
@@ -170,14 +181,15 @@ def _assemble(g: LieSuperalgebra, lam: Vector, m0: Subspace, flag_dims: tuple[in
     coeff_rows = [[functional_value(lam, b[:e]) for b in m0.rows]]
     ker_rows = [lin_comb(g.field, g.dim, sol, m0.rows)
                 for sol in Matrix(g.field, coeff_rows).kernel_basis()]
-    gram_kernel = gram.kernel_basis()
-    odd_rank = gram.nrows - len(gram_kernel)
-    odd_rad_rows = [lin_comb(g.field, g.dim, sol, g.odd_subspace.rows) for sol in gram_kernel]
+    odd_rank = g.space.odd_dim - len(odd_rad_rows)
     j = Subspace(g.field, g.space, ker_rows + odd_rad_rows)
-    j_in_m_rows = [msub.restrict(r) for r in j.rows]
-    if None in j_in_m_rows:
-        raise InvariantViolation("j does not sit inside m")  # pragma: no cover
-    j_in_m = Subspace(g.field, msub.algebra.space, j_in_m_rows)
+    if whole:
+        j_in_m = j          # g's realization is on the identity rows: j is already j-in-m
+    else:
+        j_in_m_rows = [msub.restrict(r) for r in j.rows]
+        if None in j_in_m_rows:
+            raise InvariantViolation("j does not sit inside m")  # pragma: no cover
+        j_in_m = Subspace(g.field, msub.algebra.space, j_in_m_rows)
     # quotient checks that j is an ideal of m, with a witness when it is not
     cliff = quotient(msub.algebra, j_in_m, name=f"{g.name}|m/j")
     ca = cliff.algebra
@@ -211,14 +223,21 @@ class OrbitPath:
 
 def _apply_exp(g: LieSuperalgebra, lam: Vector, w_even: Vector) -> Vector:
     """lam o exp(ad w) as the row-vector series sum_k lam (ad w)^k / k!, which
-    ends at its first zero term since ad w is nilpotent on g0."""
+    ends at its first zero term since ad w is nilpotent on g0; (t o ad w)(e_j)
+    = sum w_i c_ij^m t_m over g0's constants with w_i and t_m nonzero."""
     f = g.field
     g0 = g.even_part.algebra
-    A = Matrix.combination(f, g0.dim, g0.dim, zip(w_even, g0.ad_basis))   # ad(w) on g0
+    e = len(lam)
+    w = [(i, a) for i, a in enumerate(w_even) if a]
     out = term = lam
-    for k in range(1, len(lam) + 1):
-        term = vec_scale(f.rat(Fraction(1, k)),
-                         tuple(functional_value(term, col) for col in zip(*A.rows)))
+    for k in range(1, e + 1):
+        acc = [f.zero] * e
+        for i, a in w:
+            for j in range(e):
+                for m, c in g0.c(i, j).items():
+                    if term[m]:
+                        acc[j] = acc[j] + a * c * term[m]
+        term = vec_scale(f.rat(Fraction(1, k)), tuple(acc))
         if vec_is_zero(term):
             return out
         out = vec_add(out, term)
@@ -341,27 +360,31 @@ def classify_orbits(g: LieSuperalgebra, box: Sequence[Sequence]) -> list[OrbitDe
     in its group."""
     if not is_nilpotent(g):
         raise InputError("orbit classification needs a nilpotent algebra")
+    e = g.space.even_dim
     cands = [coerce_functional(g, lam) for lam in box]
-    grams = {}                      # the odd Gram matrix of each admissible member
-    for i, lam in enumerate(cands):
-        admissible, form = in_admissible_cone(g, lam)
-        if admissible:
-            grams[i] = form.matrix
-    # the rank of Omega_lambda, per admissible member; it depends on lambda
-    # only through its values on [g0, g0]
+    # one _odd_radical (None if not admissible) per value of lambda on [g1, g1],
+    # one rank of Omega_lambda per value on [g0, g0]: lambda([u, v]) reads no more
     derived = bracket_span(g, g.even_subspace, g.even_subspace)
+    gram: dict[tuple, tuple | None] = {}
     skew: dict[tuple, int] = {}
-    ranks = {}
-    for i in grams:
-        key = tuple(functional_value(cands[i], y[:g.space.even_dim]) for y in derived.rows)
+    odds, ranks = {}, {}
+    for i, lam in enumerate(cands):
+        key = tuple(functional_value(lam, y[:e]) for y in g.odd_square.rows)
+        if key not in gram:
+            admissible, form = in_admissible_cone(g, lam)
+            gram[key] = _odd_radical(g, form.matrix) if admissible else None
+        if gram[key] is None:
+            continue
+        odds[i] = gram[key]
+        key = tuple(functional_value(lam, y[:e]) for y in derived.rows)
         if key not in skew:
-            skew[key] = even_skew_form(g, cands[i]).rank()
+            skew[key] = even_skew_form(g, lam).rank()
         ranks[i] = skew[key]
     zc = center(g.even_part.algebra)
     inv = {i: (tuple(str(functional_value(cands[i], z)) for z in zc.rows), ranks[i])
-           for i in grams}
+           for i in odds}
     groups: dict[tuple, list[int]] = {}
-    for i in grams:
+    for i in odds:
         groups.setdefault(inv[i], []).append(i)
     orbits: list[list[int]] = []
     for (_, rank), members in sorted(groups.items()):
@@ -387,12 +410,12 @@ def classify_orbits(g: LieSuperalgebra, box: Sequence[Sequence]) -> list[OrbitDe
     subalgebras: list = []
     for members in sorted(orbits):
         r = members[0]
-        ps = _polarize(g, cands[r], ranks[r], grams[r], subalgebras)
+        ps = _polarize(g, cands[r], ranks[r], odds[r], subalgebras)
         cc, rank = inv[r]
         for i in members[1:]:
             if inv[i] != (cc, rank):
                 raise InvariantViolation("orbit invariants differ inside one orbit")
-            if grams[i] != grams[r] and grams[i].rank() != ps.odd_rank:
+            if len(odds[i]) != len(odds[r]):
                 raise InvariantViolation("odd rank differs inside one orbit")
         out.append(OrbitDescriptor(cands[r], members, rank, ps.clifford_dim, cc, ps))
     return out

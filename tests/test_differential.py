@@ -1,9 +1,9 @@
 """Differential tests: each shortcut in the orbit classification, the Clifford
 verifier, the zero-skipping kernels, the sparse tower product, the even
-Cartan scan, the graded-commutant solve, the transporter solve and the
-bracket-form routine against a plain dense, pairwise, exhaustive or
-entry-by-entry formula written here, or against the standalone call it
-stands in for."""
+Cartan scan, the graded-commutant solve, the derivation equations, the
+transporter solve and the bracket-form routine against a plain dense,
+pairwise, exhaustive or entry-by-entry formula written here, against the
+code a shortcut replaced, or against the standalone call it stands in for."""
 
 import random
 from fractions import Fraction
@@ -21,11 +21,12 @@ from liecones.exactnum import QQ, QQ_I, Field, FieldMismatchError, InputError, S
 from liecones.glinalg import (GradedSpace, Matrix, Subspace, eliminate, kernel, lin_comb,
                               ungraded, unit_vector, vec_add, vec_scale, vec_sub)
 from liecones.lsa import (LieSuperalgebra, bracket_form, bracket_span, center, centroid,
-                          derivations, differential_constants, grassmann_extend, is_nilpotent,
+                          derivation_equations, derivations, differential_constants,
+                          grassmann_extend, is_nilpotent, quotient, subalgebra_on,
                           supercommutant, transporter)
-from liecones.orbits import (_apply_exp, classify_orbits, coadjoint_orbit_member,
-                             even_skew_form, in_admissible_cone, polarizing_flag,
-                             polarizing_system_from_m0)
+from liecones.orbits import (PolarizingSystem, _apply_exp, central_box, classify_orbits,
+                             coadjoint_orbit_member, even_skew_form, in_admissible_cone,
+                             polarizing_flag, polarizing_system_from_m0)
 
 TOWERS = (QQ, QQ_I, Field(False, 2), Field(True, 2))
 small = st.integers(min_value=-3, max_value=3)
@@ -133,6 +134,98 @@ def test_row_series_exponential_matches_dense_exponential(key, data):
     E = g.even_part.algebra.ad(w).exp_nilpotent()
     assert _apply_exp(g, lam, w) == tuple(
         sum((a * b for a, b in zip(lam, E.col(j))), QQ.zero) for j in range(e))
+
+
+# ---------------------------------------------------------------------------
+# the per-algebra and per-invariant orbit shortcuts against the code they replaced
+# ---------------------------------------------------------------------------
+
+def oracle_apply_exp(g: LieSuperalgebra, lam, w):
+    """The row series with ad(w) on g0 built by Matrix.combination and read
+    column by column."""
+    f = g.field
+    g0 = g.even_part.algebra
+    A = Matrix.combination(f, g0.dim, g0.dim, zip(w, g0.ad_basis))
+    out = term = lam
+    for k in range(1, len(lam) + 1):
+        term = vec_scale(f.rat(Fraction(1, k)),
+                         tuple(functional_value(term, col) for col in zip(*A.rows)))
+        if all(not x for x in term):
+            return out
+        out = vec_add(out, term)
+    raise AssertionError("ad(w) is not nilpotent on g0")
+
+
+def oracle_polarization(g: LieSuperalgebra, lam, m0: Subspace, flag_dims) -> PolarizingSystem:
+    """The polarizing system on m0 built for every m0 alike: realize m = m0
+    (+) g1, restrict j to m and eliminate it again there."""
+    e = g.space.even_dim
+    gram = OddSquareForm.of(g, lam).matrix
+    msub = subalgebra_on(g, m0.sum_with(g.odd_subspace), name=f"{g.name}|m")
+    coeff = Matrix(g.field, [[functional_value(lam, b[:e]) for b in m0.rows]])
+    ker_rows = [lin_comb(g.field, g.dim, sol, m0.rows) for sol in coeff.kernel_basis()]
+    gram_kernel = gram.kernel_basis()
+    rad_rows = [lin_comb(g.field, g.dim, sol, g.odd_subspace.rows) for sol in gram_kernel]
+    j = Subspace(g.field, g.space, ker_rows + rad_rows)
+    j_in_m = Subspace(g.field, msub.algebra.space, [msub.restrict(r) for r in j.rows])
+    cliff = quotient(msub.algebra, j_in_m, name=f"{g.name}|m/j")
+    return PolarizingSystem(g, lam, msub.subspace, m0, j, cliff, even_skew_form(g, lam).rank(),
+                            gram.nrows - len(gram_kernel), flag_dims)
+
+
+def drawn_box(rng: random.Random, g: LieSuperalgebra, key: str) -> list:
+    """The central box of g0 with coordinates -1..1 (a 3x3 grid on the
+    abelian g0 of n3super), then, except on n5, eight drawn integer
+    functionals and repeats of two members: a drawn box on the class-4 n5
+    may leave membership undecided."""
+    box = central_box(g, -1, 1)
+    if key != "n5":
+        box += [tuple(g.field.rat(rng.randint(-2, 2)) for _ in range(g.space.even_dim))
+                for _ in range(8)]
+        box += rng.sample(box, 2)
+    return box
+
+
+@pytest.mark.parametrize("key", sorted(EXP_ALGEBRAS))
+def test_constant_exponential_matches_the_combination_series(key):
+    g = EXP_ALGEBRAS[key]
+    rng = random.Random(key)
+    e = g.space.even_dim
+    for _ in range(40):
+        lam, w = ([g.field.rat(rng.randint(-3, 3)) for _ in range(e)] for _ in range(2))
+        assert _apply_exp(g, tuple(lam), tuple(w)) == oracle_apply_exp(g, tuple(lam), tuple(w))
+
+
+@pytest.mark.parametrize("key", sorted(EXP_ALGEBRAS))
+def test_polarizations_match_restrict_and_re_eliminate(key):
+    """Every classified and every standalone polarization, m = g at the
+    rank-0 points among them, against the restriction to m it skips."""
+    g = EXP_ALGEBRAS[key]
+    rng = random.Random(key)
+    for _ in range(4):
+        box = drawn_box(rng, g, key)
+        systems = [o.polarizing for o in classify_orbits(g, box)]
+        systems += [polarizing_flag(g, lam) for lam in box if in_admissible_cone(g, lam)[0]]
+        assert any(ps.m0 == g.even_subspace for ps in systems)
+        for ps in systems:
+            assert ps.as_json() == oracle_polarization(g, ps.lam, ps.m0, ps.flag_dims).as_json()
+
+
+@pytest.mark.parametrize("key", sorted(EXP_ALGEBRAS))
+def test_keyed_admissibility_matches_fresh_tests(key):
+    """classify_orbits tests one candidate per value on [g1, g1]; n3super has
+    [g0, g0] = 0 but a two-dimensional [g1, g1]."""
+    g = EXP_ALGEBRAS[key]
+    rng = random.Random(key)
+    for _ in range(4):
+        box = drawn_box(rng, g, key)
+        fresh = [in_admissible_cone(g, lam) for lam in box]
+        descs = classify_orbits(g, box)
+        assert sorted(i for o in descs for i in o.members) == \
+            [i for i, (ok, _) in enumerate(fresh) if ok]
+        for o in descs:
+            for i in o.members:
+                assert o.polarizing.odd_rank == fresh[i][1].matrix.rank()
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +766,55 @@ def test_endomorphism_solves_match_entrywise_builders(key):
                                 (dc, oracle_differential_constants(g))):
         assert rows_of(family.even) == rows_of(even)
         assert rows_of(family.odd) == rows_of(odd)
+
+
+def scan_derivation_equations(g: LieSuperalgebra, s: int, pos) -> list[dict]:
+    """The derivation equation builder that scans every basis index p for
+    c_pj^m and c_ip^m, n^4 lookups whether or not the constants are nonzero."""
+    n = g.dim
+    rows = []
+    for i in range(n):
+        pi = g.parity(i)
+        sgn = g.field.rat((-1) ** (s * pi))
+        for j in range(i, n):
+            cij = g.c(i, j)
+            for m in range(n):
+                if (g.parity(m) - (pi + g.parity(j))) % 2 != s:
+                    continue
+                row: dict = {}
+
+                def add(key, val):
+                    u = pos.get(key)
+                    if u is not None and val:
+                        row[u] = row[u] + val if u in row else val
+
+                for k, cv in cij.items():
+                    add((m, k), cv)
+                for p in range(n):
+                    cpj = g.c(p, j).get(m)
+                    if cpj:
+                        add((p, i), -cpj)
+                    cip = g.c(i, p).get(m)
+                    if cip:
+                        add((p, j), -(sgn * cip))
+                if row:
+                    rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("key", sorted(dict(SCAN_ALGEBRAS, **COMMUTANT_ALGEBRAS)))
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_derivation_equations_match_the_index_scan(key, shuffled):
+    """The same rows, entry for entry, in the catalog basis or in a signed
+    permutation of it drawn from a generator seeded by the key."""
+    g = dict(SCAN_ALGEBRAS, **COMMUTANT_ALGEBRAS)[key]
+    if shuffled:
+        e, n, rng = g.space.even_dim, g.dim, random.Random(key)
+        g = signed_permutation(g, rng.sample(range(e), e) + rng.sample(range(e, n), n - e),
+                               [rng.choice((1, -1)) for _ in range(n)])
+    for s in (0, 1):
+        pos = {entry: u for u, entry in enumerate(allowed_entries(g, s))}
+        assert derivation_equations(g, s, pos) == scan_derivation_equations(g, s, pos)
 
 
 @pytest.mark.parametrize("d", range(1, 6))

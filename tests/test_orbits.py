@@ -249,20 +249,31 @@ def test_classification_cost_counts(algebra, monkeypatch):
     counted(orbits, "subalgebra_on")
     counted(lsa, "is_ideal")
     counted(lsa, "_engel_refine")
+    realized: list = []             # the subspaces lsa realizes, g's own among them
+    realize = lsa.subalgebra_on
+    monkeypatch.setattr(lsa, "subalgebra_on",
+                        lambda h, s, name=None: realized.append(s) or realize(h, s, name))
     box = grid_box(g, -2, 2)
     descs = classify_orbits(g, box)
     admissible = sum(len(o.members) for o in descs)
     assert (len(box), admissible, len(descs)) == (125, 75, 27)
-    assert calls.count("in_admissible_cone") == calls.count("of") == len(box)
+    # one odd Gram matrix per value of lambda on [g1, g1]
+    assert calls.count("in_admissible_cone") == calls.count("of") == 5
     assert calls.count("even_skew_form") <= admissible
     assert calls.count("is_ideal") == len(descs)
-    assert calls.count("subalgebra_on") == len({o.polarizing.m0 for o in descs})
+    below_g0 = {o.polarizing.m0 for o in descs} - {g.even_subspace}
+    assert len(below_g0) < len({o.polarizing.m0 for o in descs})
+    assert calls.count("subalgebra_on") == len(below_g0)
+    assert realized.count(g.full_space) == 1
     assert "_engel_refine" in calls
     last_flag_step = len(calls) - calls[::-1].index("_engel_refine")
     assert "is_ideal" not in calls[:last_flag_step]
     calls.clear()
+    realized.clear()
     assert [o.as_json() for o in classify_orbits(g, box)] == [o.as_json() for o in descs]
     assert "_engel_refine" not in calls and calls.count("is_ideal") == len(descs)
+    assert calls.count("subalgebra_on") == len(below_g0) and g.full_space not in realized
     calls.clear()
     classify_orbits(g, grid_box(g, -3, 3))
+    assert calls.count("in_admissible_cone") == calls.count("of") == 7
     assert calls.count("coadjoint_orbit_member") == 144

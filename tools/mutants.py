@@ -47,11 +47,15 @@ TRANSPORTER_SL2 = "tests/test_lsa.py::test_transporter_sl2_by_hand"
 BRACKET_FORM = "tests/test_differential.py::test_bracket_form_matches_the_loops_it_replaced"
 BRACKET_FORM_HC = "tests/test_lsa.py::test_bracket_form_hc22_by_hand"
 ROOT_FORMS = "tests/test_differential.py::test_root_space_forms_match_the_loop_they_replaced"
+EXP = "tests/test_differential.py::test_constant_exponential_matches_the_combination_series"
+POLARIZE = "tests/test_differential.py::test_polarizations_match_restrict_and_re_eliminate"
+KEYED = "tests/test_differential.py::test_keyed_admissibility_matches_fresh_tests"
 CLIFFREP = "src/liecones/cliffrep.py"
 HWM = "src/liecones/hwm.py"
 CARTAN = "src/liecones/cartan.py"
 GLINALG = "src/liecones/glinalg.py"
 LSA = "src/liecones/lsa.py"
+ORBITS = "src/liecones/orbits.py"
 
 MUTANTS = (
     Mutant("product drops a term", CLIFFREP,
@@ -179,7 +183,7 @@ MUTANTS = (
            "acc = acc + a * b * c * lam[m]",
            "acc = acc + b * c * lam[m]",
            (BRACKET_FORM, BRACKET_FORM_HC)),
-    Mutant("the second coadjoint stage matrix is not transposed", "src/liecones/orbits.py",
+    Mutant("the second coadjoint stage matrix is not transposed", ORBITS,
            "stage = bracket_form(g0, cur, h_rows, layer.rows).transpose()",
            "stage = bracket_form(g0, cur, h_rows, layer.rows)",
            ("tests/test_orbits.py::test_coadjoint_member_three_step_exact",)),
@@ -187,11 +191,25 @@ MUTANTS = (
            "[tuple(s.conjugate_i() for s in y) for y in basis]",
            "basis",
            (ROOT_FORMS,)),
-    Mutant("rank-0 functionals merged into one orbit", "src/liecones/orbits.py",
+    Mutant("rank-0 functionals merged into one orbit", ORBITS,
            "orbits.extend(points.values())",
            "orbits.append(members)",
            ("tests/test_orbits.py::test_classify_h1_grid",
             "tests/test_differential.py::test_classify_orbits_matches_pairwise_union")),
+    Mutant("the odd Gram memo keyed on [g0, g0]", ORBITS,
+           "key = tuple(functional_value(lam, y[:e]) for y in g.odd_square.rows)",
+           "key = tuple(functional_value(lam, y[:e]) for y in derived.rows)",
+           (f"{KEYED}[n3super]",)),
+    Mutant("every polarization realized as m = g", ORBITS,
+           "whole = m0.dim == e",
+           "whole = True",
+           (f"{POLARIZE}[h(1)]", f"{POLARIZE}[hc(2|2,++)]", f"{POLARIZE}[n4]",
+            "tests/test_orbits.py::test_polarizing_flag_h1")),
+    Mutant("the exponential term reads c_ji for c_ij", ORBITS,
+           "for m, c in g0.c(i, j).items():",
+           "for m, c in g0.c(j, i).items():",
+           (f"{EXP}[h(1)]", f"{EXP}[n4]", f"{EXP}[n5]",
+            "tests/test_orbits.py::test_coadjoint_member_three_step_exact")),
 )
 
 
