@@ -10,8 +10,7 @@ decide) and InvariantViolation (a re-check of computed data failed).
 """
 
 from .exactnum import (Field, FieldMismatchError, InputError, InvariantViolation, Poly,
-                       QQ, QQ_I, Scalar, Undetermined, is_squarefree, parse_scalar,
-                       real_root_signs)
+                       QQ, QQ_I, Scalar, Undetermined, parse_scalar, real_root_signs)
 from .glinalg import (GradedSpace, Matrix, Subspace, generalized_eigenspaces,
                       image, joint_eigenspaces, kernel)
 from .lsa import (LieSuperalgebra, center, centroid, check_axioms, derivations,

@@ -1,11 +1,13 @@
 """Cartan subalgebras and subsuperalgebras, compact-embeddedness certificates,
 root decompositions, and the fixed-point projection.
 
-Compact embeddedness is certified spectrally: every ad(K) must be semisimple
-(squarefree minimal polynomial) with purely imaginary spectrum (all real
-roots of charpoly(ad(K)^2) nonpositive, and all complex roots real), plus a
-deterministic sample of integer combinations for non-abelian families.  The
-inner automorphism group is never materialized.
+Compact embeddedness is certified spectrally, from one characteristic
+polynomial per element: with s the squarefree part of charpoly(ad(K)^2),
+ad(K) has purely imaginary spectrum iff every root of s is real and <= 0
+(Sturm counts), and is then semisimple iff the squarefree polynomial
+r(x) = s(x^2), or x (s/x)(x^2) when s(0) = 0, annihilates it.  A
+deterministic sample of integer combinations is added for non-abelian
+families.  The inner automorphism group is never materialized.
 
 The regular-element scan stops once its answer is proved: at g0 itself when
 g0 is nilpotent, and, in the search for a compact Cartan subalgebra, once the
@@ -16,10 +18,10 @@ spectral test.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
-from .exactnum import (InputError, InvariantViolation, Scalar, Undetermined, is_squarefree,
-                       real_root_signs)
+from .exactnum import InputError, InvariantViolation, Scalar, Undetermined, real_root_signs
 from .glinalg import (
     GradedSpace, Matrix, Subspace, Vector, joint_eigenspaces, kernel, lin_comb, zero_vector,
 )
@@ -28,6 +30,8 @@ from .lsa import (LieSuperalgebra, bracket_span, center, is_nilpotent, is_subalg
 
 
 UNDETERMINED = "UNDETERMINED"
+SAMPLE_BOUND, SAMPLE_CAP = 2, 40    # integer combinations tested for a non-abelian k0
+MAX_CANDIDATES = 40                 # scanned Cartan subalgebras compact_cartan_even tests
 
 
 # ---------------------------------------------------------------------------
@@ -159,26 +163,30 @@ def cartan_subsuperalgebra(g: LieSuperalgebra, h0: Subspace) -> CartanData:
 
 def _spectrum_purely_imaginary_semisimple(g: LieSuperalgebra, v: Vector) -> object:
     """True/False/UNDETERMINED for one element: ad(v) semisimple with
-    spectrum in iR, certified by Sturm counts on rational data."""
+    spectrum in iR, certified by Sturm counts on rational data.
+
+    Let M = ad(v) and s the squarefree part of charpoly(M^2).  The spectrum
+    of M is imaginary iff every root of s is real and <= 0.  Then r(x) =
+    s(x^2), or x (s/x)(x^2) when s(0) = 0, is squarefree, and every
+    eigenvalue of M is a root of r, so M is semisimple iff r(M) = 0."""
     M = g.ad(v)
     if not all(c.is_rational() for r in M.rows for c in r):
         return UNDETERMINED
-    if not is_squarefree(M.minpoly()):
-        return False
     sq = M * M
-    cp = sq.charpoly()
-    s = cp.squarefree_part()
+    s = sq.charpoly().squarefree_part()
     neg, zero, pos = real_root_signs(s)
-    if pos > 0:
+    if pos or neg + zero != s.degree:
         return False
-    # all roots of ad^2 must be real (else ad has eigenvalues off both axes)
-    if neg + zero + pos != s.degree:
-        return False
-    return True
+    t, k = s.shift_out_root_zero()
+    r = Matrix.identity(g.field, M.nrows)
+    for c in reversed(t.coeffs[:-1]):      # Horner in M^2; t is monic
+        r = r * sq
+        r = Matrix(g.field, [row[:i] + (row[i] + c,) + row[i + 1:]
+                             for i, row in enumerate(r.rows)])
+    return (r * M if k else r).is_zero()
 
 
-def is_compactly_embedded(g: LieSuperalgebra, k0: Subspace,
-                          sample_bound: int = 2, sample_cap: int = 40) -> object:
+def is_compactly_embedded(g: LieSuperalgebra, k0: Subspace) -> object:
     """Spectral certificate that k0 <= g0 is compactly embedded in g.
 
     For abelian k0 the basis test is sufficient; otherwise a deterministic
@@ -199,43 +207,35 @@ def is_compactly_embedded(g: LieSuperalgebra, k0: Subspace,
     if abelian:
         return True
     # non-abelian: sampled combinations, necessary-only certificate
-    count = 0
-    for ints in candidate_vectors(k0.dim, sample_bound, sample_cap):
+    for ints in candidate_vectors(k0.dim, SAMPLE_BOUND, SAMPLE_CAP):
         v = lin_comb(g.field, g.dim, (g.field.rat(c) for c in ints), k0.rows)
         verdict = _spectrum_purely_imaginary_semisimple(g, v)
         if verdict is not True:
             return verdict
-        count += 1
-        if count >= sample_cap:
-            break
     return UNDETERMINED
 
 
-def compact_cartan_even(g: LieSuperalgebra, bound: int = 3, cap: int = 4000,
-                        max_candidates: int = 40) -> Subspace | None:
+def compact_cartan_even(g: LieSuperalgebra, bound: int = 3, cap: int = 4000) -> Subspace | None:
     """First Cartan subalgebra of g0 from the scan that certifies compactly
-    embedded in g; None when none of the scanned candidates does, or, after
-    the first failure, when a basis row of z(g0) does not pass the spectral
-    test (False or UNDETERMINED).  That is exact: z(g0) normalizes, so lies
-    in, every Cartan h0, and is_compactly_embedded is True only for an abelian
-    h0 whose rows b_k have rational, semisimple ad with imaginary spectrum;
-    those ad's commute.  z(g0) = {sum c_k b_k : sum c_k ad(b_k)|g0 = 0} is cut
-    out by rational equations in the pivot coordinates of h0, so each
-    canonical row of the centre has rational c, and its ad, a rational
-    combination of the ad(b_k), is rational, semisimple and has imaginary
-    spectrum: it passes.  A row that does not pass rules out every compact
-    h0, whether its verdict is False or UNDETERMINED."""
+    embedded in g; None when none of the first MAX_CANDIDATES scanned Cartan
+    subalgebras does, or, after the first failure, when a basis row of z(g0)
+    does not pass the spectral test (False or UNDETERMINED).  That is exact:
+    z(g0) normalizes, so lies in, every Cartan h0, and is_compactly_embedded
+    is True only for an abelian h0 whose rows b_k have rational, semisimple
+    ad with imaginary spectrum; those ad's commute.  z(g0) = {sum c_k b_k :
+    sum c_k ad(b_k)|g0 = 0} is cut out by rational equations in the pivot
+    coordinates of h0, so each canonical row of the centre has rational c,
+    and its ad, a rational combination of the ad(b_k), is rational,
+    semisimple and has imaginary spectrum: it passes.  A row that does not
+    pass rules out every compact h0, whether its verdict is False or
+    UNDETERMINED."""
     pad = (g.field.zero,) * g.space.odd_dim
-    found = 0
-    for _, h0 in iter_cartan_even(g, bound, cap):
+    for found, (_, h0) in enumerate(islice(iter_cartan_even(g, bound, cap), MAX_CANDIDATES)):
         if is_compactly_embedded(g, h0) is True:
             return h0
         if found == 0 and any(_spectrum_purely_imaginary_semisimple(g, z + pad) is not True
                               for z in center(g.even_part.algebra).rows):
             return None
-        found += 1
-        if found >= max_candidates:
-            break
     return None
 
 

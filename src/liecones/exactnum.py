@@ -541,15 +541,6 @@ class Poly:
     __repr__ = __str__
 
 
-def is_squarefree(p: Poly) -> bool:
-    """True iff gcd(p, p') is constant; error on the zero polynomial."""
-    if p.is_zero():
-        raise InputError("is_squarefree of the zero polynomial")
-    if p.degree == 0:
-        return True
-    return p.gcd(p.derivative()).degree == 0
-
-
 # ---------------------------------------------------------------------------
 # Sturm sequences over Q
 # ---------------------------------------------------------------------------

@@ -466,22 +466,6 @@ class Matrix:
             ps.append(p)
         return Poly(f, ps[n])
 
-    def minpoly(self) -> Poly:
-        """Monic minimal polynomial, found by the first linear dependence of powers."""
-        if self.nrows != self.ncols:
-            raise InputError("minpoly of non-square matrix")
-        f = self.field
-        n = self.nrows
-        powers = [Matrix.identity(f, n)]
-        for k in range(1, n + 2):
-            flat = [[p.rows[i][j] for p in powers] for i in range(n) for j in range(n)]
-            dep = Matrix(f, flat).kernel_basis()
-            if dep:
-                coeffs = dep[0]
-                return Poly(f, coeffs).monic()
-            powers.append(powers[-1] * self)
-        raise InvariantViolation("minpoly search failed")  # pragma: no cover
-
     def exp_nilpotent(self) -> "Matrix":
         """Exact exp(M) for nilpotent M (polynomial series)."""
         n = self.nrows

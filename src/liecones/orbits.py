@@ -171,7 +171,8 @@ def _assemble(g: LieSuperalgebra, lam: Vector, m0: Subspace, flag_dims: tuple[in
     msub = g.full_part if whole else next((ms for r, ms in subalgebras if r == m0.rows), None)
     if msub is None and not is_subalgebra(g, m0):
         raise InputError("polarization is not a subalgebra")
-    if not bracket_form(g, lam, m0.rows, m0.rows).is_zero():
+    # m0 = g0 means even_rank = 0 (dimension check), so Omega_lambda = 0 on it
+    if not whole and not bracket_form(g, lam, m0.rows, m0.rows).is_zero():
         raise InputError("polarization is not isotropic")
     if msub is None:
         msub = subalgebra_on(g, m0.sum_with(g.odd_subspace), name=f"{g.name}|m")

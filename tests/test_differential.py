@@ -17,7 +17,8 @@ from liecones import cartan, cliffrep, cones
 from liecones.catalog import build, list_keys
 from liecones.cliffrep import MatrixRep, clifford_module, gamma_matrices, parity_change, verify_rep
 from liecones.cones import OddSquareForm, functional_value
-from liecones.exactnum import QQ, QQ_I, Field, FieldMismatchError, InputError, Scalar
+from liecones.exactnum import (QQ, QQ_I, Field, FieldMismatchError, InputError, Poly, Scalar,
+                               real_root_signs)
 from liecones.glinalg import (GradedSpace, Matrix, Subspace, eliminate, kernel, lin_comb,
                               ungraded, unit_vector, vec_add, vec_scale, vec_sub)
 from liecones.lsa import (LieSuperalgebra, bracket_form, bracket_span, center, centroid,
@@ -615,6 +616,142 @@ def test_cartan_scan_matches_exhaustive_scan(key, data):
     cap = data.draw(st.integers(min_value=12, max_value=48))
     assert list(cartan.iter_cartan_even(g, bound, cap)) == list(exhaustive_cartans(g, bound, cap))
     assert cartan.compact_cartan_even(g, bound, cap) == exhaustive_compact_cartan(g, bound, cap)
+
+
+# ---------------------------------------------------------------------------
+# the compactness certificate against the minimal-polynomial test it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_minpoly(A: Matrix) -> Poly:
+    """Monic minimal polynomial, found by the first linear dependence of powers."""
+    f, n = A.field, A.nrows
+    powers = [Matrix.identity(f, n)]
+    for _ in range(1, n + 2):
+        flat = [[p.rows[i][j] for p in powers] for i in range(n) for j in range(n)]
+        dep = Matrix(f, flat).kernel_basis()
+        if dep:
+            return Poly(f, dep[0]).monic()
+        powers.append(powers[-1] * A)
+    raise AssertionError("minpoly search failed")
+
+
+def oracle_is_squarefree(p: Poly) -> bool:
+    return p.degree == 0 or p.gcd(p.derivative()).degree == 0
+
+
+def oracle_spectral(g: LieSuperalgebra, v) -> object:
+    """ad(v) semisimple with imaginary spectrum, as decided before: a
+    squarefree minimal polynomial, then Sturm counts on the squarefree part
+    of charpoly(ad(v)^2)."""
+    M = g.ad(v)
+    if not all(c.is_rational() for r in M.rows for c in r):
+        return cartan.UNDETERMINED
+    if not oracle_is_squarefree(oracle_minpoly(M)):
+        return False
+    s = (M * M).charpoly().squarefree_part()
+    neg, zero, pos = real_root_signs(s)
+    return pos == 0 and neg + zero + pos == s.degree
+
+
+@pytest.mark.parametrize("key", sorted(SCAN_ALGEBRAS))
+def test_spectral_certificate_matches_minimal_polynomial_test(key):
+    """The scan candidates of the first ten Cartan subalgebras of the scan
+    and their rows, in g and in a signed permutation of g.  A vector of the
+    copy is compared with the oracle at the same element of g, whose ad is
+    conjugate to it, and the oracle runs once per line, as rescaling ad(v)
+    by a nonzero rational keeps both properties."""
+    g, rng = SCAN_ALGEBRAS[key], random.Random(key)
+    e, n = g.space.even_dim, g.dim
+    perm = rng.sample(range(e), e) + rng.sample(range(e, n), n - e)
+    sign = [rng.choice((1, -1)) for _ in range(n)]
+
+    def in_g(v):                # vector a of the copy is sign[a] times vector perm[a] of g
+        u = [None] * n
+        for a, x in enumerate(v):
+            u[perm[a]] = x if sign[a] > 0 else -x
+        return tuple(u)
+
+    verdicts: dict[tuple, object] = {}
+    for alg, to_g in ((g, lambda v: v), (signed_permutation(g, perm, sign), in_g)):
+        for y, h0 in islice(cartan.iter_cartan_even(alg), 10):
+            for v in (y, *h0.rows):
+                u = to_g(v)
+                lead = next(x for x in u if x).inverse()
+                line = tuple(x * lead for x in u)
+                if line not in verdicts:
+                    verdicts[line] = oracle_spectral(g, u)
+                assert cartan._spectrum_purely_imaginary_semisimple(alg, v) == verdicts[line]
+
+
+nonzero = st.integers(min_value=-3, max_value=3).filter(bool)
+
+
+@st.composite
+def spectral_blocks(draw) -> tuple[list[list[int]], bool]:
+    """One real block and whether it is semisimple with imaginary spectrum."""
+    kind = draw(st.sampled_from(("zero", "rotation", "companion", "nilpotent", "rotation jordan",
+                                 "real", "complex")))
+    if kind == "zero":
+        return [[0]], True
+    if kind == "rotation":
+        t = draw(nonzero)
+        return [[0, -t], [t, 0]], True
+    if kind == "companion":                 # x^2 + a: imaginary roots iff a > 0
+        a = draw(small)
+        return [[0, -a], [1, 0]], a > 0
+    if kind == "nilpotent":
+        return [[0, 1], [0, 0]], False
+    if kind == "rotation jordan":
+        t = draw(nonzero)
+        return [[0, -t, 1, 0], [t, 0, 0, 1], [0, 0, 0, -t], [0, 0, t, 0]], False
+    if kind == "real":
+        return [[draw(nonzero)]], False
+    a, b = draw(nonzero), draw(small)         # a +- ib off the imaginary axis
+    return [[a, -b], [b, a]], False
+
+
+def block_diagonal(blocks: list[list[list[int]]]) -> list[list[int]]:
+    n = sum(len(b) for b in blocks)
+    out, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(b)] = row
+        at += len(b)
+    return out
+
+
+@st.composite
+def conjugated_block_matrices(draw) -> tuple[Matrix, bool]:
+    """P B P^-1 for a block-diagonal B of known verdict and a unimodular P = L U."""
+    blocks = draw(st.lists(spectral_blocks(), min_size=1, max_size=3))
+    B = block_diagonal([b for b, _ in blocks])
+    n = len(B)
+    entries = st.lists(st.integers(min_value=-2, max_value=2), min_size=n * n, max_size=n * n)
+    lower, upper = draw(entries), draw(entries)
+    L = Matrix(QQ, [[1 if i == j else lower[i * n + j] if j < i else 0 for j in range(n)]
+                    for i in range(n)])
+    U = Matrix(QQ, [[1 if i == j else upper[i * n + j] if j > i else 0 for j in range(n)]
+                    for i in range(n)])
+    P = L * U
+    return P * Matrix(QQ, B) * P.inverse(), all(ok for _, ok in blocks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(conjugated_block_matrices())
+@example((Matrix(QQ, block_diagonal([[[0]], [[0, -1], [1, 0]], [[0, 1], [-1, 0]]])), True))
+@example((Matrix(QQ, [[1, -1], [1, 1]]), False))
+def test_spectral_certificate_on_conjugated_block_matrices(case):
+    """ad(v) = 0 (+) M on R v |x Q^n with [v, x] = M x.  The first example
+    repeats an eigenvalue of M^2 and has s(0) = 0; in the second, M^2 has
+    the eigenvalues +-2i, off the real line."""
+    M, expected = case
+    n = M.nrows
+    names = [f"X{i}" for i in range(n)]
+    g = LieSuperalgebra.from_table("Rv|xQ^n", QQ, ["V"] + names, [], {
+        ("V", names[j]): {names[i]: M.rows[i][j] for i in range(n)} for j in range(n)})
+    v = g.basis_vector(0)
+    assert cartan._spectrum_purely_imaginary_semisimple(g, v) is expected
+    assert oracle_spectral(g, v) is expected
 
 
 # ---------------------------------------------------------------------------

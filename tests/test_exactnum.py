@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liecones.exactnum import (
-    Field, FieldMismatchError, Poly, QQ, QQ_I, is_squarefree,
+    Field, FieldMismatchError, Poly, QQ, QQ_I,
     parse_scalar, rational_sqrt_decomp, real_root_signs, sqrt_in_field,
     squarefree_decomp,
 )
@@ -118,22 +118,6 @@ def test_poly_divmod_gcd():
     assert p.gcd(q) == q.monic()
     r = P(2, 0, 2)            # 2x^2 + 2
     assert r.squarefree_part() == P(1, 0, 1)
-
-
-def test_is_squarefree_examples():
-    assert is_squarefree(P(1, 0, 1))          # x^2 + 1
-    assert not is_squarefree(P(1, -2, 1))     # (x-1)^2
-    assert not is_squarefree(P(0, 0, 0, 1))   # x^3
-    with pytest.raises(Exception):
-        is_squarefree(Poly(QQ, []))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(min_value=-5, max_value=5), min_size=2, max_size=5))
-def test_square_never_squarefree(coeffs):
-    p = Poly(QQ, coeffs)
-    if p.degree >= 1:
-        assert not is_squarefree(p * p)
 
 
 def test_real_root_signs_examples():

@@ -211,10 +211,18 @@ def test_polarizing_system_from_m0_rejects_bad(algebra):
     with pytest.raises(InputError):
         # wrong dimension
         polarizing_system_from_m0(hc, lam, hc.subspace([hc.basis_vector(2)]))
-    with pytest.raises(InputError):
-        # right dimension but not isotropic: span{X, Y}
+    with pytest.raises(InputError, match=r"\[g1,g1\] is not inside"):
+        # right dimension but without [g1, g1] = span{Z}: span{X, Y}
         polarizing_system_from_m0(
             hc, lam, hc.subspace([hc.basis_vector(0), hc.basis_vector(1)]))
+    n4 = LieSuperalgebra.from_table(
+        "n4", QQ, ["E1", "E2", "E3", "E4"], [],
+        {("E1", "E2"): {"E3": 1}, ("E1", "E3"): {"E4": 1}})
+    with pytest.raises(InputError, match="not isotropic"):
+        # right dimension, a subalgebra, but e4*([E1, E3]) = 1: span{E1, E3, E4}
+        polarizing_system_from_m0(
+            n4, (0, 0, 0, 1), n4.subspace([n4.basis_vector(0), n4.basis_vector(2),
+                                           n4.basis_vector(3)]))
     with pytest.raises(InputError, match="not inside g0"):
         # isotropy is read off Omega_lambda on g0, so m0 must be even: span{Z, f1}
         polarizing_system_from_m0(hc, lam, hc.subspace([hc.basis_vector(2), hc.basis_vector(3)]))

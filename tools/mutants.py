@@ -50,6 +50,8 @@ ROOT_FORMS = "tests/test_differential.py::test_root_space_forms_match_the_loop_t
 EXP = "tests/test_differential.py::test_constant_exponential_matches_the_combination_series"
 POLARIZE = "tests/test_differential.py::test_polarizations_match_restrict_and_re_eliminate"
 KEYED = "tests/test_differential.py::test_keyed_admissibility_matches_fresh_tests"
+SPECTRAL = "tests/test_differential.py::test_spectral_certificate_matches_minimal_polynomial_test"
+BLOCKS = "tests/test_differential.py::test_spectral_certificate_on_conjugated_block_matrices"
 CLIFFREP = "src/liecones/cliffrep.py"
 HWM = "src/liecones/hwm.py"
 CARTAN = "src/liecones/cartan.py"
@@ -116,6 +118,22 @@ MUTANTS = (
            "",
            ("tests/test_cartan.py::test_candidate_vectors_respect_a_zero_or_negative_cap",
             "tests/test_cli.py::test_zero_budget_and_cap_scan_nothing")),
+    Mutant("the annihilating polynomial without its x factor when s(0) = 0", CARTAN,
+           "return (r * M if k else r).is_zero()",
+           "return r.is_zero()",
+           (SPECTRAL, BLOCKS)),
+    Mutant("the annihilating polynomial evaluated at ad(v), not ad(v)^2", CARTAN,
+           "r = r * sq",
+           "r = r * M",
+           (SPECTRAL, BLOCKS)),
+    Mutant("the Sturm sign test dropped", CARTAN,
+           "if pos or neg + zero != s.degree:",
+           "if neg + zero + pos != s.degree:",
+           (SPECTRAL, BLOCKS)),
+    Mutant("the Sturm count of real roots dropped", CARTAN,
+           "if pos or neg + zero != s.degree:",
+           "if pos:",
+           (BLOCKS,)),
     Mutant("a negative --cap accepted", "src/liecones/cli.py",
            "if args.budget < 0 or args.cap < 0:",
            "if args.budget < 0:",
@@ -205,6 +223,10 @@ MUTANTS = (
            "whole = True",
            (f"{POLARIZE}[h(1)]", f"{POLARIZE}[hc(2|2,++)]", f"{POLARIZE}[n4]",
             "tests/test_orbits.py::test_polarizing_flag_h1")),
+    Mutant("the isotropy test skipped also when m0 is not g0", ORBITS,
+           "if not whole and not bracket_form(g, lam, m0.rows, m0.rows).is_zero():",
+           "if False and not bracket_form(g, lam, m0.rows, m0.rows).is_zero():",
+           ("tests/test_orbits.py::test_polarizing_system_from_m0_rejects_bad",)),
     Mutant("the exponential term reads c_ji for c_ij", ORBITS,
            "for m, c in g0.c(i, j).items():",
            "for m, c in g0.c(j, i).items():",
