@@ -3,7 +3,9 @@
 Scalars live in Q, Q(i), Q(sqrt d) or Q(i, sqrt d) for a single squarefree
 d > 1, with coordinates over the basis {1, i, sqrt d, i*sqrt d}.  All
 arithmetic is exact; mixing two different towers raises FieldMismatchError
-rather than promoting silently.
+rather than promoting silently.  Over Q the three other coordinates are zero,
+so arithmetic, equality, hashing and zero tests read the first coordinate
+alone and the inverse is 1/a; each tower keeps one shared zero and one.
 
 The package's three error classes live here, and every module raises one of
 them (or a subclass): InputError when the arguments are outside a function's
@@ -96,11 +98,13 @@ class Field:
             inst.has_i = bool(has_i)
             inst.d = d
             inst._tag = "Q" + ("_i" if has_i else "") + ("" if d is None else f"_sqrt({d})")
+            inst._rational = not has_i and d is None
             # basis (1, i, sqrt d, i sqrt d), bit 0 = i, bit 1 = sqrt d: e_j * e_k
             # = sign * factor * e_(j ^ k) with i^2 = -1 and sqrt(d)^2 = d (0 in
             # a tower without sqrt d, whose coordinates 2 and 3 are always zero)
             inst._products = tuple(tuple(((-1) ** (j & k & 1) * ((d or 0) if j & k & 2 else 1),
                                           j ^ k) for k in range(4)) for j in range(4))
+            inst.zero, inst.one = _rat(inst, _F0), _rat(inst, _F1)   # shared, never mutated
             cls._cache[key] = inst
         return inst
 
@@ -133,15 +137,7 @@ class Field:
         return Scalar(self, Fraction(a), Fraction(b), Fraction(c), Fraction(e))
 
     def rat(self, a) -> "Scalar":
-        return Scalar(self, Fraction(a), _F0, _F0, _F0)
-
-    @property
-    def zero(self) -> "Scalar":
-        return self.rat(0)
-
-    @property
-    def one(self) -> "Scalar":
-        return self.rat(1)
+        return _rat(self, Fraction(a))
 
     @property
     def i(self) -> "Scalar":
@@ -175,9 +171,6 @@ class Field:
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
-QQ = Field()
-QQ_I = Field(True)
-
 
 class Scalar:
     """Element a + b*i + c*sqrt(d) + e*i*sqrt(d) of a fixed tower."""
@@ -201,34 +194,46 @@ class Scalar:
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (self.field is other.field and self.a == other.a and self.b == other.b
-                and self.c == other.c and self.e == other.e)
+        return self.field is other.field and self.a == other.a and (
+            self.field._rational or (self.b == other.b and self.c == other.c and self.e == other.e))
 
     def __hash__(self):
-        return hash((self.field.tag, self.a, self.b, self.c, self.e))
+        if self.field._rational:    # hash(Fraction(0)) == hash(0): the value is unchanged
+            return hash((self.field._tag, self.a, 0, 0, 0))
+        return hash((self.field._tag, self.a, self.b, self.c, self.e))
 
     def __bool__(self):
+        if self.field._rational:
+            return bool(self.a)
         return bool(self.a or self.b or self.c or self.e)
 
     def __add__(self, other):
         self._check(other)
+        if self.field._rational:
+            return _rat(self.field, self.a + other.a)
         return Scalar(self.field, self.a + other.a, self.b + other.b,
                       self.c + other.c, self.e + other.e)
 
     def __sub__(self, other):
         self._check(other)
+        if self.field._rational:
+            return _rat(self.field, self.a - other.a)
         return Scalar(self.field, self.a - other.a, self.b - other.b,
                       self.c - other.c, self.e - other.e)
 
     def __neg__(self):
+        if self.field._rational:
+            return _rat(self.field, -self.a)
         return Scalar(self.field, -self.a, -self.b, -self.c, -self.e)
 
     def __mul__(self, other):
         self._check(other)
+        if self.field._rational:
+            return _rat(self.field, self.a * other.a)
         a1, b1, c1, e1 = self.a, self.b, self.c, self.e
         a2, b2, c2, e2 = other.a, other.b, other.c, other.e
         if not (b1 or c1 or e1 or b2 or c2 or e2):
-            return Scalar(self.field, a1 * a2, _F0, _F0, _F0)
+            return _rat(self.field, a1 * a2)
         # one integer product per nonzero coordinate pair, summed per target
         # coordinate as numerator/denominator and reduced once at the end
         acc: list[tuple[int, int] | None] = [None] * 4
@@ -246,6 +251,8 @@ class Scalar:
     def inverse(self) -> "Scalar":
         if not self:
             raise ZeroDivisionError("scalar division by zero")
+        if self.field._rational:
+            return _rat(self.field, 1 / self.a)
         z1 = self.conjugate_i()
         z2 = self.conjugate_sqrt()
         z3 = z1.conjugate_sqrt()
@@ -351,6 +358,17 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar[{self.field.tag}]({self})"
+
+
+def _rat(field: Field, a: Fraction) -> Scalar:
+    """The rational scalar a of field; its zero coordinates need no check."""
+    s = object.__new__(Scalar)
+    s.field, s.a, s.b, s.c, s.e = field, a, _F0, _F0, _F0
+    return s
+
+
+QQ = Field()
+QQ_I = Field(True)
 
 
 _TERM_RE = re.compile(
@@ -564,6 +582,8 @@ def real_root_signs(p: Poly) -> tuple[int, int, int]:
     """Exact (negative, zero, positive) counts of distinct real roots of p.
 
     Requires rational coefficients (field tag Q); multiplicities are ignored.
+    p need not be squarefree: with x**k shifted out, q(0) != 0, and the Sturm
+    chain of q ends at gcd(q, q'), which vanishes at none of the sample points.
     """
     if p.is_zero():
         raise InputError("real_root_signs of the zero polynomial")
@@ -572,7 +592,6 @@ def real_root_signs(p: Poly) -> tuple[int, int, int]:
             raise InputError("real_root_signs needs rational coefficients")
     q, k = p.shift_out_root_zero()
     count_zero = 1 if k > 0 else 0
-    q = q.squarefree_part()
     if q.degree <= 0:
         return (0, count_zero, 0)
     chain = _sturm_chain(q)

@@ -54,8 +54,9 @@ def vec_sub(u: Vector, v: Vector) -> Vector:
 def vec_scale(s: Scalar, v: Vector) -> Vector:
     """s * v, multiplying only nonzero pairs; a zero pair gives the zero it holds."""
     out = []
+    nonzero = bool(s)
     for x in v:
-        if s and x:
+        if nonzero and x:
             out.append(s * x)
         else:
             check_tower(s, x)
@@ -155,13 +156,14 @@ def eliminate(rows: Iterable[SparseVec], n: int | None = None) -> Elimination:
         j = min(free)
         lead = r[j]
         leads.append((j, lead))
-        inv = lead.inverse()
-        row = {c: x * inv for c, x in r.items()}
+        if lead != lead.field.one:      # rows already in RREF, as Subspace rows are, lead with one
+            inv = lead.inverse()
+            r = {c: x * inv for c, x in r.items()}
         for p in piv.values():
             f = p.pop(j, None)
             if f:
-                _sub_multiple(p, f, row, j)
-        piv[j] = row
+                _sub_multiple(p, f, r, j)
+        piv[j] = r
     return Elimination(piv, leads)
 
 

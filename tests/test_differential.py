@@ -1,9 +1,11 @@
 """Differential tests: each shortcut in the orbit classification, the Clifford
-verifier, the zero-skipping kernels, the sparse tower product, the even
-Cartan scan, the graded-commutant solve, the derivation equations, the
-transporter solve and the bracket-form routine against a plain dense,
-pairwise, exhaustive or entry-by-entry formula written here, against the
-code a shortcut replaced, or against the standalone call it stands in for."""
+verifier, the zero-skipping kernels, the sparse tower product, the rational
+scalar path, the unit-lead elimination, the even Cartan scan, the
+graded-commutant solve, the derivation equations, the transporter solve and
+the bracket-form routine against a plain dense, pairwise, exhaustive or
+entry-by-entry formula written here, against the code a shortcut replaced,
+against the generic tower path, or against the standalone call it stands in
+for."""
 
 import random
 from fractions import Fraction
@@ -508,6 +510,68 @@ def test_tower_product_matches_sixteen_term_formula(fld, data):
     assert y * x == xy and x * fld.zero == fld.zero
     if x:
         assert x * x.inverse() == fld.one
+
+
+# ---------------------------------------------------------------------------
+# rational scalars against the generic tower path of Q(i) and Q(sqrt 2)
+# ---------------------------------------------------------------------------
+
+rationals = st.one_of(st.just(Fraction(0)), st.builds(
+    Fraction, st.integers(min_value=-40, max_value=40), st.integers(min_value=1, max_value=12)))
+
+
+def through(fld: Field, op, *xs: Scalar):
+    """op on xs promoted to fld, demoted back to Q when the result is a scalar."""
+    out = op(*(x.promote(fld) for x in xs))
+    return out.demote(QQ) if isinstance(out, Scalar) else out
+
+
+@pytest.mark.parametrize("fld", (QQ_I, Field(False, 2)), ids=lambda f: f.tag)
+@settings(max_examples=150, deadline=None)
+@given(rationals, rationals)
+def test_rational_scalars_match_the_generic_tower_path(fld, a, b):
+    x, y = QQ.rat(a), QQ.rat(b)
+    ops = (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v,
+           lambda u, v: -u, lambda u, v: u == v, lambda u, v: bool(u))
+    for op in ops:
+        assert op(x, y) == through(fld, op, x, y)
+    for z in (x + y, x - y, -x, x * y) + ((x.inverse(),) if x else ()):
+        assert z.field is QQ and all(type(t) is Fraction for t in (z.a, z.b, z.c, z.e))
+        zk = z.promote(fld)
+        assert str(z) == str(zk) and hash(z) == hash(zk.demote(QQ))
+        assert hash(z) == hash(("Q", z.a, z.b, z.c, z.e))
+    if x:
+        assert x.inverse() == through(fld, Scalar.inverse, x)
+        assert x * x.inverse() == QQ.one
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        with pytest.raises(ZeroDivisionError):
+            through(fld, Scalar.inverse, x)
+
+
+def test_rational_scalars_keep_tower_checks_and_shared_constants():
+    for f in TOWERS:
+        assert f.zero is f.zero and f.one is f.one and f.zero.field is f
+        assert f.rat(0) == f.zero and not f.zero and f.one == f.rat(1)
+    for x, y in ((QQ.zero, QQ_I.zero), (QQ.one, QQ_I.one), (QQ.rat(3), QQ_I.i)):
+        for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v,
+                   lambda u, v: u / v):
+            for u, v in ((x, y), (y, x)):
+                with pytest.raises(FieldMismatchError):
+                    op(u, v)
+        assert x != y
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=1, max_size=5))
+def test_unit_leads_give_the_rref_of_unscaled_rows(rows):
+    raw = [{c: QQ.rat(x) for c, x in enumerate(r) if x} for r in rows]
+    unit = [{c: x * r[min(r)].inverse() for c, x in r.items()} if r else r for r in raw]
+    assert all(r[min(r)] == QQ.one for r in unit if r)
+    assert eliminate(unit).rows == eliminate(raw).rows
+    rref = eliminate(raw).rows                    # rows already in RREF: every lead is one
+    assert eliminate([dict(r) for r in rref.values()]).rows == rref
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,16 @@ def test_basic_arithmetic_tower():
     assert (x / x) == QI2.one
 
 
+def test_hash_keeps_the_four_coordinate_value():
+    """Rational scalars hash int zeros for their three zero coordinates; the
+    value is that of the four-Fraction tuple, so set and dict order stay."""
+    sample = [QQ.zero, QQ.one, QQ.rat(Fraction(-7, 3)), QQ_I.rat(5), QQ_I.new(0, Fraction(1, 2)),
+              Q2.new(3, 0, -1), QI2.zero, QI2.new(1, 2, 3, 4), QI2.new(Fraction(-1, 6), 0, 0, 2)]
+    for x in sample:
+        assert hash(x) == hash((x.field.tag,) + tuple(map(Fraction, (x.a, x.b, x.c, x.e))))
+    assert len({x.field for x in sample}) == 4
+
+
 def test_mismatch_is_error_not_promotion():
     with pytest.raises(FieldMismatchError):
         QQ.one + QQ_I.one
@@ -129,6 +139,27 @@ def test_real_root_signs_examples():
     # multiplicities ignored
     assert real_root_signs(P(1, -2, 1)) == (0, 0, 1)      # (x-1)^2
     assert real_root_signs(P(1, 0, 1)) == (0, 0, 0)       # x^2+1
+
+
+factors = st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=2, max_size=3)
+                             .filter(lambda cs: cs[-1] != 0), st.integers(1, 3)),
+                   min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factors, st.integers(0, 2))
+def test_real_root_signs_with_repeated_factors_match_sympy(fs, k):
+    """Sturm counts of x**k * prod f**m, not squarefree, against sympy's real roots."""
+    import sympy
+    p = P(*([0] * k + [1]))
+    for cs, m in fs:
+        for _ in range(m):
+            p = p * P(*cs)
+    x = sympy.Symbol("x")
+    roots = set(sympy.real_roots(sympy.Poly([c.as_fraction() for c in reversed(p.coeffs)], x)))
+    expected = (sum(1 for r in roots if r.is_negative), int(0 in roots),
+                sum(1 for r in roots if r.is_positive))
+    assert real_root_signs(p) == expected
 
 
 def test_real_root_signs_positive_scaling_invariance():

@@ -255,6 +255,8 @@ def test_kernel_matches_sympy_random(rows):
     kern = [list(v) for v in A.kernel_basis()]
     assert [[x.as_fraction() for x in v] for v in kern] == \
         [[Fraction(int(x.p), int(x.q)) for x in v] for v in S.nullspace()]
+    if kern:                                     # A kills its kernel basis: sums of products
+        assert (A * Matrix.from_cols(QQ, kern)).is_zero()
     k = min(A.nrows, A.ncols)                    # det of the leading square block
     d = S[:k, :k].det()
     assert M(QQ, [r[:k] for r in rows[:k]]).det().as_fraction() == Fraction(int(d.p), int(d.q))

@@ -52,7 +52,11 @@ POLARIZE = "tests/test_differential.py::test_polarizations_match_restrict_and_re
 KEYED = "tests/test_differential.py::test_keyed_admissibility_matches_fresh_tests"
 SPECTRAL = "tests/test_differential.py::test_spectral_certificate_matches_minimal_polynomial_test"
 BLOCKS = "tests/test_differential.py::test_spectral_certificate_on_conjugated_block_matrices"
+RATIONAL = "tests/test_differential.py::test_rational_scalars_match_the_generic_tower_path"
+UNIT_LEADS = "tests/test_differential.py::test_unit_leads_give_the_rref_of_unscaled_rows"
+KERNEL = "tests/test_glinalg.py::test_kernel_matches_sympy_random"
 CLIFFREP = "src/liecones/cliffrep.py"
+EXACTNUM = "src/liecones/exactnum.py"
 HWM = "src/liecones/hwm.py"
 CARTAN = "src/liecones/cartan.py"
 GLINALG = "src/liecones/glinalg.py"
@@ -138,10 +142,22 @@ MUTANTS = (
            "if args.budget < 0 or args.cap < 0:",
            "if args.budget < 0:",
            ("tests/test_cli.py::test_malformed_input_exits_1_without_verdict",)),
+    Mutant("the rational inverse returns a", EXACTNUM,
+           "return _rat(self.field, 1 / self.a)",
+           "return _rat(self.field, self.a)",
+           (RATIONAL, KERNEL)),
+    Mutant("the rational sum drops other.a", EXACTNUM,
+           "return _rat(self.field, self.a + other.a)",
+           "return _rat(self.field, self.a)",
+           (RATIONAL, KERNEL)),
+    Mutant("the unit-lead skip fires on every rational lead", GLINALG,
+           "if lead != lead.field.one:",
+           "if not lead.is_rational():",
+           (UNIT_LEADS, KERNEL)),
     Mutant("elimination without back-substitution", GLINALG,
            "for p in piv.values():",
            "for p in ():",
-           ("tests/test_glinalg.py::test_kernel_matches_sympy_random",
+           (KERNEL,
             "tests/test_glinalg.py::test_rref_idempotent_random")),
     Mutant("Subspace.reduce without its tower check", GLINALG,
            "            for x in v:\n                check_tower(used, x)\n",
