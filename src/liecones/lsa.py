@@ -608,7 +608,6 @@ def grassmann_extend(g: LieSuperalgebra, n: int) -> LieSuperalgebra:
 @dataclass
 class QuotientResult:
     algebra: LieSuperalgebra
-    projection: Matrix     # new coords of the residual of an ambient vector
     ideal: Subspace
 
 
@@ -631,14 +630,8 @@ def quotient(g: LieSuperalgebra, ideal: Subspace, name: str | None = None) -> Qu
             out = {posn[k]: x for k, x in enumerate(v) if x}
             if out:
                 br[(a_t, b_t)] = out
-    # projection: ambient vector -> reduce mod ideal -> complement coordinates
-    cols = []
-    for b in g.full_space.rows:
-        resid = ideal.reduce(b)
-        cols.append(tuple(resid[c] for c in comp))
-    proj = Matrix.from_cols(g.field, cols)
     qname = name or f"{g.name}/I"
-    return QuotientResult(LieSuperalgebra(qname, space, g.field, br), proj, ideal)
+    return QuotientResult(LieSuperalgebra(qname, space, g.field, br), ideal)
 
 
 @dataclass

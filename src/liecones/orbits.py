@@ -12,6 +12,8 @@ Undetermined when the linearized stages cannot conclude.  lambda o ad(w) is
 read off g0's structure constants.  Classification keeps the odd Gram verdict,
 rank and radical per value of lambda on [g1, g1], the rank of Omega_lambda per
 value on [g0, g0], and realizes m = g (m0 = g0) once per algebra (full_part).
+A flat group, rank Omega_lambda = dim g0 - dim z(g0), is one orbit
+lambda + z(g0)^perp at every nilpotency class and is decided by its invariants.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .exactnum import InputError, InvariantViolation, Undetermined
 from .glinalg import (Matrix, Subspace, Vector, lin_comb, unit_vector, vec_add, vec_is_zero,
                       vec_scale)
 from .lsa import (
-    LieSuperalgebra, QuotientResult, bracket_form, bracket_span, center, is_nilpotent,
+    LieSuperalgebra, QuotientResult, bracket_form, center, is_nilpotent,
     is_subalgebra, quotient, series, subalgebra_on,
 )
 from .cones import OddSquareForm, functional_value, is_positive_semidefinite
@@ -356,16 +358,16 @@ def classify_orbits(g: LieSuperalgebra, box: Sequence[Sequence]) -> list[OrbitDe
     coadjoint orbits and attach polarizing-system descriptors.
 
     Members are grouped by the orbit invariants (central character, rank of
-    Omega_lambda); a rank-0 functional is a fixed point, and every other
-    member is tested against the representative of each orbit found so far
-    in its group."""
+    Omega_lambda); a rank-0 functional is a fixed point, a group of rank
+    dim g0 - dim z(g0) is one orbit, and every other member is tested against
+    the representative of each orbit found so far in its group."""
     if not is_nilpotent(g):
         raise InputError("orbit classification needs a nilpotent algebra")
     e = g.space.even_dim
     cands = [coerce_functional(g, lam) for lam in box]
     # one _odd_radical (None if not admissible) per value of lambda on [g1, g1],
     # one rank of Omega_lambda per value on [g0, g0]: lambda([u, v]) reads no more
-    derived = bracket_span(g, g.even_subspace, g.even_subspace)
+    *_, derived = series(g.even_part.algebra, "lower_central")[:2]     # [g0, g0], or g0 = 0
     gram: dict[tuple, tuple | None] = {}
     skew: dict[tuple, int] = {}
     odds, ranks = {}, {}
@@ -382,6 +384,7 @@ def classify_orbits(g: LieSuperalgebra, box: Sequence[Sequence]) -> list[OrbitDe
             skew[key] = even_skew_form(g, lam).rank()
         ranks[i] = skew[key]
     zc = center(g.even_part.algebra)
+    flat = e - zc.dim
     inv = {i: (tuple(str(functional_value(cands[i], z)) for z in zc.rows), ranks[i])
            for i in odds}
     groups: dict[tuple, list[int]] = {}
@@ -396,6 +399,10 @@ def classify_orbits(g: LieSuperalgebra, box: Sequence[Sequence]) -> list[OrbitDe
             for i in members:
                 points.setdefault(cands[i], []).append(i)
             orbits.extend(points.values())
+            continue
+        if rank == flat:
+            # Omega_lambda has radical z(g0): the orbit is open and closed in lambda + z(g0)^perp
+            orbits.append(members)
             continue
         found: list[list[int]] = []
         first_stages: dict = {}

@@ -28,8 +28,8 @@ from liecones.lsa import (LieSuperalgebra, bracket_form, bracket_span, center, c
                           grassmann_extend, is_nilpotent, quotient, subalgebra_on,
                           supercommutant, transporter)
 from liecones.orbits import (PolarizingSystem, _apply_exp, central_box, classify_orbits,
-                             coadjoint_orbit_member, even_skew_form, in_admissible_cone,
-                             polarizing_flag, polarizing_system_from_m0)
+                             coadjoint_orbit_member, even_skew_form, grid_box,
+                             in_admissible_cone, polarizing_flag, polarizing_system_from_m0)
 
 TOWERS = (QQ, QQ_I, Field(False, 2), Field(True, 2))
 small = st.integers(min_value=-3, max_value=3)
@@ -65,6 +65,31 @@ ORBIT_ALGEBRAS["h(1) x Lambda(1)"] = grassmann_extend(ORBIT_ALGEBRAS["h(1)"], 1)
 H1 = ORBIT_ALGEBRAS["h(1)"]
 
 
+def direct_sum(g: LieSuperalgebra, h: LieSuperalgebra) -> LieSuperalgebra:
+    """g (+) h with the even coordinates of both first."""
+    ge, go, he = g.space.even_dim, g.space.odd_dim, h.space.even_dim
+    maps = ([i if i < ge else i + he for i in range(g.dim)],
+            [ge + i if i < he else ge + go + i for i in range(h.dim)])
+    br = {}
+    for m, a in zip(maps, (g, h)):
+        for (i, j), out in a.brackets.items():
+            br[(m[i], m[j])] = {m[k]: c for k, c in out.items()}
+    return LieSuperalgebra(f"{g.name}+{h.name}", GradedSpace(ge + he, go + h.space.odd_dim),
+                           g.field, br)
+
+
+# filiform even parts of class 3 and 4: exp(ad w) has up to four terms
+N4 = LieSuperalgebra.from_table("n4", QQ, ["E1", "E2", "E3", "E4"], [],
+                                {("E1", "E2"): {"E3": 1}, ("E1", "E3"): {"E4": 1}})
+N5 = LieSuperalgebra.from_table("n5", QQ, ["E1", "E2", "E3", "E4", "E5"], [],
+                                {("E1", "E2"): {"E3": 1}, ("E1", "E3"): {"E4": 1},
+                                 ("E1", "E4"): {"E5": 1}})
+# every positive-rank group of n4 is below dim g0 - dim z(g0) = 3, so it reaches the
+# member tests; h(1) (+) abelian(2|1) has a three-dimensional z(g0) and flat groups only
+UNION_ALGEBRAS = dict(ORBIT_ALGEBRAS, n4=N4,
+                      flat=direct_sum(H1, build("abelian(2|1)").algebra))
+
+
 @st.composite
 def boxes(draw, even_dim: int):
     """Integer functionals, some of them repeated."""
@@ -75,11 +100,11 @@ def boxes(draw, even_dim: int):
     return [tuple(QQ.rat(c) for c in lam) for lam in order]
 
 
-@pytest.mark.parametrize("key", sorted(ORBIT_ALGEBRAS))
+@pytest.mark.parametrize("key", sorted(UNION_ALGEBRAS))
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_classify_orbits_matches_pairwise_union(key, data):
-    g = ORBIT_ALGEBRAS[key]
+    g = UNION_ALGEBRAS[key]
     box = data.draw(boxes(g.space.even_dim))
     orbits = classify_orbits(g, box)
     assert {frozenset(o.members) for o in orbits} == pairwise_partition(g, box)
@@ -87,6 +112,18 @@ def test_classify_orbits_matches_pairwise_union(key, data):
         assert o.members == sorted(o.members)
         assert o.representative == box[o.members[0]]
     assert [o.members[0] for o in orbits] == sorted(o.members[0] for o in orbits)
+
+
+@pytest.mark.parametrize("key", sorted(UNION_ALGEBRAS))
+def test_only_groups_below_the_flat_rank_run_member_tests(key, monkeypatch):
+    """Flat groups, rank Omega_lambda = dim g0 - dim z(g0), are one orbit each
+    and run no membership test; n4 has none and runs them."""
+    g = UNION_ALGEBRAS[key]
+    calls = []
+    monkeypatch.setattr("liecones.orbits.coadjoint_orbit_member",
+                        lambda *a: calls.append(a) or coadjoint_orbit_member(*a))
+    classify_orbits(g, grid_box(g, -1, 1))
+    assert bool(calls) == (key == "n4")
 
 
 @pytest.mark.parametrize("key", sorted(ORBIT_ALGEBRAS))
@@ -117,12 +154,6 @@ def test_shared_first_stages_match_fresh_member_tests(key, data):
             assert (shared and shared.as_json()) == (fresh and fresh.as_json())
 
 
-# filiform even parts of class 3 and 4: exp(ad w) has up to four terms
-N4 = LieSuperalgebra.from_table("n4", QQ, ["E1", "E2", "E3", "E4"], [],
-                                {("E1", "E2"): {"E3": 1}, ("E1", "E3"): {"E4": 1}})
-N5 = LieSuperalgebra.from_table("n5", QQ, ["E1", "E2", "E3", "E4", "E5"], [],
-                                {("E1", "E2"): {"E3": 1}, ("E1", "E3"): {"E4": 1},
-                                 ("E1", "E4"): {"E5": 1}})
 EXP_ALGEBRAS = dict(ORBIT_ALGEBRAS, n4=N4, n5=N5)
 
 
@@ -628,19 +659,6 @@ def exhaustive_compact_cartan(g: LieSuperalgebra, bound: int, cap: int):
         if cartan.is_compactly_embedded(g, h0) is True:
             return h0
     return None
-
-
-def direct_sum(g: LieSuperalgebra, h: LieSuperalgebra) -> LieSuperalgebra:
-    """g (+) h with the even coordinates of both first."""
-    ge, go, he = g.space.even_dim, g.space.odd_dim, h.space.even_dim
-    maps = ([i if i < ge else i + he for i in range(g.dim)],
-            [ge + i if i < he else ge + go + i for i in range(h.dim)])
-    br = {}
-    for m, a in zip(maps, (g, h)):
-        for (i, j), out in a.brackets.items():
-            br[(m[i], m[j])] = {m[k]: c for k, c in out.items()}
-    return LieSuperalgebra(f"{g.name}+{h.name}", GradedSpace(ge + he, go + h.space.odd_dim),
-                           g.field, br)
 
 
 def signed_permutation(g: LieSuperalgebra, perm: list[int], sign: list[int]) -> LieSuperalgebra:

@@ -54,6 +54,8 @@ SPECTRAL = "tests/test_differential.py::test_spectral_certificate_matches_minima
 BLOCKS = "tests/test_differential.py::test_spectral_certificate_on_conjugated_block_matrices"
 RATIONAL = "tests/test_differential.py::test_rational_scalars_match_the_generic_tower_path"
 UNIT_LEADS = "tests/test_differential.py::test_unit_leads_give_the_rref_of_unscaled_rows"
+UNION = "tests/test_differential.py::test_classify_orbits_matches_pairwise_union"
+FLAT = "tests/test_differential.py::test_only_groups_below_the_flat_rank_run_member_tests"
 KERNEL = "tests/test_glinalg.py::test_kernel_matches_sympy_random"
 CLIFFREP = "src/liecones/cliffrep.py"
 EXACTNUM = "src/liecones/exactnum.py"
@@ -228,8 +230,16 @@ MUTANTS = (
     Mutant("rank-0 functionals merged into one orbit", ORBITS,
            "orbits.extend(points.values())",
            "orbits.append(members)",
-           ("tests/test_orbits.py::test_classify_h1_grid",
-            "tests/test_differential.py::test_classify_orbits_matches_pairwise_union")),
+           ("tests/test_orbits.py::test_classify_h1_grid", UNION)),
+    Mutant("every positive-rank group taken as one flat orbit", ORBITS,
+           "if rank == flat:",
+           "if rank > 0:",
+           (f"{UNION}[n4]", f"{FLAT}[n4]")),
+    Mutant("flat groups sent to the member tests", ORBITS,
+           "flat = e - zc.dim",
+           "flat = e - zc.dim + 2",
+           ("tests/test_orbits.py::test_classification_cost_counts", f"{FLAT}[hc(2|2,++)]",
+            f"{FLAT}[flat]")),
     Mutant("the odd Gram memo keyed on [g0, g0]", ORBITS,
            "key = tuple(functional_value(lam, y[:e]) for y in g.odd_square.rows)",
            "key = tuple(functional_value(lam, y[:e]) for y in derived.rows)",
