@@ -3,12 +3,12 @@
 Exit codes follow the library's three error classes (liecones.exactnum):
 0 = computed, whatever the mathematical verdict; a command whose search or
 splitting step raises Undetermined reports status UNDETERMINED.  1 = the
-input was malformed or outside a function's domain (InputError), reported
-as status ERROR with no verdict.  2 = a re-check of computed data failed
-(InvariantViolation) or another exception escaped.  The code that raises
-decides; this module translates no error.  Reports are deterministic for
-fixed inputs and budgets and carry machine-checkable witnesses; verdicts are
-re-verified before being emitted.
+input or the command line was malformed, or outside a function's domain
+(InputError), reported as status ERROR with no verdict.  2 = a re-check of
+computed data failed (InvariantViolation) or another exception escaped.
+The code that raises decides; this module translates no error.  Reports
+are deterministic for fixed inputs and budgets and carry machine-checkable
+witnesses; verdicts are re-verified before being emitted.
 """
 
 from __future__ import annotations
@@ -258,10 +258,7 @@ def cmd_orbit_classify(args) -> dict:
     box = _load_box(g, args)
     inputs["box"] = {"spec": args.box, "low": args.low, "high": args.high,
                      "size": len(box)}
-    try:
-        descriptors = orb.classify_orbits(g, box)
-    except Undetermined as exc:
-        return _report("orbit-classify", inputs, "UNDETERMINED", {"error": str(exc)})
+    descriptors = orb.classify_orbits(g, box)
     results = {
         "orbit_count": len(descriptors),
         "admissible_count": sum(len(o.members) for o in descriptors),
@@ -395,8 +392,16 @@ def _add_algebra_args(p):
     p.add_argument("--cap", type=int, default=2000, help="scan candidate cap")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is malformed input: main reports it as ERROR
+    with exit 1 instead of argparse's usage message and exit 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="liecones",
         description="Exact structural tests and orbit-method computations "
                     "for finite-dimensional real Lie superalgebras.")
@@ -470,7 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = ap.parse_args(argv)
+    except InputError as exc:
+        _emit(_report(argv[0] if argv else "", {}, "ERROR", {"error": str(exc)}), None)
+        return 1
     if args.schema:
         sys.stdout.write(json.dumps(REPORT_SCHEMA, sort_keys=True, indent=2) + "\n")
         return 0

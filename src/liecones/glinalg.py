@@ -2,18 +2,18 @@
 
 All data is over one scalar tower (see exactnum).  Every elimination runs
 through one of two routines: eliminate(), a sparse-row Gauss-Jordan pass
-behind rref, rank, kernels, solves (also factored once, Matrix.solver),
-inverses, determinants and canonical subspaces; and Matrix.ldl(), a
-natural-order symmetric/Hermitian pass whose pivots decide definiteness.
-Homogeneous maps cut out by linear equations in their entries (the graded
-commutant behind centroids, differential constants and intertwiners) are
-one eliminate() over the entries of one block-position list.  Subspaces
-are kept in reduced row-echelon form, which makes equality decidable and
-serialization stable.  Characteristic polynomials come from a
-Hessenberg reduction, O(n^3) field operations.  Eigenvalue extraction
-factors them over Q (via sympy, imported on the first factorisation only)
-and splits quadratics inside the declared tower; anything that does not
-split is reported as SPLITTING_FAILURE, never approximated.
+behind rref, rank, kernels, solves, inverses, determinants and canonical
+subspaces; and Matrix.ldl(), a natural-order symmetric/Hermitian pass
+whose pivots decide definiteness.  Homogeneous maps cut out by linear
+equations in their entries (the graded commutant behind centroids,
+differential constants and intertwiners) are one eliminate() over the
+entries of one block-position list.  Subspaces are kept in reduced
+row-echelon form, which makes equality decidable and serialization stable.
+Characteristic polynomials come from a Hessenberg reduction, O(n^3) field
+operations.  Eigenvalue extraction factors them over Q (via sympy, imported
+on the first factorisation only) and splits quadratics inside the declared
+tower; anything that does not split is reported as SPLITTING_FAILURE, never
+approximated.
 """
 
 from __future__ import annotations
@@ -340,31 +340,6 @@ class Matrix:
                 if c >= n:
                     X[pc][c - n] = x
         return Matrix(self.field, X)
-
-    def solver(self) -> Callable[[Vector], Vector | None]:
-        """solve with its elimination done once: [self | I] is reduced a single
-        time, and each b then costs a product with the recorded row operations
-        and a check against the left kernel (b outside the image gives None)."""
-        n, z = self.ncols, self.field.zero
-        rows = self._sparse_rows()
-        for i, row in enumerate(rows):
-            row[n + i] = self.field.one
-        reduced = eliminate(rows, n).rows
-        left_kernel = self.transpose().kernel_basis()
-
-        def dot(pairs) -> Scalar:
-            return sum((x * y for x, y in pairs if x and y), z)
-
-        def solve(b: Vector) -> Vector | None:
-            if len(b) != self.nrows:
-                raise InputError("dimension mismatch in solve")
-            if any(dot(zip(y, b)) for y in left_kernel):
-                return None
-            x = [z] * n
-            for pc, row in reduced.items():
-                x[pc] = dot((c, b[k - n]) for k, c in row.items() if k >= n)
-            return tuple(x)
-        return solve
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:

@@ -637,7 +637,6 @@ def quotient(g: LieSuperalgebra, ideal: Subspace, name: str | None = None) -> Qu
 @dataclass
 class SubalgebraResult:
     algebra: LieSuperalgebra
-    inclusion: Matrix      # ambient coords of the chosen homogeneous basis (columns)
     subspace: Subspace
 
     def restrict(self, v: Vector) -> Vector | None:
@@ -655,7 +654,6 @@ def subalgebra_on(g: LieSuperalgebra, s: Subspace, name: str | None = None) -> S
     # coords_of reads off the bracket coordinates without a solve.
     basis = s.rows
     e_dim = sum(1 for pc in s.pivots if g.parity(pc) == 0)
-    incl = Matrix.from_cols(g.field, basis)
     space = GradedSpace(e_dim, len(basis) - e_dim,
                         tuple(f"s{t}" for t in range(len(basis))))
     br: dict[tuple[int, int], SparseVec] = {}
@@ -669,4 +667,4 @@ def subalgebra_on(g: LieSuperalgebra, s: Subspace, name: str | None = None) -> S
             if out:
                 br[(a, b)] = out
     sname = name or f"{g.name}|sub"
-    return SubalgebraResult(LieSuperalgebra(sname, space, g.field, br), incl, s)
+    return SubalgebraResult(LieSuperalgebra(sname, space, g.field, br), s)

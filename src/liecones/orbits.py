@@ -2,18 +2,17 @@
 polarizing systems, coadjoint orbits, induced-representation descriptors,
 and branching multiplicities.
 
-Coadjoint membership is decided by layer-wise elimination along the lower
-central series of the even part; each layer contributes linear equations
-lambda([w, y]) in the remaining group freedom w (lsa.bracket_form, also the
-source of Omega_lambda and the polarization forms).  The procedure is exact
-and complete up to nilpotency class 3 (single exponentials are surjective and
-the stabilizer conditions stay linear there); deeper algebras raise
-Undetermined when the linearized stages cannot conclude.  lambda o ad(w) is
-read off g0's structure constants.  Classification keeps the odd Gram verdict,
-rank and radical per value of lambda on [g1, g1], the rank of Omega_lambda per
-value on [g0, g0], and realizes m = g (m0 = g0) once per algebra (full_part).
-A flat group, rank Omega_lambda = dim g0 - dim z(g0), is one orbit
-lambda + z(g0)^perp at every nilpotency class and is decided by its invariants.
+Coadjoint orbits are read off the Pukanszky-Vergne flag normal form: one
+pass up the Engel flag of g0 moves lambda, by one exponential of its
+stabilizer per jump vector of the flag, to the one point of its orbit that
+vanishes on every jump vector.  Two functionals share an orbit exactly when
+they share that point, at every nilpotency class, and the two words give an
+exact group path between them.  lambda o ad(w) is read off g0's structure
+constants.  Classification keeps the odd Gram verdict, rank and radical per
+value of lambda on [g1, g1], the rank of Omega_lambda per value on [g0, g0],
+and realizes m = g (m0 = g0) once per algebra (full_part).  A flat group,
+rank Omega_lambda = dim g0 - dim z(g0), is one orbit lambda + z(g0)^perp and
+is decided by its invariants.
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .exactnum import InputError, InvariantViolation, Undetermined
-from .glinalg import (Matrix, Subspace, Vector, lin_comb, unit_vector, vec_add, vec_is_zero,
-                      vec_scale)
+from .exactnum import InputError, InvariantViolation
+from .glinalg import Matrix, Subspace, Vector, lin_comb, vec_add, vec_is_zero, vec_scale
 from .lsa import (
     LieSuperalgebra, QuotientResult, bracket_form, center, is_nilpotent,
     is_subalgebra, quotient, series, subalgebra_on,
@@ -247,65 +245,49 @@ def _apply_exp(g: LieSuperalgebra, lam: Vector, w_even: Vector) -> Vector:
     raise InvariantViolation("ad(w) is not nilpotent on g0")  # pragma: no cover
 
 
-def coadjoint_orbit_member(g: LieSuperalgebra, lam: Sequence, lam2: Sequence,
-                           first_stages: dict | None = None) -> OrbitPath | None:
-    """Exact parameters with lam2 = lam o Ad(exp W_1 exp W_2 ...), or None.
+def _normal_form(g: LieSuperalgebra, lam: Vector) -> tuple[Vector, list[Vector]]:
+    """(N, word): N = lam o Ad(exp W_1 exp W_2 ...) is the one point of lam's
+    orbit that vanishes on every jump vector of g.engel_flag.
 
-    The first stage's system depends on g and lam alone; first_stages, a dict
-    shared by calls on one g, keeps it factored per lam across them."""
+    Up the flag g_0 < g_1 < ... of ideals of g0 ([g0, g_j] in g_(j-1)), s spans
+    the stabilizer of cur on g_(j-1), and y is the first canonical row of g_j
+    outside g_(j-1).  An X of s fixes cur on g_(j-1) and moves cur(y) by
+    cur([X, y]), so y is a jump when some cur([X, y]) is nonzero, and then
+    exp(t X) sets cur(y) to 0; s shrinks to the X with cur([X, y]) = 0.  Two
+    functionals of one orbit therefore meet at every step, and the functionals
+    of two orbits never do (Pukanszky; Corwin-Greenleaf I, 3.1)."""
+    f, e = g.field, g.space.even_dim
+    chain = g.engel_flag
+    cur, word = lam, []
+    s = list(g.even_subspace.rows)
+    for lower, member in zip(chain, chain[1:]):
+        y = next(r for r in member.rows if not lower.contains(r))
+        col = [r[0] for r in bracket_form(g, cur, s, [y]).rows]
+        k = next((i for i, c in enumerate(col) if c), None)
+        if k is None:
+            continue
+        t = -functional_value(cur, y[:e]) / col[k]
+        if t:
+            w = vec_scale(t, s[k][:e])
+            cur = _apply_exp(g, cur, w)
+            word.append(w)
+        s = [lin_comb(f, g.dim, sol, s) for sol in Matrix(f, [col]).kernel_basis()]
+    return cur, word
+
+
+def coadjoint_orbit_member(g: LieSuperalgebra, lam: Sequence, lam2: Sequence) -> OrbitPath | None:
+    """Exact parameters with lam2 = lam o Ad(exp W_1 exp W_2 ...), or None:
+    lam and lam2 share an orbit exactly when they share a flag normal form, and
+    the word runs to it from lam and back from it to lam2."""
     lam = coerce_functional(g, lam)
     lam2 = coerce_functional(g, lam2)
     if not is_nilpotent(g):
         raise InputError("coadjoint machinery needs a nilpotent algebra")
-    e = g.space.even_dim
-    f = g.field
-    g0 = g.even_part.algebra
-    chain = series(g0, "lower_central")
-    if chain[-1].dim != 0:
-        raise InvariantViolation("even part is not nilpotent")  # pragma: no cover
-    layers = chain[:-1]                                 # c_1 > c_2 > ... > c_s
-    s = len(layers)
-    # values on the deepest (central) layer are invariants
-    deepest = layers[-1]
-    for y in deepest.rows:
-        if functional_value(lam, y) != functional_value(lam2, y):
-            return None
-    cur = lam
-    path: list[Vector] = []
-    h_rows: list[Vector] = [unit_vector(f, e, j) for j in range(e)]
-    first_stages = {} if first_stages is None else first_stages
-    for k in range(s - 2, -1, -1):
-        layer = layers[k]
-        first = k == s - 2
-        solve = first_stages.get(lam) if first else None
-        if solve is None:
-            solve = bracket_form(g0, cur, h_rows, layer.rows).transpose().solver()
-            if first:
-                first_stages[lam] = solve
-        sol = solve(tuple(functional_value(lam2, y) - functional_value(cur, y)
-                          for y in layer.rows))
-        deep_stage = s >= 4 and k <= s - 4
-        if sol is None:
-            if deep_stage:
-                raise Undetermined(
-                    "linearized stage failed below class-3 depth; membership undecided")
-            return None
-        w = lin_comb(f, e, sol, h_rows)
-        cur = _apply_exp(g, cur, w)
-        path.append(w)
-        for y in layer.rows:
-            if functional_value(cur, y) != functional_value(lam2, y):
-                if deep_stage:
-                    raise Undetermined("deep stage did not stabilize the layer")
-                raise InvariantViolation("stage verification failed")  # pragma: no cover
-        if k == 0:
-            break
-        # shrink the allowed directions to those that preserve the matched
-        # layer; the last stage has no next one to read them
-        stage = bracket_form(g0, cur, h_rows, layer.rows).transpose()
-        h_rows = [lin_comb(f, e, sol0, h_rows) for sol0 in stage.kernel_basis()]
-    if tuple(cur) != tuple(lam2):
-        raise InvariantViolation("orbit path verification failed")  # pragma: no cover
+    point, path = _normal_form(g, lam)
+    point2, back = _normal_form(g, lam2)
+    if point != point2:
+        return None
+    path += [tuple(-x for x in w) for w in reversed(back)]
     # exact end-to-end re-verification of the recorded word
     check = lam
     for w in path:
@@ -359,8 +341,8 @@ def classify_orbits(g: LieSuperalgebra, box: Sequence[Sequence]) -> list[OrbitDe
 
     Members are grouped by the orbit invariants (central character, rank of
     Omega_lambda); a rank-0 functional is a fixed point, a group of rank
-    dim g0 - dim z(g0) is one orbit, and every other member is tested against
-    the representative of each orbit found so far in its group."""
+    dim g0 - dim z(g0) is one orbit, and the members of every other group are
+    split by their flag normal form, with no membership test."""
     if not is_nilpotent(g):
         raise InputError("orbit classification needs a nilpotent algebra")
     e = g.space.even_dim
@@ -392,28 +374,17 @@ def classify_orbits(g: LieSuperalgebra, box: Sequence[Sequence]) -> list[OrbitDe
         groups.setdefault(inv[i], []).append(i)
     orbits: list[list[int]] = []
     for (_, rank), members in sorted(groups.items()):
-        if rank == 0:
-            # Omega_lambda has rank 0: lambda o ad X vanishes on g0 for every even X,
-            # so Ad*(G0) fixes lambda and its orbit is {lambda}
-            points: dict[Vector, list[int]] = {}
-            for i in members:
-                points.setdefault(cands[i], []).append(i)
-            orbits.extend(points.values())
-            continue
-        if rank == flat:
+        if 0 < rank == flat:
             # Omega_lambda has radical z(g0): the orbit is open and closed in lambda + z(g0)^perp
             orbits.append(members)
             continue
-        found: list[list[int]] = []
-        first_stages: dict = {}
+        # at rank 0 lambda o ad X vanishes on g0 for every even X, so Ad*(G0)
+        # fixes lambda and its orbit is {lambda}; any other orbit is its normal form
+        points: dict[Vector, list[int]] = {}
         for i in members:
-            for orbit in found:
-                if coadjoint_orbit_member(g, cands[orbit[0]], cands[i], first_stages) is not None:
-                    orbit.append(i)
-                    break
-            else:
-                found.append([i])
-        orbits.extend(found)
+            points.setdefault(cands[i] if rank == 0 else _normal_form(g, cands[i])[0],
+                              []).append(i)
+        orbits.extend(points.values())
     out = []
     subalgebras: list = []
     for members in sorted(orbits):

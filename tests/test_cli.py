@@ -392,6 +392,9 @@ MALFORMED_RUNS = [
     (["roots", "--catalog", "su(2)", "--budget", "-1"], "--budget and --cap must be >= 0"),
     (["hwm", "--catalog", "osp(1|2)", "--x0", "1", "--cap", "-5"],
      "--budget and --cap must be >= 0"),
+    (["validate", "--bogus"], "unrecognized arguments: --bogus"),
+    (["roots", "--catalog", "su(2)", "--budget", "x"], "argument --budget: invalid int value: 'x'"),
+    (["polarize", "--catalog", "h(1)"], "the following arguments are required: --lambda"),
 ]
 
 
@@ -405,6 +408,12 @@ def test_malformed_input_exits_1_without_verdict(tmp_path, capsys, argv, error):
     rep = json.loads(out)
     assert code == 1 and rep["status"] == "ERROR"
     assert list(rep["results"]) == ["error"] and error in rep["results"]["error"]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: liecones roots")
 
 
 def test_zero_budget_and_cap_scan_nothing(capsys):

@@ -25,10 +25,10 @@ from liecones.glinalg import (GradedSpace, Matrix, Subspace, eliminate, kernel, 
                               ungraded, unit_vector, vec_add, vec_scale, vec_sub)
 from liecones.lsa import (LieSuperalgebra, bracket_form, bracket_span, center, centroid,
                           derivation_equations, derivations, differential_constants,
-                          grassmann_extend, is_nilpotent, quotient, subalgebra_on,
+                          grassmann_extend, is_nilpotent, quotient, series, subalgebra_on,
                           supercommutant, transporter)
-from liecones.orbits import (PolarizingSystem, _apply_exp, central_box, classify_orbits,
-                             coadjoint_orbit_member, even_skew_form, grid_box,
+from liecones.orbits import (PolarizingSystem, _apply_exp, _normal_form, central_box,
+                             classify_orbits, coadjoint_orbit_member, even_skew_form, grid_box,
                              in_admissible_cone, polarizing_flag, polarizing_system_from_m0)
 
 TOWERS = (QQ, QQ_I, Field(False, 2), Field(True, 2))
@@ -39,8 +39,42 @@ small = st.integers(min_value=-3, max_value=3)
 # orbit classification against a pairwise union-find
 # ---------------------------------------------------------------------------
 
+def layered_member(g: LieSuperalgebra, lam, lam2) -> bool:
+    """Coadjoint membership by elimination along the lower central series of
+    g0, the procedure the flag normal form replaced: each layer, deepest
+    first, is matched by one exponential of the directions that keep the
+    layers already matched.  Complete up to nilpotency class 3."""
+    lam, lam2 = (tuple(g.field.coerce(x) for x in v) for v in (lam, lam2))
+    e, f = g.space.even_dim, g.field
+    g0 = g.even_part.algebra
+    layers = series(g0, "lower_central")[:-1]            # c_1 > c_2 > ... > c_s
+    assert len(layers) <= 3, "the layered procedure is complete up to class 3"
+    if any(functional_value(lam, y) != functional_value(lam2, y) for y in layers[-1].rows):
+        return False
+    cur = lam
+    h_rows = [unit_vector(f, e, j) for j in range(e)]
+    for k in range(len(layers) - 2, -1, -1):
+        layer = layers[k]
+        sol = bracket_form(g0, cur, h_rows, layer.rows).transpose().solve(
+            tuple(functional_value(lam2, y) - functional_value(cur, y) for y in layer.rows))
+        if sol is None:
+            return False
+        cur = _apply_exp(g, cur, lin_comb(f, e, sol, h_rows))
+        stage = bracket_form(g0, cur, h_rows, layer.rows).transpose()
+        h_rows = [lin_comb(f, e, sol0, h_rows) for sol0 in stage.kernel_basis()]
+    assert cur == lam2
+    return True
+
+
+def along(g: LieSuperalgebra, lam, path) -> tuple:
+    """lam moved by every exponential of an orbit path in turn."""
+    for w in path.exps:
+        lam = _apply_exp(g, lam, w)
+    return lam
+
+
 def pairwise_partition(g, box) -> set[frozenset[int]]:
-    """Orbits of the admissible box members, one membership test per pair."""
+    """Orbits of the admissible box members, one layered membership test per pair."""
     admissible = [i for i, lam in enumerate(box) if in_admissible_cone(g, lam)[0]]
     parent = {i: i for i in admissible}
 
@@ -51,7 +85,7 @@ def pairwise_partition(g, box) -> set[frozenset[int]]:
 
     for pos, a in enumerate(admissible):
         for b in admissible[pos + 1:]:
-            if coadjoint_orbit_member(g, box[a], box[b]) is not None:
+            if layered_member(g, box[a], box[b]):
                 parent[find(b)] = find(a)
     orbits: dict[int, set[int]] = {}
     for i in admissible:
@@ -117,13 +151,30 @@ def test_classify_orbits_matches_pairwise_union(key, data):
 @pytest.mark.parametrize("key", sorted(UNION_ALGEBRAS))
 def test_only_groups_below_the_flat_rank_run_member_tests(key, monkeypatch):
     """Flat groups, rank Omega_lambda = dim g0 - dim z(g0), are one orbit each
-    and run no membership test; n4 has none and runs them."""
+    and need no normal form; n4 has none and computes them."""
     g = UNION_ALGEBRAS[key]
     calls = []
-    monkeypatch.setattr("liecones.orbits.coadjoint_orbit_member",
-                        lambda *a: calls.append(a) or coadjoint_orbit_member(*a))
+    monkeypatch.setattr("liecones.orbits._normal_form",
+                        lambda *a: calls.append(a) or _normal_form(*a))
     classify_orbits(g, grid_box(g, -1, 1))
     assert bool(calls) == (key == "n4")
+
+
+@pytest.mark.parametrize("key", sorted(UNION_ALGEBRAS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_member_verdicts_match_the_layered_procedure(key, data):
+    """Two drawn functionals, and a functional against its image under a drawn
+    exp(ad w): the flag normal form decides as the layered procedure does, and
+    every path it returns carries lam to lam2."""
+    g = UNION_ALGEBRAS[key]
+    e = g.space.even_dim
+    lam, lam2, w = (tuple(QQ.rat(c) for c in data.draw(st.lists(small, min_size=e, max_size=e)))
+                    for _ in range(3))
+    for other in (lam2, _apply_exp(g, lam, w)):
+        path = coadjoint_orbit_member(g, lam, other)
+        assert (path is not None) == layered_member(g, lam, other)
+        assert path is None or along(g, lam, path) == other
 
 
 @pytest.mark.parametrize("key", sorted(ORBIT_ALGEBRAS))
@@ -140,18 +191,56 @@ def test_classified_polarizations_match_standalone_ones(key, data):
             g, o.representative, ps.m0, ps.flag_dims).as_json()
 
 
-@pytest.mark.parametrize("key", sorted(ORBIT_ALGEBRAS))
-@settings(max_examples=10, deadline=None)
-@given(data=st.data())
-def test_shared_first_stages_match_fresh_member_tests(key, data):
-    g = ORBIT_ALGEBRAS[key]
-    box = data.draw(boxes(g.space.even_dim))
-    first_stages: dict = {}          # shared by every representative, as in a group
-    for lam in box[:3]:
-        for lam2 in box:
-            shared = coadjoint_orbit_member(g, lam, lam2, first_stages)
-            fresh = coadjoint_orbit_member(g, lam, lam2)
-            assert (shared and shared.as_json()) == (fresh and fresh.as_json())
+# class 5 and class 4, beyond the reach of the layered procedure
+N6 = LieSuperalgebra.from_table("n6", QQ, ["E1", "E2", "E3", "E4", "E5", "E6"], [],
+                                {("E1", "E2"): {"E3": 1}, ("E1", "E3"): {"E4": 1},
+                                 ("E1", "E4"): {"E5": 1}, ("E1", "E5"): {"E6": 1},
+                                 ("E2", "E3"): {"E5": 1}, ("E2", "E4"): {"E6": 1}})
+M6 = LieSuperalgebra.from_table("m6", QQ, ["E1", "E2", "E3", "E4", "E5", "E6"], [],
+                                {("E1", "E2"): {"E3": 1}, ("E1", "E3"): {"E4": 1},
+                                 ("E1", "E4"): {"E5": 1}, ("E2", "E3"): {"E6": 1}})
+DEEP_ALGEBRAS = {"n5": N5, "n6": N6, "m6": M6}
+
+
+@pytest.mark.parametrize("key", sorted(DEEP_ALGEBRAS))
+def test_moved_functionals_are_members_beyond_class_3(key):
+    g = DEEP_ALGEBRAS[key]
+    rng = random.Random(key)
+    e = g.space.even_dim
+    for _ in range(40):
+        lam, w = (tuple(QQ.rat(rng.randint(-3, 3)) for _ in range(e)) for _ in range(2))
+        moved = _apply_exp(g, lam, w)
+        path = coadjoint_orbit_member(g, lam, moved)
+        assert path is not None and along(g, lam, path) == moved
+
+
+def n5_orbit_key(lam) -> tuple:
+    """The coadjoint orbit of lam on the filiform n5 ([E1, Ek] = Ek+1), by its
+    invariants: lambda5, lambda3 lambda5 - lambda4^2/2 and lambda2 lambda5^2 -
+    lambda3 lambda4 lambda5 + lambda4^3/3 when lambda5 != 0; on E5's
+    annihilator the n4 invariants lambda4 and lambda2 lambda4 - lambda3^2/2,
+    then lambda3; a functional vanishing on [g0, g0] is fixed."""
+    l1, l2, l3, l4, l5 = lam
+    half, third = QQ.rat(Fraction(1, 2)), QQ.rat(Fraction(1, 3))
+    if l5:
+        return 5, l5, l3 * l5 - half * l4 * l4, l2 * l5 * l5 - l3 * l4 * l5 + third * l4 * l4 * l4
+    if l4:
+        return 4, l4, l2 * l4 - half * l3 * l3
+    return (3, l3) if l3 else (0, *lam)
+
+
+def test_n5_grid_orbits_are_its_invariant_classes():
+    rng = random.Random("n5")
+    for _ in range(40):
+        lam, w = ([QQ.rat(rng.randint(-3, 3)) for _ in range(5)] for _ in range(2))
+        assert n5_orbit_key(_apply_exp(N5, tuple(lam), tuple(w))) == n5_orbit_key(lam)
+    box = grid_box(N5, -1, 1)
+    classes: dict[tuple, set[int]] = {}
+    for i, lam in enumerate(box):
+        classes.setdefault(n5_orbit_key(lam), set()).add(i)
+    orbits = classify_orbits(N5, box)
+    assert len(orbits) == 77
+    assert {frozenset(o.members) for o in orbits} == {frozenset(c) for c in classes.values()}
 
 
 EXP_ALGEBRAS = dict(ORBIT_ALGEBRAS, n4=N4, n5=N5)
@@ -207,17 +296,14 @@ def oracle_polarization(g: LieSuperalgebra, lam, m0: Subspace, flag_dims) -> Pol
                             gram.nrows - len(gram_kernel), flag_dims)
 
 
-def drawn_box(rng: random.Random, g: LieSuperalgebra, key: str) -> list:
+def drawn_box(rng: random.Random, g: LieSuperalgebra) -> list:
     """The central box of g0 with coordinates -1..1 (a 3x3 grid on the
-    abelian g0 of n3super), then, except on n5, eight drawn integer
-    functionals and repeats of two members: a drawn box on the class-4 n5
-    may leave membership undecided."""
+    abelian g0 of n3super), eight drawn integer functionals and repeats of two
+    members."""
     box = central_box(g, -1, 1)
-    if key != "n5":
-        box += [tuple(g.field.rat(rng.randint(-2, 2)) for _ in range(g.space.even_dim))
-                for _ in range(8)]
-        box += rng.sample(box, 2)
-    return box
+    box += [tuple(g.field.rat(rng.randint(-2, 2)) for _ in range(g.space.even_dim))
+            for _ in range(8)]
+    return box + rng.sample(box, 2)
 
 
 @pytest.mark.parametrize("key", sorted(EXP_ALGEBRAS))
@@ -237,7 +323,7 @@ def test_polarizations_match_restrict_and_re_eliminate(key):
     g = EXP_ALGEBRAS[key]
     rng = random.Random(key)
     for _ in range(4):
-        box = drawn_box(rng, g, key)
+        box = drawn_box(rng, g)
         systems = [o.polarizing for o in classify_orbits(g, box)]
         systems += [polarizing_flag(g, lam) for lam in box if in_admissible_cone(g, lam)[0]]
         assert any(ps.m0 == g.even_subspace for ps in systems)
@@ -252,7 +338,7 @@ def test_keyed_admissibility_matches_fresh_tests(key):
     g = EXP_ALGEBRAS[key]
     rng = random.Random(key)
     for _ in range(4):
-        box = drawn_box(rng, g, key)
+        box = drawn_box(rng, g)
         fresh = [in_admissible_cone(g, lam) for lam in box]
         descs = classify_orbits(g, box)
         assert sorted(i for o in descs for i in o.members) == \
@@ -460,10 +546,6 @@ def test_kernels_match_dense_formulas(fld, data):
         if dense[pc]:
             dense = tuple(x - dense[pc] * y for x, y in zip(dense, row))
     assert S.reduce(u) == dense
-    M = Matrix(fld, [data.draw(tower_vectors(fld, 3)) for _ in range(3)])
-    b = data.draw(tower_vectors(fld, 3))
-    assert M.solver()(b) == M.solve(b)
-    assert M.solver()(M.apply(b)) == M.solve(M.apply(b))
 
 
 def test_kernels_keep_field_checks_on_zeros():

@@ -4,7 +4,7 @@ import pytest
 
 from liecones import lsa, orbits
 from liecones.cones import OddSquareForm
-from liecones.exactnum import QQ, InputError, Undetermined
+from liecones.exactnum import QQ, InputError
 from liecones.lsa import LieSuperalgebra, check_axioms
 from liecones.orbits import (
     NotAdmissible, branching_multiplicity, central_box,
@@ -77,10 +77,9 @@ def test_coadjoint_member_h1(algebra):
     h1 = algebra("h(1)")
     a, b = 4, -7
     path = coadjoint_orbit_member(h1, (0, 0, 1), (a, b, 1))
-    assert path is not None
-    w = path.exps[0]
-    # parameters (t_X, t_Y) = (b, -a)
-    assert (str(w[0]), str(w[1])) == (str(b), str(-a))
+    # (0, 0, 1) is its own normal form; (a, b, 1) reaches it by exp(-b X) and
+    # then exp(a Y), and the path runs that word backwards with signs flipped
+    assert [[str(x) for x in w] for w in path.exps] == [["0", str(-a), "0"], [str(b), "0", "0"]]
     assert coadjoint_orbit_member(h1, (0, 0, 1), (0, 0, 2)) is None
 
 
@@ -229,13 +228,14 @@ def test_polarizing_system_from_m0_rejects_bad(algebra):
 
 
 def test_coadjoint_member_deep_stage_undetermined():
-    # filiform n5 has class 4: a stage below class-3 depth that the linearized
-    # system cannot solve leaves membership undecided
+    # filiform n5 has class 4, beyond the old layered stages, which left this
+    # pair undecided: on the orbit of e5* the E4 value is +-a for the E1
+    # coefficient a of the group element and the E2 value a cubic in a alone,
+    # so E4 = 0 forces E2 = 0
     n5 = LieSuperalgebra.from_table(
         "n5", QQ, ["E1", "E2", "E3", "E4", "E5"], [],
         {("E1", "E2"): {"E3": 1}, ("E1", "E3"): {"E4": 1}, ("E1", "E4"): {"E5": 1}})
-    with pytest.raises(Undetermined):
-        coadjoint_orbit_member(n5, (0, 0, 0, 0, 1), (-1, -1, 0, 0, 1))
+    assert coadjoint_orbit_member(n5, (0, 0, 0, 0, 1), (-1, -1, 0, 0, 1)) is None
     assert coadjoint_orbit_member(n5, (0, 0, 0, 0, 1), (0, 0, 0, 0, 2)) is None
 
 
@@ -253,7 +253,7 @@ def test_classification_cost_counts(algebra, monkeypatch):
     counted(orbits, "in_admissible_cone")
     counted(OddSquareForm, "of", staticmethod)
     counted(orbits, "even_skew_form")
-    counted(orbits, "coadjoint_orbit_member")
+    counted(orbits, "_normal_form")
     counted(orbits, "subalgebra_on")
     counted(lsa, "is_ideal")
     counted(lsa, "_engel_refine")
@@ -284,4 +284,4 @@ def test_classification_cost_counts(algebra, monkeypatch):
     calls.clear()
     classify_orbits(g, grid_box(g, -3, 3))
     assert calls.count("in_admissible_cone") == calls.count("of") == 7
-    assert calls.count("coadjoint_orbit_member") == 0          # every group is flat
+    assert calls.count("_normal_form") == 0          # every group is flat

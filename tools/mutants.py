@@ -56,6 +56,8 @@ RATIONAL = "tests/test_differential.py::test_rational_scalars_match_the_generic_
 UNIT_LEADS = "tests/test_differential.py::test_unit_leads_give_the_rref_of_unscaled_rows"
 UNION = "tests/test_differential.py::test_classify_orbits_matches_pairwise_union"
 FLAT = "tests/test_differential.py::test_only_groups_below_the_flat_rank_run_member_tests"
+DEEP = "tests/test_differential.py::test_moved_functionals_are_members_beyond_class_3"
+N5_GRID = "tests/test_differential.py::test_n5_grid_orbits_are_its_invariant_classes"
 KERNEL = "tests/test_glinalg.py::test_kernel_matches_sympy_random"
 CLIFFREP = "src/liecones/cliffrep.py"
 EXACTNUM = "src/liecones/exactnum.py"
@@ -219,10 +221,15 @@ MUTANTS = (
            "acc = acc + a * b * c * lam[m]",
            "acc = acc + b * c * lam[m]",
            (BRACKET_FORM, BRACKET_FORM_HC)),
-    Mutant("the second coadjoint stage matrix is not transposed", ORBITS,
-           "stage = bracket_form(g0, cur, h_rows, layer.rows).transpose()",
-           "stage = bracket_form(g0, cur, h_rows, layer.rows)",
-           ("tests/test_orbits.py::test_coadjoint_member_three_step_exact",)),
+    Mutant("the normal-form step moves with the wrong sign", ORBITS,
+           "t = -functional_value(cur, y[:e]) / col[k]",
+           "t = functional_value(cur, y[:e]) / col[k]",
+           (f"{DEEP}[n5]", f"{DEEP}[n6]", N5_GRID, "tests/test_orbits.py::test_coadjoint_member_h1",
+            "tests/test_orbits.py::test_coadjoint_member_three_step_exact")),
+    Mutant("the stabilizer is not shrunk after a jump", ORBITS,
+           "s = [lin_comb(f, g.dim, sol, s) for sol in Matrix(f, [col]).kernel_basis()]",
+           "pass",
+           (f"{DEEP}[n6]",)),
     Mutant("the root-space form without the conjugation", "src/liecones/cones.py",
            "[tuple(s.conjugate_i() for s in y) for y in basis]",
            "basis",
@@ -232,9 +239,13 @@ MUTANTS = (
            "orbits.append(members)",
            ("tests/test_orbits.py::test_classify_h1_grid", UNION)),
     Mutant("every positive-rank group taken as one flat orbit", ORBITS,
-           "if rank == flat:",
-           "if rank > 0:",
+           "if 0 < rank == flat:",
+           "if 0 < rank:",
            (f"{UNION}[n4]", f"{FLAT}[n4]")),
+    Mutant("non-flat groups split by the functional, not its normal form", ORBITS,
+           "cands[i] if rank == 0 else _normal_form(g, cands[i])[0]",
+           "cands[i]",
+           (f"{UNION}[n4]", N5_GRID)),
     Mutant("flat groups sent to the member tests", ORBITS,
            "flat = e - zc.dim",
            "flat = e - zc.dim + 2",
