@@ -272,22 +272,33 @@ def root_decomposition(g: LieSuperalgebra, cartan: CartanData) -> RootDatum:
     """Joint ad-eigenspace decomposition of the complexification g^C.
 
     Roots are stored through their real values alpha(H) with eigenvalue
-    i*alpha(H); requires cartan.compactly_embedded is True.
+    i*alpha(H); requires cartan.compactly_embedded is True.  h0 is even, so
+    each ad(H) is block diagonal on g0 (+) g1: the even and the odd block are
+    split on their own, and each root space comes out graded.
     """
     if cartan.compactly_embedded is not True:
         raise InputError("root decomposition needs a compactly embedded Cartan")
     gc = g.complexify()
     fld = gc.field
-    mats = []
-    for b in cartan.h0.rows:
-        bb = tuple(x.promote(fld) for x in b)
-        mats.append(gc.ad(bb))
-    status, joint = joint_eigenspaces(mats, gc.space)
-    if status != "OK":
-        raise Undetermined("SPLITTING_FAILURE in the root engine")
+    n, e = g.dim, g.space.even_dim
+    mats = [gc.ad(tuple(x.promote(fld) for x in b)) for b in cartan.h0.rows]
+    if any(any(r[e:]) if i < e else any(r[:e]) for M in mats for i, r in enumerate(M.rows)):
+        raise InvariantViolation("ad(h0) does not preserve the grading")
+    spaces: dict[tuple[Scalar, ...], tuple[list[Vector], list[Vector]]] = {}
+    for parity, (lo, hi) in enumerate(((0, e), (e, n))):
+        if lo == hi:
+            continue
+        blocks = [Matrix(fld, [r[lo:hi] for r in M.rows[lo:hi]]) for M in mats]
+        status, joint = joint_eigenspaces(blocks)
+        if status != "OK":
+            raise Undetermined("SPLITTING_FAILURE in the root engine")
+        pad_lo, pad_hi = (fld.zero,) * lo, (fld.zero,) * (n - hi)
+        for evs, space in joint:
+            rows = spaces.setdefault(evs, ([], []))[parity]
+            rows.extend(pad_lo + r + pad_hi for r in space.rows)
     i_unit = fld.i
     roots: list[Root] = []
-    for evs, space in joint:
+    for evs, (even_rows, odd_rows) in spaces.items():
         vals = []
         for mu in evs:
             alpha = mu * (-i_unit)       # mu = i * alpha
@@ -295,7 +306,7 @@ def root_decomposition(g: LieSuperalgebra, cartan: CartanData) -> RootDatum:
                 raise Undetermined(
                     "eigenvalue not purely imaginary; Cartan not compact")
             vals.append(alpha)
-        roots.append(Root(tuple(vals), space.even_part(), space.odd_part()))
+        roots.append(Root(tuple(vals), gc.subspace(even_rows), gc.subspace(odd_rows)))
     roots.sort(key=lambda r: tuple(str(v) for v in r.values))
     datum = RootDatum(cartan, gc, roots)
     _verify_root_datum(g, datum)

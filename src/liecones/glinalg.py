@@ -11,8 +11,9 @@ entries of one block-position list.  Subspaces are kept in reduced
 row-echelon form, which makes equality decidable and serialization stable.
 Characteristic polynomials come from a Hessenberg reduction, O(n^3) field
 operations.  Eigenvalue extraction factors them over Q (via sympy, imported
-on the first factorisation only) and splits quadratics inside the declared
-tower; anything that does not split is reported as SPLITTING_FAILURE, never
+on the first factorisation only; a rational polynomial's multiplicities are
+its factor exponents) and splits quadratics inside the declared tower;
+anything that does not split is reported as SPLITTING_FAILURE, never
 approximated.
 """
 
@@ -576,14 +577,6 @@ class Subspace:
                 for k in M.kernel_basis()]
         return Subspace(self.field, self.ambient, vecs)
 
-    def even_part(self) -> "Subspace":
-        return self.intersect(coordinate_subspace(self.field, self.ambient,
-                                                   self.ambient.even_indices()))
-
-    def odd_part(self) -> "Subspace":
-        return self.intersect(coordinate_subspace(self.field, self.ambient,
-                                                   self.ambient.odd_indices()))
-
     def is_graded(self) -> bool:
         """Canonical rows are unique, so the subspace is graded exactly when
         each of them is purely even or purely odd."""
@@ -729,28 +722,35 @@ def roots_in_field(p: Poly) -> tuple[dict[Scalar, int], Poly | None]:
     """All roots of p inside its tower, with multiplicities.
 
     Returns (roots, leftover): leftover is a nontrivial factor whose roots lie
-    outside the tower (None when p splits completely).
+    outside the tower (None when p splits completely).  For rational p each
+    tower root of an irreducible factor f with exponent m has multiplicity m:
+    distinct monic irreducibles over Q share no root and each is separable.
+    Otherwise the factors are those of the norm, whose exponents count
+    conjugate roots together, so multiplicities come from trial division.
     """
     if p.is_zero():
         raise InputError("roots of the zero polynomial")
     fld = p.field
-    candidates: set[Scalar] = set()
-    if all(c.is_rational() for c in p.coeffs):
-        norm = p
-    else:
-        # product over the Galois conjugates has rational coefficients
-        norm = p * Poly(fld, [c.conjugate_i() for c in p.coeffs])
-        if fld.d is not None:
-            norm = norm * Poly(fld, [c.conjugate_sqrt() for c in norm.coeffs])
-        if any(not c.is_rational() for c in norm.coeffs):
-            raise InvariantViolation("norm polynomial is not rational")  # pragma: no cover
-    for f, _ in rational_factors(norm):
-        if f.degree == 0:
-            continue
-        rts = _roots_of_low_degree(f)
-        if rts:
-            candidates.update(rts)
     roots: dict[Scalar, int] = {}
+    if all(c.is_rational() for c in p.coeffs):
+        rem = Poly(fld, [p.leading()])
+        for f, mult in rational_factors(p):
+            rts = _roots_of_low_degree(f)
+            if rts:
+                roots.update(dict.fromkeys(rts, mult))
+            else:
+                for _ in range(mult):
+                    rem = rem * f.monic()
+        return roots, rem if rem.degree > 0 else None
+    # product over the Galois conjugates has rational coefficients
+    norm = p * Poly(fld, [c.conjugate_i() for c in p.coeffs])
+    if fld.d is not None:
+        norm = norm * Poly(fld, [c.conjugate_sqrt() for c in norm.coeffs])
+    if any(not c.is_rational() for c in norm.coeffs):
+        raise InvariantViolation("norm polynomial is not rational")  # pragma: no cover
+    candidates: set[Scalar] = set()
+    for f, _ in rational_factors(norm):
+        candidates.update(_roots_of_low_degree(f) or ())
     rem = p
     for lam in sorted(candidates, key=str):
         mult = 0
@@ -761,8 +761,7 @@ def roots_in_field(p: Poly) -> tuple[dict[Scalar, int], Poly | None]:
             rem, mult = q, mult + 1
         if mult:
             roots[lam] = mult
-    leftover = rem if rem.degree > 0 else None
-    return roots, leftover
+    return roots, rem if rem.degree > 0 else None
 
 
 def generalized_eigenspaces(M: Matrix, ambient: GradedSpace | None = None) -> EigenSplit:

@@ -21,8 +21,10 @@ from liecones.cliffrep import MatrixRep, clifford_module, gamma_matrices, parity
 from liecones.cones import OddSquareForm, functional_value
 from liecones.exactnum import (QQ, QQ_I, Field, FieldMismatchError, InputError, Poly, Scalar,
                                real_root_signs)
-from liecones.glinalg import (GradedSpace, Matrix, Subspace, eliminate, kernel, lin_comb,
-                              ungraded, unit_vector, vec_add, vec_scale, vec_sub)
+from liecones.glinalg import (GradedSpace, Matrix, Subspace, _roots_of_low_degree,
+                              coordinate_subspace, eliminate, joint_eigenspaces, kernel, lin_comb,
+                              rational_factors, roots_in_field, ungraded, unit_vector, vec_add,
+                              vec_scale, vec_sub)
 from liecones.lsa import (LieSuperalgebra, bracket_form, bracket_span, center, centroid,
                           derivation_equations, derivations, differential_constants,
                           grassmann_extend, is_nilpotent, quotient, series, subalgebra_on,
@@ -1396,3 +1398,94 @@ def test_root_space_forms_match_the_loop_they_replaced(key):
             basis = r.odd_space.rows
             assert bracket_form(gc, muc, basis, [tuple(s.conjugate_i() for s in y)
                                                  for y in basis]).rows == G.rows
+
+
+# ---------------------------------------------------------------------------
+# the parity-block root engine against the whole-space split it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_roots(g: LieSuperalgebra, h0: Subspace) -> list[tuple]:
+    """(values, even space, odd space) of each root, sorted by values: the
+    joint eigenspaces of the full ad(H) on g^C, cut by the even and the odd
+    coordinates."""
+    gc = g.complexify()
+    fld, amb = gc.field, gc.space
+    status, joint = joint_eigenspaces([gc.ad(tuple(x.promote(fld) for x in b))
+                                       for b in h0.rows], amb)
+    assert status == "OK"
+    even, odd = (coordinate_subspace(fld, amb, ix)
+                 for ix in (amb.even_indices(), amb.odd_indices()))
+    roots = [(tuple(mu * -fld.i for mu in evs), space.intersect(even), space.intersect(odd))
+             for evs, space in joint]
+    return sorted(roots, key=lambda r: tuple(str(v) for v in r[0]))
+
+
+ROOT_ALGEBRAS = {key: g for key, g in {**SCAN_ALGEBRAS, **COMMUTANT_ALGEBRAS}.items()
+                 if cartan.compact_cartan_even(g) is not None}
+
+
+def test_root_algebras_cover_superalgebras_sums_and_extensions():
+    assert {"su(1,1|1,1)", "sq(1,1)", "osp(1|2)", "osp(1|2)(x)Lambda(1)",
+            "osp(1|2)+cl(1|2,+-)", "su(2)", "abelian(2|1)"} <= set(ROOT_ALGEBRAS)
+
+
+@pytest.mark.parametrize("key", sorted(ROOT_ALGEBRAS))
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_parity_block_roots_match_the_whole_space_split(key, shuffled):
+    """Same root values, even and odd root spaces and order, in the catalog
+    basis or a seeded signed permutation of it."""
+    g = ROOT_ALGEBRAS[key]
+    if shuffled:
+        rng = random.Random(key)
+        e, n = g.space.even_dim, g.dim
+        g = signed_permutation(g, rng.sample(range(e), e) + rng.sample(range(e, n), n - e),
+                               [rng.choice((1, -1)) for _ in range(n)])
+    h0 = cartan.compact_cartan_even(g)
+    datum = cartan.root_decomposition(g, cartan.cartan_subsuperalgebra(g, h0))
+    assert [(r.values, r.even_space, r.odd_space) for r in datum.roots] == oracle_roots(g, h0)
+
+
+def oracle_roots_in_field(p: Poly) -> tuple[dict, Poly | None]:
+    """Roots of a rational p by trial division: each tower root of a factor
+    is divided out of p for as long as it divides."""
+    fld = p.field
+    candidates = set()
+    for f, _ in rational_factors(p):
+        candidates.update(_roots_of_low_degree(f) or ())
+    roots, rem = {}, p
+    for lam in sorted(candidates, key=str):
+        mult = 0
+        while True:
+            q, r = rem.divmod(Poly(fld, [-lam, fld.one]))
+            if not r.is_zero():
+                break
+            rem, mult = q, mult + 1
+        if mult:
+            roots[lam] = mult
+    return roots, rem if rem.degree > 0 else None
+
+
+@pytest.mark.parametrize("fld", (QQ, QQ_I, Field(False, 2)), ids=lambda f: f.tag)
+@settings(max_examples=60, deadline=None)
+@given(lead=st.sampled_from((1, -1, 2, Fraction(-3, 4))),
+       linear=st.lists(st.tuples(rationals, st.integers(1, 3)), max_size=3),
+       quad=st.sampled_from(((1, 0, 1), (-2, 0, 1))), k=st.integers(0, 3),
+       cubic=st.booleans())
+def test_rational_root_multiplicities_match_trial_division(fld, lead, linear, quad, k, cubic):
+    """p = lead * prod (x - a)^m * q^k * (x^3 - 2)^[cubic] with q = x^2 + 1
+    or x^2 - 2: q splits over Q(i) or Q(sqrt 2) with both roots of
+    multiplicity k, and x^3 - 2 never splits."""
+    p = Poly(fld, [lead])
+    want: dict = {}
+    for a, m in linear:
+        for _ in range(m):
+            p = p * Poly(fld, [-a, 1])
+        want[fld.rat(a)] = want.get(fld.rat(a), 0) + m
+    for _ in range(k):
+        p = p * Poly(fld, quad)
+    if cubic:
+        p = p * Poly(fld, [-2, 0, 0, 1])
+    roots, leftover = roots_in_field(p)
+    assert (roots, leftover) == oracle_roots_in_field(p)
+    assert {a: m for a, m in roots.items() if a.is_rational()} == want
+    assert sum(roots.values()) + (leftover.degree if leftover else 0) == p.degree

@@ -4,8 +4,8 @@ import pytest
 
 from liecones.exactnum import Field, QQ, QQ_I
 from liecones.glinalg import (
-    GradedSpace, Matrix, Subspace, block_positions, generalized_eigenspaces, graded_commutant,
-    image, joint_eigenspaces, kernel, roots_in_field, ungraded,
+    GradedSpace, Matrix, Subspace, block_positions, coordinate_subspace, generalized_eigenspaces,
+    graded_commutant, image, joint_eigenspaces, kernel, roots_in_field, ungraded,
 )
 from liecones.exactnum import Poly
 
@@ -141,7 +141,9 @@ def test_subspace_graded_parts():
     amb = GradedSpace(2, 2)
     S = Subspace(QQ, amb, [(1, 0, 0, 0), (0, 0, 1, 0)])
     assert S.is_graded()
-    assert S.even_part().dim == 1 and S.odd_part().dim == 1
+    even, odd = (S.intersect(coordinate_subspace(QQ, amb, ix))
+                 for ix in (amb.even_indices(), amb.odd_indices()))
+    assert even.dim == 1 and odd.dim == 1
     T = Subspace(QQ, amb, [(1, 0, 1, 0)])
     assert not T.is_graded()
 
@@ -385,8 +387,11 @@ def test_product_matches_sympy_random(m, k, n, data):
 @given(st.integers(0, 4), st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]),
                                             min_size=4, max_size=4), max_size=4))
 def test_is_graded_matches_graded_parts_random(even_dim, vecs):
-    S = Subspace(QQ, GradedSpace(even_dim, 4 - even_dim), vecs)
-    assert S.is_graded() == (S.even_part().dim + S.odd_part().dim == S.dim)
+    amb = GradedSpace(even_dim, 4 - even_dim)
+    S = Subspace(QQ, amb, vecs)
+    even, odd = (S.intersect(coordinate_subspace(QQ, amb, ix))
+                 for ix in (amb.even_indices(), amb.odd_indices()))
+    assert S.is_graded() == (even.dim + odd.dim == S.dim)
 
 
 # ---------------------------------------------------------------------------

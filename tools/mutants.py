@@ -59,6 +59,8 @@ FLAT = "tests/test_differential.py::test_only_groups_below_the_flat_rank_run_mem
 DEEP = "tests/test_differential.py::test_moved_functionals_are_members_beyond_class_3"
 N5_GRID = "tests/test_differential.py::test_n5_grid_orbits_are_its_invariant_classes"
 KERNEL = "tests/test_glinalg.py::test_kernel_matches_sympy_random"
+PARITY_ROOTS = "tests/test_differential.py::test_parity_block_roots_match_the_whole_space_split"
+MULTIPLICITIES = "tests/test_differential.py::test_rational_root_multiplicities_match_trial_division"
 CLIFFREP = "src/liecones/cliffrep.py"
 EXACTNUM = "src/liecones/exactnum.py"
 HWM = "src/liecones/hwm.py"
@@ -175,6 +177,20 @@ MUTANTS = (
            "if filled == space.dim:",
            "if filled:",
            ("tests/test_glinalg.py::test_joint_eigenspaces_match_intersect_everything_random",)),
+    Mutant("the root engine skips the odd block", CARTAN,
+           "if lo == hi:",
+           "if lo == hi or parity:",
+           (f"{PARITY_ROOTS}[False-osp(1|2)]", f"{PARITY_ROOTS}[True-su(1,1|1,1)]",
+            "tests/test_cartan.py::test_root_decomposition_osp12")),
+    Mutant("root spaces store the odd rows as even and the even as odd", CARTAN,
+           "Root(tuple(vals), gc.subspace(even_rows), gc.subspace(odd_rows))",
+           "Root(tuple(vals), gc.subspace(odd_rows), gc.subspace(even_rows))",
+           (f"{PARITY_ROOTS}[False-osp(1|2)]", f"{PARITY_ROOTS}[True-sq(1,1)]",
+            "tests/test_cartan.py::test_root_decomposition_osp12")),
+    Mutant("a rational factor's roots get multiplicity 1", GLINALG,
+           "roots.update(dict.fromkeys(rts, mult))",
+           "roots.update(dict.fromkeys(rts, 1))",
+           tuple(f"{MULTIPLICITIES}[{tag}]" for tag in ("Q", "Q_i", "Q_sqrt(2)"))),
     Mutant("the commutant drops s on the A T term", GLINALG,
            "t = -a if s == 1 else a",
            "t = -a",
