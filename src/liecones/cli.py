@@ -160,8 +160,7 @@ def cmd_cartan(args) -> dict:
     results = {
         "h0": _subspace_json(cd.h0),
         "h": _subspace_json(cd.h),
-        "compactly_embedded": cd.compactly_embedded
-        if isinstance(cd.compactly_embedded, bool) else "UNDETERMINED",
+        "compactly_embedded": cd.compactly_embedded,
     }
     return _report("cartan", inputs, "OK", results, budgets)
 
@@ -384,12 +383,13 @@ def cmd_catalog(args) -> dict:
 # driver
 # ---------------------------------------------------------------------------
 
-def _add_algebra_args(p):
+def _add_algebra_args(p, scan: bool = False):
     p.add_argument("--algebra", help="algebra JSON file")
     p.add_argument("--catalog", help="catalog key, e.g. 'hc(2|2,++)'")
     p.add_argument("--out", help="also write the report to this file")
-    p.add_argument("--budget", type=int, default=3, help="integer scan bound")
-    p.add_argument("--cap", type=int, default=2000, help="scan candidate cap")
+    if scan:
+        p.add_argument("--budget", type=int, default=3, help="integer scan bound")
+        p.add_argument("--cap", type=int, default=2000, help="scan candidate cap")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -414,17 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
         _add_algebra_args(p)
         p.set_defaults(func=fn)
 
-    p = sub.add_parser("cartan")
-    _add_algebra_args(p)
-    p.set_defaults(func=cmd_cartan)
-
-    p = sub.add_parser("roots")
-    _add_algebra_args(p)
-    p.set_defaults(func=cmd_roots)
+    for name, fn in (("cartan", cmd_cartan), ("roots", cmd_roots)):
+        p = sub.add_parser(name)
+        _add_algebra_args(p, scan=True)
+        p.set_defaults(func=fn)
 
     for name, fn in (("cone-check", cmd_cone_check), ("star-reduced", cmd_star_reduced)):
         p = sub.add_parser(name)
-        _add_algebra_args(p)
+        _add_algebra_args(p, scan=True)
         p.add_argument("--hill-steps", type=int, default=200)
         p.set_defaults(func=fn)
 
@@ -456,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_rep)
 
     p = sub.add_parser("hwm")
-    _add_algebra_args(p)
+    _add_algebra_args(p, scan=True)
     p.add_argument("--x0", required=True,
                    help="regular element in Cartan-basis coordinates, e.g. '1'")
     p.add_argument("--depth", type=int, default=4)

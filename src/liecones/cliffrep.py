@@ -24,6 +24,9 @@ from .lsa import LieSuperalgebra, bracket_form, bracket_span, center
 from .cones import is_positive_definite
 
 
+PENCIL_BUDGET = 20000      # grid points _contains_invertible tests before it gives up
+
+
 # ---------------------------------------------------------------------------
 # the representation value
 # ---------------------------------------------------------------------------
@@ -378,11 +381,11 @@ def _intertwiner_space(rep1: MatrixRep, rep2: MatrixRep, parity: int) -> list[Ma
                             [(over(A), over(B), 1) for A, B in zip(rep2.mats, rep1.mats)])
 
 
-def _contains_invertible(mats: list[Matrix], budget: int = 20000) -> bool:
+def _contains_invertible(mats: list[Matrix]) -> bool:
     """Exact search for an invertible element of a matrix pencil.
 
     det is a polynomial of total degree <= n in the coefficients, so the
-    integer grid {0..n}^k is a complete test set; capped by budget."""
+    integer grid {0..n}^k is a complete test set; capped by PENCIL_BUDGET."""
     if not mats:
         return False
     n = mats[0].nrows
@@ -397,9 +400,9 @@ def _contains_invertible(mats: list[Matrix], budget: int = 20000) -> bool:
     count = 0
     for combo in itertools.product(grid, repeat=k):
         count += 1
-        if count > budget:
+        if count > PENCIL_BUDGET:
             raise Undetermined("invertibility search budget exhausted")
-        if sum(combo) == 0 or max(combo) == 0:
+        if not any(combo):
             continue
         acc = Matrix.combination(fld, n, n, ((fld.rat(c), M) for c, M in zip(combo, mats)))
         if acc.det():

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exactnum import InputError, InvariantViolation, Poly, Scalar, Undetermined, check_tower
-from .glinalg import Matrix, Subspace, Vector, vec_add, vec_is_zero, vec_scale
+from .glinalg import Matrix, Subspace, Vector, roots_in_field, vec_add, vec_is_zero, vec_scale
 from .lsa import (LieSuperalgebra, bracket_form, bracket_span, center, is_ideal, is_nilpotent,
                   series)
 from . import cartan as _cartan
@@ -210,37 +210,27 @@ def find_pd_functional(g: LieSuperalgebra, bound: int = 3, cap: int = 2000,
 
 
 def find_isotropic_odd(g: LieSuperalgebra) -> ConeCertificate:
-    """Nonzero odd X with [X,X] = 0: basis vectors, pairs, then 2-dim slices."""
+    """Nonzero odd X with [X,X] = 0: the odd-square samples (basis vectors,
+    then f_a +- f_b), then the 2-dim slices f_a + t f_b for a < b.  The slice
+    through (b, a) adds nothing: its X = f_b + t f_a is f_b (t = 0), whose
+    square is a sample, or t (f_a + f_b / t), a root of the (a, b) slice."""
     f = g.field
     d = g.space.odd_dim
-    odd_idx = list(g.space.odd_indices())
     if d == 0:
         return ConeCertificate(UNDETERMINED, details={"note": "no odd part"})
-    basis = [g.basis_vector(i) for i in odd_idx]
-    squares = [g.bracket(v, v) for v in basis]
-    for v, sq in zip(basis, squares):
+    samples = []
+    for _, v, sq in _odd_square_samples(g):
         if vec_is_zero(sq):
             return certify_isotropic(g, v)
+        samples.append((v, sq))
+    # quadratic slices: [f_a + t f_b, f_a + t f_b] = S_a + 2t B_ab + t^2 S_b, S_a != 0
     for a in range(d):
+        fa, sa = samples[a]
         for b in range(a + 1, d):
-            for sgn in (f.one, -f.one):
-                v = vec_add(basis[a], vec_scale(sgn, basis[b]))
-                if vec_is_zero(g.bracket(v, v)):
-                    return certify_isotropic(g, v)
-    # quadratic slices: [f_a + t f_b, f_a + t f_b] = S_a + 2t B_ab + t^2 S_b
-    for a in range(d):
-        for b in range(d):
-            if a == b:
-                continue
-            cross = g.bracket(basis[a], basis[b])
-            polys = []
-            for k in range(g.dim):
-                coeffs = [squares[a][k], f.rat(2) * cross[k], squares[b][k]]
-                p = Poly(f, coeffs)
-                if not p.is_zero():
-                    polys.append(p)
-            if not polys:
-                continue   # whole slice isotropic; pairs above already caught it
+            fb, sb = samples[b]
+            cross = g.bracket(fa, fb)
+            polys = [p for p in (Poly(f, [sa[k], f.rat(2) * cross[k], sb[k]])
+                                 for k in range(g.dim)) if not p.is_zero()]
             gcd = polys[0]
             for p in polys[1:]:
                 gcd = gcd.gcd(p)
@@ -248,13 +238,12 @@ def find_isotropic_odd(g: LieSuperalgebra) -> ConeCertificate:
                     break
             if gcd.degree == 0:
                 continue
-            from .glinalg import roots_in_field
             roots, _ = roots_in_field(gcd)
             for t in sorted(roots, key=str):
                 if not t.is_real():
                     continue
-                v = vec_add(basis[a], vec_scale(t, basis[b]))
-                if not vec_is_zero(v) and vec_is_zero(g.bracket(v, v)):
+                v = vec_add(fa, vec_scale(t, fb))
+                if vec_is_zero(g.bracket(v, v)):
                     return certify_isotropic(g, v)
     return ConeCertificate(UNDETERMINED, details={"search": "basis, pairs, 2-dim slices"})
 
@@ -449,19 +438,17 @@ class StarReducedReport:
         return out
 
 
-def _odd_square_samples(g: LieSuperalgebra) -> list[tuple[str, Vector]]:
-    odd_idx = list(g.space.odd_indices())
-    basis = [g.basis_vector(i) for i in odd_idx]
-    samples = []
+def _odd_square_samples(g: LieSuperalgebra) -> Iterator[tuple[str, Vector, Vector]]:
+    """(label, X, [X, X]) for the odd basis vectors f_a, then f_a + f_b and
+    f_a - f_b for a < b; lazily, so that a search stops at its first hit."""
+    basis = [g.basis_vector(i) for i in g.space.odd_indices()]
     for t, v in enumerate(basis):
-        samples.append((f"f{t}", g.bracket(v, v)))
+        yield f"f{t}", v, g.bracket(v, v)
     for a in range(len(basis)):
         for b in range(a + 1, len(basis)):
-            v = vec_add(basis[a], basis[b])
-            samples.append((f"f{a}+f{b}", g.bracket(v, v)))
-            w = vec_add(basis[a], vec_scale(-g.field.one, basis[b]))
-            samples.append((f"f{a}-f{b}", g.bracket(w, w)))
-    return samples
+            for sign, w in (("+", basis[b]), ("-", vec_scale(-g.field.one, basis[b]))):
+                v = vec_add(basis[a], w)
+                yield f"f{a}{sign}f{b}", v, g.bracket(v, v)
 
 
 def _root_square_vectors(g: LieSuperalgebra, datum) -> list[Vector]:
@@ -502,12 +489,10 @@ def star_reduced_report(g: LieSuperalgebra, bound: int = 3, cap: int = 2000,
     k0 = _cartan.compact_cartan_even(g, bound=bound)
     datum = None
     if k0 is not None:
-        cd = _cartan.cartan_subsuperalgebra(g, k0)
-        if cd.compactly_embedded is True:
-            try:
-                datum = _cartan.root_decomposition(g, cd)
-            except Undetermined as exc:
-                notes.append(f"root decomposition unavailable: {exc}")
+        try:
+            datum = _cartan.root_decomposition(g, _cartan.cartan_subsuperalgebra(g, k0))
+        except Undetermined as exc:
+            notes.append(f"root decomposition unavailable: {exc}")
     if datum is not None:
         hs = _root_square_vectors(g, datum)
         if hs:
@@ -523,7 +508,7 @@ def star_reduced_report(g: LieSuperalgebra, bound: int = 3, cap: int = 2000,
     if k0 is not None:
         P = _cartan.fixed_point_projection(g, k0)
         projected = []
-        for label, sq in _odd_square_samples(g):
+        for label, _, sq in _odd_square_samples(g):
             pv = P.apply(sq[:g.space.even_dim])
             if not vec_is_zero(pv):
                 projected.append((label, pv))

@@ -272,8 +272,6 @@ class Scalar:
         """i -> -i (complex conjugation of the tower)."""
         return Scalar(self.field, self.a, -self.b, self.c, -self.e)
 
-    conjugate = conjugate_i
-
     def conjugate_sqrt(self) -> "Scalar":
         """sqrt(d) -> -sqrt(d)."""
         return Scalar(self.field, self.a, self.b, -self.c, -self.e)
@@ -461,16 +459,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return Poly(self.field, [x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + Poly(self.field, [-c for c in other.coeffs])
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero() or other.is_zero():

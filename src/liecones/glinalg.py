@@ -220,9 +220,6 @@ class Matrix:
     def __hash__(self):
         return hash((self.field.tag, self.rows))
 
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
-
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.rows)
 
@@ -231,9 +228,6 @@ class Matrix:
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return Matrix(self.field, [vec_sub(r, s) for r, s in zip(self.rows, other.rows, strict=True)])
-
-    def __neg__(self) -> "Matrix":
-        return self.scale(-self.field.one)
 
     def scale(self, s: Scalar) -> "Matrix":
         return Matrix(self.field, [vec_scale(s, r) for r in self.rows])
@@ -587,10 +581,6 @@ class Subspace:
         """Non-pivot coordinates; the matching unit vectors complete the basis."""
         pivset = set(self.pivots)
         return tuple(j for j in range(self.ambient.dim) if j not in pivset)
-
-    def promote(self, fld: Field, ambient: GradedSpace | None = None) -> "Subspace":
-        return Subspace(fld, ambient or self.ambient,
-                        [tuple(x.promote(fld) for x in r) for r in self.rows])
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.ambient.dim})"

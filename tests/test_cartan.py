@@ -11,7 +11,7 @@ from liecones.cartan import (
     normalizer, root_decomposition,
 )
 from liecones.glinalg import Matrix
-from liecones.lsa import LieSuperalgebra
+from liecones.lsa import LieSuperalgebra, check_axioms
 
 
 def test_candidate_vectors_deterministic():
@@ -104,6 +104,24 @@ def test_is_compactly_embedded_examples(corpus):
     split = sl2.subspace([sl2.basis_vector(0)])
     assert is_compactly_embedded(sl2, split) is False
     assert is_compactly_embedded(sl2, sl2.subspace([])) is True
+
+
+def test_non_abelian_k0_reaches_the_sampled_combinations(algebra):
+    """Every basis row passes the spectral test, so the verdict comes from
+    the sampled combinations: in sl(2,R) with the elliptic basis K = E - F,
+    P = H + 2E - 2F, R = H + E - 3F the sample K - R = -H + 2F is split;
+    in su(2) every sample passes and the verdict stays UNDETERMINED."""
+    sl2 = LieSuperalgebra.from_table(
+        "sl(2,R) elliptic", QQ, ["K", "P", "R"], [],
+        {("K", "P"): {"P": -2, "R": 2}, ("K", "R"): {"K": 4, "P": -4, "R": 2},
+         ("P", "R"): {"K": 6, "P": -4}})
+    su2 = algebra("su(2)")
+    for g in (sl2, su2):
+        assert check_axioms(g).all_ok
+        assert all(cartan._spectrum_purely_imaginary_semisimple(g, b) is True
+                   for b in g.even_subspace.rows)
+    assert is_compactly_embedded(sl2, sl2.even_subspace) is False
+    assert is_compactly_embedded(su2, su2.even_subspace) == "UNDETERMINED"
 
 
 def test_compactly_embedded_in_super_not_just_even(algebra):

@@ -393,6 +393,7 @@ MALFORMED_RUNS = [
     (["hwm", "--catalog", "osp(1|2)", "--x0", "1", "--cap", "-5"],
      "--budget and --cap must be >= 0"),
     (["validate", "--bogus"], "unrecognized arguments: --bogus"),
+    (["validate", "--catalog", "su(2)", "--cap", "5"], "unrecognized arguments: --cap 5"),
     (["roots", "--catalog", "su(2)", "--budget", "x"], "argument --budget: invalid int value: 'x'"),
     (["polarize", "--catalog", "h(1)"], "the following arguments are required: --lambda"),
 ]

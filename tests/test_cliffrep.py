@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from liecones.exactnum import QQ, QQ_I, Field, InputError, Scalar
+from liecones import cliffrep
+from liecones.exactnum import QQ, QQ_I, Field, InputError, Scalar, Undetermined
 from liecones.glinalg import Matrix
 from liecones.catalog import build
 from liecones.cliffrep import (
-    MatrixRep, classify_heisenberg_clifford, clifford_module,
+    MatrixRep, _contains_invertible, classify_heisenberg_clifford, clifford_module,
     equivalent, gamma_matrices, heisenberg_clifford_shape, parity_change,
     verify_rep,
 )
@@ -135,6 +136,16 @@ def test_equivalence_parity_pairs():
     assert equivalent(rep, rep)
     rep3 = clifford_module(3, [2, 2, 2])
     assert equivalent(rep3, parity_change(rep3), allow_parity=True)
+
+
+def test_pencil_grid_finds_an_invertible_combination(monkeypatch):
+    """diag(1, 0) and diag(0, 1) are singular and their sum is not: the grid
+    finds it, and a budget below the grid point (1, 1) raises Undetermined."""
+    mats = [Matrix(QQ, [[1, 0], [0, 0]]), Matrix(QQ, [[0, 0], [0, 1]])]
+    assert _contains_invertible(mats) is True
+    monkeypatch.setattr(cliffrep, "PENCIL_BUDGET", 3)
+    with pytest.raises(Undetermined):
+        _contains_invertible(mats)
 
 
 def test_equivalence_is_equivalence_relation():

@@ -13,7 +13,7 @@ from liecones.cones import (
     is_positive_definite, is_positive_semidefinite, leading_principal_minors,
     nilpotent_vanishing_ideal, odd_square, star_reduced_report,
 )
-from liecones.lsa import grassmann_extend, nilpotency_class, quotient
+from liecones.lsa import LieSuperalgebra, grassmann_extend, nilpotency_class, quotient
 
 
 def test_odd_square_examples(algebra):
@@ -80,6 +80,17 @@ def test_find_pd_functional_examples(algebra):
     assert cert.status == "POINTED_CERTIFIED"
 
 
+def test_hill_climb_certifies_what_the_scan_misses():
+    """With [f1, f1] = Z1 and [f2, f2] = Z2 the scan of cap 2 sees only
+    lambda = (1, 0) and (0, 1), both singular; the climb from (1, 0)
+    reaches (1, 1)."""
+    g = LieSuperalgebra.from_table("cl(2)", QQ, ["Z1", "Z2"], ["f1", "f2"],
+                                   {("f1", "f1"): {"Z1": 1}, ("f2", "f2"): {"Z2": 1}})
+    cert = find_pd_functional(g, bound=1, cap=2)
+    assert cert.status == "POINTED_CERTIFIED" and cert.lam == (QQ.one, QQ.one)
+    assert find_pd_functional(g, bound=1, cap=2, hill_steps=0).status == "UNDETERMINED"
+
+
 def test_certify_pointed_reverifies(algebra):
     cl = algebra("cl(1|2,+-)")
     with pytest.raises(InputError):
@@ -104,7 +115,6 @@ def test_find_isotropic_examples(algebra):
 
 def test_isotropic_quadratic_slice():
     # [f1,f1] = 4Z, [f2,f2] = -1Z: f1 + 2 f2 is isotropic, found on the slice
-    from liecones.lsa import LieSuperalgebra
     g = LieSuperalgebra.from_table(
         "slice", QQ, ["Z"], ["f1", "f2"],
         {("f1", "f1"): {"Z": 4}, ("f2", "f2"): {"Z": -1}})

@@ -1489,3 +1489,109 @@ def test_rational_root_multiplicities_match_trial_division(fld, lead, linear, qu
     assert (roots, leftover) == oracle_roots_in_field(p)
     assert {a: m for a, m in roots.items() if a.is_rational()} == want
     assert sum(roots.values()) + (leftover.degree if leftover else 0) == p.degree
+
+
+# ---------------------------------------------------------------------------
+# the sample-driven isotropic search against the three-stage search it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_isotropic(g: LieSuperalgebra) -> tuple[str, tuple | None]:
+    """(status, witness) of the search over basis squares, then f_a +- f_b,
+    then the slices f_a + t f_b over every ordered pair a != b."""
+    f, d = g.field, g.space.odd_dim
+    if d == 0:
+        return cones.UNDETERMINED, None
+    basis = [g.basis_vector(i) for i in g.space.odd_indices()]
+    squares = [g.bracket(v, v) for v in basis]
+    for v, sq in zip(basis, squares):
+        if not any(sq):
+            return cones.ISOTROPIC_FOUND, v
+    for a in range(d):
+        for b in range(a + 1, d):
+            for sgn in (f.one, -f.one):
+                v = vec_add(basis[a], vec_scale(sgn, basis[b]))
+                if not any(g.bracket(v, v)):
+                    return cones.ISOTROPIC_FOUND, v
+    for a in range(d):
+        for b in range(d):
+            if a == b:
+                continue
+            cross = g.bracket(basis[a], basis[b])
+            polys = [p for p in (Poly(f, [squares[a][k], f.rat(2) * cross[k], squares[b][k]])
+                                 for k in range(g.dim)) if not p.is_zero()]
+            if not polys:
+                continue
+            gcd = polys[0]
+            for p in polys[1:]:
+                gcd = gcd.gcd(p)
+            if gcd.degree == 0:
+                continue
+            for t in sorted(roots_in_field(gcd)[0], key=str):
+                v = vec_add(basis[a], vec_scale(t, basis[b]))
+                if t.is_real() and any(v) and not any(g.bracket(v, v)):
+                    return cones.ISOTROPIC_FOUND, v
+    return cones.UNDETERMINED, None
+
+
+def random_odd_form(rng: random.Random, fld: Field) -> LieSuperalgebra:
+    """Central even part Z_0..Z_{m-1} and odd brackets [f_a, f_b] = sum c Z_k
+    with small coefficients, some in the tower; Jacobi holds trivially."""
+    m, d = rng.choice((1, 1, 2)), rng.randint(2, 4)
+    units = [fld.one] + [u for u in (fld.i if fld.has_i else None,
+                                     fld.sqrt if fld.d else None) if u is not None]
+    table = {}
+    for a in range(d):
+        for b in range(a, d):
+            out = {}
+            for k in range(m):
+                c = rng.choice((-3, -2, -1, 0, 0, 1, 2, 3))
+                if c:
+                    out[f"Z{k}"] = fld.rat(c) * rng.choice(units) if rng.random() < 0.2 \
+                        else fld.rat(c)
+            table[(f"f{a}", f"f{b}")] = out
+    return LieSuperalgebra.from_table("form", fld, [f"Z{k}" for k in range(m)],
+                                      [f"f{a}" for a in range(d)], table)
+
+
+def isotropic_inputs() -> list[LieSuperalgebra]:
+    """Catalog algebras, each also in two seeded signed-permuted bases,
+    Grassmann extensions and direct sums of small keys, and random odd forms
+    over Q, Q(i), Q(sqrt 2) and Q(i, sqrt 3)."""
+    out = []
+    for key in list_keys():
+        g = build(key).algebra
+        out.append(g)
+        rng = random.Random(f"isotropic:{key}")
+        e, n = g.space.even_dim, g.dim
+        for _ in range(2):
+            out.append(signed_permutation(
+                g, rng.sample(range(e), e) + rng.sample(range(e, n), n - e),
+                [rng.choice((1, -1)) for _ in range(n)]))
+    small = [build(k).algebra for k in ("cl(1|1,+)", "cl(1|1,-)", "cl(1|2,++)", "cl(1|2,+-)",
+                                         "h(1)", "osp(1|2)", "gl(1|1)", "n3super")]
+    out += [grassmann_extend(g, 1) for g in small]
+    out += [direct_sum(g, h) for g in small[:4] for h in small[:4]]
+    rng = random.Random("isotropic:forms")
+    out += [random_odd_form(rng, fld) for fld in (QQ, QQ_I, Q2, Field(True, 3))
+            for _ in range(60)]
+    return out
+
+
+def isotropic_stage(g: LieSuperalgebra, cert) -> str:
+    """Which stage gave the verdict: a basis vector, f_a +- f_b, f_a + t f_b
+    with t != 0, +-1, or none."""
+    if cert.isotropic is None:
+        return cert.details.get("search", cert.details.get("note"))
+    coords = [x for x in cert.isotropic if x]
+    return ("basis" if len(coords) == 1 else
+            "pair" if coords[1] in (g.field.one, -g.field.one) else "slice")
+
+
+def test_sample_driven_isotropic_search_matches_the_three_stage_search():
+    """Same status and witness on every input; the inputs reach every stage."""
+    stages = set()
+    for g in isotropic_inputs():
+        cert = cones.find_isotropic_odd(g)
+        assert (cert.status, cert.isotropic) == oracle_isotropic(g), g.name
+        stages.add(isotropic_stage(g, cert))
+    assert stages == {"basis", "pair", "slice", "basis, pairs, 2-dim slices", "no odd part"}

@@ -61,10 +61,13 @@ N5_GRID = "tests/test_differential.py::test_n5_grid_orbits_are_its_invariant_cla
 KERNEL = "tests/test_glinalg.py::test_kernel_matches_sympy_random"
 PARITY_ROOTS = "tests/test_differential.py::test_parity_block_roots_match_the_whole_space_split"
 MULTIPLICITIES = "tests/test_differential.py::test_rational_root_multiplicities_match_trial_division"
+ISOTROPIC = ("tests/test_differential.py::"
+             "test_sample_driven_isotropic_search_matches_the_three_stage_search")
 CLIFFREP = "src/liecones/cliffrep.py"
 EXACTNUM = "src/liecones/exactnum.py"
 HWM = "src/liecones/hwm.py"
 CARTAN = "src/liecones/cartan.py"
+CONES = "src/liecones/cones.py"
 GLINALG = "src/liecones/glinalg.py"
 LSA = "src/liecones/lsa.py"
 ORBITS = "src/liecones/orbits.py"
@@ -246,10 +249,22 @@ MUTANTS = (
            "s = [lin_comb(f, g.dim, sol, s) for sol in Matrix(f, [col]).kernel_basis()]",
            "pass",
            (f"{DEEP}[n6]",)),
-    Mutant("the root-space form without the conjugation", "src/liecones/cones.py",
+    Mutant("the root-space form without the conjugation", CONES,
            "[tuple(s.conjugate_i() for s in y) for y in basis]",
            "basis",
            (ROOT_FORMS,)),
+    Mutant("the slices stop one index early", CONES,
+           "for b in range(a + 1, d):",
+           "for b in range(a + 1, d - 1):",
+           (ISOTROPIC,)),
+    Mutant("the isotropic scan skips the pair samples", CONES,
+           "for _, v, sq in _odd_square_samples(g):",
+           "for _, v, sq in list(_odd_square_samples(g))[:d]:",
+           (ISOTROPIC,)),
+    Mutant("the slice cross term is not doubled", CONES,
+           "f.rat(2) * cross[k]",
+           "cross[k]",
+           (ISOTROPIC,)),
     Mutant("rank-0 functionals merged into one orbit", ORBITS,
            "orbits.extend(points.values())",
            "orbits.append(members)",
