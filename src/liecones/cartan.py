@@ -5,9 +5,10 @@ Compact embeddedness is certified spectrally, from one characteristic
 polynomial per element: with s the squarefree part of charpoly(ad(K)^2),
 ad(K) has purely imaginary spectrum iff every root of s is real and <= 0
 (Sturm counts), and is then semisimple iff the squarefree polynomial
-r(x) = s(x^2), or x (s/x)(x^2) when s(0) = 0, annihilates it.  A
-deterministic sample of integer combinations is added for non-abelian
-families.  The inner automorphism group is never materialized.
+r(x) = s(x^2), or x (s/x)(x^2) when s(0) = 0, annihilates it; a nonzero
+ad(K) with tr(ad(K)^2) >= 0 fails first.  Non-abelian families add a sample
+of integer combinations.  Each Cartan and compactness verdict is recorded on
+the algebra.  The inner automorphism group is never materialized.
 
 The regular-element scan stops once its answer is proved: at g0 itself when
 g0 is nilpotent, and, in the search for a compact Cartan subalgebra, once the
@@ -17,7 +18,9 @@ spectral test.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import wraps
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -57,6 +60,18 @@ def normalizer(g: LieSuperalgebra, h: Subspace) -> Subspace:
     return transporter(g, h.rows, g.full_space, h)
 
 
+def _recorded(test):
+    """test(g, s) recorded on g under (test, s.rows); a raise is not recorded."""
+    @wraps(test)
+    def recorded(g: LieSuperalgebra, s: Subspace) -> object:
+        key = (test.__name__, s.rows)
+        if key not in g.verdicts:
+            g.verdicts[key] = test(g, s)
+        return g.verdicts[key]
+    return recorded
+
+
+@_recorded
 def is_cartan_subalgebra_even(g: LieSuperalgebra, h0: Subspace) -> bool:
     """h0 <= g0 nilpotent and self-normalizing inside g0."""
     even = g.even_subspace
@@ -172,6 +187,9 @@ def _spectrum_purely_imaginary_semisimple(g: LieSuperalgebra, v: Vector) -> obje
     M = g.ad(v)
     if not all(c.is_rational() for r in M.rows for c in r):
         return UNDETERMINED
+    trace_sq = sum(x.a * M.rows[j][i].a for i, r in enumerate(M.rows) for j, x in enumerate(r) if x)
+    if trace_sq >= 0 and not M.is_zero():
+        return False
     sq = M * M
     s = sq.charpoly().squarefree_part()
     neg, zero, pos = real_root_signs(s)
@@ -186,6 +204,7 @@ def _spectrum_purely_imaginary_semisimple(g: LieSuperalgebra, v: Vector) -> obje
     return (r * M if k else r).is_zero()
 
 
+@_recorded
 def is_compactly_embedded(g: LieSuperalgebra, k0: Subspace) -> object:
     """Spectral certificate that k0 <= g0 is compactly embedded in g.
 
@@ -340,11 +359,9 @@ def _verify_root_datum(g: LieSuperalgebra, datum: RootDatum) -> None:
 
 def check_root_symmetry(values: Iterable[tuple[Scalar, ...]]) -> bool:
     """True iff the multiset of nonzero root values is closed under negation."""
-    from collections import Counter
-    nonzero = [tuple(str(x) for x in v) for v in values if any(v)]
-    neg = [tuple(str(-ss) for ss in v) for v in values if any(v)]
-    c1, c2 = Counter(nonzero), Counter(neg)
-    return c1 == c2
+    nonzero = [v for v in values if any(v)]
+    return (Counter(tuple(map(str, v)) for v in nonzero)
+            == Counter(tuple(str(-x) for x in v) for v in nonzero))
 
 
 # ---------------------------------------------------------------------------

@@ -209,25 +209,26 @@ def find_pd_functional(g: LieSuperalgebra, bound: int = 3, cap: int = 2000,
                                     "best_score": best_score, "odd_dim": d})
 
 
-def find_isotropic_odd(g: LieSuperalgebra) -> ConeCertificate:
+def find_isotropic_odd(g: LieSuperalgebra, samples: list | None = None) -> ConeCertificate:
     """Nonzero odd X with [X,X] = 0: the odd-square samples (basis vectors,
     then f_a +- f_b), then the 2-dim slices f_a + t f_b for a < b.  The slice
     through (b, a) adds nothing: its X = f_b + t f_a is f_b (t = 0), whose
-    square is a sample, or t (f_a + f_b / t), a root of the (a, b) slice."""
+    square is a sample, or t (f_a + f_b / t), a root of the (a, b) slice.
+    When given, the empty list samples gets each (label, X, [X, X]) read."""
     f = g.field
     d = g.space.odd_dim
     if d == 0:
         return ConeCertificate(UNDETERMINED, details={"note": "no odd part"})
-    samples = []
-    for _, v, sq in _odd_square_samples(g):
+    samples = [] if samples is None else samples
+    for label, v, sq in _odd_square_samples(g):
         if vec_is_zero(sq):
             return certify_isotropic(g, v)
-        samples.append((v, sq))
+        samples.append((label, v, sq))
     # quadratic slices: [f_a + t f_b, f_a + t f_b] = S_a + 2t B_ab + t^2 S_b, S_a != 0
     for a in range(d):
-        fa, sa = samples[a]
+        _, fa, sa = samples[a]
         for b in range(a + 1, d):
-            fb, sb = samples[b]
+            _, fb, sb = samples[b]
             cross = g.bracket(fa, fb)
             polys = [p for p in (Poly(f, [sa[k], f.rat(2) * cross[k], sb[k]])
                                  for k in range(g.dim)) if not p.is_zero()]
@@ -480,7 +481,8 @@ def star_reduced_report(g: LieSuperalgebra, bound: int = 3, cap: int = 2000,
     reasons: list = []
     notes: list = []
 
-    iso = find_isotropic_odd(g)
+    samples: list = []
+    iso = find_isotropic_odd(g, samples)
     if iso.status == ISOTROPIC_FOUND:
         reasons.append({"kind": "isotropic_odd",
                         "witness": [str(x) for x in iso.isotropic]})
@@ -508,7 +510,7 @@ def star_reduced_report(g: LieSuperalgebra, bound: int = 3, cap: int = 2000,
     if k0 is not None:
         P = _cartan.fixed_point_projection(g, k0)
         projected = []
-        for label, _, sq in _odd_square_samples(g):
+        for label, _, sq in samples:
             pv = P.apply(sq[:g.space.even_dim])
             if not vec_is_zero(pv):
                 projected.append((label, pv))

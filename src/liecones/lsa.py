@@ -11,7 +11,7 @@ A LieSuperalgebra is an immutable value: name, space, field and the
 read-only brackets are fixed at construction.  It owns its derived
 structure (the full, even and odd coordinate subspaces, the centre, both
 series, the even part as a subalgebra, the ad(e_j) basis, [g1, g1] and the
-Engel flag of g0 through it), each computed once, on first use.
+Engel flag of g0 through it, and recorded test verdicts), each computed once.
 
 One routine, transporter(g, acting, source, target) = {X in source :
 [a, X] in target for every a of acting}, answers the centre, the
@@ -126,27 +126,26 @@ class LieSuperalgebra:
         return densify(self.c(i, j), self.dim, self.field)
 
     def bracket(self, u: Vector, v: Vector) -> Vector:
+        br, sv = self.brackets, [(j, vj) for j, vj in enumerate(v) if vj]
         acc: SparseVec = {}
         for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                f = ui * vj
-                for k, s in self.c(i, j).items():
-                    t = acc.get(k)
-                    t = f * s if t is None else t + f * s
-                    if t:
-                        acc[k] = t
-                    elif k in acc:
-                        del acc[k]
+            if ui:
+                for j, vj in sv:
+                    out = br.get((i, j))
+                    if out is not None:
+                        f = ui * vj
+                        for k, s in out.items():
+                            acc[k] = acc[k] + f * s if k in acc else f * s
         return densify(acc, self.dim, self.field)
 
     def ad(self, v: Vector) -> Matrix:
-        cols = [self.bracket(v, unit_vector(self.field, self.dim, j))
-                for j in range(self.dim)]
-        return Matrix.from_cols(self.field, cols)
+        """ad(v)[k][j] = sum of v_i c(i, j)[k], over the nonzero constants only."""
+        rows = [[self.field.zero] * self.dim for _ in range(self.dim)]
+        for (i, j), out in self.brackets.items():
+            if v[i]:
+                for k, c in out.items():
+                    rows[k][j] += v[i] * c
+        return Matrix(self.field, rows)
 
     def basis_vector(self, i: int) -> Vector:
         return unit_vector(self.field, self.dim, i)
@@ -194,6 +193,11 @@ class LieSuperalgebra:
     def ad_basis(self) -> tuple[Matrix, ...]:
         """ad(e_j) for each basis vector; ad(v) is their combination by v."""
         return tuple(self.ad(self.basis_vector(j)) for j in range(self.dim))
+
+    @cached_property
+    def verdicts(self) -> dict:
+        """Verdicts of tests on subspaces of g by (test, rows); see cartan._recorded."""
+        return {}
 
     @cached_property
     def odd_square(self) -> Subspace:
@@ -371,11 +375,12 @@ def bracket_span(g: LieSuperalgebra, s1: Subspace, s2: Subspace) -> Subspace:
 def bracket_form(g: LieSuperalgebra, lam: Sequence[Scalar], left: Sequence[Vector],
                  right: Sequence[Vector]) -> Matrix:
     """[[lam([u, v]) for v in right] for u in left], lam read on the leading
-    len(lam) coordinates of a bracket: each entry sums a b c lam[m] over the
-    nonzero coordinates a of u and b of v and the nonzero constants c of
-    [e_i, e_j] at m."""
+    len(lam) coordinates of a bracket: each entry sums a b t_ij over the
+    nonzero coordinates a of u and b of v, where t_ij = lam([e_i, e_j]) =
+    sum of c(i, j)[m] lam[m] is contracted once per call, on first use."""
     k, zero = len(lam), g.field.zero
     supports = [[(j, b) for j, b in enumerate(v) if b] for v in right]
+    contracted: dict[tuple[int, int], Scalar] = {}
     rows = []
     for u in left:
         su = [(i, a) for i, a in enumerate(u) if a]
@@ -384,9 +389,15 @@ def bracket_form(g: LieSuperalgebra, lam: Sequence[Scalar], left: Sequence[Vecto
             acc = zero
             for i, a in su:
                 for j, b in sv:
-                    for m, c in g.c(i, j).items():
-                        if m < k and lam[m]:
-                            acc = acc + a * b * c * lam[m]
+                    if (i, j) not in contracted:
+                        t = zero
+                        for m, c in g.c(i, j).items():
+                            if m < k and lam[m]:
+                                t = t + c * lam[m] if t else c * lam[m]
+                        contracted[i, j] = t
+                    t = contracted[i, j]
+                    if t:
+                        acc = acc + a * b * t if acc else a * b * t
             row.append(acc)
         rows.append(row)
     return Matrix(g.field, rows)

@@ -184,6 +184,7 @@ def test_check_root_symmetry():
     assert not check_root_symmetry([a, na, b])
     assert check_root_symmetry([])
     assert check_root_symmetry([(QQ.zero,)])     # zero root ignored
+    assert check_root_symmetry(iter([a, na]))     # an iterator is read once
 
 
 def test_fixed_point_projection_trivial(algebra):

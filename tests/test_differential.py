@@ -1,11 +1,12 @@
 """Differential tests: each shortcut in the orbit classification, the Clifford
 verifier, the zero-skipping kernels, the sparse tower product, the rational
-scalar path, the unit-lead elimination, the even Cartan scan, the
-graded-commutant solve, the derivation equations, the transporter solve and
-the bracket-form routine against a plain dense, pairwise, exhaustive or
-entry-by-entry formula written here, against the code a shortcut replaced,
-against the generic tower path, or against the standalone call it stands in
-for."""
+scalar path, the unit-lead elimination, the even Cartan scan, the trace
+prefilter of the spectral test, the graded-commutant solve, the derivation
+equations, the transporter solve, the bracket-form routine, bracket and ad
+over the nonzero constants and the recorded Cartan verdicts against a plain
+dense, pairwise, exhaustive or entry-by-entry formula written here, against
+the code a shortcut replaced, against the generic tower path, or against the
+standalone call it stands in for."""
 
 import random
 from fractions import Fraction
@@ -730,17 +731,18 @@ def exhaustive_cartans(g: LieSuperalgebra, bound: int, cap: int):
         h0 = Subspace(fld, g.space, [r + (fld.zero,) * g.space.odd_dim for r in nil.rows])
         if h0.rows not in seen:
             seen.add(h0.rows)
-            if cartan.is_cartan_subalgebra_even(g, h0):
+            if cartan.is_cartan_subalgebra_even.__wrapped__(g, h0):
                 yield y, h0
 
 
 def exhaustive_compact_cartan(g: LieSuperalgebra, bound: int, cap: int):
     """The first of at most 40 scanned Cartan subalgebras that certifies
-    compactly embedded, or None."""
+    compactly embedded, or None; both tests run afresh, not read from the
+    verdicts the scan recorded on g."""
     for found, (_, h0) in enumerate(exhaustive_cartans(g, bound, cap)):
         if found == 40:
             break
-        if cartan.is_compactly_embedded(g, h0) is True:
+        if cartan.is_compactly_embedded.__wrapped__(g, h0) is True:
             return h0
     return None
 
@@ -817,6 +819,26 @@ def oracle_spectral(g: LieSuperalgebra, v) -> object:
     s = (M * M).charpoly().squarefree_part()
     neg, zero, pos = real_root_signs(s)
     return pos == 0 and neg + zero + pos == s.degree
+
+
+def unfiltered_spectral(g: LieSuperalgebra, v) -> object:
+    """The spectral test as it was before the tr((ad v)^2) prefilter: Sturm
+    counts on s, the squarefree part of charpoly(ad(v)^2), then r(ad v) = 0."""
+    M = g.ad(v)
+    if not all(c.is_rational() for r in M.rows for c in r):
+        return cartan.UNDETERMINED
+    sq = M * M
+    s = sq.charpoly().squarefree_part()
+    neg, zero, pos = real_root_signs(s)
+    if pos or neg + zero != s.degree:
+        return False
+    t, k = s.shift_out_root_zero()
+    r = Matrix.identity(g.field, M.nrows)
+    for c in reversed(t.coeffs[:-1]):
+        r = r * sq
+        r = Matrix(g.field, [row[:i] + (row[i] + c,) + row[i + 1:]
+                             for i, row in enumerate(r.rows)])
+    return (r * M if k else r).is_zero()
 
 
 @pytest.mark.parametrize("key", sorted(SCAN_ALGEBRAS))
@@ -902,22 +924,56 @@ def conjugated_block_matrices(draw) -> tuple[Matrix, bool]:
     return P * Matrix(QQ, B) * P.inverse(), all(ok for _, ok in blocks)
 
 
+def acting_on(M: Matrix) -> LieSuperalgebra:
+    """R v |x Q^n with [v, x] = M x, so that ad(v) = 0 (+) M."""
+    n = M.nrows
+    names = [f"X{i}" for i in range(n)]
+    return LieSuperalgebra.from_table("Rv|xQ^n", QQ, ["V"] + names, [], {
+        ("V", names[j]): {names[i]: M.rows[i][j] for i in range(n)} for j in range(n)})
+
+
 @settings(max_examples=80, deadline=None)
 @given(conjugated_block_matrices())
 @example((Matrix(QQ, block_diagonal([[[0]], [[0, -1], [1, 0]], [[0, 1], [-1, 0]]])), True))
 @example((Matrix(QQ, [[1, -1], [1, 1]]), False))
+@example((Matrix(QQ, block_diagonal([[[0, 1], [1, 0]], [[0, -2], [2, 0]]])), False))
+@example((Matrix(QQ, block_diagonal([[[1, -1], [1, 1]], [[0, -3], [3, 0]]])), False))
 def test_spectral_certificate_on_conjugated_block_matrices(case):
-    """ad(v) = 0 (+) M on R v |x Q^n with [v, x] = M x.  The first example
-    repeats an eigenvalue of M^2 and has s(0) = 0; in the second, M^2 has
-    the eigenvalues +-2i, off the real line."""
+    """ad(v) = 0 (+) M.  The first example repeats an eigenvalue of M^2 and
+    has s(0) = 0; in the second, M^2 has the eigenvalues +-2i, off the real
+    line.  The last two have tr(M^2) < 0, so the trace prefilter passes them
+    on: s = x (x - 1)(x + 4) has a positive root, and s = x (x^2 + 4)(x + 9)
+    has two roots off the real line."""
     M, expected = case
-    n = M.nrows
-    names = [f"X{i}" for i in range(n)]
-    g = LieSuperalgebra.from_table("Rv|xQ^n", QQ, ["V"] + names, [], {
-        ("V", names[j]): {names[i]: M.rows[i][j] for i in range(n)} for j in range(n)})
+    g = acting_on(M)
     v = g.basis_vector(0)
     assert cartan._spectrum_purely_imaginary_semisimple(g, v) is expected
     assert oracle_spectral(g, v) is expected
+
+
+@st.composite
+def rational_matrices(draw) -> Matrix:
+    """Dense n x n matrices with entries p/q, p in -3..3 and q in 1..3."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    entries = st.builds(Fraction, st.integers(min_value=-3, max_value=3),
+                        st.integers(min_value=1, max_value=3))
+    return Matrix(QQ, draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                    min_size=n, max_size=n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(conjugated_block_matrices().map(lambda case: case[0]), rational_matrices()))
+@example(Matrix(QQ, [[0, -1], [1, 0]]))
+@example(Matrix(QQ, [[0, 1], [0, 0]]))
+@example(Matrix(QQ, [[0, 1], [1, 0]]))
+def test_trace_prefilter_keeps_the_unfiltered_verdicts(M):
+    """The prefilter returns False only where the full test does, on random
+    rational block matrices and dense rational matrices.  The examples have
+    tr(M^2) = -2, 0 and 2: a rotation passes, a nilpotent and a symmetric
+    M fail."""
+    g = acting_on(M)
+    v = g.basis_vector(0)
+    assert cartan._spectrum_purely_imaginary_semisimple(g, v) is unfiltered_spectral(g, v)
 
 
 # ---------------------------------------------------------------------------
@@ -1588,10 +1644,121 @@ def isotropic_stage(g: LieSuperalgebra, cert) -> str:
 
 
 def test_sample_driven_isotropic_search_matches_the_three_stage_search():
-    """Same status and witness on every input; the inputs reach every stage."""
+    """Same status and witness on every input; the inputs reach every stage.
+    A search that finds no zero square hands on every sample, in order."""
     stages = set()
     for g in isotropic_inputs():
-        cert = cones.find_isotropic_odd(g)
+        samples: list = []
+        cert = cones.find_isotropic_odd(g, samples)
         assert (cert.status, cert.isotropic) == oracle_isotropic(g), g.name
+        if cert.isotropic is None:
+            assert samples == list(cones._odd_square_samples(g)), g.name
         stages.add(isotropic_stage(g, cert))
     assert stages == {"basis", "pair", "slice", "basis, pairs, 2-dim slices", "no odd part"}
+
+
+def test_star_reduced_reads_the_samples_the_isotropic_search_walked(monkeypatch):
+    """On the projected-hull route of sq(1,1) the odd squares are built once."""
+    walks = []
+    samples_of = cones._odd_square_samples
+    monkeypatch.setattr(cones, "_odd_square_samples", lambda g: walks.append(g) or samples_of(g))
+    report = cones.star_reduced_report(build("sq(1,1)").algebra)
+    assert report.certificate.details == {"route": "projected_square_hull"}
+    assert len(walks) == 1
+
+
+# ---------------------------------------------------------------------------
+# bracket and ad over the nonzero constants against the dense loops
+# ---------------------------------------------------------------------------
+
+def dense_bracket(g: LieSuperalgebra, u, v) -> tuple:
+    """[u, v] by the loop over every pair of coordinates."""
+    acc = [g.field.zero] * g.dim
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            if ui and vj:
+                for k, s in g.c(i, j).items():
+                    acc[k] = acc[k] + ui * vj * s
+    return tuple(acc)
+
+
+def dense_ad(g: LieSuperalgebra, v) -> Matrix:
+    """ad(v) column by column: [v, e_j] by the dense loop."""
+    return Matrix.from_cols(g.field, [dense_bracket(g, v, g.basis_vector(j))
+                                      for j in range(g.dim)])
+
+
+def over(g: LieSuperalgebra, fld: Field) -> LieSuperalgebra:
+    """g with its constants promoted to the tower fld."""
+    return LieSuperalgebra(g.name, g.space, fld, {p: {k: s.promote(fld) for k, s in out.items()}
+                                                  for p, out in g.brackets.items()})
+
+
+def random_vector(rng: random.Random, fld: Field, n: int) -> tuple:
+    """About half the coordinates zero; the others p/q with every coordinate
+    of the tower drawn."""
+    def coord(on):
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if on else 0
+    return tuple(fld.new(coord(True), coord(fld.has_i), coord(fld.d), coord(fld.has_i and fld.d))
+                 if rng.random() < 0.5 else fld.zero for _ in range(n))
+
+
+BRACKET_TOWERS = (QQ, QQ_I, Q2, Field(True, 3))
+
+
+@pytest.mark.parametrize("key", sorted(SCAN_ALGEBRAS))
+def test_bracket_and_ad_match_the_dense_loops(key):
+    """The catalog keys, direct sums and Grassmann extensions, each also in a
+    signed permutation of its basis and complexified, at random vectors over
+    every tower of Q, Q(i), Q(sqrt 2) and Q(i, sqrt 3) that extends its own."""
+    g, rng = SCAN_ALGEBRAS[key], random.Random(f"bracket:{key}")
+    e, n = g.space.even_dim, g.dim
+    shuffled = signed_permutation(g, rng.sample(range(e), e) + rng.sample(range(e, n), n - e),
+                                  [rng.choice((1, -1)) for _ in range(n)])
+    for h in (g, shuffled, g.complexify()):
+        for fld in BRACKET_TOWERS:
+            if not fld.extends(h.field):
+                continue
+            a = over(h, fld)
+            for _ in range(2):
+                u, v = random_vector(rng, fld, n), random_vector(rng, fld, n)
+                assert a.bracket(u, v) == dense_bracket(a, u, v)
+                assert a.ad(u) == dense_ad(a, u)
+    assert g.ad_basis == tuple(dense_ad(g, g.basis_vector(j)) for j in range(n))
+
+
+# ---------------------------------------------------------------------------
+# recorded Cartan and compactness verdicts against fresh ones
+# ---------------------------------------------------------------------------
+
+def test_recorded_verdicts_are_per_algebra_and_subspace(monkeypatch):
+    """After the scan certifies h0, cartan_subsuperalgebra and the fixed-point
+    projection make no spectral test on the same algebra, yet a non-Cartan
+    subspace is still refused and a second algebra object with the same
+    constants recomputes the same verdicts.  An input that raises is not
+    recorded."""
+    su = build("su(1,1|1,1)").algebra
+    g = LieSuperalgebra(su.name, su.space, su.field, su.brackets)
+    h0 = cartan.compact_cartan_even(g)
+    spectral = cartan._spectrum_purely_imaginary_semisimple
+    calls = []
+    monkeypatch.setattr(cartan, "_spectrum_purely_imaginary_semisimple",
+                        lambda *a: calls.append(a[0]) or spectral(*a))
+    data = cartan.cartan_subsuperalgebra(g, h0)
+    cartan.fixed_point_projection(g, h0)
+    assert data.compactly_embedded is True and calls == []
+    line = g.subspace([h0.rows[0]])
+    with pytest.raises(InputError):
+        cartan.cartan_subsuperalgebra(g, line)
+    with pytest.raises(InputError):
+        cartan.cartan_subsuperalgebra(g, g.even_subspace)
+    odd = g.subspace([g.basis_vector(g.space.even_dim)])
+    recorded = dict(g.verdicts)
+    with pytest.raises(InputError):
+        cartan.is_compactly_embedded(g, odd)
+    assert g.verdicts == recorded
+    twin = LieSuperalgebra(su.name, su.space, su.field, su.brackets)
+    assert twin.verdicts == {}
+    assert cartan.cartan_subsuperalgebra(twin, h0) == data
+    assert calls and set(calls) == {twin}
+    assert twin.verdicts == {key: g.verdicts[key] for key in twin.verdicts}

@@ -63,6 +63,9 @@ PARITY_ROOTS = "tests/test_differential.py::test_parity_block_roots_match_the_wh
 MULTIPLICITIES = "tests/test_differential.py::test_rational_root_multiplicities_match_trial_division"
 ISOTROPIC = ("tests/test_differential.py::"
              "test_sample_driven_isotropic_search_matches_the_three_stage_search")
+TRACE = "tests/test_differential.py::test_trace_prefilter_keeps_the_unfiltered_verdicts"
+RECORD = "tests/test_differential.py::test_recorded_verdicts_are_per_algebra_and_subspace"
+DENSE = "tests/test_differential.py::test_bracket_and_ad_match_the_dense_loops"
 CLIFFREP = "src/liecones/cliffrep.py"
 EXACTNUM = "src/liecones/exactnum.py"
 HWM = "src/liecones/hwm.py"
@@ -142,11 +145,23 @@ MUTANTS = (
     Mutant("the Sturm sign test dropped", CARTAN,
            "if pos or neg + zero != s.degree:",
            "if neg + zero + pos != s.degree:",
-           (SPECTRAL, BLOCKS)),
+           (BLOCKS,)),
     Mutant("the Sturm count of real roots dropped", CARTAN,
            "if pos or neg + zero != s.degree:",
            "if pos:",
            (BLOCKS,)),
+    Mutant("the trace prefilter rejects tr((ad v)^2) <= 0", CARTAN,
+           "if trace_sq >= 0 and not M.is_zero():",
+           "if trace_sq <= 0 and not M.is_zero():",
+           (SPECTRAL, BLOCKS, TRACE)),
+    Mutant("a verdict recorded without the rows of its subspace", CARTAN,
+           "key = (test.__name__, s.rows)",
+           "key = (test.__name__,)",
+           (RECORD,)),
+    Mutant("ad writes entry [j][k] for [k][j]", LSA,
+           "rows[k][j] += v[i] * c",
+           "rows[j][k] += v[i] * c",
+           (DENSE, EXP, TRANSPORTER)),
     Mutant("a negative --cap accepted", "src/liecones/cli.py",
            "if args.budget < 0 or args.cap < 0:",
            "if args.budget < 0:",
@@ -237,8 +252,8 @@ MUTANTS = (
            "for m, c in g.c(j, i).items():",
            (BRACKET_FORM, BRACKET_FORM_HC)),
     Mutant("the bracket form drops the coefficients of u", LSA,
-           "acc = acc + a * b * c * lam[m]",
-           "acc = acc + b * c * lam[m]",
+           "acc = acc + a * b * t if acc else a * b * t",
+           "acc = acc + b * t if acc else b * t",
            (BRACKET_FORM, BRACKET_FORM_HC)),
     Mutant("the normal-form step moves with the wrong sign", ORBITS,
            "t = -functional_value(cur, y[:e]) / col[k]",
@@ -258,8 +273,8 @@ MUTANTS = (
            "for b in range(a + 1, d - 1):",
            (ISOTROPIC,)),
     Mutant("the isotropic scan skips the pair samples", CONES,
-           "for _, v, sq in _odd_square_samples(g):",
-           "for _, v, sq in list(_odd_square_samples(g))[:d]:",
+           "for label, v, sq in _odd_square_samples(g):",
+           "for label, v, sq in list(_odd_square_samples(g))[:d]:",
            (ISOTROPIC,)),
     Mutant("the slice cross term is not doubled", CONES,
            "f.rat(2) * cross[k]",
