@@ -1,14 +1,16 @@
 """Cartan subalgebras and subsuperalgebras, compact-embeddedness certificates,
 root decompositions, and the fixed-point projection.
 
-Compact embeddedness is certified spectrally, from one characteristic
-polynomial per element: with s the squarefree part of charpoly(ad(K)^2),
-ad(K) has purely imaginary spectrum iff every root of s is real and <= 0
-(Sturm counts), and is then semisimple iff the squarefree polynomial
-r(x) = s(x^2), or x (s/x)(x^2) when s(0) = 0, annihilates it; a nonzero
-ad(K) with tr(ad(K)^2) >= 0 fails first.  Non-abelian families add a sample
-of integer combinations.  Each Cartan and compactness verdict is recorded on
-the algebra.  The inner automorphism group is never materialized.
+Compact embeddedness is certified spectrally, one characteristic polynomial
+per diagonal block B of ad(K): ad of an even element preserves g0 and g1, and
+passes when each block does.  With s the squarefree part of charpoly(B^2), B
+has purely imaginary spectrum iff every root of s is real and <= 0 (Sturm
+counts), and is then semisimple iff the squarefree polynomial r(x) = s(x^2),
+or x (s/x)(x^2) when s(0) = 0, annihilates it; a nonzero B with
+tr(B^2) >= 0 fails first.  Non-abelian families add a sample of integer
+combinations.  Each Cartan and compactness verdict is recorded on the
+algebra.  The Fitting null component, like the root engine, is also found
+block by block.  The inner automorphism group is never materialized.
 
 The regular-element scan stops once its answer is proved: at g0 itself when
 g0 is nilpotent, and, in the search for a compact Cartan subalgebra, once the
@@ -42,17 +44,27 @@ MAX_CANDIDATES = 40                 # scanned Cartan subalgebras compact_cartan_
 # ---------------------------------------------------------------------------
 
 def fitting_null(g: LieSuperalgebra, w0: Subspace) -> Subspace:
-    """Joint generalized 0-eigenspace of ad(W) over a basis of the even w0."""
+    """Joint generalized 0-eigenspace of ad(W) over a basis of the even w0:
+    each ad(w) preserves g0 and g1, so its part in each is the kernel of the
+    k-th power of that k x k diagonal block."""
     if w0.rows and not g.even_subspace.contains_subspace(w0):
         raise InputError("fitting_null needs an even subspace")
     cur = g.full_space
-    n = g.dim
     for w in w0.rows:
-        K = kernel(g.ad(w).power(n), g.space)
-        cur = cur.intersect(K)
+        cur = cur.intersect(g.subspace(
+            pad_lo + r + pad_hi for pad_lo, B, pad_hi in _parity_blocks(g, g.ad(w))
+            for r in B.power(B.nrows).kernel_basis()))
     if not is_subalgebra(g, cur):
         raise InvariantViolation("Fitting null component is not a subalgebra")  # pragma: no cover
     return cur
+
+
+def _parity_blocks(g: LieSuperalgebra, M: Matrix) -> list[tuple[Vector, Matrix, Vector]]:
+    """(zeros before, block, zeros after) for the nonempty g0 and g1 diagonal
+    blocks of M, which ad of an even element preserves."""
+    n, e, z = g.dim, g.space.even_dim, g.field.zero
+    return [((z,) * lo, Matrix(M.field, [r[lo:hi] for r in M.rows[lo:hi]]), (z,) * (n - hi))
+            for lo, hi in ((0, e), (e, n)) if lo < hi]
 
 
 def normalizer(g: LieSuperalgebra, h: Subspace) -> Subspace:
@@ -177,16 +189,21 @@ def cartan_subsuperalgebra(g: LieSuperalgebra, h0: Subspace) -> CartanData:
 # ---------------------------------------------------------------------------
 
 def _spectrum_purely_imaginary_semisimple(g: LieSuperalgebra, v: Vector) -> object:
-    """True/False/UNDETERMINED for one element: ad(v) semisimple with
-    spectrum in iR, certified by Sturm counts on rational data.
-
-    Let M = ad(v) and s the squarefree part of charpoly(M^2).  The spectrum
-    of M is imaginary iff every root of s is real and <= 0.  Then r(x) =
-    s(x^2), or x (s/x)(x^2) when s(0) = 0, is squarefree, and every
-    eigenvalue of M is a root of r, so M is semisimple iff r(M) = 0."""
+    """True/False/UNDETERMINED for one even element: ad(v) semisimple with
+    spectrum in iR, certified by Sturm counts on rational data.  ad(v)
+    preserves g0 and g1, so it passes exactly when both diagonal blocks do."""
     M = g.ad(v)
     if not all(c.is_rational() for r in M.rows for c in r):
         return UNDETERMINED
+    return all(_imaginary_semisimple(B) for _, B, _ in _parity_blocks(g, M))
+
+
+def _imaginary_semisimple(M: Matrix) -> bool:
+    """The rational M is semisimple with spectrum in iR.  Let s be the
+    squarefree part of charpoly(M^2).  The spectrum of M is imaginary iff
+    every root of s is real and <= 0.  Then r(x) = s(x^2), or x (s/x)(x^2)
+    when s(0) = 0, is squarefree, and every eigenvalue of M is a root of r,
+    so M is semisimple iff r(M) = 0."""
     trace_sq = sum(x.a * M.rows[j][i].a for i, r in enumerate(M.rows) for j, x in enumerate(r) if x)
     if trace_sq >= 0 and not M.is_zero():
         return False
@@ -196,10 +213,10 @@ def _spectrum_purely_imaginary_semisimple(g: LieSuperalgebra, v: Vector) -> obje
     if pos or neg + zero != s.degree:
         return False
     t, k = s.shift_out_root_zero()
-    r = Matrix.identity(g.field, M.nrows)
+    r = Matrix.identity(M.field, M.nrows)
     for c in reversed(t.coeffs[:-1]):      # Horner in M^2; t is monic
         r = r * sq
-        r = Matrix(g.field, [row[:i] + (row[i] + c,) + row[i + 1:]
+        r = Matrix(M.field, [row[:i] + (row[i] + c,) + row[i + 1:]
                              for i, row in enumerate(r.rows)])
     return (r * M if k else r).is_zero()
 

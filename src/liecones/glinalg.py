@@ -7,8 +7,11 @@ subspaces; and Matrix.ldl(), a natural-order symmetric/Hermitian pass
 whose pivots decide definiteness.  Homogeneous maps cut out by linear
 equations in their entries (the graded commutant behind centroids,
 differential constants and intertwiners) are one eliminate() over the
-entries of one block-position list.  Subspaces are kept in reduced
-row-echelon form, which makes equality decidable and serialization stable.
+entries of one block-position list, which stops reading equations once its
+rank leaves only the known solutions: the identity when parity is 0 and each
+equation is T M = M T, else none.  The RREF is unique, so the basis is that
+of all the equations.  Subspaces are kept in reduced row-echelon form, which
+makes equality decidable and serialization stable.
 Characteristic polynomials come from a Hessenberg reduction, O(n^3) field
 operations.  Eigenvalue extraction factors them over Q (via sympy, imported
 on the first factorisation only; a rational polynomial's multiplicities are
@@ -138,11 +141,14 @@ class Elimination:
         return basis
 
 
-def eliminate(rows: Iterable[SparseVec], n: int | None = None) -> Elimination:
+def eliminate(rows: Iterable[SparseVec], n: int | None = None,
+              stop: int | None = None) -> Elimination:
     """Reduced row echelon form of sparse rows ({col: Scalar}) by Gauss-Jordan.
 
     Pivots are taken only in columns < n (every column when n is None), so
-    columns from n on ride along as augmented right-hand sides.
+    columns from n on ride along as augmented right-hand sides.  With stop,
+    no further row is read once there are stop pivots: the caller knows that
+    the remaining rows lie in their span.
     """
     piv: dict[int, SparseVec] = {}
     leads: list[tuple[int, Scalar] | None] = []
@@ -165,6 +171,8 @@ def eliminate(rows: Iterable[SparseVec], n: int | None = None) -> Elimination:
             if f:
                 _sub_multiple(p, f, r, j)
         piv[j] = r
+        if len(piv) == stop:
+            break
     return Elimination(piv, leads)
 
 
@@ -616,14 +624,16 @@ def block_positions(out_space: GradedSpace, in_space: GradedSpace,
 
 def solve_block_maps(fld: Field, out_space: GradedSpace, in_space: GradedSpace, parity: int,
                      equations: Callable[[dict[tuple[int, int], int]], Iterable[SparseVec]],
-                     ) -> list[Matrix]:
+                     known: int = 0) -> list[Matrix]:
     """Canonical basis of the parity-`parity` maps T: in_space -> out_space
     whose entries solve the sparse rows equations(index) returns, where
-    index numbers the unknown entries (i, j) of block_positions."""
+    index numbers the unknown entries (i, j) of block_positions; reading
+    stops once the rank leaves only the `known` solutions the caller has."""
     positions = block_positions(out_space, in_space, parity)
     index = {e: u for u, e in enumerate(positions)}
     out = []
-    for sol in eliminate(equations(index)).null_basis(len(positions), fld.one):
+    elim = eliminate(equations(index), stop=len(positions) - known)
+    for sol in elim.null_basis(len(positions), fld.one):
         T = [[fld.zero] * in_space.dim for _ in range(out_space.dim)]
         for u, x in sol.items():
             i, j = positions[u]
@@ -633,13 +643,12 @@ def solve_block_maps(fld: Field, out_space: GradedSpace, in_space: GradedSpace, 
 
 
 def graded_commutant(fld: Field, out_space: GradedSpace, in_space: GradedSpace, parity: int,
-                     triples: Iterable[tuple[Matrix, Matrix, int]]) -> list[Matrix]:
+                     triples: Sequence[tuple[Matrix, Matrix, int]]) -> list[Matrix]:
     """Canonical basis of the parity-`parity` maps T: in_space -> out_space
     with T B = s A T for every (A, B, s) of triples: A acts on out_space and
     B on in_space, both over fld, and s is 1 or -1.  Each equation is built
-    from the nonzero entries of A and B only."""
+    from the nonzero entries of A and B only, one triple at a time."""
     def equations(index):
-        rows: list[SparseVec] = []
         for A, B, s in triples:
             b_rows = B._sparse_rows()
             a_cols = [{m: r[i] for m, r in enumerate(A.rows) if r[i]} for i in range(A.ncols)]
@@ -653,10 +662,11 @@ def graded_commutant(fld: Field, out_space: GradedSpace, in_space: GradedSpace, 
                     row = eqs.setdefault((m, p), {})
                     t = -a if s == 1 else a
                     row[u] = row[u] + t if u in row else t
-            rows.extend(eqs.values())
-        return rows
+            yield from eqs.values()
 
-    return solve_block_maps(fld, out_space, in_space, parity, equations)
+    identity = parity == 0 and out_space == in_space and all(
+        A is B and s == 1 for A, B, s in triples)
+    return solve_block_maps(fld, out_space, in_space, parity, equations, known=int(identity))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ The structure-constants tensor is the single source of truth.  Constants are
 stored for all ordered pairs; graded antisymmetry is checked, not implied.
 When loading user files, an omitted mirror pair (j, i) is filled in by
 antisymmetry, while explicitly supplied pairs are kept verbatim so that
-inconsistent input is caught by check_axioms.
+inconsistent input is caught by check_axioms.  Once antisymmetry holds, the
+graded Jacobi sum is graded-alternating, and check_axioms evaluates it once
+per unordered triple.
 
 A LieSuperalgebra is an immutable value: name, space, field and the
 read-only brackets are fixed at construction.  It owns its derived
@@ -28,6 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
+from itertools import permutations
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -310,6 +313,9 @@ def check_axioms(g: LieSuperalgebra, max_violations: int = 25) -> AxiomReport:
     # Graded Jacobi over the nonzero structure constants only: with
     # T[a, b, c] = [e_a, [e_b, e_c]], J(i, j, k) is a signed sum of T at the
     # three rotations of (i, j, k), so only rotations of keys of T can fail.
+    # Graded antisymmetry makes J graded-alternating, J(i, k, j) = -(-1)^{pi pj
+    # + pj pk + pk pi} J(i, j, k) (Kac 1977): J is then evaluated once per
+    # unordered key of T, and a failure fails at each of its distinct orderings.
     by_right: dict[int, list] = {}
     for (a, m), out in g.brackets.items():
         by_right.setdefault(m, []).append((a, out))
@@ -320,19 +326,20 @@ def check_axioms(g: LieSuperalgebra, max_violations: int = 25) -> AxiomReport:
                 acc = T.setdefault((a, b, c), {})
                 for k, y in am.items():
                     acc[k] = acc[k] + x * y if k in acc else x * y
-    jacobi_ok = True
-    for i, j, k in sorted({t for a, b, c in T for t in ((a, b, c), (b, c, a), (c, a, b))}):
+    triples = {tuple(sorted(t)) for t in T} if antisymmetry_ok else \
+        {t for a, b, c in T for t in ((a, b, c), (b, c, a), (c, a, b))}
+    failed: set[tuple[int, int, int]] = set()
+    for i, j, k in triples:
         pi, pj, pk = g.parity(i), g.parity(j), g.parity(k)
         total: SparseVec = {}
         for e, key in ((pi * pk, (i, j, k)), (pj * pi, (j, k, i)), (pk * pj, (k, i, j))):
-            sign = -f.one if e else f.one
             for m, x in T.get(key, {}).items():
-                total[m] = total[m] + sign * x if m in total else sign * x
+                total[m] = (total[m] - x if e else total[m] + x) if m in total else (-x if e else x)
         if any(total.values()):
-            jacobi_ok = False
-            if len(violations) < max_violations:
-                violations.append(("jacobi", i, j, k))
-    return AxiomReport(parity_ok, antisymmetry_ok, jacobi_ok, violations)
+            failed.update(permutations((i, j, k)) if antisymmetry_ok else [(i, j, k)])
+    room = max(max_violations - len(violations), 0)
+    violations.extend(("jacobi", *t) for t in sorted(failed)[:room])
+    return AxiomReport(parity_ok, antisymmetry_ok, not failed, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +547,10 @@ def derivations(g: LieSuperalgebra) -> EndoFamily:
 
 def _ad_commutant(g: LieSuperalgebra, extra: Sequence[tuple[Matrix, int]] = ()) -> EndoFamily:
     """Homogeneous T in End(g) with T M = (-1)^{|T||M|} M T for M = ad(e_i)
-    of parity |e_i| and for each (M, |M|) of extra."""
-    ops = [*zip(g.ad_basis, map(g.parity, range(g.dim))), *extra]
+    of parity |e_i| and for each (M, |M|) of extra.  The odd ad(e_i) come
+    first: they tie g0 to g1, so the solve is pinned down soonest."""
+    ops = [(g.ad_basis[i], g.parity(i)) for i in (*g.space.odd_indices(), *g.space.even_indices())]
+    ops += extra
     return EndoFamily(g, *(graded_commutant(g.field, g.space, g.space, s,
                                             [(M, M, (-1) ** (s * pm)) for M, pm in ops])
                            for s in (0, 1)))

@@ -1,8 +1,9 @@
 """Differential tests: each shortcut in the orbit classification, the Clifford
 verifier, the zero-skipping kernels, the sparse tower product, the rational
-scalar path, the unit-lead elimination, the even Cartan scan, the trace
-prefilter of the spectral test, the graded-commutant solve, the derivation
-equations, the transporter solve, the bracket-form routine, bracket and ad
+scalar path, the unit-lead elimination, the once-per-unordered-triple
+Jacobi check, the even Cartan scan, the trace prefilter and the parity blocks
+of the spectral test, the block-wise Fitting null component, the
+graded-commutant solve and its elimination stop, the derivation equations, the transporter solve, the bracket-form routine, bracket and ad
 over the nonzero constants and the recorded Cartan verdicts against a plain
 dense, pairwise, exhaustive or entry-by-entry formula written here, against
 the code a shortcut replaced, against the generic tower path, or against the
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liecones import cartan, cliffrep, cones
+from liecones import cartan, cliffrep, cones, glinalg
 from liecones.catalog import build, list_keys
 from liecones.cliffrep import MatrixRep, clifford_module, gamma_matrices, parity_change, verify_rep
 from liecones.cones import OddSquareForm, functional_value
@@ -27,7 +28,7 @@ from liecones.glinalg import (GradedSpace, Matrix, Subspace, _roots_of_low_degre
                               rational_factors, roots_in_field, ungraded, unit_vector, vec_add,
                               vec_scale, vec_sub)
 from liecones.lsa import (LieSuperalgebra, bracket_form, bracket_span, center, centroid,
-                          derivation_equations, derivations, differential_constants,
+                          check_axioms, derivation_equations, derivations, differential_constants,
                           grassmann_extend, is_nilpotent, quotient, series, subalgebra_on,
                           supercommutant, transporter)
 from liecones.orbits import (PolarizingSystem, _apply_exp, _normal_form, central_box,
@@ -718,6 +719,102 @@ def test_permuted_gammas_match_permutation_conjugation(d, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# check_axioms against the rotation scan it replaced on antisymmetric input
+# ---------------------------------------------------------------------------
+
+def rotation_scan_axioms(g: LieSuperalgebra, max_violations: int) -> tuple:
+    """check_axioms as it was without the unordered-triple route: graded
+    Jacobi at every rotation of every key of T[a, b, c] = [e_a, [e_b, e_c]],
+    in sorted order; the report as (parity_ok, antisymmetry_ok, jacobi_ok,
+    violations)."""
+    f, p = g.field, g.parity
+    violations = []
+    parity_ok = True
+    for (i, j), out in g.brackets.items():
+        for k, c in out.items():
+            if c and p(k) != (p(i) + p(j)) % 2:
+                parity_ok = False
+                if len(violations) < max_violations:
+                    violations.append(("parity", i, j, k))
+    antisymmetry_ok = True
+    for i, j in sorted({(min(q), max(q)) for q in g.brackets}):
+        sign = f.one if p(i) * p(j) else -f.one
+        lhs, rhs = g.c(i, j), g.c(j, i)
+        if any(rhs.get(k, f.zero) != sign * lhs.get(k, f.zero) for k in set(lhs) | set(rhs)):
+            antisymmetry_ok = False
+            if len(violations) < max_violations:
+                violations.append(("antisymmetry", i, j))
+    T: dict = {}
+    for (b, c), bc in g.brackets.items():
+        for m, x in bc.items():
+            for a in range(g.dim):
+                for k, y in g.c(a, m).items():
+                    acc = T.setdefault((a, b, c), {})
+                    acc[k] = acc.get(k, f.zero) + x * y
+    jacobi_ok = True
+    for i, j, k in sorted({t for a, b, c in T for t in ((a, b, c), (b, c, a), (c, a, b))}):
+        total = [f.zero] * g.dim
+        for e, key in ((p(i) * p(k), (i, j, k)), (p(j) * p(i), (j, k, i)),
+                       (p(k) * p(j), (k, i, j))):
+            for m, x in T.get(key, {}).items():
+                total[m] += f.rat((-1) ** e) * x
+        if any(total):
+            jacobi_ok = False
+            if len(violations) < max_violations:
+                violations.append(("jacobi", i, j, k))
+    return parity_ok, antisymmetry_ok, jacobi_ok, violations
+
+
+def random_table(rng: random.Random, antisymmetric: bool) -> LieSuperalgebra:
+    """Random constants in -2..2 on a (e|o) space with e, o <= 3, of the
+    right parity three times in four; with antisymmetric, each pair i <= j is
+    drawn and (j, i) filled in by graded antisymmetry (an even [e_i, e_i] is
+    left zero), else every ordered pair is drawn on its own."""
+    e, o = rng.randint(0, 3), rng.randint(1, 3)
+    space = GradedSpace(e, o, tuple(f"b{i}" for i in range(e + o)))
+    p, graded = space.parity, rng.random() < 0.75
+    br = {}
+    for i in range(space.dim):
+        for j in range(i if antisymmetric else 0, space.dim):
+            if rng.random() < 0.5 or (antisymmetric and i == j and not p(i)):
+                continue
+            out = {k: QQ.rat(rng.randint(-2, 2)) for k in range(space.dim)
+                   if rng.random() < 0.5 and (not graded or p(k) == (p(i) + p(j)) % 2)}
+            br[(i, j)] = out
+            if antisymmetric and i != j:
+                br[(j, i)] = {k: c if p(i) * p(j) else -c for k, c in out.items()}
+    return LieSuperalgebra("random", space, QQ, br)
+
+
+def seeded_table(kind: str, seed) -> LieSuperalgebra:
+    return random_table(random.Random(f"axioms {seed}"), kind == "antisymmetric")
+
+
+@pytest.mark.parametrize("case", [*list_keys(), *(f"{kind} {seed}" for kind in
+                                                  ("antisymmetric", "free") for seed in range(40))])
+def test_check_axioms_matches_the_rotation_scan(case):
+    """Catalog algebras, and seeded random tables with and without graded
+    antisymmetry (most of them fail Jacobi), at the default cap of 25 and
+    with no cap: the whole report, violations in order."""
+    g = build(case).algebra if case in list_keys() else seeded_table(*case.split())
+    for cap in (25, 10 ** 6):
+        rep = check_axioms(g, cap)
+        assert (rep.parity_ok, rep.antisymmetry_ok, rep.jacobi_ok, rep.violations) == \
+            rotation_scan_axioms(g, cap)
+
+
+def test_random_tables_reach_both_check_axioms_routes():
+    """The seeded tables above include antisymmetric ones that fail Jacobi,
+    with more than 25 violations or with brackets of the wrong parity, and
+    mostly ones that are not antisymmetric."""
+    anti, free = ([check_axioms(seeded_table(kind, seed), 10 ** 6) for seed in range(40)]
+                  for kind in ("antisymmetric", "free"))
+    assert any(r.antisymmetry_ok and len(r.violations) > 25 for r in anti)
+    assert any(r.antisymmetry_ok and not r.parity_ok and not r.jacobi_ok for r in anti)
+    assert sum(not r.antisymmetry_ok for r in free) >= 25
+
+
+# ---------------------------------------------------------------------------
 # the even Cartan scan against the exhaustive scan
 # ---------------------------------------------------------------------------
 
@@ -976,6 +1073,30 @@ def test_trace_prefilter_keeps_the_unfiltered_verdicts(M):
     assert cartan._spectrum_purely_imaginary_semisimple(g, v) is unfiltered_spectral(g, v)
 
 
+def whole_fitting_null(g: LieSuperalgebra, w0: Subspace) -> Subspace:
+    """The joint kernel of ad(w)^n over the rows w of w0, on the whole matrix."""
+    cur = g.full_space
+    for w in w0.rows:
+        cur = cur.intersect(kernel(g.ad(w).power(g.dim), g.space))
+    return cur
+
+
+@pytest.mark.parametrize("key", sorted(SCAN_ALGEBRAS))
+def test_parity_blocks_match_the_whole_matrix(key):
+    """The spectral test and the Fitting null component, block by block,
+    against the whole-matrix spectral test without the prefilter and the
+    kernel of ad(w)^n: at the scan candidates, the rows and the whole of the
+    first ten Cartan subalgebras of the scan, and the centre rows of g0."""
+    g = SCAN_ALGEBRAS[key]
+    pad = (g.field.zero,) * g.space.odd_dim
+    centre = [z + pad for z in center(g.even_part.algebra).rows]
+    for y, h0 in islice(cartan.iter_cartan_even(g), 10):
+        for v in (y, *h0.rows, *centre):
+            assert cartan._spectrum_purely_imaginary_semisimple(g, v) == unfiltered_spectral(g, v)
+        for w0 in (h0, g.subspace([y])):
+            assert cartan.fitting_null(g, w0) == whole_fitting_null(g, w0)
+
+
 # ---------------------------------------------------------------------------
 # one graded-commutant solve against the three equation builders it replaced
 # ---------------------------------------------------------------------------
@@ -1188,6 +1309,36 @@ def test_intertwiners_match_entrywise_builder(d):
             got = cliffrep._intertwiner_space(rep1, rep2, parity)
             assert rows_of(got) == rows_of(oracle_intertwiners(rep1, rep2, parity))
     assert cliffrep._intertwiner_space(rep, pc, 1)          # the parity change is odd-equivalent
+
+
+@pytest.mark.parametrize("key", list_keys())
+def test_pinned_commutant_solves_match_unpinned_ones(key, monkeypatch):
+    """Centroid, differential constants and the intertwiners of the adjoint
+    module with itself, with the elimination stop, against the same solves
+    reading every equation; on su(1,1|1,1) the stop leaves equations unread."""
+    solve = glinalg.eliminate
+    unread = []
+
+    def tally(rows, n=None, stop=None):
+        rows = iter(rows)
+        out = solve(rows, n, stop)
+        unread.append(sum(1 for _ in rows))
+        return out
+
+    def families():
+        g = build(key).algebra
+        g = LieSuperalgebra(g.name, g.space, g.field, g.brackets)
+        rep = MatrixRep(g, g.space.even_dim, g.space.odd_dim, g.ad_basis)
+        return [[rows_of(fam.even), rows_of(fam.odd)]
+                for fam in (centroid(g), differential_constants(g))] + \
+            [rows_of(cliffrep._intertwiner_space(rep, rep, s)) for s in (0, 1)]
+
+    monkeypatch.setattr(glinalg, "eliminate", tally)
+    pinned = families()
+    monkeypatch.setattr(glinalg, "eliminate", lambda rows, n=None, stop=None: solve(rows, n))
+    assert pinned == families()
+    if key == "su(1,1|1,1)":
+        assert sum(unread) > 0
 
 
 # ---------------------------------------------------------------------------

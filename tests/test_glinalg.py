@@ -132,6 +132,12 @@ def test_block_positions_and_graded_commutant():
     assert graded_commutant(QQ, mixed, mixed, 0, [(J, J, 1)]) == [Matrix.identity(QQ, 2)]
     assert graded_commutant(QQ, mixed, mixed, 1, [(J, J, -1)]) == [K]
     assert graded_commutant(QQ, mixed, mixed, 1, [(J, J, 1)]) == [J]
+    # the identity solves T B = s A T only when A = B and s = 1: here the even
+    # solves have no solution or one other than the identity
+    D = M(QQ, [[1, 0], [0, 2]])
+    assert graded_commutant(QQ, mixed, mixed, 0, [(J, K, 1)]) == []
+    assert graded_commutant(QQ, mixed, mixed, 0, [(D, D, -1)]) == []
+    assert graded_commutant(QQ, mixed, mixed, 0, [(J, J, -1)]) == [M(QQ, [[-1, 0], [0, 1]])]
     # odd T: Q^{1|0} -> Q^{1|1} is T e0 = t f0; T (2) = J T reads (0, 2t) = (-t, 0)
     assert graded_commutant(QQ, mixed, even, 1, [(J, M(QQ, [[2]]), 1)]) == []
     assert graded_commutant(QQ, mixed, even, 1, []) == [M(QQ, [[0], [1]])]

@@ -270,13 +270,18 @@ def brute_force_jacobi(g):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["h(1)", "gl(1|1)", "osp(1|2)", "cl(1|2,+-)", "n3super",
                         "hc(2|2,++)", "sl(2,R)"]),
-       st.data(), st.sampled_from([1, -1, 2, Fraction(1, 2)]))
-def test_sparse_jacobi_matches_brute_force(key, data, delta):
+       st.data(), st.sampled_from([1, -1, 2, Fraction(1, 2)]), st.booleans())
+def test_sparse_jacobi_matches_brute_force(key, data, delta, mirror):
+    """One structure constant c(i, j)[k] moved by delta; with mirror, c(j, i)[k]
+    moves too, so that graded antisymmetry still holds (unless i = j is even)
+    and check_axioms takes its once-per-unordered-triple route."""
     g = catalog.build(key).algebra
     i, j, k = (data.draw(st.integers(0, g.dim - 1)) for _ in range(3))
     br = {pair: dict(out) for pair, out in g.brackets.items()}
-    out = br.setdefault((i, j), {})
-    out[k] = out.get(k, g.field.zero) + g.field.coerce(delta)
+    sign = 1 if g.parity(i) * g.parity(j) else -1
+    for a, b, d in ((i, j, delta), (j, i, sign * delta)) if mirror and i != j else ((i, j, delta),):
+        out = br.setdefault((a, b), {})
+        out[k] = out.get(k, g.field.zero) + g.field.coerce(d)
     h = LieSuperalgebra(g.name, g.space, g.field, br)
     full = check_axioms(h, max_violations=10 ** 6)
     want = brute_force_jacobi(h)

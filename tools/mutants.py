@@ -66,6 +66,10 @@ ISOTROPIC = ("tests/test_differential.py::"
 TRACE = "tests/test_differential.py::test_trace_prefilter_keeps_the_unfiltered_verdicts"
 RECORD = "tests/test_differential.py::test_recorded_verdicts_are_per_algebra_and_subspace"
 DENSE = "tests/test_differential.py::test_bracket_and_ad_match_the_dense_loops"
+ROTATION = "tests/test_differential.py::test_check_axioms_matches_the_rotation_scan"
+BRUTE_JACOBI = "tests/test_lsa.py::test_sparse_jacobi_matches_brute_force"
+PARITY_BLOCKS = "tests/test_differential.py::test_parity_blocks_match_the_whole_matrix"
+PINNED = "tests/test_differential.py::test_pinned_commutant_solves_match_unpinned_ones"
 CLIFFREP = "src/liecones/cliffrep.py"
 EXACTNUM = "src/liecones/exactnum.py"
 HWM = "src/liecones/hwm.py"
@@ -150,6 +154,14 @@ MUTANTS = (
            "if pos or neg + zero != s.degree:",
            "if pos:",
            (BLOCKS,)),
+    Mutant("the spectral test on the g0 block only", CARTAN,
+           "for _, B, _ in _parity_blocks(g, M))",
+           "for _, B, _ in _parity_blocks(g, M)[:1])",
+           (SPECTRAL, PARITY_BLOCKS)),
+    Mutant("the Fitting null component on the g0 block only", CARTAN,
+           "in _parity_blocks(g, g.ad(w))",
+           "in _parity_blocks(g, g.ad(w))[:1]",
+           (PARITY_BLOCKS, "tests/test_cartan.py::test_clifford_cartan_is_everything")),
     Mutant("the trace prefilter rejects tr((ad v)^2) <= 0", CARTAN,
            "if trace_sq >= 0 and not M.is_zero():",
            "if trace_sq <= 0 and not M.is_zero():",
@@ -218,6 +230,14 @@ MUTANTS = (
            "for j, b in ():",
            (GCOMM, COMMUTANT, INTERTWINERS, "tests/test_lsa.py::test_centroid_dims_paper_values",
             "tests/test_cliffrep.py::test_equivalence_parity_pairs")),
+    Mutant("the identity assumed when some triple is not (M, M, 1)", GLINALG,
+           "A is B and s == 1 for A, B, s in triples)",
+           "s == 1 for A, B, s in triples)",
+           (GCOMM,)),
+    Mutant("the commutant solve stops one pivot early", GLINALG,
+           "stop=len(positions) - known)",
+           "stop=len(positions) - known - 1)",
+           (COMMUTANT, PINNED, INTERTWINERS)),
     Mutant("block positions invert the parity test", GLINALG,
            "% 2 == parity]",
            "% 2 != parity]",
@@ -241,12 +261,19 @@ MUTANTS = (
     Mutant("wrong graded-Jacobi sign", LSA,
            "(pj * pi, (j, k, i))",
            "(pj * pk, (j, k, i))",
-           ("tests/test_lsa.py::test_sparse_jacobi_matches_brute_force",
-            "tests/test_lsa.py::test_all_catalog_pass_axioms")),
+           (BRUTE_JACOBI, "tests/test_lsa.py::test_all_catalog_pass_axioms")),
     Mutant("sparse Jacobi drops a rotation", LSA,
            "for t in ((a, b, c), (b, c, a), (c, a, b))",
            "for t in ((a, b, c), (b, c, a))",
-           ("tests/test_lsa.py::test_sparse_jacobi_matches_brute_force",)),
+           (BRUTE_JACOBI, ROTATION)),
+    Mutant("Jacobi on unordered triples without antisymmetry", LSA,
+           "{tuple(sorted(t)) for t in T} if antisymmetry_ok else",
+           "{tuple(sorted(t)) for t in T} if True else",
+           (BRUTE_JACOBI, ROTATION)),
+    Mutant("a Jacobi failure reported without its other orderings", LSA,
+           "failed.update(permutations((i, j, k)) if antisymmetry_ok else [(i, j, k)])",
+           "failed.update([(i, j, k)])",
+           (BRUTE_JACOBI, ROTATION)),
     Mutant("the bracket form pairs v with u", LSA,
            "for m, c in g.c(i, j).items():",
            "for m, c in g.c(j, i).items():",
