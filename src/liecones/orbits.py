@@ -12,7 +12,8 @@ constants.  Classification keeps the odd Gram verdict, rank and radical per
 value of lambda on [g1, g1], the rank of Omega_lambda per value on [g0, g0],
 and realizes m = g (m0 = g0) once per algebra (full_part).  A flat group,
 rank Omega_lambda = dim g0 - dim z(g0), is one orbit lambda + z(g0)^perp and
-is decided by its invariants.
+is decided by its invariants.  ker(lambda|m0) is read off lambda's first
+nonzero value on m0, and a j that contains [m, m] gives an abelian m/j.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import product
 from typing import Sequence
 
 from .exactnum import InputError, InvariantViolation
-from .glinalg import Matrix, Subspace, Vector, lin_comb, vec_add, vec_is_zero, vec_scale
+from .glinalg import Matrix, Subspace, Vector, lin_comb, vec_add, vec_is_zero, vec_scale, vec_sub
 from .lsa import (
     LieSuperalgebra, QuotientResult, bracket_form, center, is_nilpotent,
     is_subalgebra, quotient, series, subalgebra_on,
@@ -178,10 +179,13 @@ def _assemble(g: LieSuperalgebra, lam: Vector, m0: Subspace, flag_dims: tuple[in
         msub = subalgebra_on(g, m0.sum_with(g.odd_subspace), name=f"{g.name}|m")
         subalgebras.append((m0.rows, msub))
     m = msub.subspace
-    # j = ker(lambda restricted to m0) (+) rad of the odd Gram form
-    coeff_rows = [[functional_value(lam, b[:e]) for b in m0.rows]]
-    ker_rows = [lin_comb(g.field, g.dim, sol, m0.rows)
-                for sol in Matrix(g.field, coeff_rows).kernel_basis()]
+    # j = ker(lambda restricted to m0) (+) rad of the odd Gram form; with c_t = lambda(b_t)
+    # and p the first t with c_t != 0 (if any), ker is spanned by b_t - (c_t / c_p) b_p, t != p
+    coeff = [functional_value(lam, b[:e]) for b in m0.rows]
+    p = next((t for t, c in enumerate(coeff) if c), None)
+    inv = None if p is None else coeff[p].inverse()
+    ker_rows = [vec_sub(b, vec_scale(c * inv, m0.rows[p])) if c else b
+                for t, (b, c) in enumerate(zip(m0.rows, coeff)) if t != p]
     odd_rank = g.space.odd_dim - len(odd_rad_rows)
     j = Subspace(g.field, g.space, ker_rows + odd_rad_rows)
     if whole:

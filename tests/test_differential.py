@@ -3,8 +3,10 @@ verifier, the zero-skipping kernels, the sparse tower product, the rational
 scalar path, the unit-lead elimination, the once-per-unordered-triple
 Jacobi check, the even Cartan scan, the trace prefilter and the parity blocks
 of the spectral test, the block-wise Fitting null component, the
-graded-commutant solve and its elimination stop, the derivation equations, the transporter solve, the bracket-form routine, bracket and ad
-over the nonzero constants and the recorded Cartan verdicts against a plain
+graded-commutant solve and its elimination stop, the derivation equations,
+the transporter solve, the bracket-form routine, bracket and ad over the
+nonzero constants, the recorded Cartan verdicts and the [g, g] containment
+route of the ideal test and the quotient against a plain
 dense, pairwise, exhaustive or entry-by-entry formula written here, against
 the code a shortcut replaced, against the generic tower path, or against the
 standalone call it stands in for."""
@@ -27,10 +29,10 @@ from liecones.glinalg import (GradedSpace, Matrix, Subspace, _roots_of_low_degre
                               coordinate_subspace, eliminate, joint_eigenspaces, kernel, lin_comb,
                               rational_factors, roots_in_field, ungraded, unit_vector, vec_add,
                               vec_scale, vec_sub)
-from liecones.lsa import (LieSuperalgebra, bracket_form, bracket_span, center, centroid,
-                          check_axioms, derivation_equations, derivations, differential_constants,
-                          grassmann_extend, is_nilpotent, quotient, series, subalgebra_on,
-                          supercommutant, transporter)
+from liecones.lsa import (LieSuperalgebra, QuotientResult, bracket_form, bracket_span, center,
+                          centroid, check_axioms, derivation_equations, derivations,
+                          differential_constants, grassmann_extend, is_ideal, is_nilpotent,
+                          quotient, series, subalgebra_on, supercommutant, transporter)
 from liecones.orbits import (PolarizingSystem, _apply_exp, _normal_form, central_box,
                              classify_orbits, coadjoint_orbit_member, even_skew_form, grid_box,
                              in_admissible_cone, polarizing_flag, polarizing_system_from_m0)
@@ -283,9 +285,45 @@ def oracle_apply_exp(g: LieSuperalgebra, lam, w):
     raise AssertionError("ad(w) is not nilpotent on g0")
 
 
+def pairwise_is_ideal(g: LieSuperalgebra, s: Subspace) -> tuple[bool, tuple | None]:
+    """The ideal test without the [g, g] containment route: (False, (i, v))
+    for the first [e_i, v] outside s, over the pairs with a structure
+    constant."""
+    supports = [[t for t, x in enumerate(v) if x] for v in s.rows]
+    for gi in range(g.dim):
+        for v, supp in zip(s.rows, supports):
+            if any((gi, t) in g.brackets for t in supp) and \
+                    not s.contains(g.bracket(g.basis_vector(gi), v)):
+                return False, (gi, v)
+    return True, None
+
+
+def pairwise_quotient(g: LieSuperalgebra, ideal: Subspace, name: str | None = None):
+    """The quotient with every ideal scanned pair by pair and every bracket of
+    two complement vectors reduced mod the ideal."""
+    if not ideal.is_graded():
+        raise InputError("subspace is not graded")
+    ok, witness = pairwise_is_ideal(g, ideal)
+    if not ok:
+        raise InputError(f"subspace is not a graded ideal; witness pair {witness}")
+    comp = ideal.complement_coordinates()
+    even_new = sum(1 for j in comp if g.parity(j) == 0)
+    space = GradedSpace(even_new, len(comp) - even_new,
+                        tuple(g.space.basis_names[j] + "~" for j in comp))
+    posn = {j: t for t, j in enumerate(comp)}
+    br = {}
+    for a_t, a in enumerate(comp):
+        for b_t, b in enumerate(comp):
+            out = {posn[k]: x for k, x in enumerate(ideal.reduce(g.bracket_basis(a, b))) if x}
+            if out:
+                br[(a_t, b_t)] = out
+    return QuotientResult(LieSuperalgebra(name or f"{g.name}/I", space, g.field, br), ideal)
+
+
 def oracle_polarization(g: LieSuperalgebra, lam, m0: Subspace, flag_dims) -> PolarizingSystem:
     """The polarizing system on m0 built for every m0 alike: realize m = m0
-    (+) g1, restrict j to m and eliminate it again there."""
+    (+) g1, restrict j to m and eliminate it again there, with ker(lam|m0)
+    from a kernel solve and the quotient from the pairwise scan."""
     e = g.space.even_dim
     gram = OddSquareForm.of(g, lam).matrix
     msub = subalgebra_on(g, m0.sum_with(g.odd_subspace), name=f"{g.name}|m")
@@ -295,7 +333,7 @@ def oracle_polarization(g: LieSuperalgebra, lam, m0: Subspace, flag_dims) -> Pol
     rad_rows = [lin_comb(g.field, g.dim, sol, g.odd_subspace.rows) for sol in gram_kernel]
     j = Subspace(g.field, g.space, ker_rows + rad_rows)
     j_in_m = Subspace(g.field, msub.algebra.space, [msub.restrict(r) for r in j.rows])
-    cliff = quotient(msub.algebra, j_in_m, name=f"{g.name}|m/j")
+    cliff = pairwise_quotient(msub.algebra, j_in_m, name=f"{g.name}|m/j")
     return PolarizingSystem(g, lam, msub.subspace, m0, j, cliff, even_skew_form(g, lam).rank(),
                             gram.nrows - len(gram_kernel), flag_dims)
 
@@ -1913,3 +1951,54 @@ def test_recorded_verdicts_are_per_algebra_and_subspace(monkeypatch):
     assert cartan.cartan_subsuperalgebra(twin, h0) == data
     assert calls and set(calls) == {twin}
     assert twin.verdicts == {key: g.verdicts[key] for key in twin.verdicts}
+
+
+# ---------------------------------------------------------------------------
+# the [g, g] containment route of is_ideal and quotient against the pairwise scan
+# ---------------------------------------------------------------------------
+
+def graded_subspaces(rng: random.Random, g: LieSuperalgebra) -> list[Subspace]:
+    """The series members, the centre and [g1, g1]; [g, g] plus drawn
+    homogeneous vectors; drawn homogeneous spans; and a drawn part of [g, g]
+    plus one more drawn vector."""
+    chain = series(g, "lower_central")
+    square = bracket_span(g, g.full_space, g.full_space)
+    n, f = g.dim, g.field
+    parts = (g.space.even_indices(), g.space.odd_indices())
+
+    def drawn(count):
+        return [random_rows(rng, f, n, parts[rng.randint(0, 1)], 1)[0] for _ in range(count)]
+    out = [*chain, *series(g, "derived"), center(g), g.odd_square]
+    for _ in range(6):
+        out.append(square.sum_with(g.subspace(drawn(rng.randint(0, 2)))))
+        out.append(g.subspace(drawn(rng.randint(1, 3))))
+        out.append(g.subspace(rng.sample(square.rows, square.dim // 2) + drawn(1)))
+    return out
+
+
+@pytest.mark.parametrize("key", sorted(SCAN_ALGEBRAS))
+def test_ideal_containment_route_matches_the_pairwise_scan(key):
+    """is_ideal's verdict and witness and quotient's table or error equal the
+    pairwise scan and bracket loop's, on subspaces that contain [g, g], ideals
+    that do not and subspaces that are no ideal."""
+    g = SCAN_ALGEBRAS[key]
+    rng = random.Random(key)
+    square = bracket_span(g, g.full_space, g.full_space)
+    routes = set()
+    for s in graded_subspaces(rng, g):
+        assert s.is_graded()
+        verdict = pairwise_is_ideal(g, s)
+        assert is_ideal(g, s) == verdict
+        routes.add((s.contains_subspace(square), verdict[0]))
+        if verdict[0]:
+            assert quotient(g, s).algebra.to_json() == pairwise_quotient(g, s).algebra.to_json()
+        else:
+            errors = []
+            for build_quotient in (quotient, pairwise_quotient):
+                with pytest.raises(InputError) as err:
+                    build_quotient(g, s)
+                errors.append(str(err.value))
+            assert errors[0] == errors[1]
+    # an abelian g has [g, g] = 0, so every subspace takes the containment route
+    assert routes == ({(True, True), (False, True), (False, False)} if g.brackets
+                      else {(True, True)})

@@ -11,7 +11,7 @@ from liecones.glinalg import GradedSpace, Matrix, vec_add, vec_scale, vec_sub
 from liecones.lsa import (
     LieSuperalgebra, bracket_form, center, centroid,
     check_axioms, derivations, differential_constants, grassmann_extend,
-    is_nilpotent, is_solvable, is_subalgebra, nilpotency_class, quotient,
+    is_ideal, is_nilpotent, is_solvable, is_subalgebra, nilpotency_class, quotient,
     series, subalgebra_on, supercommutant, transporter,
 )
 from liecones import catalog
@@ -200,10 +200,12 @@ def test_quotient_examples(algebra):
     assert q.algebra.dim == 2 and not q.algebra.brackets
     qq = quotient(h1, h1.full_space)
     assert qq.algebra.dim == 0
-    # non-ideal raises with a witness
-    not_ideal = h1.subspace([h1.basis_vector(0)])   # span{X}
-    with pytest.raises(InputError):
-        quotient(h1, not_ideal)
+    # span{X} misses [h1, h1] = span{Z}, so the pairwise scan runs, and it is
+    # not an ideal: [Y, X] = -Z is the witness
+    x = h1.basis_vector(0)
+    assert is_ideal(h1, h1.subspace([x])) == (False, (1, x))
+    with pytest.raises(InputError, match=r"witness pair \(1, \(Scalar\[Q\]\(1\), "):
+        quotient(h1, h1.subspace([x]))
 
 
 def test_subalgebra_extraction(algebra):

@@ -255,7 +255,8 @@ def test_classification_cost_counts(algebra, monkeypatch):
     counted(orbits, "even_skew_form")
     counted(orbits, "_normal_form")
     counted(orbits, "subalgebra_on")
-    counted(lsa, "is_ideal")
+    counted(orbits, "quotient")
+    counted(lsa, "_ideal_scan")
     counted(lsa, "_engel_refine")
     realized: list = []             # the subspaces lsa realizes, g's own among them
     realize = lsa.subalgebra_on
@@ -268,18 +269,23 @@ def test_classification_cost_counts(algebra, monkeypatch):
     # one odd Gram matrix per value of lambda on [g1, g1]
     assert calls.count("in_admissible_cone") == calls.count("of") == 5
     assert calls.count("even_skew_form") <= admissible
-    assert calls.count("is_ideal") == len(descs)
+    # one Clifford quotient per orbit; the pairwise ideal scan runs only where
+    # j does not contain [m, m], and those are the quotients that are not abelian
+    scanned = [o for o in descs if o.polarizing.clifford.algebra.brackets]
+    assert calls.count("quotient") == len(descs)
+    assert calls.count("_ideal_scan") == len(scanned) == 2
     below_g0 = {o.polarizing.m0 for o in descs} - {g.even_subspace}
     assert len(below_g0) < len({o.polarizing.m0 for o in descs})
     assert calls.count("subalgebra_on") == len(below_g0)
     assert realized.count(g.full_space) == 1
     assert "_engel_refine" in calls
     last_flag_step = len(calls) - calls[::-1].index("_engel_refine")
-    assert "is_ideal" not in calls[:last_flag_step]
+    assert "quotient" not in calls[:last_flag_step]
     calls.clear()
     realized.clear()
     assert [o.as_json() for o in classify_orbits(g, box)] == [o.as_json() for o in descs]
-    assert "_engel_refine" not in calls and calls.count("is_ideal") == len(descs)
+    assert "_engel_refine" not in calls and calls.count("quotient") == len(descs)
+    assert calls.count("_ideal_scan") == len(scanned)
     assert calls.count("subalgebra_on") == len(below_g0) and g.full_space not in realized
     calls.clear()
     classify_orbits(g, grid_box(g, -3, 3))

@@ -70,6 +70,8 @@ ROTATION = "tests/test_differential.py::test_check_axioms_matches_the_rotation_s
 BRUTE_JACOBI = "tests/test_lsa.py::test_sparse_jacobi_matches_brute_force"
 PARITY_BLOCKS = "tests/test_differential.py::test_parity_blocks_match_the_whole_matrix"
 PINNED = "tests/test_differential.py::test_pinned_commutant_solves_match_unpinned_ones"
+CONTAINMENT = "tests/test_differential.py::test_ideal_containment_route_matches_the_pairwise_scan"
+COSTS = "tests/test_orbits.py::test_classification_cost_counts"
 CLIFFREP = "src/liecones/cliffrep.py"
 EXACTNUM = "src/liecones/exactnum.py"
 HWM = "src/liecones/hwm.py"
@@ -282,6 +284,23 @@ MUTANTS = (
            "acc = acc + a * b * t if acc else a * b * t",
            "acc = acc + b * t if acc else b * t",
            (BRACKET_FORM, BRACKET_FORM_HC)),
+    Mutant("the ideal test accepts every subspace", LSA,
+           'return s.contains_subspace(series(g, "lower_central")[:2][-1])',
+           "return True",
+           (f"{CONTAINMENT}[h(1)]", f"{CONTAINMENT}[su(1,1|1,1)]",
+            "tests/test_lsa.py::test_quotient_examples")),
+    Mutant("the containment test reads g for [g, g]", LSA,
+           'series(g, "lower_central")[:2][-1]',
+           'series(g, "lower_central")[0]',
+           (COSTS,)),
+    Mutant("the quotient skips its bracket loop without the containment", LSA,
+           "enumerate(() if abelian else comp)",
+           "enumerate(())",
+           (f"{CONTAINMENT}[h(1)]", f"{CONTAINMENT}[osp(1|2)]", f"{POLARIZE}[hc(2|2,++)]")),
+    Mutant("the direct kernel of lambda on m0 drops its pivot term", ORBITS,
+           "vec_sub(b, vec_scale(c * inv, m0.rows[p])) if c else b",
+           "b",
+           (f"{POLARIZE}[h(1)]", f"{POLARIZE}[hc(2|2,++)]", f"{POLARIZE}[n4]")),
     Mutant("the normal-form step moves with the wrong sign", ORBITS,
            "t = -functional_value(cur, y[:e]) / col[k]",
            "t = functional_value(cur, y[:e]) / col[k]",
