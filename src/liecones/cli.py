@@ -1,13 +1,16 @@
 """Batch command-line front end with stable JSON reports.
 
-Exit codes follow the library's three error classes (liecones.exactnum):
-0 = computed, whatever the mathematical verdict; a command whose search or
-splitting step raises Undetermined reports status UNDETERMINED.  1 = the
-input or the command line was malformed, or outside a function's domain
-(InputError), reported as status ERROR with no verdict.  2 = a re-check of
-computed data failed (InvariantViolation) or another exception escaped.
-The code that raises decides; this module translates no error.  Reports
-are deterministic for fixed inputs and budgets and carry machine-checkable
+Each command fills the report's inputs and budgets and returns (status,
+results); main alone turns what a command raises into a report, by the
+library's three error classes (liecones.exactnum).  0 = computed, whatever
+the mathematical verdict: a search or splitting step that raises
+Undetermined, or a functional that raises NotAdmissible, gives status
+UNDETERMINED with the inputs kept.  1 = the input or the command line was
+malformed, or outside a function's domain (InputError), or the --out file
+could not be written: status ERROR with no verdict.  2 = a re-check of
+computed data failed (InvariantViolation) or another exception escaped:
+status ERROR.  ERROR reports carry empty inputs and budgets.  Reports are
+deterministic for fixed inputs and budgets and carry machine-checkable
 witnesses; verdicts are re-verified before being emitted.
 """
 
@@ -49,40 +52,34 @@ REPORT_SCHEMA = {
 }
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
-
-
-def _report(command: str, inputs: dict, status: str, results: dict,
-            budgets: dict | None = None) -> dict:
-    return {
+def _report_text(command: str, status: str, results: dict, inputs: dict,
+                 budgets: dict) -> str:
+    return json.dumps({
         "version": SCHEMA_VERSION,
         "tool": f"liecones {__version__}",
         "command": command,
         "status": status,
         "inputs": inputs,
         "results": results,
-        "budgets": budgets or {},
-    }
+        "budgets": budgets,
+    }, sort_keys=True, indent=2) + "\n"
 
 
-def _load_algebra(args, check: bool = True) -> tuple[LieSuperalgebra, dict]:
-    """The algebra named by --catalog or --algebra.
+def _load_algebra(args, inputs: dict, check: bool = True) -> LieSuperalgebra:
+    """The algebra named by --catalog or --algebra, recorded in inputs.
 
     A file algebra that fails check_axioms is an input error (exit 1, no
     verdict) unless check is False; catalog entries are tested by the suite.
     """
     if getattr(args, "catalog", None):
-        return cat.build(args.catalog).algebra, {"catalog": args.catalog}
+        inputs["catalog"] = args.catalog
+        return cat.build(args.catalog).algebra
     if getattr(args, "algebra", None):
         g = LieSuperalgebra.load(args.algebra)
         if check:
             _require_axioms(g)
-        return g, {"algebra_file": args.algebra, "name": g.name}
+        inputs.update(algebra_file=args.algebra, name=g.name)
+        return g
     raise InputError("need --algebra FILE or --catalog KEY")
 
 
@@ -94,19 +91,19 @@ def _require_axioms(g: LieSuperalgebra) -> None:
                          + json.dumps([list(v) for v in rep.violations]))
 
 
-def _scan_budgets(args, **extra) -> dict:
-    """The report's budgets; a negative --budget or --cap is an input error."""
+def _scan_budgets(args, budgets: dict, **extra) -> None:
+    """Record the scan budgets; a negative --budget or --cap is an input error."""
     if args.budget < 0 or args.cap < 0:
         raise InputError("--budget and --cap must be >= 0")
-    return {"scan_bound": args.budget, "scan_cap": args.cap, **extra}
+    budgets.update(scan_bound=args.budget, scan_cap=args.cap, **extra)
 
 
-def _parse_functional(g: LieSuperalgebra, text: str) -> tuple:
-    parts = [p for p in text.split(",") if p.strip()]
-    vals = tuple(parse_scalar(p, g.field) for p in parts)
-    if len(vals) != g.space.even_dim:
-        raise InputError(
-            f"functional needs {g.space.even_dim} coordinates, got {len(vals)}")
+def _coords(text: str, fld: Field, n: int, message: str) -> tuple:
+    """The comma-separated scalars of text; InputError(message) unless there
+    are n of them ({got} in message is replaced by the count found)."""
+    vals = tuple(parse_scalar(p, fld) for p in text.split(",") if p.strip())
+    if len(vals) != n:
+        raise InputError(message.format(got=len(vals)))
     return vals
 
 
@@ -115,27 +112,27 @@ def _subspace_json(s) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each fills the report's inputs and budgets and
+# returns (status, results); main maps whatever they raise
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args) -> dict:
-    g, inputs = _load_algebra(args, check=False)
+def cmd_validate(args, inputs: dict, budgets: dict) -> tuple[str, dict]:
+    g = _load_algebra(args, inputs, check=False)
     rep = check_axioms(g)
-    results = {
+    return "OK", {
         "dims": {"even": g.space.even_dim, "odd": g.space.odd_dim},
         "parity_ok": rep.parity_ok,
         "antisymmetry_ok": rep.antisymmetry_ok,
         "jacobi_ok": rep.jacobi_ok,
         "violations": [list(v) for v in rep.violations],
     }
-    return _report("validate", inputs, "OK", results)
 
 
-def cmd_analyze(args) -> dict:
-    g, inputs = _load_algebra(args)
+def cmd_analyze(args, inputs: dict, budgets: dict) -> tuple[str, dict]:
+    g = _load_algebra(args, inputs)
     cen = centroid(g)
     der = derivations(g)
-    results = {
+    return "OK", {
         "dims": {"even": g.space.even_dim, "odd": g.space.odd_dim},
         "center_dim": center(g).dim,
         "nilpotent": is_nilpotent(g),
@@ -145,105 +142,83 @@ def cmd_analyze(args) -> dict:
         "centroid_dim": {"even": len(cen.even), "odd": len(cen.odd)},
         "derivations_dim": {"even": len(der.even), "odd": len(der.odd)},
     }
-    return _report("analyze", inputs, "OK", results)
 
 
-def cmd_cartan(args) -> dict:
-    g, inputs = _load_algebra(args)
-    budgets = _scan_budgets(args)
-    try:
-        h0 = car.cartan_subalgebra_even(g, bound=args.budget, cap=args.cap)
-    except Undetermined as exc:
-        return _report("cartan", inputs, "UNDETERMINED",
-                       {"error": str(exc)}, budgets)
+def cmd_cartan(args, inputs: dict, budgets: dict) -> tuple[str, dict]:
+    g = _load_algebra(args, inputs)
+    _scan_budgets(args, budgets)
+    h0 = car.cartan_subalgebra_even(g, bound=args.budget, cap=args.cap)
     cd = car.cartan_subsuperalgebra(g, h0)
-    results = {
+    return "OK", {
         "h0": _subspace_json(cd.h0),
         "h": _subspace_json(cd.h),
         "compactly_embedded": cd.compactly_embedded,
     }
-    return _report("cartan", inputs, "OK", results, budgets)
 
 
-def _root_datum(command: str, g: LieSuperalgebra, inputs: dict, args, budgets: dict):
-    """(h0, root datum) from the scanned compact Cartan subalgebra h0, or the
-    command's UNDETERMINED report when the scan or the root splitting fails."""
+def _root_datum(g: LieSuperalgebra, args):
+    """(h0, root datum) from the scanned compact Cartan subalgebra h0, or None
+    when the scan finds none."""
     h0 = car.compact_cartan_even(g, bound=args.budget, cap=args.cap)
     if h0 is None:
-        return _report(command, inputs, "UNDETERMINED",
-                       {"note": "no compactly embedded Cartan found in scan"}, budgets)
-    cd = car.cartan_subsuperalgebra(g, h0)
-    try:
-        return h0, car.root_decomposition(g, cd)
-    except Undetermined as exc:
-        return _report(command, inputs, "UNDETERMINED", {"error": str(exc)}, budgets)
+        return None
+    return h0, car.root_decomposition(g, car.cartan_subsuperalgebra(g, h0))
 
 
-def cmd_roots(args) -> dict:
-    g, inputs = _load_algebra(args)
-    budgets = _scan_budgets(args)
-    found = _root_datum("roots", g, inputs, args, budgets)
-    if isinstance(found, dict):
-        return found
+def cmd_roots(args, inputs: dict, budgets: dict) -> tuple[str, dict]:
+    g = _load_algebra(args, inputs)
+    _scan_budgets(args, budgets)
+    found = _root_datum(g, args)
+    if found is None:
+        return "UNDETERMINED", {"note": "no compactly embedded Cartan found in scan"}
     h0, datum = found
     roots = [{"alpha": [str(v) for v in r.values],
               "even_dim": r.even_space.dim,
               "odd_dim": r.odd_space.dim} for r in datum.roots]
-    results = {
+    return "OK", {
         "h0": _subspace_json(h0),
         "roots": roots,
         "symmetric": car.check_root_symmetry([r.values for r in datum.roots]),
     }
-    return _report("roots", inputs, "OK", results, budgets)
 
 
-def cmd_cone_check(args) -> dict:
-    g, inputs = _load_algebra(args)
-    budgets = _scan_budgets(args, hill_steps=args.hill_steps)
+def cmd_cone_check(args, inputs: dict, budgets: dict) -> tuple[str, dict]:
+    g = _load_algebra(args, inputs)
+    _scan_budgets(args, budgets, hill_steps=args.hill_steps)
     pd = cones.find_pd_functional(g, bound=args.budget, cap=args.cap,
                                   hill_steps=args.hill_steps)
     iso = cones.find_isotropic_odd(g)
     status = "OK" if pd.status == cones.POINTED_CERTIFIED or \
         iso.status == cones.ISOTROPIC_FOUND else "UNDETERMINED"
-    results = {"pd_search": pd.as_json(), "isotropic_search": iso.as_json()}
-    return _report("cone-check", inputs, status, results, budgets)
+    return status, {"pd_search": pd.as_json(), "isotropic_search": iso.as_json()}
 
 
-def cmd_star_reduced(args) -> dict:
-    g, inputs = _load_algebra(args)
-    budgets = _scan_budgets(args, hill_steps=args.hill_steps)
+def cmd_star_reduced(args, inputs: dict, budgets: dict) -> tuple[str, dict]:
+    g = _load_algebra(args, inputs)
+    _scan_budgets(args, budgets, hill_steps=args.hill_steps)
     rep = cones.star_reduced_report(g, bound=args.budget, cap=args.cap,
                                     hill_steps=args.hill_steps)
     status = {"OBSTRUCTED": "OBSTRUCTED", "CONE_OK": "OK",
               "UNDETERMINED": "UNDETERMINED"}[rep.status]
-    results = rep.as_json()
-    return _report("star-reduced", inputs, status, results, budgets)
+    return status, rep.as_json()
 
 
-def cmd_polarize(args) -> dict:
-    g, inputs = _load_algebra(args)
-    lam = _parse_functional(g, args.lam)
+def cmd_polarize(args, inputs: dict, budgets: dict) -> tuple[str, dict]:
+    g = _load_algebra(args, inputs)
+    lam = _coords(args.lam, g.field, g.space.even_dim,
+                  f"functional needs {g.space.even_dim} coordinates, got {{got}}")
     inputs["lambda"] = [str(x) for x in lam]
-    try:
-        ps = orb.polarizing_flag(g, lam)
-    except orb.NotAdmissible as exc:
-        return _report("polarize", inputs, "UNDETERMINED",
-                       {"not_admissible": str(exc)})
-    return _report("polarize", inputs, "OK", ps.as_json())
+    return "OK", orb.polarizing_flag(g, lam).as_json()
 
 
 def _load_box(g: LieSuperalgebra, args) -> list:
-    spec = args.box
-    low, high = args.low, args.high
-    if spec == "central":
-        return orb.central_box(g, low, high)
-    if spec == "grid":
-        return orb.grid_box(g, low, high)
-    doc = read_json(spec, "box")
-    if isinstance(doc, dict) and doc.get("type") in ("grid", "central"):
-        lo, hi = json_entry(doc, "low", int, low), json_entry(doc, "high", int, high)
-        return orb.grid_box(g, lo, hi) if doc["type"] == "grid" \
-            else orb.central_box(g, lo, hi)
+    boxes = {"grid": orb.grid_box, "central": orb.central_box}
+    if args.box in boxes:
+        return boxes[args.box](g, args.low, args.high)
+    doc = read_json(args.box, "box")
+    if isinstance(doc, dict) and isinstance(doc.get("type"), str) and doc["type"] in boxes:
+        return boxes[doc["type"]](g, json_entry(doc, "low", int, args.low),
+                                  json_entry(doc, "high", int, args.high))
     if isinstance(doc, dict) and "functionals" in doc:
         rows = json_entry(doc, "functionals", list)
         if not all(isinstance(row, list) for row in rows):
@@ -252,28 +227,26 @@ def _load_box(g: LieSuperalgebra, args) -> list:
     raise InputError("box file must give type grid/central or functionals")
 
 
-def cmd_orbit_classify(args) -> dict:
-    g, inputs = _load_algebra(args)
+def cmd_orbit_classify(args, inputs: dict, budgets: dict) -> tuple[str, dict]:
+    g = _load_algebra(args, inputs)
     box = _load_box(g, args)
     inputs["box"] = {"spec": args.box, "low": args.low, "high": args.high,
                      "size": len(box)}
     descriptors = orb.classify_orbits(g, box)
-    results = {
+    return "OK", {
         "orbit_count": len(descriptors),
         "admissible_count": sum(len(o.members) for o in descriptors),
         "orbits": [o.as_json() for o in descriptors],
     }
-    return _report("orbit-classify", inputs, "OK", results)
 
 
-def cmd_clifford(args) -> dict:
-    inputs: dict = {}
+def cmd_clifford(args, inputs: dict, budgets: dict) -> tuple[str, dict]:
     if args.catalog or args.algebra:
-        g, inputs = _load_algebra(args)
+        g = _load_algebra(args, inputs)
         gam = parse_scalar(args.gamma or "1", g.field)
         inputs["gamma"] = str(gam)
         res = cr.classify_heisenberg_clifford(g, gam)
-        results = {
+        return "OK", {
             "classification": res.status,
             "module_count": len(res.modules),
             "modules": [m.as_json() for m in res.modules],
@@ -281,18 +254,16 @@ def cmd_clifford(args) -> dict:
             "details": res.details,
             "verification": [cr.verify_rep(m)["all_ok"] for m in res.modules],
         }
-        return _report("clifford", inputs, "OK", results)
     if args.d is None:
         raise InputError("need --d N --normalization ... or --catalog KEY")
     norms = [parse_scalar(p, QQ).as_fraction()
              for p in (args.normalization or "").split(",") if p]
     if len(norms) != args.d:
         raise InputError("normalization list must have d entries")
-    inputs = {"d": args.d, "normalization": [str(n) for n in norms]}
+    inputs.update(d=args.d, normalization=[str(n) for n in norms])
     rep = cr.clifford_module(args.d, norms)
-    results = {"module": rep.as_json(), "verification": cr.verify_rep(rep)["all_ok"],
-               "dimension": rep.dim}
-    return _report("clifford", inputs, "OK", results)
+    return "OK", {"module": rep.as_json(), "verification": cr.verify_rep(rep)["all_ok"],
+                  "dimension": rep.dim}
 
 
 def rep_to_json_full(rep: cr.MatrixRep) -> dict:
@@ -315,68 +286,47 @@ def rep_from_json(doc) -> cr.MatrixRep:
                         tuple(mats), label=json_entry(doc, "label", str, ""))
 
 
-def cmd_verify_rep(args) -> dict:
+def cmd_verify_rep(args, inputs: dict, budgets: dict) -> tuple[str, dict]:
+    inputs["rep_file"] = args.rep
     rep = rep_from_json(read_json(args.rep, "representation"))
-    _require_axioms(rep.algebra)
-    samples = []
-    if args.adjoint_sample:
-        for part in args.adjoint_sample.split(";"):
-            coords = tuple(parse_scalar(x, rep.algebra.field)
-                           for x in part.split(",") if x.strip())
-            if len(coords) != rep.algebra.dim:
-                raise InputError("adjoint sample needs full coordinate vectors")
-            samples.append(coords)
-    report = cr.verify_rep(rep, adjoint_sample=samples)
-    return _report("verify-rep", {"rep_file": args.rep}, "OK", report)
+    g = rep.algebra
+    _require_axioms(g)
+    samples = [_coords(part, g.field, g.dim, "adjoint sample needs full coordinate vectors")
+               for part in args.adjoint_sample.split(";")] if args.adjoint_sample else []
+    return "OK", cr.verify_rep(rep, adjoint_sample=samples)
 
 
-def cmd_hwm(args) -> dict:
-    g, inputs = _load_algebra(args)
-    budgets = _scan_budgets(args, depth=args.depth)
-    found = _root_datum("hwm", g, inputs, args, budgets)
-    if isinstance(found, dict):
-        return found
+def cmd_hwm(args, inputs: dict, budgets: dict) -> tuple[str, dict]:
+    g = _load_algebra(args, inputs)
+    _scan_budgets(args, budgets, depth=args.depth)
+    found = _root_datum(g, args)
+    if found is None:
+        return "UNDETERMINED", {"note": "no compactly embedded Cartan found in scan"}
     h0, datum = found
-    fld = g.field
-    x0_parts = [p for p in args.x0.split(",") if p.strip()]
-    if len(x0_parts) != h0.dim:
-        raise InputError(f"--x0 needs {h0.dim} coordinates over the Cartan basis")
-    x0 = tuple(parse_scalar(p, fld) for p in x0_parts)
+    x0 = _coords(args.x0, g.field, h0.dim,
+                 f"--x0 needs {h0.dim} coordinates over the Cartan basis")
     positives = hw.positive_system(datum, x0)
-    vfield = positives[0].values[0].field if positives else fld.complexified()
-    if args.weight:
-        wparts = [p for p in args.weight.split(",") if p.strip()]
-        if len(wparts) != h0.dim:
-            raise InputError(f"--weight needs {h0.dim} coordinates")
-        lam = tuple(parse_scalar(p, vfield) for p in wparts)
-    else:
-        lam = tuple(vfield.zero for _ in range(h0.dim))
-    module = hw.CartanModule(args.dim_v, lam)
-    tm = hw.build_truncated(datum, positives, module, args.depth)
-    inputs["x0"] = [str(x) for x in x0]
-    inputs["weight"] = [str(x) for x in lam]
-    inputs["dim_v"] = args.dim_v
-    return _report("hwm", inputs, "OK", tm.as_json(), budgets)
+    vfield = positives[0].values[0].field if positives else g.field.complexified()
+    lam = _coords(args.weight, vfield, h0.dim, f"--weight needs {h0.dim} coordinates") \
+        if args.weight else tuple(vfield.zero for _ in range(h0.dim))
+    tm = hw.build_truncated(datum, positives, hw.CartanModule(args.dim_v, lam), args.depth)
+    inputs.update(x0=[str(x) for x in x0], weight=[str(x) for x in lam], dim_v=args.dim_v)
+    return "OK", tm.as_json()
 
 
-def cmd_catalog(args) -> dict:
+def cmd_catalog(args, inputs: dict, budgets: dict) -> tuple[str, dict]:
+    inputs["action"] = args.action
     if args.action == "list":
-        results = {"keys": cat.list_keys(), "table1_keys": cat.table1_keys()}
-        return _report("catalog", {"action": "list"}, "OK", results)
-    if args.action == "get":
-        if not args.key:
-            raise InputError("catalog get needs a key")
-        entry = cat.build(args.key)
-        results = {"algebra": entry.algebra.to_json(),
-                   "props": {k: (list(v) if isinstance(v, tuple) else v)
-                             for k, v in sorted(entry.props.items())}}
-        return _report("catalog", {"action": "get", "key": args.key}, "OK", results)
+        return "OK", {"keys": cat.list_keys(), "table1_keys": cat.table1_keys()}
+    if not args.key:
+        raise InputError(f"catalog {args.action} needs a key")
+    inputs["key"] = args.key
     if args.action == "table1":
-        if not args.key:
-            raise InputError("catalog table1 needs a key")
-        meta = cat.table1_metadata(args.key)
-        return _report("catalog", {"action": "table1", "key": args.key}, "OK", meta)
-    raise InputError(f"unknown catalog action {args.action!r}")
+        return "OK", cat.table1_metadata(args.key)
+    entry = cat.build(args.key)
+    return "OK", {"algebra": entry.algebra.to_json(),
+                  "props": {k: (list(v) if isinstance(v, tuple) else v)
+                            for k, v in sorted(entry.props.items())}}
 
 
 # ---------------------------------------------------------------------------
@@ -473,35 +423,43 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     argv = sys.argv[1:] if argv is None else argv
+    command, out = (argv[0] if argv else ""), None
+    inputs: dict = {}
+    budgets: dict = {}
     try:
         args = ap.parse_args(argv)
+        if args.schema:
+            sys.stdout.write(json.dumps(REPORT_SCHEMA, sort_keys=True, indent=2) + "\n")
+            return 0
+        if not args.command:
+            ap.print_help()
+            return 1
+        command, out = args.command, getattr(args, "out", None)
+        status, results = args.func(args, inputs, budgets)
+        code = 0
+    except orb.NotAdmissible as exc:
+        code, status, results = 0, "UNDETERMINED", {"not_admissible": str(exc)}
+    except Undetermined as exc:
+        code, status, results = 0, "UNDETERMINED", {"error": str(exc)}
     except InputError as exc:
-        _emit(_report(argv[0] if argv else "", {}, "ERROR", {"error": str(exc)}), None)
-        return 1
-    if args.schema:
-        sys.stdout.write(json.dumps(REPORT_SCHEMA, sort_keys=True, indent=2) + "\n")
-        return 0
-    if not getattr(args, "command", None):
-        ap.print_help()
-        return 1
-    try:
-        report = args.func(args)
-    except InputError as exc:
-        _emit(_report(args.command, {}, "ERROR", {"error": str(exc)}),
-              getattr(args, "out", None))
-        return 1
+        code, status, results = 1, "ERROR", {"error": str(exc)}
     except InvariantViolation as exc:
-        _emit(_report(args.command, {}, "ERROR",
-                      {"error": f"internal invariant violation: {exc}"}),
-              getattr(args, "out", None))
-        return 2
+        code, status, results = 2, "ERROR", {"error": f"internal invariant violation: {exc}"}
     except Exception as exc:   # pragma: no cover - defensive
-        _emit(_report(args.command, {}, "ERROR",
-                      {"error": f"internal error: {type(exc).__name__}: {exc}"}),
-              getattr(args, "out", None))
-        return 2
-    _emit(report, getattr(args, "out", None))
-    return 0
+        code, status, results = 2, "ERROR", {
+            "error": f"internal error: {type(exc).__name__}: {exc}"}
+    if code:
+        inputs, budgets = {}, {}
+    text = _report_text(command, status, results, inputs, budgets)
+    if out:
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            code, text = 1, _report_text(command, "ERROR",
+                                         {"error": f"cannot write report file: {exc}"}, {}, {})
+    sys.stdout.write(text)
+    return code
 
 
 if __name__ == "__main__":

@@ -378,10 +378,7 @@ def nilpotent_vanishing_ideal(g: LieSuperalgebra) -> Subspace:
     """Ideal generated by [g1, [g1, g1]]; forced kernel of every unitary rep."""
     if not is_nilpotent(g):
         raise InputError("nilpotent_vanishing_ideal needs a nilpotent algebra")
-    odd = g.odd_subspace
-    layer2 = bracket_span(g, odd, odd)
-    layer3 = bracket_span(g, odd, layer2)
-    ideal = layer3
+    ideal = bracket_span(g, g.odd_subspace, g.odd_square)
     while True:
         bigger = ideal.sum_with(bracket_span(g, g.full_space, ideal))
         if bigger == ideal:
@@ -401,8 +398,7 @@ def abelian_even_ideals_contained_in_center(g: LieSuperalgebra) -> list[dict]:
     for kind in ("derived", "lower_central"):
         for t, s in enumerate(series(g, kind)):
             candidates.append((f"{kind}[{t}]", s.intersect(g.even_subspace)))
-    odd = g.odd_subspace
-    candidates.append(("[g1,g1]", bracket_span(g, odd, odd)))
+    candidates.append(("[g1,g1]", g.odd_square))
     out = []
     seen = set()
     for label, s in candidates:
@@ -526,8 +522,7 @@ def star_reduced_report(g: LieSuperalgebra, bound: int = 3, cap: int = 2000,
                                        details={"route": "projected_square_hull"})
                 return StarReducedReport(OBSTRUCTED, reasons, cert, notes)
 
-    odd = g.odd_subspace
-    if bracket_span(g, odd, odd) == g.even_subspace:
+    if g.odd_square == g.even_subspace:
         if k0 is None:
             notes.append("g0 = [g1,g1] but no compactly embedded Cartan was found "
                          "within the scan budget; existence undetermined")

@@ -6,8 +6,10 @@ import sys
 import jsonschema
 import pytest
 
+from liecones import cli, orbits
 from liecones.cli import REPORT_SCHEMA, main, rep_from_json, rep_to_json_full
 from liecones.cliffrep import clifford_module
+from liecones.exactnum import Undetermined
 
 
 def run_cli(args, capsys):
@@ -207,6 +209,20 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text()) == json.loads(out)
 
 
+@pytest.mark.parametrize("target", ["missing/r.json", "."])
+def test_unwritable_out_file_is_an_error_report(tmp_path, capsys, target):
+    """A report file that cannot be written gives only an ERROR report on
+    stdout, exit 1, instead of a traceback."""
+    path = tmp_path / target
+    code, out = run_cli(["catalog", "list", "--out", str(path)], capsys)
+    rep = json.loads(out)
+    check_schema(rep)
+    assert code == 1 and rep["status"] == "ERROR" and rep["command"] == "catalog"
+    assert rep["inputs"] == {} and rep["budgets"] == {}
+    assert rep["results"]["error"].startswith("cannot write report file: ")
+    assert str(path) in rep["results"]["error"]
+
+
 def test_determinism_subprocess():
     cmds = [
         ["validate", "--catalog", "gl(1|1)"],
@@ -229,6 +245,8 @@ def test_all_reports_validate_against_schema(capsys):
         ["cartan", "--catalog", "h(1)"],
         ["cone-check", "--catalog", "cl(1|1,-)"],
         ["catalog", "list"],
+        ["polarize", "--catalog", "h(1)", "--lambda", "1,2"],
+        *(run[0] for run in UNDETERMINED_RUNS),
     ]
     for cmd in cmds:
         code, out = run_cli(cmd, capsys)
@@ -350,6 +368,7 @@ def _rep_doc(drop_operator=False, algebra_bracket=None, operator_entry=None):
 MALFORMED_FILES = {
     "box_low.json": {"type": "grid", "low": "a"},
     "box_rows.json": {"functionals": [1, 2]},
+    "box_type.json": {"type": ["grid"]},
     "alg_brackets.json": {"field": "Q", "even": 1, "odd": 0, "brackets": [1]},
     "alg_list.json": [1, 2],
     "alg_field.json": {"field": 3, "even": 1, "odd": 1},
@@ -381,6 +400,8 @@ MALFORMED_RUNS = [
      "'low' must be an integer"),
     (["orbit-classify", "--catalog", "h(1)", "--box", "box_rows.json"],
      "array of coordinate arrays"),
+    (["orbit-classify", "--catalog", "h(1)", "--box", "box_type.json"],
+     "box file must give type grid/central or functionals"),
     (["validate", "--algebra", "alg_brackets.json"], "expected an object with 'left'"),
     (["validate", "--algebra", "alg_list.json"], "expected an object with 'field'"),
     (["validate", "--algebra", "alg_field.json"], "'field' must be a string"),
@@ -439,3 +460,55 @@ def test_field_tag_above_the_tower_bound_exits_1(tmp_path, capsys):
     rep = json.loads(out)
     assert code == 1 and rep["status"] == "ERROR"
     assert "tower bound" in rep["results"]["error"]
+
+
+# Every UNDETERMINED report the catalog reaches, with its whole inputs,
+# budgets and results: an UNDETERMINED verdict keeps what it was computed from.
+UNDETERMINED_RUNS = [
+    (["cartan", "--catalog", "h(1)", "--cap", "0"],
+     {"catalog": "h(1)"}, {"scan_bound": 3, "scan_cap": 0},
+     {"error": "no Cartan subalgebra of h(1) found within bound 3 / cap 0"}),
+    (["roots", "--catalog", "osp(1|2)", "--cap", "0"],
+     {"catalog": "osp(1|2)"}, {"scan_bound": 3, "scan_cap": 0},
+     {"note": "no compactly embedded Cartan found in scan"}),
+    (["hwm", "--catalog", "h(1)", "--x0", "1"],
+     {"catalog": "h(1)"}, {"depth": 4, "scan_bound": 3, "scan_cap": 2000},
+     {"note": "no compactly embedded Cartan found in scan"}),
+    (["star-reduced", "--catalog", "osp(1|2)", "--cap", "0"],
+     {"catalog": "osp(1|2)"}, {"hill_steps": 200, "scan_bound": 3, "scan_cap": 0},
+     {"notes": ["no positive-definite functional within budget"], "reasons": [],
+      "status": "UNDETERMINED"}),
+    (["polarize", "--catalog", "hc(2|2,+-)", "--lambda", "0,0,1"],
+     {"catalog": "hc(2|2,+-)", "lambda": ["0", "0", "1"]}, {},
+     {"not_admissible": "odd Gram matrix is not positive semidefinite"}),
+]
+
+
+@pytest.mark.parametrize("argv, inputs, budgets, results", UNDETERMINED_RUNS,
+                         ids=[" ".join(run[0]) for run in UNDETERMINED_RUNS])
+def test_undetermined_reports_keep_inputs_and_budgets(capsys, argv, inputs, budgets, results):
+    code, out = run_cli(argv, capsys)
+    rep = json.loads(out)
+    assert code == 0 and rep["status"] == "UNDETERMINED" and rep["command"] == argv[0]
+    assert (rep["inputs"], rep["budgets"], rep["results"]) == (inputs, budgets, results)
+
+
+@pytest.mark.parametrize("module, name, argv, inputs", [
+    (orbits, "classify_orbits", ["orbit-classify", "--catalog", "h(1)", "--box", "grid"],
+     {"catalog": "h(1)", "box": {"spec": "grid", "low": -2, "high": 2, "size": 125}}),
+    (cli, "centroid", ["analyze", "--catalog", "h(1)"], {"catalog": "h(1)"}),
+], ids=["classify_orbits", "centroid"])
+def test_an_uncaught_undetermined_is_reported_undetermined(monkeypatch, capsys,
+                                                           module, name, argv, inputs):
+    """Undetermined raised anywhere in a command gives UNDETERMINED with exit
+    0, not an internal error: no command catches it itself."""
+    def undetermined(*args, **kwargs):
+        raise Undetermined("splitting needs a larger field")
+
+    monkeypatch.setattr(module, name, undetermined)
+    code, out = run_cli(argv, capsys)
+    rep = json.loads(out)
+    check_schema(rep)
+    assert code == 0 and rep["status"] == "UNDETERMINED"
+    assert rep["inputs"] == inputs and rep["budgets"] == {}
+    assert rep["results"] == {"error": "splitting needs a larger field"}

@@ -72,6 +72,9 @@ PARITY_BLOCKS = "tests/test_differential.py::test_parity_blocks_match_the_whole_
 PINNED = "tests/test_differential.py::test_pinned_commutant_solves_match_unpinned_ones"
 CONTAINMENT = "tests/test_differential.py::test_ideal_containment_route_matches_the_pairwise_scan"
 COSTS = "tests/test_orbits.py::test_classification_cost_counts"
+UNDETERMINED_RUNS = "tests/test_cli.py::test_undetermined_reports_keep_inputs_and_budgets"
+UNCAUGHT = "tests/test_cli.py::test_an_uncaught_undetermined_is_reported_undetermined"
+CLI = "src/liecones/cli.py"
 CLIFFREP = "src/liecones/cliffrep.py"
 EXACTNUM = "src/liecones/exactnum.py"
 HWM = "src/liecones/hwm.py"
@@ -176,10 +179,22 @@ MUTANTS = (
            "rows[k][j] += v[i] * c",
            "rows[j][k] += v[i] * c",
            (DENSE, EXP, TRANSPORTER)),
-    Mutant("a negative --cap accepted", "src/liecones/cli.py",
+    Mutant("a negative --cap accepted", CLI,
            "if args.budget < 0 or args.cap < 0:",
            "if args.budget < 0:",
            ("tests/test_cli.py::test_malformed_input_exits_1_without_verdict",)),
+    Mutant("the UNDETERMINED report drops its inputs", CLI,
+           "    if code:\n        inputs, budgets = {}, {}\n",
+           "    if True:\n        inputs, budgets = {}, {}\n",
+           (UNDETERMINED_RUNS, UNCAUGHT)),
+    Mutant("Undetermined maps to exit 1", CLI,
+           'code, status, results = 0, "UNDETERMINED", {"error": str(exc)}',
+           'code, status, results = 1, "UNDETERMINED", {"error": str(exc)}',
+           (UNDETERMINED_RUNS, UNCAUGHT)),
+    Mutant("the NotAdmissible clause catches nothing", CLI,
+           "except orb.NotAdmissible as exc:",
+           "except () as exc:",
+           (UNDETERMINED_RUNS, "tests/test_cli.py::test_polarize_and_orbit_classify")),
     Mutant("the rational inverse returns a", EXACTNUM,
            "return _rat(self.field, 1 / self.a)",
            "return _rat(self.field, self.a)",
