@@ -6,7 +6,10 @@ Odd operators are scaled gamma matrices built from the exact tensor tower
 rho(X) rho(Y) + rho(Y) rho(X) = -i rho([X, Y]), which forces Hermitian odd
 operators with positive squares.  Scalings stay inside one tower Q(i, sqrt c);
 inputs that would need a second square root are rejected, not approximated.
-The forms of a Heisenberg-Clifford algebra are lsa.bracket_form at Z*.
+The forms of a Heisenberg-Clifford algebra are lsa.bracket_form at Z*; one
+LDL of the scaled odd Gram matrix both decides positive definiteness and
+gives the congruence that diagonalizes it.  The verifier keeps one record,
+its list of failures, and reads every *_ok flag and all_ok off that list.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from .exactnum import (Field, InputError, InvariantViolation, QQ, QQ_I, Scalar, 
                        rational_sqrt_decomp)
 from .glinalg import (GradedSpace, Matrix, SparseVec, Vector, graded_commutant, unit_vector,
                       vec_is_zero, vec_scale)
-from .lsa import LieSuperalgebra, bracket_form, bracket_span, center
-from .cones import is_positive_definite
+from .lsa import LieSuperalgebra, bracket_form, center, series
 
 
 PENCIL_BUDGET = 20000      # grid points _contains_invertible tests before it gives up
@@ -139,18 +141,19 @@ def _permuted(M: Matrix, order: Sequence[int]) -> Matrix:
 # Clifford modules
 # ---------------------------------------------------------------------------
 
-def _sqrt_scaling(values: Sequence[Fraction]) -> tuple[Field, list[Scalar]]:
-    """Exact square roots of positive rationals inside one tower Q(i, sqrt c)."""
-    parts = [rational_sqrt_decomp(v) for v in values]
+def _spin_operators(norms: Sequence[Fraction]) -> tuple[Field, int, list[Matrix]]:
+    """sqrt(n_k / 2) gamma_k for positive rationals n_k (Hermitian, squares
+    n_k / 2), the roots all inside one tower Q(i, sqrt c); returns the tower,
+    the half dimension and the operators."""
+    parts = [rational_sqrt_decomp(n / 2) for n in norms]
     cs = sorted({s for _, s in parts if s != 1})
     if len(cs) > 1:
         raise InputError(
             f"normalizations need several square roots {cs}; rescale the basis first")
     fld = Field(True, cs[0]) if cs else QQ_I
-    out = []
-    for r, s in parts:
-        out.append(fld.rat(r) if s == 1 else fld.new(0, 0, r, 0))
-    return fld, out
+    gammas, half = gamma_matrices(len(norms), fld)
+    return fld, half, [G.scale(fld.rat(r) if s == 1 else fld.new(0, 0, r, 0))
+                       for (r, s), G in zip(parts, gammas)]
 
 
 def clifford_algebra(normalization: Sequence[Fraction]) -> LieSuperalgebra:
@@ -173,13 +176,9 @@ def clifford_module(d: int, normalization: Sequence) -> MatrixRep:
     norms = [Fraction(n) for n in normalization]
     if any(n <= 0 for n in norms):
         raise InputError("normalization must be positive (definite form)")
-    fld, scales = _sqrt_scaling([n / 2 for n in norms])
-    gammas, half = gamma_matrices(d, fld)
-    alg = clifford_algebra(norms)
-    mats = [Matrix.identity(fld, 2 * half).scale(fld.i)]          # rho(Z) = i Id
-    for s, G in zip(scales, gammas):
-        mats.append(G.scale(s))
-    return MatrixRep(alg, half, half, tuple(mats), label=f"spin(d={d})")
+    fld, half, spin = _spin_operators(norms)
+    rho_z = Matrix.identity(fld, 2 * half).scale(fld.i)           # rho(Z) = i Id
+    return MatrixRep(clifford_algebra(norms), half, half, (rho_z, *spin), label=f"spin(d={d})")
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +229,9 @@ def _adjoint(rows: list[SparseVec], negate: bool) -> list[SparseVec]:
 def verify_rep(rep: MatrixRep, adjoint_sample: Sequence[Vector] = (),
                odd_tuples: Sequence[Sequence[Vector]] = ()) -> dict:
     """Exact verification of the unitary-representation axioms on a
-    finite-dimensional graded module; report-based, never raises on failure."""
+    finite-dimensional graded module; report-based, never raises on failure.
+    Each failed check appends one entry to the failures list, and the *_ok
+    flags and all_ok are read off that list."""
     g = rep.algebra
     fld = rep.field
     failures: list[dict] = []
@@ -238,11 +239,9 @@ def verify_rep(rep: MatrixRep, adjoint_sample: Sequence[Vector] = (),
     e = rep.even_dim
     sparse = [M._sparse_rows() for M in rep.mats]     # {col: entry} per row, no zeros
 
-    grading_ok = True
     for k in range(n):
         odd = bool(g.parity(k))
         if any(((i < e) == (j < e)) == odd for i, row in enumerate(sparse[k]) for j in row):
-            grading_ok = False
             failures.append({"axiom": "grading", "basis": k})
 
     products: dict[tuple[int, int], list[SparseVec]] = {}
@@ -263,32 +262,22 @@ def verify_rep(rep: MatrixRep, adjoint_sample: Sequence[Vector] = (),
         return tuple(x.promote(fld) for x in g.bracket_basis(a, b))
 
     minus_i = -fld.i
-    anticommutator_ok = True
     for a in g.space.odd_indices():
         for b in g.space.odd_indices():
             rhs = rho(vec_scale(minus_i, bracket(a, b)))
             if _rows_sum(product(a, b), product(b, a), negate=False) != rhs:
-                anticommutator_ok = False
                 failures.append({"axiom": "anticommutator", "pair": [a, b]})
 
-    even_commutator_ok = True
     for a in g.space.even_indices():
         for b in range(n):
             if _rows_sum(product(a, b), product(b, a), negate=True) != rho(bracket(a, b)):
-                even_commutator_ok = False
                 failures.append({"axiom": "even_commutator", "pair": [a, b]})
 
-    hermitian_odd_ok = True
-    for a in g.space.odd_indices():
-        if sparse[a] != _adjoint(sparse[a], negate=False):
-            hermitian_odd_ok = False
-            failures.append({"axiom": "hermitian_odd", "basis": a})
-
-    skew_even_ok = True
-    for a in g.space.even_indices():
-        if sparse[a] != _adjoint(sparse[a], negate=True):
-            skew_even_ok = False
-            failures.append({"axiom": "skew_even", "basis": a})
+    # odd operators Hermitian, then even ones skew-Hermitian
+    for a in (*g.space.odd_indices(), *g.space.even_indices()):
+        skew = not g.parity(a)
+        if sparse[a] != _adjoint(sparse[a], negate=skew):
+            failures.append({"axiom": "skew_even" if skew else "hermitian_odd", "basis": a})
 
     group_results = []
     for v in adjoint_sample:
@@ -309,17 +298,16 @@ def verify_rep(rep: MatrixRep, adjoint_sample: Sequence[Vector] = (),
             except InputError:
                 group_results.append({"status": "SKIPPED", "why": "rho not exactly exponentiable"})
                 continue
-        ok = True
         for j in range(n):
             target = rep.rho(tuple(x.promote(fld) for x in E.col(j)))
             got = rep.mats[j] if conj is None else conj[0] * rep.mats[j] * conj[1]
             if target != got:
-                ok = False
                 failures.append({"axiom": "group_conjugation", "basis": j})
+                group_results.append({"status": "FAILED"})
                 break
-        group_results.append({"status": "OK" if ok else "FAILED"})
+        else:
+            group_results.append({"status": "OK"})
 
-    prop61_ok = True
     for tup in odd_tuples:
         vecs = [tuple(g.field.coerce(x) for x in v) for v in tup]
         total = None
@@ -329,23 +317,14 @@ def verify_rep(rep: MatrixRep, adjoint_sample: Sequence[Vector] = (),
         if total is not None and vec_is_zero(total):
             for v in vecs:
                 if not rep.rho(tuple(x.promote(fld) for x in v)).is_zero():
-                    prop61_ok = False
                     failures.append({"axiom": "prop61_vanishing",
                                      "vector": [str(x) for x in v]})
 
-    report = {
-        "grading_ok": grading_ok,
-        "anticommutator_ok": anticommutator_ok,
-        "even_commutator_ok": even_commutator_ok,
-        "hermitian_odd_ok": hermitian_odd_ok,
-        "skew_even_ok": skew_even_ok,
-        "group_conjugation": group_results,
-        "prop61_ok": prop61_ok,
-        "failures": failures,
-    }
-    report["all_ok"] = (grading_ok and anticommutator_ok and even_commutator_ok
-                        and hermitian_odd_ok and skew_even_ok and prop61_ok
-                        and all(r["status"] != "FAILED" for r in group_results))
+    failed = {f["axiom"] for f in failures}
+    report = {f"{axiom}_ok": axiom not in failed for axiom in
+              ("grading", "anticommutator", "even_commutator", "hermitian_odd", "skew_even")}
+    report.update(group_conjugation=group_results, prop61_ok="prop61_vanishing" not in failed,
+                  failures=failures, all_ok=not failures)
     return report
 
 
@@ -430,7 +409,6 @@ def equivalent(rep1: MatrixRep, rep2: MatrixRep, allow_parity: bool = False) -> 
 
 @dataclass
 class HCShape:
-    z_index: Vector                 # the central direction spanning [g, g]
     omega_even: Matrix              # symplectic form on the even complement
     gram_odd: Matrix                # symmetric form on the odd part (Z coefficient)
     even_complement: list[int]      # coordinate indices of the symplectic part
@@ -438,7 +416,7 @@ class HCShape:
 
 def heisenberg_clifford_shape(g: LieSuperalgebra) -> HCShape:
     """Verify [g,g] = central line, [g0,g1] = 0, nondegenerate forms."""
-    derived = bracket_span(g, g.full_space, g.full_space)
+    derived = series(g, "lower_central")[:2][-1]          # [g, g], cached on g
     if derived.dim != 1:
         raise InputError("derived algebra is not a line")
     zvec = derived.rows[0]
@@ -447,10 +425,8 @@ def heisenberg_clifford_shape(g: LieSuperalgebra) -> HCShape:
     if not center(g).contains(zvec):
         raise InputError("derived line is not central")
     e = g.space.even_dim
-    for i in range(e):
-        for j in g.space.odd_indices():
-            if not vec_is_zero(g.bracket_basis(i, j)):
-                raise InputError("[g0, g1] must vanish")
+    if any((i, j) in g.brackets for i in range(e) for j in g.space.odd_indices()):
+        raise InputError("[g0, g1] must vanish")
     # [g, g] is the line through zvec: Z* reads a bracket's coefficient on it
     pivot = derived.pivots[0]
     comp = [c for c in range(e) if c != pivot]
@@ -462,19 +438,7 @@ def heisenberg_clifford_shape(g: LieSuperalgebra) -> HCShape:
     gram = bracket_form(g, z_star, g.odd_subspace.rows, g.odd_subspace.rows)
     if g.space.odd_dim and gram.rank() != g.space.odd_dim:
         raise InputError("odd symmetric form is degenerate")
-    return HCShape(zvec, omega, gram, comp)
-
-
-def _congruence_diagonalize(S: Matrix) -> tuple[Matrix, list[Scalar]]:
-    """P with P S P^T diagonal, for a positive-definite symmetric S."""
-    diag, P = S.ldl()
-    if len(diag) < S.nrows or any(d.sign() <= 0 for d in diag):
-        raise InputError("congruence pivoting needs a PD matrix")
-    D = P * S * P.transpose()
-    if any(D.rows[i][j] != (diag[i] if i == j else S.field.zero) for i in range(S.nrows)
-           for j in range(S.nrows)):
-        raise InvariantViolation("congruence diagonalization failed")  # pragma: no cover
-    return P, diag
+    return HCShape(omega, gram, comp)
 
 
 @dataclass
@@ -499,7 +463,9 @@ def classify_heisenberg_clifford(g: LieSuperalgebra, gamma) -> HCClassification:
     gam = f.coerce(gamma)
     d = g.space.odd_dim
     M = shape.gram_odd.scale(gam)
-    if d and not is_positive_definite(M):
+    # Sylvester: M is positive definite iff its LDL runs to the end with positive pivots
+    pivots, P = M.ldl()
+    if len(pivots) < d or any(not p.is_real() or p.sign() <= 0 for p in pivots):
         return HCClassification("NONE", details={"reason": "odd form not positive definite"})
     if not gam:
         return HCClassification("NONE", details={"reason": "trivial central character"})
@@ -514,11 +480,10 @@ def classify_heisenberg_clifford(g: LieSuperalgebra, gamma) -> HCClassification:
         for x in r:
             if not x.is_rational():
                 raise InputError("central character must give a rational Gram matrix")
-    P, diag = _congruence_diagonalize(M)
-    norms = [x.as_fraction() for x in diag]
-    fld, scales = _sqrt_scaling([n / 2 for n in norms])
-    gammas, half = gamma_matrices(d, fld)
-    primed = [G.scale(s) for s, G in zip(scales, gammas)]
+    if P * M * P.transpose() != Matrix(f, [[p if i == j else f.zero for j in range(d)]
+                                             for i, p in enumerate(pivots)]):
+        raise InvariantViolation("congruence diagonalization failed")  # pragma: no cover
+    fld, half, primed = _spin_operators([p.as_fraction() for p in pivots])
     Pinv = P.inverse()
     # rho(Z) = i * gamma(Z) * Id; the Gram matrix above already absorbed gamma
     mats = [Matrix.identity(fld, 2 * half).scale(fld.new(0, gam.as_fraction(), 0, 0))]

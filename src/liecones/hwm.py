@@ -26,7 +26,8 @@ UNTESTED_CLAIMS = (
 
 @dataclass
 class CartanModule:
-    """Finite-dimensional Cartan module descriptor with a single even weight."""
+    """Finite-dimensional Cartan module descriptor with a single even weight,
+    which must be real."""
     dim: int
     weight: tuple[Scalar, ...]
     label: str = "V"
@@ -34,13 +35,15 @@ class CartanModule:
     def __post_init__(self):
         if self.dim < 1:
             raise InputError(f"module dimension must be >= 1, got {self.dim}")
+        if not all(x.is_real() for x in self.weight):
+            raise InputError(f"highest weight {[str(x) for x in self.weight]} is not real")
 
 
 def module_from_rep(rep: MatrixRep, h0_dim: int) -> CartanModule:
     """Extract the single t0-weight from a Cartan-subsuperalgebra module.
 
-    The first h0_dim operators must act as i * lambda_k * Id; anything else
-    means several weights and is rejected.
+    The first h0_dim operators must act as i * lambda_k * Id with lambda_k
+    real; a non-scalar operator means several weights and is rejected.
     """
     fld = rep.field
     weight = []
@@ -48,10 +51,7 @@ def module_from_rep(rep: MatrixRep, h0_dim: int) -> CartanModule:
         M = rep.mats[k]
         if not _is_scalar_matrix(M):
             raise InputError("V has multiple t0-weights")
-        lam_k = (M.rows[0][0] if M.nrows else fld.zero) * (-fld.i)
-        if not lam_k.is_real():
-            raise InputError("Cartan action is not i * real")
-        weight.append(lam_k)
+        weight.append((M.rows[0][0] if M.nrows else fld.zero) * (-fld.i))
     return CartanModule(rep.dim, tuple(weight), label=rep.label or "V")
 
 
@@ -109,12 +109,11 @@ class TruncatedModule:
 
 
 def build_truncated(datum: RootDatum, positives: Sequence[Root],
-                    module: CartanModule | MatrixRep, depth: int) -> TruncatedModule:
+                    module: CartanModule, depth: int) -> TruncatedModule:
     """Free span of PBW monomials over the negative root spaces, tensored with
     the Cartan module; the weight table counts monomials of total exponent
-    <= depth (odd generators at most once)."""
-    if isinstance(module, MatrixRep):
-        module = module_from_rep(module, datum.cartan.h0.dim)
+    <= depth (odd generators at most once).  A MatrixRep of the Cartan
+    subsuperalgebra enters through module_from_rep."""
     if depth < 0:
         raise InputError("depth must be >= 0")
     if len(module.weight) != datum.cartan.h0.dim:

@@ -391,6 +391,8 @@ MALFORMED_RUNS = [
     (["hwm", "--catalog", "osp(1|2)", "--x0", "1", "--depth", "-1"], "depth must be >= 0"),
     (["hwm", "--catalog", "osp(1|2)", "--x0", "1", "--depth", "1", "--dim-v", "-3"],
      "module dimension must be >= 1"),
+    (["hwm", "--catalog", "osp(1|2)", "--x0", "1", "--weight", "i"],
+     "highest weight ['1*i'] is not real"),
     (["clifford", "--d", "3", "--normalization", "1,x,1"], "bad scalar term 'x'"),
     (["clifford", "--d", "2", "--normalization", "1,i"], "no imaginary component"),
     (["verify-rep", "--rep", "rep_missing.json"], "one operator per algebra basis element"),

@@ -6,6 +6,7 @@ from liecones import cliffrep
 from liecones.exactnum import QQ, QQ_I, Field, InputError, Scalar, Undetermined
 from liecones.glinalg import Matrix
 from liecones.catalog import build
+from liecones.lsa import LieSuperalgebra
 from liecones.cliffrep import (
     MatrixRep, _contains_invertible, classify_heisenberg_clifford, clifford_module,
     equivalent, gamma_matrices, heisenberg_clifford_shape, parity_change,
@@ -100,6 +101,32 @@ def test_verify_rep_group_conjugation(algebra):
     assert report["group_conjugation"][0]["status"] == "OK"
 
 
+def test_verify_rep_group_conjugation_failure(algebra):
+    """rho(Z) replaced by a nilpotent non-scalar N: exp(ad Z) is the identity
+    but exp(N) moves rho(f1), so the sample fails once, at its first basis
+    vector, next to the grading, bracket and skew failures N brings."""
+    rep = classify_heisenberg_clifford(algebra("hc(2|2,++)"), 1).modules[0]
+    nilpotent = Matrix(rep.field, [[0, 1], [0, 0]])
+    bad = MatrixRep(rep.algebra, rep.even_dim, rep.odd_dim, (nilpotent,) + rep.mats[1:])
+    sample = [tuple(QQ.rat(1) if k == 0 else QQ.rat(0) for k in range(rep.algebra.dim))]
+    report = verify_rep(bad, adjoint_sample=sample)
+    assert report["group_conjugation"] == [{"status": "FAILED"}]
+    assert [f for f in report["failures"] if f["axiom"] == "group_conjugation"] == \
+        [{"axiom": "group_conjugation", "basis": 1}]
+    assert report["skew_even_ok"] is False and report["hermitian_odd_ok"] is True
+    assert report["all_ok"] is False
+
+
+def test_verify_rep_odd_sample_is_skipped():
+    """ad(f1) is nilpotent but rho(f1) squares to the identity, so exp(rho(f1))
+    has no exact series: the sample is skipped and records no failure."""
+    rep = clifford_module(1, [2])
+    report = verify_rep(rep, adjoint_sample=[(QQ.zero, QQ.one)])
+    assert report["group_conjugation"] == [
+        {"status": "SKIPPED", "why": "rho not exactly exponentiable"}]
+    assert report["failures"] == [] and report["all_ok"] is True
+
+
 def test_verify_rep_prop61(algebra):
     # sum of squares zero forces zero operators: supply a genuine zero-sum tuple
     cl = build("cl(1|2,+-)").algebra
@@ -190,6 +217,23 @@ def test_classify_heisenberg_clifford(algebra):
     assert res.status == "OK" and len(res.modules) == 1
     res = classify_heisenberg_clifford(algebra("cl(1|1,-)"), 1)
     assert res.status == "NONE"
+
+
+def test_classification_rejects_zero_pivots(algebra):
+    """A zero LDL pivot means no positive definite form: gamma = 0 gives zero
+    pivots throughout, and an isotropic f1 stops the LDL at its first pivot."""
+    res = classify_heisenberg_clifford(algebra("cl(1|2,++)"), 0)
+    assert (res.status, res.details) == ("NONE", {"reason": "odd form not positive definite"})
+    tables = ({("f1", "f2"): {"Z": 1}},                                   # [[0, 1], [1, 0]]
+              {("f1", "f1"): {"Z": 1}, ("f1", "f2"): {"Z": 1}, ("f2", "f2"): {"Z": 1},
+               ("f2", "f3"): {"Z": 1}})                        # pivots 1, then 0 before f3
+    for table in tables:
+        odd = sorted({name for pair in table for name in pair})
+        g = LieSuperalgebra.from_table("isotropic", QQ, ["Z"], odd, table)
+        for gamma in (1, -1):
+            res = classify_heisenberg_clifford(g, gamma)
+            assert (res.status, res.details) == (
+                "NONE", {"reason": "odd form not positive definite"})
 
 
 def test_classify_hc_with_symplectic_part(algebra):

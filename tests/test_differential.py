@@ -525,6 +525,12 @@ def perturbed_modules(draw):
     return rep
 
 
+# each *_ok flag of a verify_rep report and the failure axiom it stands for
+FLAG_AXIOMS = {"grading_ok": "grading", "anticommutator_ok": "anticommutator",
+               "even_commutator_ok": "even_commutator", "hermitian_odd_ok": "hermitian_odd",
+               "skew_even_ok": "skew_even", "prop61_ok": "prop61_vanishing"}
+
+
 # not monomial, so some product entries sum several terms; tried on every run
 MIXED_CL3 = cliffrep.classify_heisenberg_clifford(sheared(build("cl(1|3,+++)").algebra, 1),
                                                   2).modules[0]
@@ -537,6 +543,9 @@ def test_verify_rep_matches_dense_checks(rep):
     report = verify_rep(rep)
     assert report["failures"] == dense_failures(rep)
     assert report["all_ok"] == (not report["failures"])
+    assert {flag: report[flag] for flag in FLAG_AXIOMS} == {
+        flag: not any(f["axiom"] == axiom for f in report["failures"])
+        for flag, axiom in FLAG_AXIOMS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,19 @@ def test_cartan_module_rejects_nonpositive_dim():
             CartanModule(dim, (QQ.zero,))
 
 
+def test_cartan_module_rejects_a_non_real_weight():
+    """A weight coordinate with an imaginary part is refused, whether given
+    directly or read off a Cartan operator that is not i times a real scalar."""
+    for lam in ((QQ_I.i,), (QQ_I.one, QQ_I.new(1, 1))):
+        with pytest.raises(InputError, match="is not real"):
+            CartanModule(1, lam)
+    assert CartanModule(1, (QQ_I.new(3, 0),)).weight == (QQ_I.rat(3),)
+    cl = build("cl(1|1,+)").algebra
+    rep = MatrixRep(cl, 1, 0, (Matrix(QQ_I, [[QQ_I.new(2, 1)]]), Matrix.zero(QQ_I, 1, 1)))
+    with pytest.raises(InputError, match="is not real"):
+        module_from_rep(rep, 1)
+
+
 def enumerated_in_cone(tm, weight) -> bool:
     """weight_in_cone with every root's coefficient enumerated, the last one too."""
     target = tuple(lw - w for lw, w in zip(tm.module.weight, weight))

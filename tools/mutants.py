@@ -38,6 +38,7 @@ class Mutant:
 VERIFY = "tests/test_differential.py::test_verify_rep_matches_dense_checks"
 AXIOMS = "tests/test_cliffrep.py::test_classified_modules_pass_axioms"
 CONE = "tests/test_hwm.py::test_weight_in_cone_matches_enumeration"
+ZERO_PIVOTS = "tests/test_cliffrep.py::test_classification_rejects_zero_pivots"
 SCAN = "tests/test_differential.py::test_cartan_scan_matches_exhaustive_scan"
 COMMUTANT = "tests/test_differential.py::test_endomorphism_solves_match_entrywise_builders"
 INTERTWINERS = "tests/test_differential.py::test_intertwiners_match_entrywise_builder"
@@ -117,6 +118,32 @@ MUTANTS = (
            "terms = [(c, rows) for c, rows in zip(v, sparse) if c]",
            "terms = [(c, rows) for c, rows in zip(v, sparse) if c][:0]",
            (VERIFY, AXIOMS)),
+    Mutant("all_ok not read off the failures", CLIFFREP,
+           "failures=failures, all_ok=not failures)",
+           "failures=failures, all_ok=report[\"grading_ok\"])",
+           (VERIFY, "tests/test_cliffrep.py::test_verify_rep_catches_tampering")),
+    Mutant("a flag read off the wrong axiom", CLIFFREP,
+           "axiom not in failed for axiom in",
+           "(\"hermitian_odd\" if axiom == \"skew_even\" else axiom) not in failed for axiom in",
+           (VERIFY, "tests/test_cliffrep.py::test_verify_rep_group_conjugation_failure")),
+    Mutant("the classification accepts a zero LDL pivot", CLIFFREP,
+           "p.sign() <= 0 for p in pivots",
+           "p.sign() < 0 for p in pivots",
+           (ZERO_PIVOTS,)),
+    Mutant("the classification accepts an LDL that stopped early", CLIFFREP,
+           "if len(pivots) < d or any(",
+           "if any(",
+           (ZERO_PIVOTS,)),
+    Mutant("the spin builder drops its scales", CLIFFREP,
+           "G.scale(fld.rat(r) if s == 1 else fld.new(0, 0, r, 0))",
+           "G",
+           ("tests/test_cliffrep.py::test_clifford_module_single_sqrt_tower",
+            "tests/test_cliffrep.py::test_classify_hc_with_symplectic_part",
+            "tests/test_acceptance.py::test_criterion_6_thm72_reproduction")),
+    Mutant("a non-real highest weight accepted", HWM,
+           "if not all(x.is_real() for x in self.weight):",
+           "if False:",
+           ("tests/test_hwm.py::test_cartan_module_rejects_a_non_real_weight",)),
     Mutant("weight_in_cone accepts a non-integer m", HWM,
            "m.is_rational() and m.a.denominator == 1",
            "m.is_rational()",
