@@ -1,11 +1,12 @@
 """Built-in generators of the example algebras used as the test corpus.
 
-Matrix families (su, sq, osp) are realized as the exact fixed-point sets of
-their defining (anti)linear involutions inside sl(m|n, C), computed over
-rational real/imaginary coordinates; structure constants are then read off
-by expanding superbrackets over the resulting real basis.  Nilpotent
-families (Heisenberg, Clifford, Heisenberg-Clifford) are built from their
-defining forms directly.
+Matrix families (su, sq, osp) are realized by one fixed-point solver,
+``_solve_real_form``: each real form is the set of block-homogeneous X in
+sl(m|n, C) with M(X) = X for every (anti)linear map M that defines it (and
+supertrace 0 for su), solved over rational real/imaginary coordinates;
+structure constants are then read off by expanding superbrackets over the
+resulting real basis.  Nilpotent families (Heisenberg, Clifford,
+Heisenberg-Clifford) are built from their defining forms directly.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .exactnum import Field, InputError, InvariantViolation, QQ, QQ_I, Scalar
+from .exactnum import Field, InputError, InvariantViolation, QQ, QQ_I
 from .glinalg import GradedSpace, Matrix, Vector, block_positions
 from .lsa import LieSuperalgebra, SparseVec
 
@@ -26,10 +27,6 @@ from .lsa import LieSuperalgebra, SparseVec
 
 def cm(rows: Sequence[Sequence]) -> Matrix:
     return Matrix(QQ_I, rows)
-
-
-def czeros(r: int, c: int) -> Matrix:
-    return Matrix.zero(QQ_I, r, c)
 
 
 def unit_mat(N: int, i: int, j: int, imaginary: bool = False) -> Matrix:
@@ -53,22 +50,15 @@ def jn(n: int) -> Matrix:
 
 
 def blocks(X: Matrix, m: int) -> tuple[Matrix, Matrix, Matrix, Matrix]:
-    N = X.nrows
-    A = Matrix(QQ_I, [r[:m] for r in X.rows[:m]]) if m else czeros(0, 0)
-    B = Matrix(QQ_I, [r[m:] for r in X.rows[:m]]) if m and N > m else czeros(m, N - m)
-    C = Matrix(QQ_I, [r[:m] for r in X.rows[m:]]) if N > m and m else czeros(N - m, m)
-    D = Matrix(QQ_I, [r[m:] for r in X.rows[m:]]) if N > m else czeros(0, 0)
-    return A, B, C, D
+    """The blocks A, B, C, D of X = [[A, B], [C, D]] with A of size m x m."""
+    top, bottom = X.rows[:m], X.rows[m:]
+    return (Matrix(QQ_I, [r[:m] for r in top]), Matrix(QQ_I, [r[m:] for r in top]),
+            Matrix(QQ_I, [r[:m] for r in bottom]), Matrix(QQ_I, [r[m:] for r in bottom]))
 
 
 def assemble(A: Matrix, B: Matrix, C: Matrix, D: Matrix) -> Matrix:
-    m, n = A.nrows, D.nrows
-    rows = []
-    for i in range(m):
-        rows.append(list(A.rows[i]) + list(B.rows[i] if n else ()))
-    for i in range(n):
-        rows.append(list(C.rows[i] if m else ()) + list(D.rows[i]))
-    return Matrix(QQ_I, rows)
+    return Matrix(QQ_I, [a + b for a, b in zip(A.rows, B.rows, strict=True)]
+                  + [c + d for c, d in zip(C.rows, D.rows, strict=True)])
 
 
 def superbracket(X: Matrix, Y: Matrix, px: int, py: int) -> Matrix:
@@ -88,28 +78,21 @@ def _flatten_real(M: Matrix) -> list[Fraction]:
     return out
 
 
-def _solve_real_form(m: int, n: int, parity: int,
-                     mat_constraints: Sequence[Callable[[Matrix], Matrix]],
-                     scalar_constraints: Sequence[Callable[[Matrix], Scalar]] = (),
-                     ) -> list[Matrix]:
-    """Rational basis of the block-homogeneous solutions of linear constraints."""
+def _solve_real_form(m: int, n: int, parity: int, maps: Sequence[Callable[[Matrix], Matrix]],
+                     traceless: bool = False) -> list[Matrix]:
+    """Rational basis of the block-homogeneous X of sl(m|n, C) with M(X) = X
+    for each (anti)linear map M, and with supertrace 0 when traceless."""
     N, space = m + n, GradedSpace(m, n)
-    gens: list[Matrix] = []
-    for (i, j) in block_positions(space, space, parity):
-        gens.append(unit_mat(N, i, j))
-        gens.append(unit_mat(N, i, j, imaginary=True))
+    gens = [unit_mat(N, i, j, imaginary) for (i, j) in block_positions(space, space, parity)
+            for imaginary in (False, True)]
     if not gens:
         return []
     cols = []
     for B in gens:
-        col: list[Fraction] = []
-        for con in mat_constraints:
-            col.extend(_flatten_real(con(B)))
-        for con in scalar_constraints:
-            v = con(B)
-            if v.c or v.e:
-                raise InvariantViolation("scalar constraint outside Q(i)")
-            col.extend((v.a, v.b))
+        col = [x for M in maps for x in _flatten_real(M(B) - B)]
+        if traceless:
+            st = sum((B.rows[k][k] if k < m else -B.rows[k][k] for k in range(N)), QQ_I.zero)
+            col.extend((st.a, st.b))
         cols.append(col)
     sols = Matrix.from_cols(QQ, cols).kernel_basis()
     return [Matrix.combination(QQ_I, N, N, zip(sol, gens)) for sol in sols]
@@ -144,16 +127,16 @@ class CatalogEntry:
         if sol is None:
             return None
         out_field = fld or QQ_I
-        out = []
-        for k in range(len(self.realization)):
-            re, im = sol[2 * k].as_fraction(), sol[2 * k + 1].as_fraction()
-            out.append(out_field.new(re, im, 0, 0) if out_field.has_i
-                       else out_field.rat(re))
-        return tuple(out)
+        parts = [(sol[2 * k].as_fraction(), sol[2 * k + 1].as_fraction())
+                 for k in range(len(self.realization))]
+        if not out_field.has_i and any(im for _, im in parts):
+            return None         # M is not in the real span of the realization
+        return tuple(out_field.new(re, im, 0, 0) if out_field.has_i else out_field.rat(re)
+                     for re, im in parts)
 
 
 def _algebra_from_matrices(name: str, even: list[Matrix], odd: list[Matrix],
-                           m: int, n: int) -> tuple[LieSuperalgebra, list[Matrix]]:
+                           block_sizes: tuple[int, int], props: dict) -> CatalogEntry:
     basis = list(even) + list(odd)
     k = len(basis)
     cols = [_flatten_real(B) for B in basis]
@@ -172,7 +155,7 @@ def _algebra_from_matrices(name: str, even: list[Matrix], odd: list[Matrix],
             br[pair] = out
     names = tuple(f"e{t}" for t in range(len(even))) + tuple(f"f{t}" for t in range(len(odd)))
     space = GradedSpace(len(even), len(odd), names)
-    return LieSuperalgebra(name, space, QQ, br), basis
+    return CatalogEntry(name, LieSuperalgebra(name, space, QQ, br), basis, block_sizes, props)
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +186,10 @@ def build_su(p: int, q: int, r: int, s: int) -> CatalogEntry:
     if m <= 0 or min(p, q, r, s) < 0:
         raise InputError("invalid su parameters")
     theta = su_conjugation(p, q, r, s)
-
-    def fix(X: Matrix) -> Matrix:
-        return theta(X) - X
-
-    def strace(X: Matrix) -> Scalar:
-        A, _, _, D = blocks(X, m)
-        return A.trace() - D.trace()
-
-    even = _solve_real_form(m, n, 0, [fix], [strace])
-    odd = _solve_real_form(m, n, 1, [fix]) if n else []
     key = f"su({p},{q}|{r},{s})" if n else (f"su({p})" if q == 0 else f"su({p},{q})")
-    alg, basis = _algebra_from_matrices(key, even, odd, m, n)
-    return CatalogEntry(key, alg, basis, (m, n),
-                        props={"table1": "su(p,q|r,s)" if n else None})
+    return _algebra_from_matrices(key, _solve_real_form(m, n, 0, [theta], traceless=True),
+                                  _solve_real_form(m, n, 1, [theta]), (m, n),
+                                  {"table1": "su(p,q|r,s)" if n else None})
 
 
 def sq_conjugation(p: int, q: int) -> Callable[[Matrix], Matrix]:
@@ -240,18 +213,13 @@ def build_sq(p: int, q: int) -> CatalogEntry:
     m = p + q
     theta = sq_conjugation(p, q)
 
-    def fix(X: Matrix) -> Matrix:
-        return theta(X) - X
-
-    def pattern(X: Matrix) -> Matrix:
+    def swap(X: Matrix) -> Matrix:
         A, B, C, D = blocks(X, m)
-        return assemble(A - D, B - C, C - B, D - A)
+        return assemble(D, C, B, A)
 
-    even = _solve_real_form(m, m, 0, [fix, pattern])
-    odd = _solve_real_form(m, m, 1, [fix, pattern])
-    key = f"sq({p},{q})"
-    alg, basis = _algebra_from_matrices(key, even, odd, m, m)
-    return CatalogEntry(key, alg, basis, (m, m), props={"table1": "psq(p,q)"})
+    maps = [theta, swap]
+    return _algebra_from_matrices(f"sq({p},{q})", _solve_real_form(m, m, 0, maps),
+                                  _solve_real_form(m, m, 1, maps), (m, m), {"table1": "psq(p,q)"})
 
 
 def osp_conjugation(p: int, q: int, n: int) -> Callable[[Matrix], Matrix]:
@@ -285,20 +253,11 @@ def build_osp(p: int, q: int, n: int) -> CatalogEntry:
     m = p + q
     if m <= 0 or n <= 0:
         raise InputError("invalid osp parameters")
-    omega = _osp_linear(m, n)
-    tau = osp_conjugation(p, q, n)
-
-    def fix_lin(X: Matrix) -> Matrix:
-        return omega(X) - X
-
-    def fix_real(X: Matrix) -> Matrix:
-        return tau(X) - X
-
-    even = _solve_real_form(m, 2 * n, 0, [fix_lin, fix_real])
-    odd = _solve_real_form(m, 2 * n, 1, [fix_lin, fix_real])
+    maps = [_osp_linear(m, n), osp_conjugation(p, q, n)]
     key = f"osp({p},{q}|{2 * n})" if q else f"osp({p}|{2 * n})"
-    alg, basis = _algebra_from_matrices(key, even, odd, m, 2 * n)
-    return CatalogEntry(key, alg, basis, (m, 2 * n), props={"table1": "osp(p,q|2n)"})
+    return _algebra_from_matrices(key, _solve_real_form(m, 2 * n, 0, maps),
+                                  _solve_real_form(m, 2 * n, 1, maps), (m, 2 * n),
+                                  {"table1": "osp(p,q|2n)"})
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +339,7 @@ def build_abelian(e: int, o: int) -> CatalogEntry:
 
 
 def build_su2() -> CatalogEntry:
-    entry = build_su(2, 0, 0, 0)
-    return CatalogEntry("su(2)", replace(entry.algebra, name="su(2)"), entry.realization,
-                        entry.block_sizes, props={"nilpotent": False, "centroid_dim": 1})
+    return replace(build_su(2, 0, 0, 0), props={"nilpotent": False, "centroid_dim": 1})
 
 
 def build_sl2C_real() -> CatalogEntry:
@@ -391,8 +348,7 @@ def build_sl2C_real() -> CatalogEntry:
     for base in (cm([[1, 0], [0, -1]]), cm([[0, 1], [0, 0]]), cm([[0, 0], [1, 0]])):
         mats.append(base)
         mats.append(base.scale(QQ_I.i))
-    alg, basis = _algebra_from_matrices("sl(2,C)_R", mats, [], 2, 0)
-    return CatalogEntry("sl(2,C)_R", alg, basis, (2, 0), props={"centroid_dim": 2})
+    return _algebra_from_matrices("sl(2,C)_R", mats, [], (2, 0), {"centroid_dim": 2})
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +364,18 @@ class RootVectorData:
     X_coords: Vector          # complex coordinates over the catalog basis
 
 
+def _root_vector_data(entry: CatalogEntry, X: Matrix, tauX: Matrix, H: Matrix) -> RootVectorData:
+    """The data of X once H = [X, tau(X)] has passed its case check: H must
+    lie in the real span of the catalog basis and X in its complex span."""
+    Hc = entry.coords_of(H)
+    if Hc is None or any(not z.is_real() for z in Hc):
+        raise InputError("H_{a,b} is not a real-form element")
+    Xc = entry.coords_of(X)
+    if Xc is None:
+        raise InputError("X_{a,b} has no catalog coordinates")
+    return RootVectorData(X, tauX, H, Hc, Xc)
+
+
 def root_vectors_su(entry: CatalogEntry, p: int, q: int, r: int, s: int,
                     a: int, b: int) -> RootVectorData:
     """X_{a,b} and H_{a,b} = [X_{a,b}, tau(X_{a,b})] for su(p,q|r,s).
@@ -420,8 +388,7 @@ def root_vectors_su(entry: CatalogEntry, p: int, q: int, r: int, s: int,
         raise InputError("root vector index out of range")
     N = m + n
     X = unit_mat(N, m + a - 1, b - 1)
-    theta = su_conjugation(p, q, r, s)
-    tauX = theta(X)
+    tauX = su_conjugation(p, q, r, s)(X)
     H = superbracket(X, tauX, 1, 1)
     sign_a = 1 if a <= r else -1
     sign_b = 1 if b <= p else -1
@@ -430,13 +397,7 @@ def root_vectors_su(entry: CatalogEntry, p: int, q: int, r: int, s: int,
         unit_mat(N, m + a - 1, m + a - 1).scale(sigma)
     if H != expected:
         raise InvariantViolation("H_{a,b} disagrees with the case formula")
-    Hc = entry.coords_of(H)
-    if Hc is None or any(not z.is_real() for z in Hc):
-        raise InputError("H_{a,b} is not a real-form element")
-    Xc = entry.coords_of(X)
-    if Xc is None:
-        raise InputError("X_{a,b} has no catalog coordinates")
-    return RootVectorData(X, tauX, H, Hc, Xc)
+    return _root_vector_data(entry, X, tauX, H)
 
 
 def root_vectors_osp(entry: CatalogEntry, p: int, q: int, n: int,
@@ -476,23 +437,15 @@ def root_vectors_osp(entry: CatalogEntry, p: int, q: int, n: int,
     else:
         raise InputError(f"unknown variant {variant!r}")
     C = (jn(n) * B.transpose()).scale(-QQ_I.one)
-    X = assemble(czeros(m, m), B, C, czeros(2 * n, 2 * n))
-    omega = _osp_linear(m, n)
-    if omega(X) != X:
+    X = assemble(Matrix.zero(QQ_I, m, m), B, C, Matrix.zero(QQ_I, 2 * n, 2 * n))
+    if _osp_linear(m, n)(X) != X:
         raise InvariantViolation("root vector fails the osp condition")
-    tau = osp_conjugation(p, q, n)
-    tauX = tau(X)
+    tauX = osp_conjugation(p, q, n)(X)
     H = superbracket(X, tauX, 1, 1)
-    A_blk, B_blk, C_blk, D_blk = blocks(H, m)
+    _, B_blk, C_blk, _ = blocks(H, m)
     if not (B_blk.is_zero() and C_blk.is_zero()):
         raise InvariantViolation("H_{a,b} is not block diagonal")
-    Hc = entry.coords_of(H)
-    if Hc is None or any(not z.is_real() for z in Hc):
-        raise InputError("H_{a,b} is not a real-form element")
-    Xc = entry.coords_of(X)
-    if Xc is None:
-        raise InputError("X_{a,b} has no catalog coordinates")
-    return RootVectorData(X, tauX, H, Hc, Xc)
+    return _root_vector_data(entry, X, tauX, H)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +505,7 @@ _KEY_RES = [
     (re.compile(r"^sq\((\d+),(\d+)\)$"), lambda g: build_sq(int(g[0]), int(g[1]))),
     (re.compile(r"^osp\((\d+),(\d+)\|(\d+)\)$"),
      lambda g: _build_osp_checked(int(g[0]), int(g[1]), int(g[2]))),
-    (re.compile(r"^osp\(1\|2\)$"), lambda g: _build_osp12()),
+    (re.compile(r"^osp\(1\|2\)$"), lambda g: build_osp(1, 0, 1)),
     (re.compile(r"^gl\(1\|1\)$"), lambda g: build_gl11()),
     (re.compile(r"^sl\(2,R\)$"), lambda g: build_sl2R()),
     (re.compile(r"^sl\(2,C\)_R$"), lambda g: build_sl2C_real()),
@@ -574,12 +527,6 @@ def _build_osp_checked(p: int, q: int, two_n: int) -> CatalogEntry:
     if two_n % 2:
         raise InputError("osp needs an even symplectic dimension")
     return build_osp(p, q, two_n // 2)
-
-
-def _build_osp12() -> CatalogEntry:
-    entry = build_osp(1, 0, 1)
-    return CatalogEntry("osp(1|2)", replace(entry.algebra, name="osp(1|2)"),
-                        entry.realization, entry.block_sizes, entry.props)
 
 
 _CACHE: dict[str, CatalogEntry] = {}

@@ -29,7 +29,10 @@ from .lsa import (
     LieSuperalgebra, QuotientResult, bracket_form, center, is_nilpotent,
     is_subalgebra, quotient, series, subalgebra_on,
 )
-from .cones import OddSquareForm, functional_value, is_positive_semidefinite
+from .cones import (
+    ISOTROPIC_FOUND, POINTED_CERTIFIED, OddSquareForm, find_isotropic_odd, find_pd_functional,
+    functional_value, is_positive_semidefinite,
+)
 
 
 class NotAdmissible(InputError):
@@ -228,21 +231,14 @@ class OrbitPath:
 
 def _apply_exp(g: LieSuperalgebra, lam: Vector, w_even: Vector) -> Vector:
     """lam o exp(ad w) as the row-vector series sum_k lam (ad w)^k / k!, which
-    ends at its first zero term since ad w is nilpotent on g0; (t o ad w)(e_j)
-    = sum w_i c_ij^m t_m over g0's constants with w_i and t_m nonzero."""
+    ends at its first zero term since ad w is nilpotent on g0; the term
+    t o ad w is the one row [t([w, e_j]) for e_j in g0] of bracket_form."""
     f = g.field
     g0 = g.even_part.algebra
-    e = len(lam)
-    w = [(i, a) for i, a in enumerate(w_even) if a]
     out = term = lam
-    for k in range(1, e + 1):
-        acc = [f.zero] * e
-        for i, a in w:
-            for j in range(e):
-                for m, c in g0.c(i, j).items():
-                    if term[m]:
-                        acc[j] = acc[j] + a * c * term[m]
-        term = vec_scale(f.rat(Fraction(1, k)), tuple(acc))
+    for k in range(1, len(lam) + 1):
+        term = vec_scale(f.rat(Fraction(1, k)),
+                         bracket_form(g0, term, [w_even], g0.full_space.rows).rows[0])
         if vec_is_zero(term):
             return out
         out = vec_add(out, term)
@@ -412,8 +408,6 @@ def kirillov_heisenberg_check(g: LieSuperalgebra) -> dict:
     """For nilpotent g with one-dimensional center and no self-commuting odd
     vectors: report the Clifford branch (central even part) or exhibit a
     (3|0) Heisenberg triple."""
-    from .cones import find_isotropic_odd, find_pd_functional
-
     report: dict = {"preconditions": {}, "branch": None, "witness": None}
     nil = is_nilpotent(g)
     report["preconditions"]["nilpotent"] = nil
@@ -421,9 +415,9 @@ def kirillov_heisenberg_check(g: LieSuperalgebra) -> dict:
     report["preconditions"]["center_dim"] = zc.dim
     iso = find_isotropic_odd(g)
     pd = find_pd_functional(g, cap=400)
-    if iso.status == "ISOTROPIC_FOUND":
+    if iso.status == ISOTROPIC_FOUND:
         no_iso = False
-    elif pd.status == "POINTED_CERTIFIED":
+    elif pd.status == POINTED_CERTIFIED:
         no_iso = True          # definite Gram certifies absence
     else:
         no_iso = "UNDETERMINED"

@@ -1,8 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from liecones.exactnum import QQ, QQ_I, InputError
 from liecones.catalog import (
-    blocks, build, cm, root_vectors_osp,
+    blocks, build, build_osp, build_su, cm, list_keys, root_vectors_osp,
     root_vectors_su, table1_keys, table1_metadata,
 )
 from liecones.lsa import center, check_axioms, is_nilpotent, nilpotency_class
@@ -33,6 +36,58 @@ def test_catalog_axioms_and_cache(corpus):
     for key, entry in corpus.items():
         assert check_axioms(entry.algebra).all_ok, key
     assert build("h(1)") is build("h(1)")
+
+
+# sha256 of {"algebra": to_json(), "props": props} (sorted keys) for every
+# list_keys() key and seven more real forms: the structure constants and
+# props of each entry, pinned byte for byte.
+PINNED = {
+    "h(1)": "70df83a1fbfc519c709b4dc974976b36dbdf7162d47c64af0784b1f5aa6a1361",
+    "cl(1|1,+)": "01c37bdbd4cba7026615492cff824b59a91d9c083366e41b9bbdc84a6921614f",
+    "cl(1|1,-)": "3da95fe3f2003520b19f5b0a1e679977ffb9343e2e536eeb7b37beec379bf74b",
+    "cl(1|2,++)": "690e8c2cbc03d01821b648d05ccdcb8912657c7731700ff8b234a8b04c5e111d",
+    "cl(1|2,+-)": "3d046fe43e1617f66d9ffab5696fc39b05fc735271e03cbe6705bda1cf22b3e8",
+    "cl(1|3,+++)": "dc4d62e070aad98cd4086f354d74fd063d77920c831e2a514464438d4d1baf66",
+    "cl(1|3,++-)": "dbd79f2902a00592ab74bd3aaa6a3308c75b616f4d30b29c8aa7eca2e8e3ec2c",
+    "cl(1|4,++++)": "b3f6128fd2a0ba1122819f835c3eabfeaee93c205091d38c4a38fa82e9d7d0be",
+    "cl(1|4,+++-)": "fd7284313e23278efc7dea51318abc1161ffd719bcda025ab6a345efdb6d1684",
+    "hc(2|2,++)": "e63e1d2d2c18e6cd99eeb2482c4a8f9192b56a956695214415faba3247ffdbe1",
+    "hc(2|2,+-)": "504159016e382dcd99eeec86331442e70c135bdc6bc0440cc1d8fd66fa21cc04",
+    "su(1,1|1,1)": "8e499a7abbd1a0ffdc11225c14b0580357237d2df006bf2e44480d3f3b44cc24",
+    "sq(1,1)": "a3ca255237495619ff3f483e19e936ca8bc1769017f5bbd52a3735259b1e5476",
+    "osp(1,1|2)": "0eabaac7ade7b532e55a50b4a466bf8da9866e219b05b03b5c46e791ac984c73",
+    "osp(1|2)": "3b24c3fe8dc4b5be141048bf5a8f8dc1897910c1e069d983cbc74a1ffa3e4c84",
+    "gl(1|1)": "c645e007f150769767899dd0c490c59e7a60af543b35543971c9602d9fed4efd",
+    "sl(2,R)": "bd6f6a72521f0a8f039c9f66c1a27d263221f8e626b94addaeff84f5851eb478",
+    "su(2)": "a14eef2e5caff0626f0a4134e41e27d12092a03f9a4d824805b06866966e7cdb",
+    "n3super": "ef193fab3c377d88357e74404294641c20d19414358c71e299612d66fe2c9db7",
+    "abelian(2|1)": "09f599660e03d7b41b0190694ae100a7887230638a7d0faf13024e81090a4cde",
+    "su(2,0|1,0)": "f1cb8ba37dda4a24087169b39aa5570e9c3f2d1558c64c59c59bb354d99c6ff6",
+    "su(1,0|2,0)": "ba21d429cebfffcec1111f18e91991b4438898b1d94cba2252f34256413cd5e7",
+    "su(1,1|0,0)": "756241d5710b1a6da8eea2564c2c578f5cb9aa75018248c8904cd13547e26c22",
+    "sq(2,0)": "eab569e889a6db3a08adecd65345f041a10f9e07bbbf7593fbdf91253a2593ab",
+    "osp(2,0|2)": "a09c3904664f2bcc1f3026edc3edb648f5a72d7625e66cd9253a6eec69d8b980",
+    "osp(1,0|4)": "161e60528193da4692bc98809d9d12d51b1d4a9e08aef87ca720c528f17e3c13",
+    "sl(2,C)_R": "ed4b00d0bcc738f86dd9268e644faff1bdd6f7b45c603c36c0f5aa2636c0908c",
+}
+
+
+def test_pinned_keys_cover_the_corpus():
+    assert set(list_keys()) <= set(PINNED)
+
+
+@pytest.mark.parametrize("key", list(PINNED))
+def test_catalog_bytes_are_pinned(key):
+    e = build(key)
+    doc = json.dumps({"algebra": e.algebra.to_json(), "props": e.props}, sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == PINNED[key]
+
+
+def test_named_keys_match_their_builders():
+    for key, entry in (("osp(1|2)", build_osp(1, 0, 1)), ("su(2)", build_su(2, 0, 0, 0))):
+        assert build(key).algebra.name == entry.algebra.name == key
+        assert build(key).algebra.brackets == entry.algebra.brackets
+        assert build(key).realization == entry.realization
 
 
 def test_unknown_key():
@@ -74,6 +129,16 @@ def test_su2_compact_realization(corpus):
     M = cm([[QQ_I.i, 0], [0, -QQ_I.i]])     # diag(i, -i)
     coords = e.coords_of(M)
     assert coords is not None and all(z.is_real() for z in coords)
+
+
+def test_coords_of_over_a_real_tower_rejects_non_real_matrices(corpus):
+    # i R0 has the coordinates (i, 0, 0): in the complex span only
+    e = corpus["su(2)"]
+    R0 = e.realization[0]
+    iR0 = R0.scale(QQ_I.i)
+    assert e.coords_of(iR0) == (QQ_I.i, QQ_I.zero, QQ_I.zero)
+    assert e.coords_of(iR0, fld=QQ) is None
+    assert e.coords_of(R0, fld=QQ) == (QQ.one, QQ.zero, QQ.zero)
 
 
 def test_root_vectors_su_case_formulas(corpus):

@@ -1,16 +1,18 @@
 """Mutant catalogue: each entry breaks one shortcut of the library in a
 temporary copy of the repository and names the tests that must then fail.
 
-    python3 tools/mutants.py
+    python3 tools/mutants.py [FILE ...]
 
+With FILE arguments only the mutants whose path ends in one of the files run
+(``python3 tools/mutants.py catalog.py orbits.py``); with none, all of them.
 For each mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml``
 to a temporary directory, checks that the named tests pass there (pytest exits
 0), replaces the entry's old snippet (which must occur exactly once in its file)
 and runs the tests again.  The mutant is killed when every one of them fails; a
-test whose module then fails to import or collect (pytest exits 2 or 4) counts
-as failed.  The exit status is 0 when every mutant is killed and 1 otherwise.
-This takes two pytest runs per mutant (10 to 16 minutes for the catalogue on two
-cores) and is not part of the tier-1 suite.
+test that errors, or whose module then fails to import or collect (pytest exits
+2 or 4), counts as failed.  The exit status is 0 when every mutant is killed
+and 1 otherwise.  This takes two pytest runs per mutant (10 to 16 minutes for
+the catalogue on two cores) and is not part of the tier-1 suite.
 """
 
 from __future__ import annotations
@@ -75,6 +77,9 @@ CONTAINMENT = "tests/test_differential.py::test_ideal_containment_route_matches_
 COSTS = "tests/test_orbits.py::test_classification_cost_counts"
 UNDETERMINED_RUNS = "tests/test_cli.py::test_undetermined_reports_keep_inputs_and_budgets"
 UNCAUGHT = "tests/test_cli.py::test_an_uncaught_undetermined_is_reported_undetermined"
+DIMS = "tests/test_catalog.py::test_catalog_dims"
+CATALOG_AXIOMS = "tests/test_catalog.py::test_catalog_axioms_and_cache"
+CATALOG = "src/liecones/catalog.py"
 CLI = "src/liecones/cli.py"
 CLIFFREP = "src/liecones/cliffrep.py"
 EXACTNUM = "src/liecones/exactnum.py"
@@ -399,18 +404,35 @@ MUTANTS = (
            "if False and not bracket_form(g, lam, m0.rows, m0.rows).is_zero():",
            ("tests/test_orbits.py::test_polarizing_system_from_m0_rejects_bad",)),
     Mutant("the exponential term reads c_ji for c_ij", ORBITS,
-           "for m, c in g0.c(i, j).items():",
-           "for m, c in g0.c(j, i).items():",
+           "bracket_form(g0, term, [w_even], g0.full_space.rows).rows[0]",
+           "bracket_form(g0, term, g0.full_space.rows, [w_even]).transpose().rows[0]",
            (f"{EXP}[h(1)]", f"{EXP}[n4]", f"{EXP}[n5]",
             "tests/test_orbits.py::test_coadjoint_member_three_step_exact")),
+    Mutant("the exponential series drops its 1/k", ORBITS,
+           "f.rat(Fraction(1, k))",
+           "f.rat(Fraction(1, 1))",
+           (f"{EXP}[n4]", f"{EXP}[n5]",
+            "tests/test_orbits.py::test_coadjoint_member_three_step_exact")),
+    Mutant("the su supertrace dropped", CATALOG,
+           "_solve_real_form(m, n, 0, [theta], traceless=True)",
+           "_solve_real_form(m, n, 0, [theta])",
+           (DIMS,)),
+    Mutant("the sq swap map dropped", CATALOG,
+           "maps = [theta, swap]",
+           "maps = [theta]",
+           (DIMS, CATALOG_AXIOMS)),
+    Mutant("a real form solves M(X) = -X", CATALOG,
+           "_flatten_real(M(B) - B)",
+           "_flatten_real(M(B) + B)",
+           (DIMS, CATALOG_AXIOMS)),
 )
 
 
 def failed_tests(root: str, tests: tuple[str, ...]) -> tuple[int, set[str]]:
     """Run the tests in root; return pytest's exit status and the node ids of
-    the tests that failed.  A test whose module fails to import or collect
-    counts as failed; pytest then exits 2 or 4 without running the others, so
-    they run again on their own."""
+    the tests that failed or errored.  A test whose module fails to import or
+    collect counts as failed; pytest then exits 2 or 4 without running the
+    others, so they run again on their own."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
                            *tests], cwd=root, env=env, capture_output=True, text=True)
@@ -423,7 +445,8 @@ def failed_tests(root: str, tests: tuple[str, ...]) -> tuple[int, set[str]]:
         return proc.returncode, broken | (failed_tests(root, rest)[1] if rest else set())
     if proc.returncode not in (0, 1):       # interrupted, usage error, nothing collected
         raise RuntimeError(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
-    return proc.returncode, {line.split()[1] for line in lines if line.startswith("FAILED ")}
+    return proc.returncode, {line.split()[1] for line in lines
+                             if line.startswith(("FAILED ", "ERROR "))}
 
 
 def run(m: Mutant) -> bool:
@@ -449,16 +472,21 @@ def run(m: Mutant) -> bool:
         return all(any(f.startswith(t) for f in failed) for t in m.tests)
 
 
-def main() -> int:
+def main(files: list[str]) -> int:
+    chosen = [m for m in MUTANTS
+              if not files or any(("/" + m.path).endswith("/" + f) for f in files)]
+    if not chosen:
+        print(f"no mutant has its path in {' '.join(files)}", file=sys.stderr)
+        return 2
     survivors = []
-    for m in MUTANTS:
+    for m in chosen:
         killed = run(m)
         print(f"{'killed  ' if killed else 'SURVIVED'}  {m.name}", flush=True)
         if not killed:
             survivors.append(m.name)
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
