@@ -51,9 +51,9 @@ def jn(n: int) -> Matrix:
 
 def blocks(X: Matrix, m: int) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     """The blocks A, B, C, D of X = [[A, B], [C, D]] with A of size m x m."""
-    top, bottom = X.rows[:m], X.rows[m:]
-    return (Matrix(QQ_I, [r[:m] for r in top]), Matrix(QQ_I, [r[m:] for r in top]),
-            Matrix(QQ_I, [r[:m] for r in bottom]), Matrix(QQ_I, [r[m:] for r in bottom]))
+    top, bottom, n = X.rows[:m], X.rows[m:], X.ncols - m
+    return (Matrix(QQ_I, [r[:m] for r in top], m), Matrix(QQ_I, [r[m:] for r in top], n),
+            Matrix(QQ_I, [r[:m] for r in bottom], m), Matrix(QQ_I, [r[m:] for r in bottom], n))
 
 
 def assemble(A: Matrix, B: Matrix, C: Matrix, D: Matrix) -> Matrix:
@@ -168,8 +168,6 @@ def su_conjugation(p: int, q: int, r: int, s: int) -> Callable[[Matrix], Matrix]
     i_unit = QQ_I.i
 
     def theta(X: Matrix) -> Matrix:
-        if n == 0:
-            return (Im * X.conj_transpose() * Im).scale(-QQ_I.one)
         A, B, C, D = blocks(X, m)
         A2 = (Im * A.conj_transpose() * Im).scale(-QQ_I.one)
         D2 = (In * D.conj_transpose() * In).scale(-QQ_I.one)

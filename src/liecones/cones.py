@@ -7,6 +7,9 @@ a functional lambda with positive-definite odd Gram matrix lambda([f_a,
 f_b]) (pointedness), an odd vector X with [X,X] = 0 (forced kernel), or an
 exact convex combination of square images hitting zero (a line in the cone).
 The Gram matrix and the root-space forms mu([X, conj Y]) are lsa.bracket_form.
+The PD search scores its integer scan and its hill climb by one step (the
+positive prefix of the Gram matrix's LDL pivots), and the battery sends the
+root squares and the projected odd squares through one hull step.
 """
 
 from __future__ import annotations
@@ -54,6 +57,14 @@ def functional_value(lam: Vector, v: Vector) -> Scalar | None:
     return acc
 
 
+def coerce_functional(g: LieSuperalgebra, lam: Sequence) -> Vector:
+    """lam over g's field, checked to be a functional on g0."""
+    lam = tuple(g.field.coerce(x) for x in lam)
+    if len(lam) != g.space.even_dim:
+        raise InputError("functional length must equal the even dimension")
+    return lam
+
+
 @dataclass
 class OddSquareForm:
     """Gram matrix M(lambda)[a][b] = lambda([f_a, f_b]) over the odd basis."""
@@ -63,10 +74,7 @@ class OddSquareForm:
 
     @staticmethod
     def of(g: LieSuperalgebra, lam: Sequence) -> "OddSquareForm":
-        f = g.field
-        lam = tuple(f.coerce(x) for x in lam)
-        if len(lam) != g.space.even_dim:
-            raise InputError("functional length must equal the even dimension")
+        lam = coerce_functional(g, lam)
         M = bracket_form(g, lam, g.odd_subspace.rows, g.odd_subspace.rows)
         if M != M.transpose():
             raise InvariantViolation("odd Gram matrix is not symmetric")  # pragma: no cover
@@ -128,7 +136,6 @@ class ConeCertificate:
     status: str
     lam: Vector | None = None
     isotropic: Vector | None = None
-    line: tuple[Vector, Vector] | None = None
     details: dict = dc_field(default_factory=dict)
 
     def as_json(self) -> dict:
@@ -137,8 +144,6 @@ class ConeCertificate:
             out["lambda"] = [str(x) for x in self.lam]
         if self.isotropic is not None:
             out["isotropic"] = [str(x) for x in self.isotropic]
-        if self.line is not None:
-            out["line"] = [[str(x) for x in v] for v in self.line]
         if self.details:
             out["details"] = {k: v for k, v in sorted(self.details.items())}
         return out
@@ -163,50 +168,42 @@ def certify_isotropic(g: LieSuperalgebra, x: Vector) -> ConeCertificate:
 
 def find_pd_functional(g: LieSuperalgebra, bound: int = 3, cap: int = 2000,
                        hill_steps: int = 200) -> ConeCertificate:
-    """Deterministic integer scan over g0*, then rational hill climbing."""
+    """Deterministic integer scan over g0*, then rational hill climbing: each
+    step takes the first neighbour (lam_j +- 2^-k, k = 0..3) that scores higher."""
     e, d = g.space.even_dim, g.space.odd_dim
     f = g.field
     if d == 0:
         return ConeCertificate(POINTED_CERTIFIED, lam=tuple(f.zero for _ in range(e)),
                                details={"odd_dim": 0, "note": "no odd part"})
-    best_lam = None
-    best_score = -1
+
+    def score(lam: Vector) -> int:
+        return _pd_prefix_score(OddSquareForm.of(g, lam).matrix)
+
+    best, lam = -1, None
     for ints in _cartan.candidate_vectors(e, bound, cap):
-        lam = tuple(f.rat(c) for c in ints)
-        M = OddSquareForm.of(g, lam).matrix
-        score = _pd_prefix_score(M)
-        if score == d:
-            return certify_pointed(g, lam)
-        if score > best_score:
-            best_score, best_lam = score, lam
-    if best_lam is None:
+        cand = tuple(f.rat(c) for c in ints)
+        sc = score(cand)
+        if sc == d:
+            return certify_pointed(g, cand)
+        if sc > best:
+            best, lam = sc, cand
+    if lam is None:
         return ConeCertificate(UNDETERMINED, details={"budget": "scan exhausted"})
-    lam = best_lam
     steps = [f.rat(Fraction(1, 2) ** k) for k in range(0, 4)]
     for _ in range(hill_steps):
-        improved = False
-        for j in range(e):
-            for s in steps:
-                for sgn in (1, -1):
-                    cand = list(lam)
-                    cand[j] = cand[j] + s * f.rat(sgn)
-                    M = OddSquareForm.of(g, cand).matrix
-                    sc = _pd_prefix_score(M)
-                    if sc == d:
-                        return certify_pointed(g, tuple(cand))
-                    if sc > best_score:
-                        best_score, lam = sc, tuple(cand)
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
+        for cand in (lam[:j] + (lam[j] + s * f.rat(sgn),) + lam[j + 1:]
+                     for j in range(e) for s in steps for sgn in (1, -1)):
+            sc = score(cand)
+            if sc == d:
+                return certify_pointed(g, cand)
+            if sc > best:
+                best, lam = sc, cand
                 break
-        if not improved:
+        else:
             break
     return ConeCertificate(UNDETERMINED,
                            details={"budget": "hill climb exhausted",
-                                    "best_score": best_score, "odd_dim": d})
+                                    "best_score": best, "odd_dim": d})
 
 
 def find_isotropic_odd(g: LieSuperalgebra, samples: list | None = None) -> ConeCertificate:
@@ -345,23 +342,25 @@ def _mu_fixed_by_cartan(g: LieSuperalgebra, h0: Subspace, mu: Vector) -> bool:
     return bracket_form(g, mu, h0.rows, g.even_subspace.rows).is_zero()
 
 
+def _odd_root_spaces(datum) -> Iterator[tuple]:
+    """(root, basis, conjugate basis) of each nonzero root's odd root space."""
+    for root in datum.roots:
+        if not root.is_zero and root.odd_space.dim:
+            basis = root.odd_space.rows
+            yield root, basis, [tuple(s.conjugate_i() for s in y) for y in basis]
+
+
 def check_root_space_form(g: LieSuperalgebra, datum, mu: Sequence) -> list[dict]:
     """Per nonzero root: is <X,Y> = mu([X, conj Y]) positive definite on the
     odd root space?  mu must vanish on [h0, g0]."""
-    f = g.field
-    mu = tuple(f.coerce(x) for x in mu)
-    if len(mu) != g.space.even_dim:
-        raise InputError("mu length must equal the even dimension")
+    mu = coerce_functional(g, mu)
     if not _mu_fixed_by_cartan(g, datum.cartan.h0, mu):
         raise InputError("mu is not fixed by the even Cartan action")
     gc = datum.complexified
     muc = tuple(x.promote(gc.field) for x in mu)
     verdicts = []
-    for root in datum.roots:
-        if root.is_zero or root.odd_space.dim == 0:
-            continue
-        basis = root.odd_space.rows
-        G = bracket_form(gc, muc, basis, [tuple(s.conjugate_i() for s in y) for y in basis])
+    for root, basis, conj in _odd_root_spaces(datum):
+        G = bracket_form(gc, muc, basis, conj)
         verdicts.append({
             "root": [str(v) for v in root.values],
             "odd_dim": root.odd_space.dim,
@@ -452,13 +451,9 @@ def _root_square_vectors(g: LieSuperalgebra, datum) -> list[Vector]:
     """Real vectors [X, tau X] for X ranging over odd root-space bases
     (nonzero roots only)."""
     gc = datum.complexified
-    e = g.space.even_dim
     out = []
-    for root in datum.roots:
-        if root.is_zero or root.odd_space.dim == 0:
-            continue
-        for x in root.odd_space.rows:
-            xbar = tuple(s.conjugate_i() for s in x)
+    for _, basis, conj in _odd_root_spaces(datum):
+        for x, xbar in zip(basis, conj):
             h = gc.bracket(x, xbar)
             if vec_is_zero(h):
                 continue
@@ -471,66 +466,54 @@ def _root_square_vectors(g: LieSuperalgebra, datum) -> list[Vector]:
     return out
 
 
+def _hull_obstruction(kind: str, shown: str, labelled: list[tuple],
+                      notes: list) -> StarReducedReport | None:
+    """OBSTRUCTED with one reason when 0 is a convex combination of the
+    (label, rational vector) pairs; the reason lists the labels under shown."""
+    combo = convex_hull_contains_zero([v for _, v in labelled]) if labelled else None
+    if combo is None:
+        return None
+    reason = {"kind": kind, "coefficients": [str(c) for c in combo],
+              shown: [label for label, _ in labelled]}
+    return StarReducedReport(OBSTRUCTED, [reason],
+                             ConeCertificate(LINE_FOUND, details={"route": kind}), notes)
+
+
 def star_reduced_report(g: LieSuperalgebra, bound: int = 3, cap: int = 2000,
                         hill_steps: int = 200) -> StarReducedReport:
-    """Run the obstruction battery; tri-state verdict with exact witnesses."""
-    reasons: list = []
+    """Run the obstruction battery; tri-state verdict with exact witnesses.
+    Each obstruction returns as soon as it is found, with its one reason."""
     notes: list = []
-
     samples: list = []
     iso = find_isotropic_odd(g, samples)
     if iso.status == ISOTROPIC_FOUND:
-        reasons.append({"kind": "isotropic_odd",
-                        "witness": [str(x) for x in iso.isotropic]})
-        return StarReducedReport(OBSTRUCTED, reasons, iso, notes)
+        reason = {"kind": "isotropic_odd", "witness": [str(x) for x in iso.isotropic]}
+        return StarReducedReport(OBSTRUCTED, [reason], iso, notes)
 
     k0 = _cartan.compact_cartan_even(g, bound=bound)
-    datum = None
-    if k0 is not None:
+    if k0 is None:
+        if g.odd_square == g.even_subspace:
+            notes.append("g0 = [g1,g1] but no compactly embedded Cartan was found "
+                         "within the scan budget; existence undetermined")
+    else:
         try:
             datum = _cartan.root_decomposition(g, _cartan.cartan_subsuperalgebra(g, k0))
         except Undetermined as exc:
             notes.append(f"root decomposition unavailable: {exc}")
-    if datum is not None:
-        hs = _root_square_vectors(g, datum)
-        if hs:
-            combo = convex_hull_contains_zero(hs)
-            if combo is not None:
-                reasons.append({
-                    "kind": "root_square_hull",
-                    "coefficients": [str(c) for c in combo],
-                    "vectors": [[str(x) for x in v] for v in hs],
-                })
-                cert = ConeCertificate(LINE_FOUND, details={"route": "root_square_hull"})
-                return StarReducedReport(OBSTRUCTED, reasons, cert, notes)
-    if k0 is not None:
+        else:
+            found = _hull_obstruction("root_square_hull", "vectors", [
+                ([str(x) for x in v], v) for v in _root_square_vectors(g, datum)], notes)
+            if found:
+                return found
         P = _cartan.fixed_point_projection(g, k0)
-        projected = []
-        for label, _, sq in samples:
-            pv = P.apply(sq[:g.space.even_dim])
-            if not vec_is_zero(pv):
-                projected.append((label, pv))
-        if projected:
-            combo = convex_hull_contains_zero([v for _, v in projected])
-            if combo is not None:
-                reasons.append({
-                    "kind": "projected_square_hull",
-                    "coefficients": [str(c) for c in combo],
-                    "generators": [label for label, _ in projected],
-                })
-                cert = ConeCertificate(LINE_FOUND,
-                                       details={"route": "projected_square_hull"})
-                return StarReducedReport(OBSTRUCTED, reasons, cert, notes)
-
-    if g.odd_square == g.even_subspace:
-        if k0 is None:
-            notes.append("g0 = [g1,g1] but no compactly embedded Cartan was found "
-                         "within the scan budget; existence undetermined")
+        projected = ((label, P.apply(sq[:g.space.even_dim])) for label, _, sq in samples)
+        found = _hull_obstruction("projected_square_hull", "generators", [
+            (label, v) for label, v in projected if not vec_is_zero(v)], notes)
+        if found:
+            return found
 
     pd = find_pd_functional(g, bound=bound, cap=cap, hill_steps=hill_steps)
     if pd.status == POINTED_CERTIFIED:
-        if reasons:
-            raise InvariantViolation("PD certificate coexists with an obstruction")
-        return StarReducedReport(CONE_OK, reasons, pd, notes)
+        return StarReducedReport(CONE_OK, [], pd, notes)
     notes.append("no positive-definite functional within budget")
-    return StarReducedReport(UNDETERMINED, reasons, None, notes)
+    return StarReducedReport(UNDETERMINED, [], None, notes)

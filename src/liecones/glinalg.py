@@ -177,15 +177,16 @@ def eliminate(rows: Iterable[SparseVec], n: int | None = None,
 
 
 class Matrix:
-    """Dense exact matrix over one tower; immutable."""
+    """Dense exact matrix over one tower; immutable.  The column count is
+    passed only for a matrix with no rows (an m x 0 matrix has m empty rows)."""
 
     __slots__ = ("field", "rows", "nrows", "ncols")
 
-    def __init__(self, fld: Field, rows: Sequence[Sequence]):
+    def __init__(self, fld: Field, rows: Sequence[Sequence], ncols: int = 0):
         self.field = fld
         self.rows = tuple(tuple(fld.coerce(x) for x in r) for r in rows)
         self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
+        self.ncols = len(self.rows[0]) if self.rows else ncols
         if any(len(r) != self.ncols for r in self.rows):
             raise InputError("ragged matrix")
 
@@ -196,7 +197,7 @@ class Matrix:
 
     @staticmethod
     def zero(fld: Field, m: int, n: int) -> "Matrix":
-        return Matrix(fld, [[fld.zero] * n for _ in range(m)])
+        return Matrix(fld, [[fld.zero] * n for _ in range(m)], n)
 
     @staticmethod
     def combination(fld: Field, m: int, n: int,
@@ -212,18 +213,15 @@ class Matrix:
                     for j, x in enumerate(mrow):
                         if x:
                             row[j] = row[j] + c * x if row[j] else c * x
-        return Matrix(fld, acc)
+        return Matrix(fld, acc, n)
 
     @staticmethod
     def from_cols(fld: Field, cols: Sequence[Sequence]) -> "Matrix":
-        if not cols:
-            return Matrix(fld, [])
-        return Matrix(fld, [[cols[j][i] for j in range(len(cols))]
-                            for i in range(len(cols[0]))])
+        return Matrix(fld, list(zip(*cols, strict=True)), len(cols))
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field is other.field
-                and self.rows == other.rows)
+                and (self.rows, self.ncols) == (other.rows, other.ncols))
 
     def __hash__(self):
         return hash((self.field.tag, self.rows))
@@ -232,13 +230,15 @@ class Matrix:
         return tuple(r[j] for r in self.rows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, [vec_add(r, s) for r, s in zip(self.rows, other.rows, strict=True)])
+        pairs = zip(self.rows, other.rows, strict=True)
+        return Matrix(self.field, [vec_add(r, s) for r, s in pairs], self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return Matrix(self.field, [vec_sub(r, s) for r, s in zip(self.rows, other.rows, strict=True)])
+        pairs = zip(self.rows, other.rows, strict=True)
+        return Matrix(self.field, [vec_sub(r, s) for r, s in pairs], self.ncols)
 
     def scale(self, s: Scalar) -> "Matrix":
-        return Matrix(self.field, [vec_scale(s, r) for r in self.rows])
+        return Matrix(self.field, [vec_scale(s, r) for r in self.rows], self.ncols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -253,7 +253,7 @@ class Matrix:
                     for j, b in orow:
                         row[j] = row[j] + a * b if row[j] else a * b
             out.append(row)
-        return Matrix(self.field, out)
+        return Matrix(self.field, out, other.ncols)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.ncols:
@@ -269,10 +269,10 @@ class Matrix:
         return tuple(out)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.rows))) if self.rows else self
+        return Matrix(self.field, list(zip(*self.rows)) or [()] * self.ncols, self.nrows)
 
     def conjugate(self) -> "Matrix":
-        return Matrix(self.field, [[x.conjugate_i() for x in r] for r in self.rows])
+        return Matrix(self.field, [[x.conjugate_i() for x in r] for r in self.rows], self.ncols)
 
     def conj_transpose(self) -> "Matrix":
         return self.conjugate().transpose()
@@ -306,7 +306,7 @@ class Matrix:
         e = eliminate(self._sparse_rows())
         rows = [densify(e.rows[pc], self.ncols, self.field) for pc in e.pivots]
         rows += [zero_vector(self.field, self.ncols)] * (self.nrows - len(rows))
-        return Matrix(self.field, rows), e.pivots
+        return Matrix(self.field, rows, self.ncols), e.pivots
 
     def rank(self) -> int:
         return len(eliminate(self._sparse_rows()).rows)
@@ -342,7 +342,7 @@ class Matrix:
             for c, x in row.items():
                 if c >= n:
                     X[pc][c - n] = x
-        return Matrix(self.field, X)
+        return Matrix(self.field, X, B.ncols)
 
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
@@ -462,7 +462,7 @@ class Matrix:
         raise InputError("matrix is not nilpotent")
 
     def promote(self, fld: Field) -> "Matrix":
-        return Matrix(fld, [[x.promote(fld) for x in r] for r in self.rows])
+        return Matrix(fld, [[x.promote(fld) for x in r] for r in self.rows], self.ncols)
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in r) for r in self.rows)

@@ -30,8 +30,8 @@ from .lsa import (
     is_subalgebra, quotient, series, subalgebra_on,
 )
 from .cones import (
-    ISOTROPIC_FOUND, POINTED_CERTIFIED, OddSquareForm, find_isotropic_odd, find_pd_functional,
-    functional_value, is_positive_semidefinite,
+    ISOTROPIC_FOUND, POINTED_CERTIFIED, OddSquareForm, coerce_functional, find_isotropic_odd,
+    find_pd_functional, functional_value, is_positive_semidefinite,
 )
 
 
@@ -44,14 +44,6 @@ class NotAdmissible(InputError):
 # functionals and forms
 # ---------------------------------------------------------------------------
 
-def coerce_functional(g: LieSuperalgebra, lam: Sequence) -> Vector:
-    f = g.field
-    lam = tuple(f.coerce(x) for x in lam)
-    if len(lam) != g.space.even_dim:
-        raise InputError("functional length must equal the even dimension")
-    return lam
-
-
 def even_skew_form(g: LieSuperalgebra, lam: Sequence) -> Matrix:
     """Omega_lambda(X, Y) = lambda([X, Y]) on the even part."""
     even = g.even_subspace.rows
@@ -60,7 +52,6 @@ def even_skew_form(g: LieSuperalgebra, lam: Sequence) -> Matrix:
 
 def in_admissible_cone(g: LieSuperalgebra, lam: Sequence) -> tuple[bool, OddSquareForm]:
     """Exact PSD test of the odd Gram matrix of lambda."""
-    lam = coerce_functional(g, lam)
     form = OddSquareForm.of(g, lam)
     return is_positive_semidefinite(form.matrix), form
 
@@ -114,10 +105,16 @@ def polarizing_flag(g: LieSuperalgebra, lam: Sequence) -> PolarizingSystem:
     lam = coerce_functional(g, lam)
     if not is_nilpotent(g):
         raise InputError("polarizing systems need a nilpotent algebra")
+    return _polarize(g, lam, *_admissible(g, lam), [])
+
+
+def _admissible(g: LieSuperalgebra, lam: Vector) -> tuple[int, list[Vector]]:
+    """The rank of Omega_lambda and the odd Gram radical of an admissible lam;
+    NotAdmissible when its odd Gram matrix is not positive semidefinite."""
     admissible, form = in_admissible_cone(g, lam)
     if not admissible:
         raise NotAdmissible("odd Gram matrix is not positive semidefinite")
-    return _polarize(g, lam, even_skew_form(g, lam).rank(), _odd_radical(g, form.matrix), [])
+    return even_skew_form(g, lam).rank(), _odd_radical(g, form.matrix)
 
 
 def _odd_radical(g: LieSuperalgebra, gram: Matrix) -> list[Vector]:
@@ -149,13 +146,10 @@ def polarizing_system_from_m0(g: LieSuperalgebra, lam: Sequence, m0: Subspace,
     quotient, whose construction checks that j is an ideal of m.
     """
     lam = coerce_functional(g, lam)
-    admissible, form = in_admissible_cone(g, lam)
-    if not admissible:
-        raise NotAdmissible("odd Gram matrix is not positive semidefinite")
+    even_rank, odd_rad = _admissible(g, lam)
     if not g.even_subspace.contains_subspace(m0):
         raise InputError("polarization is not inside g0")
-    return _assemble(g, lam, m0, flag_dims, even_skew_form(g, lam).rank(),
-                     _odd_radical(g, form.matrix), [])
+    return _assemble(g, lam, m0, flag_dims, even_rank, odd_rad, [])
 
 
 def _assemble(g: LieSuperalgebra, lam: Vector, m0: Subspace, flag_dims: tuple[int, ...],
@@ -413,11 +407,9 @@ def kirillov_heisenberg_check(g: LieSuperalgebra) -> dict:
     report["preconditions"]["nilpotent"] = nil
     zc = center(g)
     report["preconditions"]["center_dim"] = zc.dim
-    iso = find_isotropic_odd(g)
-    pd = find_pd_functional(g, cap=400)
-    if iso.status == ISOTROPIC_FOUND:
+    if find_isotropic_odd(g).status == ISOTROPIC_FOUND:
         no_iso = False
-    elif pd.status == POINTED_CERTIFIED:
+    elif find_pd_functional(g, cap=400).status == POINTED_CERTIFIED:
         no_iso = True          # definite Gram certifies absence
     else:
         no_iso = "UNDETERMINED"

@@ -124,6 +124,11 @@ def test_su_realization_shapes(corpus):
         assert e.coords_of(M) == tuple(x.promote(QQ_I) for x in v)
 
 
+def test_blocks_keep_the_shape_of_empty_blocks():
+    shapes = [(B.nrows, B.ncols) for B in blocks(cm([[1, 2], [3, 4]]), 2)]
+    assert shapes == [(2, 2), (2, 0), (0, 2), (0, 0)]
+
+
 def test_su2_compact_realization(corpus):
     e = corpus["su(2)"]
     M = cm([[QQ_I.i, 0], [0, -QQ_I.i]])     # diag(i, -i)

@@ -1,10 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from liecones.exactnum import QQ, QQ_I, InputError
 from liecones.glinalg import Matrix, vec_add, vec_is_zero, vec_scale
-from liecones.catalog import cm
+from liecones.catalog import build, cm, list_keys
 from liecones.cartan import cartan_subsuperalgebra, compact_cartan_even, fixed_point_projection, root_decomposition
 from liecones.cones import (
     OddSquareForm, abelian_even_ideals_contained_in_center,
@@ -13,7 +15,10 @@ from liecones.cones import (
     is_positive_definite, is_positive_semidefinite, leading_principal_minors,
     nilpotent_vanishing_ideal, odd_square, star_reduced_report,
 )
-from liecones.lsa import LieSuperalgebra, grassmann_extend, nilpotency_class, quotient
+from liecones.lsa import (LieSuperalgebra, grassmann_extend, is_nilpotent, nilpotency_class,
+                          quotient)
+from liecones.orbits import (coadjoint_orbit_member, even_skew_form, in_admissible_cone,
+                             kirillov_heisenberg_check, polarizing_flag, polarizing_system_from_m0)
 
 
 def test_odd_square_examples(algebra):
@@ -371,3 +376,76 @@ def test_star_reduced_notes_undetermined_but_raises_invariant_violation(monkeypa
                         lambda v: tuple(x + x.field.one for x in v))
     with pytest.raises(InvariantViolation, match="conjugation symmetry fails"):
         star_reduced_report(g)
+
+
+# sha256 of {"star_reduced", "pd_search", "isotropic" and, on nilpotent keys,
+# "kirillov"} (sorted keys): star_reduced_report(g, cap=400),
+# find_pd_functional(g, cap=400), find_isotropic_odd(g) and
+# kirillov_heisenberg_check(g), pinned byte for byte on every list_keys() key
+# and four more real forms.  They reach the isotropic, root-square and
+# projected-square routes, CONE_OK and UNDETERMINED.
+PINNED = {
+    "h(1)": "52914e99de0d396e643ce48632975ce094e15ebc1afde8851ef141f961e84d2c",
+    "cl(1|1,+)": "f9bda137236bd30430f13bfa4bb00c43f52fb60aae35b44617a00b6f0e24ff8c",
+    "cl(1|1,-)": "f4e1bd0c2efd39e8d478710d6c2e1bf82542fe8f9f76a780bb94dc81877aa646",
+    "cl(1|2,++)": "1813ac57f049e2e9c41d651d11f1fbe2bfcc6e0aa8dcca92d3730495d373fad2",
+    "cl(1|2,+-)": "d172080e854e5966d8efb8153c3dcca99f334b834ec3d53306ffac0ca01b0041",
+    "cl(1|3,+++)": "ddb45b6df6fca647230b0d79675d37189ea5baf17012182281625bfae38aaeeb",
+    "cl(1|3,++-)": "1b6081c6286c3468f02a6601e308bdd74976966ba70fd1c5a3153ade18d55af2",
+    "cl(1|4,++++)": "6fa4423f836aefe3b5c51f688cdd15fe574aa45f912fcae12c8606c81942ae52",
+    "cl(1|4,+++-)": "5ba48c0c8b362b23a09ba7ee84ad74e7f48bc34383b7af6f7d3ae11290466284",
+    "hc(2|2,++)": "2922590d992cfd6f68787146a5c1be2ed62664afbf6ba9f4eaf124ab3dac019e",
+    "hc(2|2,+-)": "aa0162997b7930224496ddf9d29aee6aa11810d4c8b8622e2460e5324b476912",
+    "su(1,1|1,1)": "1a4ac417a12318519ad41bb5b00f3f08817960a228b287b7d98b12858fcd5e22",
+    "sq(1,1)": "178d59f9f6b5b4214602c0a81540a08dbc19e6f05b217c6979e20729976ddcd3",
+    "osp(1,1|2)": "cf672abe60f554fed92eb5c53bb87f67cf0138af32d25dba81eb645333c5a640",
+    "osp(1|2)": "ece8b6d7767c33658e1c098bd16a154859c7104aae5b3db91959bff8184d2ff2",
+    "gl(1|1)": "587ecd52d8b562e8be4526ba1e0f44c41d256ce57a40cacddae2c5a91e7b8406",
+    "sl(2,R)": "b3eb2e55c98b317a9d32640402c34b4873634612324ecdb03e22ac87d659d8ab",
+    "su(2)": "b3eb2e55c98b317a9d32640402c34b4873634612324ecdb03e22ac87d659d8ab",
+    "n3super": "a01c71a036be7e1db93385fe960f66c86549b7408930f16293a91e9c5184b8cb",
+    "abelian(2|1)": "dd21d9f7f9d70ca49af28feecd5e376d69557749a06c878f591bab9b247030dd",
+    "su(2,0|1,0)": "e9e29fbdc91f7bfb2cd80572bf246c150800a1daca7e6560a392c4512da5dd3d",
+    "su(1,0|2,0)": "80cc932a953e73abda153d768e8d0d0e6190b42fdd23e42f7ac373abebf88a86",
+    "sq(2,0)": "80cc932a953e73abda153d768e8d0d0e6190b42fdd23e42f7ac373abebf88a86",
+    "osp(2,0|2)": "d61082326aee4f463674dff015e69aef9f9d35ed9bcf24366406d9b44fc2a57d",
+}
+
+
+def cone_results(g: LieSuperalgebra) -> dict:
+    doc = {"star_reduced": star_reduced_report(g, cap=400).as_json(),
+           "pd_search": find_pd_functional(g, cap=400).as_json(),
+           "isotropic": find_isotropic_odd(g).as_json()}
+    if is_nilpotent(g):
+        doc["kirillov"] = kirillov_heisenberg_check(g)
+    return doc
+
+
+def test_pinned_cone_keys_cover_the_corpus():
+    assert set(list_keys()) <= set(PINNED)
+
+
+@pytest.mark.parametrize("key", list(PINNED))
+def test_cone_results_are_pinned(key):
+    doc = json.dumps(cone_results(build(key).algebra), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == PINNED[key]
+
+
+@pytest.mark.parametrize("delta", [-1, 1], ids=["short", "long"])
+def test_functionals_of_the_wrong_length_are_input_errors(delta, algebra):
+    """One coordinate short or long is refused by every entry point that
+    takes a functional on g0."""
+    h = algebra("hc(2|2,++)")
+    good = (QQ.zero, QQ.zero, QQ.one)
+    bad = (QQ.one,) * (h.space.even_dim + delta)
+    osp = algebra("osp(1|2)")
+    datum = root_decomposition(osp, cartan_subsuperalgebra(osp, compact_cartan_even(osp)))
+    calls = [lambda: OddSquareForm.of(h, bad), lambda: in_admissible_cone(h, bad),
+             lambda: even_skew_form(h, bad), lambda: polarizing_flag(h, bad),
+             lambda: polarizing_system_from_m0(h, bad, h.even_subspace),
+             lambda: coadjoint_orbit_member(h, bad, good),
+             lambda: coadjoint_orbit_member(h, good, bad),
+             lambda: check_root_space_form(osp, datum, (QQ.one,) * (osp.space.even_dim + delta))]
+    for call in calls:
+        with pytest.raises(InputError, match="functional length must equal the even dimension"):
+            call()

@@ -2011,3 +2011,84 @@ def test_ideal_containment_route_matches_the_pairwise_scan(key):
     # an abelian g has [g, g] = 0, so every subspace takes the containment route
     assert routes == ({(True, True), (False, True), (False, False)} if g.brackets
                       else {(True, True)})
+
+
+# ---------------------------------------------------------------------------
+# the PD search against the scan and climb its one scoring step replaced
+# ---------------------------------------------------------------------------
+
+def scan_and_climb(g: LieSuperalgebra, bound: int, cap: int, hill_steps: int):
+    """find_pd_functional as it was before its scan and climb shared one
+    scoring step: the climb tries coordinate j, then +2^-k and -2^-k for
+    k = 0..3, and moves to the first neighbour that scores higher."""
+    e, d = g.space.even_dim, g.space.odd_dim
+    f = g.field
+    if d == 0:
+        return cones.ConeCertificate(cones.POINTED_CERTIFIED, lam=tuple(f.zero for _ in range(e)),
+                                     details={"odd_dim": 0, "note": "no odd part"})
+    best_lam = None
+    best_score = -1
+    for ints in cartan.candidate_vectors(e, bound, cap):
+        lam = tuple(f.rat(c) for c in ints)
+        score = cones._pd_prefix_score(OddSquareForm.of(g, lam).matrix)
+        if score == d:
+            return cones.certify_pointed(g, lam)
+        if score > best_score:
+            best_score, best_lam = score, lam
+    if best_lam is None:
+        return cones.ConeCertificate(cones.UNDETERMINED, details={"budget": "scan exhausted"})
+    lam = best_lam
+    steps = [f.rat(Fraction(1, 2) ** k) for k in range(0, 4)]
+    for _ in range(hill_steps):
+        improved = False
+        for j in range(e):
+            for s in steps:
+                for sgn in (1, -1):
+                    cand = list(lam)
+                    cand[j] = cand[j] + s * f.rat(sgn)
+                    sc = cones._pd_prefix_score(OddSquareForm.of(g, cand).matrix)
+                    if sc == d:
+                        return cones.certify_pointed(g, tuple(cand))
+                    if sc > best_score:
+                        best_score, lam = sc, tuple(cand)
+                        improved = True
+                        break
+                if improved:
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+    return cones.ConeCertificate(cones.UNDETERMINED,
+                                 details={"budget": "hill climb exhausted",
+                                          "best_score": best_score, "odd_dim": d})
+
+
+def random_odd_square_table(rng: random.Random) -> LieSuperalgebra:
+    """Central even part Z_0..Z_(e-1), e <= 3, and [f_a, f_b] = sum c Z_k with
+    c in -2..2 on d <= 3 odd vectors; Jacobi holds trivially."""
+    e, d = rng.randint(1, 3), rng.randint(1, 3)
+    table = {(f"f{a}", f"f{b}"): {f"Z{k}": rng.randint(-2, 2) for k in range(e)}
+             for a in range(d) for b in range(a, d)}
+    return LieSuperalgebra.from_table("odd squares", QQ, [f"Z{k}" for k in range(e)],
+                                      [f"f{a}" for a in range(d)], table)
+
+
+def test_pd_search_matches_the_scan_and_climb_it_replaced():
+    """Same certificate or budget report, byte for byte, on seeded odd-square
+    tables and four budgets; the draws reach a scan certificate, a certificate
+    only the climb finds, an exhausted scan and an exhausted climb."""
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(60):
+        g = random_odd_square_table(rng)
+        for bound, cap, hill_steps in ((1, 2, 200), (1, 3, 5), (2, 10, 50), (1, 0, 10)):
+            want = scan_and_climb(g, bound, cap, hill_steps)
+            assert cones.find_pd_functional(g, bound, cap, hill_steps).as_json() == \
+                want.as_json(), (g.brackets, bound, cap, hill_steps)
+            if want.status == cones.POINTED_CERTIFIED:
+                outcomes.add("scan" if scan_and_climb(g, bound, cap, 0).status == want.status
+                             else "climb")
+            else:
+                outcomes.add(want.details["budget"])
+    assert outcomes == {"scan", "climb", "scan exhausted", "hill climb exhausted"}

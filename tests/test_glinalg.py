@@ -33,6 +33,19 @@ def test_rank_nullity():
     assert A.rank() + kernel(A).dim == A.ncols
 
 
+def test_row_less_matrices_keep_their_column_count():
+    def shape(A):
+        return A.nrows, A.ncols
+    assert shape(Matrix.zero(QQ, 0, 3) * Matrix.identity(QQ, 3)) == (0, 3)
+    assert shape(Matrix.zero(QQ, 3, 0).transpose()) == (0, 3)
+    assert shape(Matrix.zero(QQ, 0, 3).transpose()) == (3, 0)
+    assert shape(Matrix.zero(QQ, 3, 0) * Matrix.zero(QQ, 0, 2)) == (3, 2)
+    assert shape(Matrix.from_cols(QQ, [(), ()])) == (0, 2)
+    assert shape(Matrix.zero(QQ, 0, 3).rref()[0]) == (0, 3)
+    assert len(Matrix.zero(QQ, 0, 3).kernel_basis()) == 3
+    assert Matrix.zero(QQ, 0, 3) != Matrix.zero(QQ, 0, 2)
+
+
 def test_rref_idempotent_canonical():
     A = M(QQ, [[2, 4], [1, 3]])
     R1, _ = A.rref()

@@ -66,6 +66,9 @@ PARITY_ROOTS = "tests/test_differential.py::test_parity_block_roots_match_the_wh
 MULTIPLICITIES = "tests/test_differential.py::test_rational_root_multiplicities_match_trial_division"
 ISOTROPIC = ("tests/test_differential.py::"
              "test_sample_driven_isotropic_search_matches_the_three_stage_search")
+PD_SEARCH = "tests/test_differential.py::test_pd_search_matches_the_scan_and_climb_it_replaced"
+CONE_PINS = "tests/test_cones.py::test_cone_results_are_pinned"
+LENGTH = "tests/test_cones.py::test_functionals_of_the_wrong_length_are_input_errors"
 TRACE = "tests/test_differential.py::test_trace_prefilter_keeps_the_unfiltered_verdicts"
 RECORD = "tests/test_differential.py::test_recorded_verdicts_are_per_algebra_and_subspace"
 DENSE = "tests/test_differential.py::test_bracket_and_ad_match_the_dense_loops"
@@ -358,9 +361,22 @@ MUTANTS = (
            "pass",
            (f"{DEEP}[n6]",)),
     Mutant("the root-space form without the conjugation", CONES,
-           "[tuple(s.conjugate_i() for s in y) for y in basis]",
-           "basis",
+           "yield root, basis, [tuple(s.conjugate_i() for s in y) for y in basis]",
+           "yield root, basis, basis",
            (ROOT_FORMS,)),
+    Mutant("the hull step drops the projected route", CONES,
+           "(label, v) for label, v in projected if not vec_is_zero(v)], notes)",
+           "], notes)",
+           ("tests/test_cones.py::test_star_reduced_sq11_line", f"{CONE_PINS}[sq(1,1)]")),
+    Mutant("the climb steps upward only", CONES,
+           "for sgn in (1, -1)):",
+           "for sgn in (1,)):",
+           (PD_SEARCH,)),
+    Mutant("coerce_functional drops its length check", CONES,
+           '    if len(lam) != g.space.even_dim:\n'
+           '        raise InputError("functional length must equal the even dimension")\n',
+           "",
+           (f"{LENGTH}[short]", f"{LENGTH}[long]")),
     Mutant("the slices stop one index early", CONES,
            "for b in range(a + 1, d):",
            "for b in range(a + 1, d - 1):",
@@ -413,6 +429,10 @@ MUTANTS = (
            "f.rat(Fraction(1, 1))",
            (f"{EXP}[n4]", f"{EXP}[n5]",
             "tests/test_orbits.py::test_coadjoint_member_three_step_exact")),
+    Mutant("Matrix.zero drops its column count", GLINALG,
+           "return Matrix(fld, [[fld.zero] * n for _ in range(m)], n)",
+           "return Matrix(fld, [[fld.zero] * n for _ in range(m)])",
+           ("tests/test_glinalg.py::test_row_less_matrices_keep_their_column_count",)),
     Mutant("the su supertrace dropped", CATALOG,
            "_solve_real_form(m, n, 0, [theta], traceless=True)",
            "_solve_real_form(m, n, 0, [theta])",
