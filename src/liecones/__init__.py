@@ -17,9 +17,8 @@ from .lsa import (LieSuperalgebra, center, centroid, check_axioms, derivations,
                   differential_constants, grassmann_extend, is_nilpotent,
                   is_solvable, quotient, series, subalgebra_on, supercommutant)
 from .cartan import (CartanData, RootDatum, cartan_subalgebra_even,
-                     cartan_subsuperalgebra, check_root_symmetry,
-                     compact_cartan_even, fitting_null, fixed_point_projection,
-                     is_compactly_embedded, root_decomposition)
+                     cartan_subsuperalgebra, compact_cartan_even, fitting_null,
+                     fixed_point_projection, is_compactly_embedded, root_decomposition)
 from .cones import (ConeCertificate, OddSquareForm, StarReducedReport,
                     convex_hull_contains_zero, find_isotropic_odd,
                     find_pd_functional, nilpotent_vanishing_ideal, odd_square,

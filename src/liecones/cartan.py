@@ -7,10 +7,11 @@ passes when each block does.  With s the squarefree part of charpoly(B^2), B
 has purely imaginary spectrum iff every root of s is real and <= 0 (Sturm
 counts), and is then semisimple iff the squarefree polynomial r(x) = s(x^2),
 or x (s/x)(x^2) when s(0) = 0, annihilates it; a nonzero B with
-tr(B^2) >= 0 fails first.  Non-abelian families add a sample of integer
-combinations.  Each Cartan and compactness verdict is recorded on the
-algebra.  The Fitting null component, like the root engine, is also found
-block by block.  The inner automorphism group is never materialized.
+tr(B^2) >= 0 fails first.  A non-abelian k0 whose rows pass is decided
+exactly by one LDL of its trace form tr(ad x ad y).  Each Cartan and
+compactness verdict is recorded on the algebra.  The Fitting null component,
+like the root engine, is also found block by block.  The inner automorphism
+group is never materialized.
 
 The regular-element scan stops once its answer is proved: at g0 itself when
 g0 is nilpotent, and, in the search for a compact Cartan subalgebra, once the
@@ -20,22 +21,20 @@ spectral test.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import wraps
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .exactnum import InputError, InvariantViolation, Scalar, Undetermined, real_root_signs
 from .glinalg import (
-    GradedSpace, Matrix, Subspace, Vector, joint_eigenspaces, kernel, lin_comb, zero_vector,
+    GradedSpace, Matrix, Subspace, Vector, joint_eigenspaces, kernel, zero_vector,
 )
 from .lsa import (LieSuperalgebra, bracket_span, center, is_nilpotent, is_subalgebra,
                   subalgebra_on, transporter)
 
 
 UNDETERMINED = "UNDETERMINED"
-SAMPLE_BOUND, SAMPLE_CAP = 2, 40    # integer combinations tested for a non-abelian k0
 MAX_CANDIDATES = 40                 # scanned Cartan subalgebras compact_cartan_even tests
 
 
@@ -52,19 +51,21 @@ def fitting_null(g: LieSuperalgebra, w0: Subspace) -> Subspace:
     cur = g.full_space
     for w in w0.rows:
         cur = cur.intersect(g.subspace(
-            pad_lo + r + pad_hi for pad_lo, B, pad_hi in _parity_blocks(g, g.ad(w))
+            pad_lo + r + pad_hi for _, pad_lo, B, pad_hi in _parity_blocks(g, g.ad(w))
             for r in B.power(B.nrows).kernel_basis()))
     if not is_subalgebra(g, cur):
         raise InvariantViolation("Fitting null component is not a subalgebra")  # pragma: no cover
     return cur
 
 
-def _parity_blocks(g: LieSuperalgebra, M: Matrix) -> list[tuple[Vector, Matrix, Vector]]:
-    """(zeros before, block, zeros after) for the nonempty g0 and g1 diagonal
-    blocks of M, which ad of an even element preserves."""
+def _parity_blocks(g: LieSuperalgebra, M: Matrix) -> list[tuple[int, Vector, Matrix, Vector]]:
+    """(parity, zeros before, block, zeros after) for the nonempty g0 and g1
+    diagonal blocks of M = ad of an even element, which preserves both."""
     n, e, z = g.dim, g.space.even_dim, g.field.zero
-    return [((z,) * lo, Matrix(M.field, [r[lo:hi] for r in M.rows[lo:hi]]), (z,) * (n - hi))
-            for lo, hi in ((0, e), (e, n)) if lo < hi]
+    if any(any(r[e:]) if i < e else any(r[:e]) for i, r in enumerate(M.rows)):
+        raise InvariantViolation("ad of an even element does not preserve the grading")
+    return [(parity, (z,) * lo, Matrix(M.field, [r[lo:hi] for r in M.rows[lo:hi]]),
+             (z,) * (n - hi)) for parity, (lo, hi) in enumerate(((0, e), (e, n))) if lo < hi]
 
 
 def normalizer(g: LieSuperalgebra, h: Subspace) -> Subspace:
@@ -195,7 +196,7 @@ def _spectrum_purely_imaginary_semisimple(g: LieSuperalgebra, v: Vector) -> obje
     M = g.ad(v)
     if not all(c.is_rational() for r in M.rows for c in r):
         return UNDETERMINED
-    return all(_imaginary_semisimple(B) for _, B, _ in _parity_blocks(g, M))
+    return all(_imaginary_semisimple(B) for _, _, B, _ in _parity_blocks(g, M))
 
 
 def _imaginary_semisimple(M: Matrix) -> bool:
@@ -223,11 +224,17 @@ def _imaginary_semisimple(M: Matrix) -> bool:
 
 @_recorded
 def is_compactly_embedded(g: LieSuperalgebra, k0: Subspace) -> object:
-    """Spectral certificate that k0 <= g0 is compactly embedded in g.
+    """Exact certificate that k0 <= g0 is compactly embedded in g;
+    UNDETERMINED only when a basis row has non-rational ad.
 
-    For abelian k0 the basis test is sufficient; otherwise a deterministic
-    sample of integer combinations is also tested and the verdict stays
-    UNDETERMINED unless the family is abelian.
+    Every basis row must pass the spectral test, which decides an abelian k0.
+    Otherwise k0 passes iff its trace form beta(x, y) = tr(ad x ad y), ad on
+    all of g, is negative semidefinite with radical k0 ∩ z(g), the kernel of
+    ad (Knapp, Lie Groups Beyond an Introduction, ch. IV): L = ad(k0) then
+    carries a negative-definite invariant form, so L = z(L) (+) [L, L] with
+    [L, L] compact semisimple.  The z(L) parts of the rows span z(L), and
+    each, the difference of two commuting semisimple operators with
+    imaginary spectrum, is one too.
     """
     if k0.dim == 0:
         return True
@@ -239,16 +246,12 @@ def is_compactly_embedded(g: LieSuperalgebra, k0: Subspace) -> object:
         verdict = _spectrum_purely_imaginary_semisimple(g, b)
         if verdict is not True:
             return verdict
-    abelian = bracket_span(g, k0, k0).dim == 0
-    if abelian:
+    if bracket_span(g, k0, k0).dim == 0:
         return True
-    # non-abelian: sampled combinations, necessary-only certificate
-    for ints in candidate_vectors(k0.dim, SAMPLE_BOUND, SAMPLE_CAP):
-        v = lin_comb(g.field, g.dim, (g.field.rat(c) for c in ints), k0.rows)
-        verdict = _spectrum_purely_imaginary_semisimple(g, v)
-        if verdict is not True:
-            return verdict
-    return UNDETERMINED
+    ads = [g.ad(b) for b in k0.rows]
+    pivots, _ = Matrix(g.field, [[-(A * B).trace() for B in ads] for A in ads]).ldl()
+    return (len(pivots) == k0.dim and all(p.sign() >= 0 for p in pivots)
+            and sum(1 for p in pivots if p) == k0.dim - k0.intersect(center(g)).dim)
 
 
 def compact_cartan_even(g: LieSuperalgebra, bound: int = 3, cap: int = 4000) -> Subspace | None:
@@ -257,8 +260,9 @@ def compact_cartan_even(g: LieSuperalgebra, bound: int = 3, cap: int = 4000) -> 
     subalgebras does, or, after the first failure, when a basis row of z(g0)
     does not pass the spectral test (False or UNDETERMINED).  That is exact:
     z(g0) normalizes, so lies in, every Cartan h0, and is_compactly_embedded
-    is True only for an abelian h0 whose rows b_k have rational, semisimple
-    ad with imaginary spectrum; those ad's commute.  z(g0) = {sum c_k b_k :
+    is True only when the rows b_k of h0 have rational, semisimple ad with
+    imaginary spectrum; h0 is nilpotent, so it is then abelian and those
+    ad's commute.  z(g0) = {sum c_k b_k :
     sum c_k ad(b_k)|g0 = 0} is cut out by rational equations in the pivot
     coordinates of h0, so each canonical row of the centre has rational c,
     and its ad, a rational combination of the ad(b_k), is rational,
@@ -315,24 +319,18 @@ def root_decomposition(g: LieSuperalgebra, cartan: CartanData) -> RootDatum:
     if cartan.compactly_embedded is not True:
         raise InputError("root decomposition needs a compactly embedded Cartan")
     gc = g.complexify()
-    fld = gc.field
-    n, e = g.dim, g.space.even_dim
-    mats = [gc.ad(tuple(x.promote(fld) for x in b)) for b in cartan.h0.rows]
-    if any(any(r[e:]) if i < e else any(r[:e]) for M in mats for i, r in enumerate(M.rows)):
-        raise InvariantViolation("ad(h0) does not preserve the grading")
+    per_row = [_parity_blocks(gc, gc.ad(tuple(x.promote(gc.field) for x in b)))
+               for b in cartan.h0.rows]
     spaces: dict[tuple[Scalar, ...], tuple[list[Vector], list[Vector]]] = {}
-    for parity, (lo, hi) in enumerate(((0, e), (e, n))):
-        if lo == hi:
-            continue
-        blocks = [Matrix(fld, [r[lo:hi] for r in M.rows[lo:hi]]) for M in mats]
-        status, joint = joint_eigenspaces(blocks)
+    for blocks in zip(*per_row):
+        status, joint = joint_eigenspaces([B for _, _, B, _ in blocks])
         if status != "OK":
             raise Undetermined("SPLITTING_FAILURE in the root engine")
-        pad_lo, pad_hi = (fld.zero,) * lo, (fld.zero,) * (n - hi)
+        parity, pad_lo, _, pad_hi = blocks[0]
         for evs, space in joint:
             rows = spaces.setdefault(evs, ([], []))[parity]
             rows.extend(pad_lo + r + pad_hi for r in space.rows)
-    i_unit = fld.i
+    i_unit = gc.field.i
     roots: list[Root] = []
     for evs, (even_rows, odd_rows) in spaces.items():
         vals = []
@@ -372,13 +370,6 @@ def _verify_root_datum(g: LieSuperalgebra, datum: RootDatum) -> None:
     comm = bracket_span(g, h0, even).intersect(even)
     if h0.intersect(comm).dim != 0 or h0.sum_with(comm) != even:
         raise InvariantViolation("g0 = h0 (+) [h0, g0] fails")
-
-
-def check_root_symmetry(values: Iterable[tuple[Scalar, ...]]) -> bool:
-    """True iff the multiset of nonzero root values is closed under negation."""
-    nonzero = [v for v in values if any(v)]
-    return (Counter(tuple(map(str, v)) for v in nonzero)
-            == Counter(tuple(str(-x) for x in v) for v in nonzero))
 
 
 # ---------------------------------------------------------------------------

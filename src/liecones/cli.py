@@ -178,7 +178,8 @@ def cmd_roots(args, inputs: dict, budgets: dict) -> tuple[str, dict]:
     return "OK", {
         "h0": _subspace_json(h0),
         "roots": roots,
-        "symmetric": car.check_root_symmetry([r.values for r in datum.roots]),
+        # root_decomposition raises unless the roots are closed under negation
+        "symmetric": True,
     }
 
 

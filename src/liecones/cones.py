@@ -490,7 +490,7 @@ def star_reduced_report(g: LieSuperalgebra, bound: int = 3, cap: int = 2000,
         reason = {"kind": "isotropic_odd", "witness": [str(x) for x in iso.isotropic]}
         return StarReducedReport(OBSTRUCTED, [reason], iso, notes)
 
-    k0 = _cartan.compact_cartan_even(g, bound=bound)
+    k0 = _cartan.compact_cartan_even(g, bound=bound, cap=cap)
     if k0 is None:
         if g.odd_square == g.even_subspace:
             notes.append("g0 = [g1,g1] but no compactly embedded Cartan was found "

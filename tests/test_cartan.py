@@ -1,17 +1,17 @@
 import pytest
 
 from liecones import cartan
-from liecones.exactnum import QQ, QQ_I, Field, InputError, Undetermined
+from liecones.exactnum import QQ, QQ_I, Field, InputError, InvariantViolation, Undetermined
 from liecones.catalog import cm
 from liecones.cartan import (
     candidate_vectors,
-    cartan_subalgebra_even, cartan_subsuperalgebra, check_root_symmetry,
-    compact_cartan_even, fitting_null, fixed_point_projection,
+    cartan_subalgebra_even, cartan_subsuperalgebra, compact_cartan_even,
+    fitting_null, fixed_point_projection,
     is_compactly_embedded, is_cartan_subalgebra_even,
     normalizer, root_decomposition,
 )
 from liecones.glinalg import Matrix
-from liecones.lsa import LieSuperalgebra, check_axioms
+from liecones.lsa import LieSuperalgebra, bracket_span, check_axioms
 
 
 def test_candidate_vectors_deterministic():
@@ -106,22 +106,42 @@ def test_is_compactly_embedded_examples(corpus):
     assert is_compactly_embedded(sl2, sl2.subspace([])) is True
 
 
-def test_non_abelian_k0_reaches_the_sampled_combinations(algebra):
+def test_non_abelian_k0_is_decided_by_its_trace_form(algebra):
     """Every basis row passes the spectral test, so the verdict comes from
-    the sampled combinations: in sl(2,R) with the elliptic basis K = E - F,
-    P = H + 2E - 2F, R = H + E - 3F the sample K - R = -H + 2F is split;
-    in su(2) every sample passes and the verdict stays UNDETERMINED."""
+    the trace form beta(x, y) = tr(ad x ad y).  In sl(2,R) with the elliptic
+    basis K = E - F, P = H + 2E - 2F, R = H + E - 3F, -beta is indefinite.
+    In e(2) = so(2) |x R^2 with the basis A = J, B = J + T1, C = J + T2,
+    -beta is 2 on every entry: semidefinite of rank 1, not dim e(2) = 3.
+    The even parts of su(2), su(2,0|1,0), su(1,0|2,0) and sq(2,0) are
+    compact, and the fixed-point projection of su(2,0|1,0)_0 = u(2) keeps
+    its centre only."""
     sl2 = LieSuperalgebra.from_table(
         "sl(2,R) elliptic", QQ, ["K", "P", "R"], [],
         {("K", "P"): {"P": -2, "R": 2}, ("K", "R"): {"K": 4, "P": -4, "R": 2},
          ("P", "R"): {"K": 6, "P": -4}})
-    su2 = algebra("su(2)")
-    for g in (sl2, su2):
+    e2 = LieSuperalgebra.from_table(
+        "e(2)", QQ, ["A", "B", "C"], [],
+        {("A", "B"): {"A": -1, "C": 1}, ("A", "C"): {"A": 1, "B": -1},
+         ("B", "C"): {"A": 2, "B": -1, "C": -1}})
+    compact = [algebra(key) for key in ("su(2)", "su(2,0|1,0)", "su(1,0|2,0)", "sq(2,0)")]
+    for g in (sl2, e2, *compact):
         assert check_axioms(g).all_ok
+        assert bracket_span(g, g.even_subspace, g.even_subspace).dim
         assert all(cartan._spectrum_purely_imaginary_semisimple(g, b) is True
                    for b in g.even_subspace.rows)
-    assert is_compactly_embedded(sl2, sl2.even_subspace) is False
-    assert is_compactly_embedded(su2, su2.even_subspace) == "UNDETERMINED"
+        assert is_compactly_embedded(g, g.even_subspace) is (g in compact), g.name
+    u2 = compact[1]
+    P = fixed_point_projection(u2, u2.even_subspace)
+    assert P * P == P and P.rank() == 1
+
+
+def test_parity_blocks_recheck_the_grading():
+    """[X, Y] = f with f odd: ad(X) sends the even Y to the odd f."""
+    g = LieSuperalgebra.from_table("par", QQ, ["X", "Y"], ["f"], {("X", "Y"): {"f": 1}})
+    for run in (lambda: cartan.fitting_null(g, g.subspace([g.basis_vector(0)])),
+                lambda: cartan._spectrum_purely_imaginary_semisimple(g, g.basis_vector(0))):
+        with pytest.raises(InvariantViolation):
+            run()
 
 
 def test_compactly_embedded_in_super_not_just_even(algebra):
@@ -174,17 +194,6 @@ def test_root_decomposition_requires_compact(algebra):
     assert cd.compactly_embedded is False
     with pytest.raises(InputError):
         root_decomposition(sl2, cd)
-
-
-def test_check_root_symmetry():
-    a = (QQ.one,)
-    na = (-QQ.one,)
-    b = (QQ.rat(2),)
-    assert check_root_symmetry([a, na])
-    assert not check_root_symmetry([a, na, b])
-    assert check_root_symmetry([])
-    assert check_root_symmetry([(QQ.zero,)])     # zero root ignored
-    assert check_root_symmetry(iter([a, na]))     # an iterator is read once
 
 
 def test_fixed_point_projection_trivial(algebra):

@@ -476,10 +476,12 @@ UNDETERMINED_RUNS = [
     (["hwm", "--catalog", "h(1)", "--x0", "1"],
      {"catalog": "h(1)"}, {"depth": 4, "scan_bound": 3, "scan_cap": 2000},
      {"note": "no compactly embedded Cartan found in scan"}),
-    (["star-reduced", "--catalog", "osp(1|2)", "--cap", "0"],
-     {"catalog": "osp(1|2)"}, {"hill_steps": 200, "scan_bound": 3, "scan_cap": 0},
-     {"notes": ["no positive-definite functional within budget"], "reasons": [],
-      "status": "UNDETERMINED"}),
+    *((["star-reduced", "--catalog", key, "--cap", "0"],
+       {"catalog": key}, {"hill_steps": 200, "scan_bound": 3, "scan_cap": 0},
+       {"notes": ["g0 = [g1,g1] but no compactly embedded Cartan was found within the scan "
+                  "budget; existence undetermined",
+                  "no positive-definite functional within budget"], "reasons": [],
+        "status": "UNDETERMINED"}) for key in ("osp(1|2)", "su(1,1|1,1)")),
     (["polarize", "--catalog", "hc(2|2,+-)", "--lambda", "0,0,1"],
      {"catalog": "hc(2|2,+-)", "lambda": ["0", "0", "1"]}, {},
      {"not_admissible": "odd Gram matrix is not positive semidefinite"}),

@@ -1,15 +1,15 @@
 """Differential tests: each shortcut in the orbit classification, the Clifford
 verifier, the zero-skipping kernels, the sparse tower product, the rational
 scalar path, the unit-lead elimination, the once-per-unordered-triple
-Jacobi check, the even Cartan scan, the trace prefilter and the parity blocks
-of the spectral test, the block-wise Fitting null component, the
-graded-commutant solve and its elimination stop, the derivation equations,
-the transporter solve, the bracket-form routine, bracket and ad over the
-nonzero constants, the recorded Cartan verdicts and the [g, g] containment
-route of the ideal test and the quotient against a plain
-dense, pairwise, exhaustive or entry-by-entry formula written here, against
-the code a shortcut replaced, against the generic tower path, or against the
-standalone call it stands in for."""
+Jacobi check, the even Cartan scan, the trace-form compactness verdict, the
+trace prefilter and the parity blocks of the spectral test, the block-wise
+Fitting null component, the graded-commutant solve and its elimination stop,
+the derivation equations, the transporter solve, the bracket-form routine,
+bracket and ad over the nonzero constants, the recorded Cartan verdicts and
+the [g, g] containment route of the ideal test and the quotient against a
+plain dense, pairwise, exhaustive or entry-by-entry formula written here,
+against the code a shortcut replaced, against the generic tower path, or
+against the standalone call it stands in for."""
 
 import random
 from fractions import Fraction
@@ -928,6 +928,60 @@ def test_cartan_scan_matches_exhaustive_scan(key, data):
     cap = data.draw(st.integers(min_value=12, max_value=48))
     assert list(cartan.iter_cartan_even(g, bound, cap)) == list(exhaustive_cartans(g, bound, cap))
     assert cartan.compact_cartan_even(g, bound, cap) == exhaustive_compact_cartan(g, bound, cap)
+
+
+# ---------------------------------------------------------------------------
+# the exact compactness verdict against the sampled certificate it replaced
+# ---------------------------------------------------------------------------
+
+def sampled_compactly_embedded(g: LieSuperalgebra, k0: Subspace) -> object:
+    """The certificate before the trace form: the spectral test on the basis
+    rows, True for an abelian k0, then the spectral test on at most 40
+    integer combinations with coordinates in [-2, 2]; a non-abelian k0 that
+    passes them all stays UNDETERMINED."""
+    for b in k0.rows:
+        verdict = cartan._spectrum_purely_imaginary_semisimple(g, b)
+        if verdict is not True:
+            return verdict
+    if bracket_span(g, k0, k0).dim == 0:
+        return True
+    for ints in cartan.candidate_vectors(k0.dim, 2, 40):
+        v = lin_comb(g.field, g.dim, (g.field.rat(c) for c in ints), k0.rows)
+        verdict = cartan._spectrum_purely_imaginary_semisimple(g, v)
+        if verdict is not True:
+            return verdict
+    return cartan.UNDETERMINED
+
+
+TRACE_FORM_ALGEBRAS = dict(SCAN_ALGEBRAS, **{key: build(key).algebra for key in (
+    "su(2,0|1,0)", "su(1,0|2,0)", "sq(2,0)")})
+for _g in (LieSuperalgebra.from_table(                                      # K, P, R elliptic
+               "sl(2,R)-elliptic", QQ, ["K", "P", "R"], [],
+               {("K", "P"): {"P": -2, "R": 2}, ("K", "R"): {"K": 4, "P": -4, "R": 2},
+                ("P", "R"): {"K": 6, "P": -4}}),
+           LieSuperalgebra.from_table(                                      # J, J + T1, J + T2
+               "e(2)", QQ, ["A", "B", "C"], [],
+               {("A", "B"): {"A": -1, "C": 1}, ("A", "C"): {"A": 1, "B": -1},
+                ("B", "C"): {"A": 2, "B": -1, "C": -1}})):
+    TRACE_FORM_ALGEBRAS[_g.name] = _g
+
+
+@pytest.mark.parametrize("key", sorted(TRACE_FORM_ALGEBRAS))
+def test_trace_form_verdict_never_contradicts_the_sampled_certificate(key):
+    """On g0, [g1, g1] and the first six scanned Cartan subalgebras of the
+    scan-test algebras, of three with a compact non-abelian g0 and of two
+    non-compact algebras whose basis rows all pass the spectral test, the
+    exact verdict repeats every True and False of the sampled certificate,
+    and is UNDETERMINED only where a basis row has non-rational ad."""
+    g = TRACE_FORM_ALGEBRAS[key]
+    cartans = [h0 for _, h0 in islice(cartan.iter_cartan_even(g), 6)]
+    for k0 in (g.even_subspace, g.odd_square, *cartans):
+        verdict = cartan.is_compactly_embedded.__wrapped__(g, k0)
+        oracle = sampled_compactly_embedded(g, k0)
+        if oracle != cartan.UNDETERMINED:
+            assert verdict is oracle
+        if verdict == cartan.UNDETERMINED:
+            assert not all(c.is_rational() for b in k0.rows for r in g.ad(b).rows for c in r)
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,7 @@ DENSE = "tests/test_differential.py::test_bracket_and_ad_match_the_dense_loops"
 ROTATION = "tests/test_differential.py::test_check_axioms_matches_the_rotation_scan"
 BRUTE_JACOBI = "tests/test_lsa.py::test_sparse_jacobi_matches_brute_force"
 PARITY_BLOCKS = "tests/test_differential.py::test_parity_blocks_match_the_whole_matrix"
+SAMPLED = "tests/test_differential.py::test_trace_form_verdict_never_contradicts_the_sampled_certificate"
 PINNED = "tests/test_differential.py::test_pinned_commutant_solves_match_unpinned_ones"
 CONTAINMENT = "tests/test_differential.py::test_ideal_containment_route_matches_the_pairwise_scan"
 COSTS = "tests/test_orbits.py::test_classification_cost_counts"
@@ -195,9 +196,23 @@ MUTANTS = (
            "if pos:",
            (BLOCKS,)),
     Mutant("the spectral test on the g0 block only", CARTAN,
-           "for _, B, _ in _parity_blocks(g, M))",
-           "for _, B, _ in _parity_blocks(g, M)[:1])",
+           "for _, _, B, _ in _parity_blocks(g, M))",
+           "for _, _, B, _ in _parity_blocks(g, M)[:1])",
            (SPECTRAL, PARITY_BLOCKS)),
+    Mutant("the parity blocks without their grading re-check", CARTAN,
+           "if any(any(r[e:]) if i < e else any(r[:e]) for i, r in enumerate(M.rows)):",
+           "if False:",
+           ("tests/test_cartan.py::test_parity_blocks_recheck_the_grading",)),
+    Mutant("the trace form without its rank comparison", CARTAN,
+           "\n            and sum(1 for p in pivots if p) == k0.dim - k0.intersect(center(g)).dim)",
+           ")",
+           (f"{SAMPLED}[e(2)]",
+            "tests/test_cartan.py::test_non_abelian_k0_is_decided_by_its_trace_form")),
+    Mutant("the trace form without its pivot sign check", CARTAN,
+           "len(pivots) == k0.dim and all(p.sign() >= 0 for p in pivots)",
+           "len(pivots) == k0.dim",
+           (f"{SAMPLED}[sl(2,R)-elliptic]",
+            "tests/test_cartan.py::test_non_abelian_k0_is_decided_by_its_trace_form")),
     Mutant("the Fitting null component on the g0 block only", CARTAN,
            "in _parity_blocks(g, g.ad(w))",
            "in _parity_blocks(g, g.ad(w))[:1]",
@@ -260,8 +275,8 @@ MUTANTS = (
            "if filled:",
            ("tests/test_glinalg.py::test_joint_eigenspaces_match_intersect_everything_random",)),
     Mutant("the root engine skips the odd block", CARTAN,
-           "if lo == hi:",
-           "if lo == hi or parity:",
+           "for blocks in zip(*per_row):",
+           "for blocks in list(zip(*per_row))[:1]:",
            (f"{PARITY_ROOTS}[False-osp(1|2)]", f"{PARITY_ROOTS}[True-su(1,1|1,1)]",
             "tests/test_cartan.py::test_root_decomposition_osp12")),
     Mutant("root spaces store the odd rows as even and the even as odd", CARTAN,
